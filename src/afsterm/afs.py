@@ -80,11 +80,6 @@ class AFS:
         names = self.defined_names
         return tuple(f for f in self.signature if f.name in names)
 
-    @property
-    def constructors(self) -> tuple[FunctionSymbol, ...]:
-        names = self.defined_names
-        return tuple(f for f in self.signature if f.name not in names)
-
     def symbol(self, name: str) -> FunctionSymbol:
         for f in self.signature:
             if f.name == name:

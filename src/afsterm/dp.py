@@ -10,7 +10,7 @@ from .terms import (
     Term, Var, BVar, Abs, App, FunApp, Variable, FunctionSymbol,
     type_of, free_vars, app_spine, head, mark, strict_subterms_closed,
     fresh_const, fresh_name, term_text, apply_subst, tagged, untagged,
-    PLAIN, TAGGED, lam,
+    symbols_of, PLAIN, TAGGED, lam,
 )
 
 
@@ -34,10 +34,6 @@ class DPProblem:
     pairs: tuple[DependencyPair, ...]
     afs: AFS
     static_mode: bool = False  # collapsing pairs dropped (SPFP systems)
-
-    @property
-    def collapsing_set(self) -> bool:
-        return any(p.collapsing for p in self.pairs)
 
 
 def candidate_terms(rhs: Term, afs: AFS) -> list[Term]:
@@ -219,25 +215,11 @@ def build_rtag(rules: Sequence[Rule]) -> list[Rule]:
     tagged_rules = [Rule(r.lhs, tag(r.rhs), origin=r.origin) for r in rules]
     used: dict[str, FunctionSymbol] = {}
     for r in tagged_rules:
-        for sym in _tagged_symbols(r.rhs):
-            used.setdefault(sym.name, sym)
+        used.update((f.name, f) for f in symbols_of(r.rhs) if f.kind == TAGGED)
     out = list(tagged_rules)
     for name in sorted(used):
         out.append(untag_rule(untagged(used[name])))
     return out
-
-
-def _tagged_symbols(t: Term) -> Iterable[FunctionSymbol]:
-    if isinstance(t, Abs):
-        yield from _tagged_symbols(t.body)
-    elif isinstance(t, App):
-        yield from _tagged_symbols(t.fn)
-        yield from _tagged_symbols(t.arg)
-    elif isinstance(t, FunApp):
-        if t.fn.kind == TAGGED:
-            yield t.fn
-        for a in t.args:
-            yield from _tagged_symbols(a)
 
 
 def tagged_symbols_below_lambda(terms: Iterable[Term]) -> list[FunctionSymbol]:
@@ -245,6 +227,5 @@ def tagged_symbols_below_lambda(terms: Iterable[Term]) -> list[FunctionSymbol]:
     the sense of tag_0: collected from tag-images of the given terms."""
     out: dict[str, FunctionSymbol] = {}
     for t in terms:
-        for sym in _tagged_symbols(tag(t)):
-            out.setdefault(sym.name, sym)
+        out.update((f.name, f) for f in symbols_of(tag(t)) if f.kind == TAGGED)
     return [out[name] for name in sorted(out)]

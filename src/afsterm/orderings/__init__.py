@@ -6,8 +6,8 @@ from .constraints import (
     flatten_lhs, flatten_rhs,
 )
 from .subterm import Projection, subterm_criterion, check_projection
-from .poly import PolyFun, Interpreter, compare_terms, Expr, expr_text
-from .poly_search import PolyInterp, search_poly
+from .poly import PolyFun, PolyInterp, Interpreter, compare_terms, Expr, expr_text
+from .poly_search import search_poly
 from .rpo import ArgFunRPO, search_rpo, check_argfun_rpo, mu, rpo_greater, rpo_geq, Precedence
 from .certcheck import Certificate, Verdict, check_certificate
 

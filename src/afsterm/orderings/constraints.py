@@ -12,7 +12,8 @@ from ..selection import formative_rules, usable_rules
 from ..terms import (
     Term, Var, App, FunApp, Variable, FunctionSymbol, SimpleType,
     type_of, free_vars, fresh_const, fresh_name, pairing_symbol,
-    marked, untagged, type_text, subterms, Abs, BVar,
+    marked, untagged, type_text, subterms, Abs, BVar, symbols_of,
+    PLAIN, MARKED, TAGGED,
 )
 
 MODE_NON_COLLAPSING = "non-collapsing"
@@ -41,6 +42,19 @@ class ConstraintSet:
     S: tuple[FunctionSymbol, ...]  # protected symbols for the subterm schema
     mode: str
     afs: AFS
+
+
+# the kinds of symbol an ordering interprets
+USER_KINDS = (PLAIN, MARKED, TAGGED)
+
+
+def occurring_symbols(cs: ConstraintSet) -> list[FunctionSymbol]:
+    """The interpretable symbols of all constraints, sorted by display name."""
+    seen = {f.display: f
+            for c in (*cs.strict_candidates, *cs.weak)
+            for f in symbols_of(c.lhs) | symbols_of(c.rhs)
+            if f.kind in USER_KINDS}
+    return [seen[k] for k in sorted(seen)]
 
 
 def flatten_lhs(lhs: Term) -> Term:

@@ -65,10 +65,55 @@ class MaxE(Expr):
 
 @dataclass(frozen=True)
 class PolyFun:
-    """An interpretation template: slot types, then a body over the slots."""
+    """An interpretation template: slot types, then a body over the slots.
+
+    Only well-formed bodies are accepted: every slot index is in range, a
+    `SlotRef` names a base slot, an `AppSlot` names a functional slot and
+    passes exactly its arity, and every `Const` is >= 0.  Built from such
+    parts with `+`, `*` and `max`, a body is weakly monotone in every slot
+    whenever the functional slots are, so no template needs a further check.
+    """
 
     slot_types: tuple[SimpleType, ...]
     body: Expr
+
+    def __post_init__(self) -> None:
+        _check_body(self.body, self.slot_types)
+
+
+def _check_body(e: Expr, slots: tuple[SimpleType, ...]) -> None:
+    """Raise ValueError unless `e` is a well-formed body over `slots`."""
+    if isinstance(e, Const):
+        if e.value < 0:
+            raise ValueError(f"negative constant {e.value}")
+        return
+    if isinstance(e, (Add, Mul, MaxE)):
+        for p in e.parts:
+            _check_body(p, slots)
+        return
+    assert isinstance(e, (SlotRef, AppSlot))
+    name = f"x{e.index + 1}"
+    if not 0 <= e.index < len(slots):
+        raise ValueError(f"slot {name} out of range")
+    arity = len(slots[e.index].argument_types())
+    if isinstance(e, SlotRef):
+        if arity:
+            raise ValueError(f"functional slot {name} must be applied to {arity} argument(s)")
+        return
+    if not arity:
+        raise ValueError(f"base slot {name} cannot be applied")
+    if len(e.args) != arity:
+        raise ValueError(f"slot {name} takes {arity} argument(s), not {len(e.args)}")
+    for a in e.args:
+        _check_body(a, slots)
+
+
+@dataclass(frozen=True)
+class PolyInterp:
+    """A polynomial interpretation certificate."""
+
+    assign: dict  # display name -> PolyFun
+    strict: tuple[int, ...]  # strictly oriented pair indices
 
 
 def expr_weight(e: Expr) -> int:
@@ -296,51 +341,51 @@ def apply_polyfun(fun: PolyFun, args: Sequence[SemVal], out_type: SimpleType) ->
     """Apply a template: curry until all slots are filled, then evaluate."""
     n = len(fun.slot_types)
     if len(args) == n:
-        return _eval_body(fun.body, tuple(args), out_type)
+        return SBase(_body_nf(fun.body, tuple(args)))
     assert len(args) < n
     assert isinstance(out_type, Arrow)
     return SFun(out_type,
                 lambda a, args=tuple(args): apply_polyfun(fun, args + (a,), out_type.right))
 
 
-def _eval_body(e: Expr, env: tuple[SemVal, ...], out_type: SimpleType) -> SemVal:
-    # bodies always produce base values; out_type is base once fully applied
-    nf = _eval_expr(e, env)
-    return SBase(nf)
-
-
-def _eval_expr(e: Expr, env: tuple[SemVal, ...]) -> NF:
+def _body_nf(e: Expr, env: tuple[SemVal, ...]) -> NF:
+    # the body is well-formed (PolyFun) and env holds a value of each slot's type
     if isinstance(e, Const):
         return nf_const(e.value)
     if isinstance(e, SlotRef):
-        v = env[e.index]
-        if isinstance(v, SFun):
-            raise Unsupported("bare functional slot in template body")
-        return v.nf
+        return env[e.index].nf
     if isinstance(e, AppSlot):
         v = env[e.index]
-        if isinstance(v, SBase):
-            raise Unsupported("applying a base slot")
         for a in e.args:
-            v = v(SBase(_eval_expr(a, env)))
-        if isinstance(v, SFun):
-            raise Unsupported("underapplied functional slot in template")
+            v = v(SBase(_body_nf(a, env)))
         return v.nf
     if isinstance(e, Add):
         out = NF_ZERO
         for p in e.parts:
-            out = nf_add(out, _eval_expr(p, env))
+            out = nf_add(out, _body_nf(p, env))
         return out
     if isinstance(e, Mul):
         out = nf_const(1)
         for p in e.parts:
-            out = nf_mul(out, _eval_expr(p, env))
+            out = nf_mul(out, _body_nf(p, env))
         return out
     assert isinstance(e, MaxE)
     out = NF_ZERO
     for p in e.parts:
-        out = nf_max(out, _eval_expr(p, env))
+        out = nf_max(out, _body_nf(p, env))
     return out
+
+
+def recovers_argument(fun: PolyFun, i: int) -> bool:
+    """J(0, .., x_i, .., 0) >= x_i(0, .., 0): the template keeps slot i, as
+    the symbols of the protected set S require for their declared arguments."""
+    env = tuple(slot_sem(f"rec:{j}", ty) if j == i else zero_sem(ty)
+                for j, ty in enumerate(fun.slot_types))
+    try:
+        value = _body_nf(fun.body, env)
+    except Unsupported:
+        return False
+    return nf_geq(value, flat_sem(env[i]))
 
 
 def slot_types_for(f: FunctionSymbol) -> tuple[SimpleType, ...]:
@@ -571,28 +616,7 @@ def compare_terms(lhs: Term, rhs: Term, interp: Interpreter, strict: bool) -> bo
 
 
 # --------------------------------------------------------------------------
-# concrete evaluation (used for sampling checks)
-
-
-def eval_expr(e: Expr, env: Sequence) -> int:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, SlotRef):
-        v = env[e.index]
-        assert isinstance(v, int)
-        return v
-    if isinstance(e, AppSlot):
-        f = env[e.index]
-        return f(*[eval_expr(a, env) for a in e.args])
-    if isinstance(e, Add):
-        return sum(eval_expr(p, env) for p in e.parts)
-    if isinstance(e, Mul):
-        out = 1
-        for p in e.parts:
-            out *= eval_expr(p, env)
-        return out
-    assert isinstance(e, MaxE)
-    return max(eval_expr(p, env) for p in e.parts)
+# concrete evaluation of normal forms (used by numeric spot checks)
 
 
 def eval_nf(nf: NF, assign: dict) -> int:

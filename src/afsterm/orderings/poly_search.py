@@ -8,51 +8,15 @@ soon as all of its symbols are assigned.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Optional
 
-from ..terms import (
-    Term, Abs, App, FunApp, FunctionSymbol, SimpleType,
-    PLAIN, MARKED, TAGGED,
-)
-from .constraints import ConstraintSet
+from ..terms import Term, FunctionSymbol, SimpleType, symbols_of
+from .constraints import ConstraintSet, USER_KINDS, occurring_symbols
 from .poly import (
-    PolyFun, Expr, Const, SlotRef, AppSlot, Add, Mul, MaxE,
-    Interpreter, compare_terms, expr_weight, slot_types_for, Unsupported,
-    apply_polyfun, zero_sem, slot_sem, SBase, SFun, flat_sem, nf_geq,
+    PolyFun, PolyInterp, Expr, Const, SlotRef, AppSlot, Add, Mul, MaxE,
+    Interpreter, compare_terms, expr_weight, slot_types_for, recovers_argument,
 )
-
-
-@dataclass(frozen=True)
-class PolyInterp:
-    """A polynomial interpretation certificate."""
-
-    assign: dict  # display name -> PolyFun
-    strict: tuple[int, ...]  # strictly oriented pair indices
-
-
-def occurring_symbols(cs: ConstraintSet) -> list[FunctionSymbol]:
-    seen: dict[str, FunctionSymbol] = {}
-
-    def walk(t: Term) -> None:
-        if isinstance(t, Abs):
-            walk(t.body)
-        elif isinstance(t, App):
-            walk(t.fn)
-            walk(t.arg)
-        elif isinstance(t, FunApp):
-            if t.fn.kind in (PLAIN, MARKED, TAGGED):
-                seen.setdefault(t.fn.display, t.fn)
-            for a in t.args:
-                walk(a)
-
-    for c in cs.strict_candidates:
-        walk(c.lhs)
-        walk(c.rhs)
-    for w in cs.weak:
-        walk(w.lhs)
-        walk(w.rhs)
-    return [seen[k] for k in sorted(seen)]
+from .poly import nf_geq  # noqa: F401  (perfbench's layer tracer wraps it here)
 
 
 def _flat(i: int, ty: SimpleType) -> Expr:
@@ -175,39 +139,11 @@ def candidate_templates(f: FunctionSymbol, in_s: bool, bound: int) -> list[PolyF
         if expr_weight(body) > bound + n + 4:
             continue
         fun = PolyFun(slots, body)
-        if in_s and ndecl and not _satisfies_recovery(fun, ndecl):
+        if in_s and not all(recovers_argument(fun, i) for i in range(ndecl)):
             continue
         out.append(fun)
     out.sort(key=lambda fun: (expr_weight(fun.body), repr(fun.body)))
     return out
-
-
-def _satisfies_recovery(fun: PolyFun, ndecl: int) -> bool:
-    """J(0,..,x_i,..,0) >= x_i(0..) for every declared argument slot."""
-    for i in range(ndecl):
-        env = []
-        for j, ty in enumerate(fun.slot_types):
-            if j == i:
-                env.append(slot_sem(f"rec:{j}", ty))
-            else:
-                env.append(zero_sem(ty))
-        try:
-            val = apply_polyfun(fun, env, _result_type(fun))
-            lhs = val.nf if isinstance(val, SBase) else None
-        except Unsupported:
-            return False
-        if lhs is None:
-            return False
-        target = slot_sem(f"rec:{i}", fun.slot_types[i])
-        goal = flat_sem(target) if isinstance(target, SFun) else target.nf
-        if not nf_geq(lhs, goal):
-            return False
-    return True
-
-
-def _result_type(fun: PolyFun):
-    from ..terms import Base
-    return Base("_")
 
 
 def search_poly(cs: ConstraintSet, budget: float = 10.0,
@@ -233,24 +169,11 @@ def search_poly(cs: ConstraintSet, budget: float = 10.0,
         constraints.append(("cand", c.lhs, c.rhs))
 
     # symbols used by each constraint; check a constraint once all assigned
-    def syms_of(t: Term, acc: set) -> None:
-        if isinstance(t, Abs):
-            syms_of(t.body, acc)
-        elif isinstance(t, App):
-            syms_of(t.fn, acc)
-            syms_of(t.arg, acc)
-        elif isinstance(t, FunApp):
-            if t.fn.kind in (PLAIN, MARKED, TAGGED):
-                acc.add(t.fn.display)
-            for a in t.args:
-                syms_of(a, acc)
-
-    con_syms: list[frozenset[str]] = []
-    for _, lhs, rhs in constraints:
-        acc: set[str] = set()
-        syms_of(lhs, acc)
-        syms_of(rhs, acc)
-        con_syms.append(frozenset(acc))
+    con_syms: list[frozenset[str]] = [
+        frozenset(f.display for f in symbols_of(lhs) | symbols_of(rhs)
+                  if f.kind in USER_KINDS)
+        for _, lhs, rhs in constraints
+    ]
 
     # order symbols so constraints become checkable as early as possible:
     # repeatedly complete the constraint with the fewest unassigned symbols

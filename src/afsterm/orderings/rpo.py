@@ -19,7 +19,7 @@ from ..terms import (
     Arrow, TypeDecl, type_of, free_vars, type_text, type_subterms,
     PLAIN, MARKED, TAGGED, FRESH, EXT, app_spine, marked,
 )
-from .constraints import ConstraintSet
+from .constraints import ConstraintSet, occurring_symbols
 
 
 # --------------------------------------------------------------------------
@@ -410,15 +410,6 @@ def pi_options(f: FunctionSymbol, in_s: bool, rules: Sequence[Rule]) -> list[Ter
     return dedup
 
 
-def _constraint_list(cs: ConstraintSet) -> list[tuple[str, int, Term, Term]]:
-    out: list[tuple[str, int, Term, Term]] = []
-    for w in cs.weak:
-        out.append(("weak", -1, w.lhs, w.rhs))
-    for c in cs.strict_candidates:
-        out.append(("cand", c.pair_index, c.lhs, c.rhs))
-    return out
-
-
 def orient(cs: ConstraintSet, pi: dict, prec: Precedence) -> Optional[tuple[int, ...]]:
     """Try to orient all constraints (weak at least weakly, candidates at
     least weakly, >= 1 candidate strictly); returns the strict indices."""
@@ -441,8 +432,6 @@ def orient(cs: ConstraintSet, pi: dict, prec: Precedence) -> Optional[tuple[int,
 def search_rpo(cs: ConstraintSet, budget: float = 10.0) -> Optional[ArgFunRPO]:
     """Search over argument functions (iterative deepening on the number of
     non-identity entries) with greedy precedence accumulation."""
-    from .poly_search import occurring_symbols
-
     deadline = time.monotonic() + budget
     symbols = occurring_symbols(cs)
     s_names = {f.display for f in cs.S}

@@ -94,61 +94,61 @@ def render_proof(proof: Proof, verbosity: int = 0) -> str:
 # expression parsing ----------------------------------------------------------
 
 
-def _parse_expr(ts: TokenStream, slot_count: int) -> Expr:
-    parts = [_parse_expr_mul(ts, slot_count)]
+def _parse_expr(ts: TokenStream) -> Expr:
+    parts = [_parse_expr_mul(ts)]
     while ts.at("+"):
         ts.next()
-        parts.append(_parse_expr_mul(ts, slot_count))
+        parts.append(_parse_expr_mul(ts))
     return parts[0] if len(parts) == 1 else Add(tuple(parts))
 
 
-def _parse_expr_mul(ts: TokenStream, slot_count: int) -> Expr:
-    parts = [_parse_expr_atom(ts, slot_count)]
+def _parse_expr_mul(ts: TokenStream) -> Expr:
+    parts = [_parse_expr_atom(ts)]
     while ts.at("*"):
         ts.next()
-        parts.append(_parse_expr_atom(ts, slot_count))
+        parts.append(_parse_expr_atom(ts))
     return parts[0] if len(parts) == 1 else Mul(tuple(parts))
 
 
-def _parse_expr_atom(ts: TokenStream, slot_count: int) -> Expr:
+def _parse_expr_args(ts: TokenStream) -> tuple[Expr, ...]:
+    ts.expect("(")
+    args = [_parse_expr(ts)]
+    while ts.at(","):
+        ts.next()
+        args.append(_parse_expr(ts))
+    ts.expect(")")
+    return tuple(args)
+
+
+def _parse_expr_atom(ts: TokenStream) -> Expr:
     tok = ts.next()
     if tok.text == "(":
-        e = _parse_expr(ts, slot_count)
+        e = _parse_expr(ts)
         ts.expect(")")
         return e
     if tok.kind == "IDENT" and tok.text.isdigit():
         return Const(int(tok.text))
     if tok.kind == "IDENT" and tok.text == "max":
-        ts.expect("(")
-        parts = [_parse_expr(ts, slot_count)]
-        while ts.at(","):
-            ts.next()
-            parts.append(_parse_expr(ts, slot_count))
-        ts.expect(")")
-        return MaxE(tuple(parts))
+        return MaxE(_parse_expr_args(ts))
     if tok.kind == "IDENT" and tok.text.startswith("x") and tok.text[1:].isdigit():
         index = int(tok.text[1:]) - 1
-        if not (0 <= index < slot_count):
-            raise ProofSyntaxError(f"slot {tok.text} out of range")
         if ts.at("("):
-            ts.next()
-            args = [_parse_expr(ts, slot_count)]
-            while ts.at(","):
-                ts.next()
-                args.append(_parse_expr(ts, slot_count))
-            ts.expect(")")
-            return AppSlot(index, tuple(args))
+            return AppSlot(index, _parse_expr_args(ts))
         return SlotRef(index)
     raise ProofSyntaxError(f"cannot parse interpretation expression at {tok.text!r}")
 
 
 def parse_polyfun(text: str, sym: FunctionSymbol) -> PolyFun:
-    slots = slot_types_for(sym)
+    """Parse a template body; PolyFun rejects a body that is not well-formed
+    over the symbol's slots."""
     ts = TokenStream(tokenize(text))
-    body = _parse_expr(ts, len(slots))
+    body = _parse_expr(ts)
     if ts.next(skip_newlines=True).kind != "EOF":
         raise ProofSyntaxError(f"trailing input in interpretation of {sym.display}")
-    return PolyFun(slots, body)
+    try:
+        return PolyFun(slot_types_for(sym), body)
+    except ValueError as exc:
+        raise ProofSyntaxError(f"J({sym.display}): {exc}") from None
 
 
 # pi templates ---------------------------------------------------------------

@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 from .afs import AFS, Rule, lhs_head_symbol
 from .terms import (
     Term, Var, Abs, App, FunApp, Variable, SimpleType,
-    type_of, free_vars, app_spine, head, open_abs, PLAIN, MARKED,
+    type_of, free_vars, app_spine, head, open_abs, symbols_of, PLAIN, MARKED,
 )
 from .dp import DependencyPair
 
@@ -170,25 +170,6 @@ def is_risky(t: Term) -> bool:
     return walk(t)
 
 
-def _symbol_names(t: Term) -> set[str]:
-    out: set[str] = set()
-
-    def walk(s: Term) -> None:
-        if isinstance(s, FunApp):
-            if s.fn.kind in (PLAIN, MARKED):
-                out.add(s.fn.name)
-            for a in s.args:
-                walk(a)
-        elif isinstance(s, Abs):
-            walk(s.body)
-        elif isinstance(s, App):
-            walk(s.fn)
-            walk(s.arg)
-
-    walk(t)
-    return out
-
-
 def usable_rules(pairs: Sequence[DependencyPair], base: Sequence[Rule]) -> list[Rule]:
     """UR(P, base): the rules of `base` reachable from the pairs' right-hand
     sides.  For a collapsing P this is all of base.
@@ -216,14 +197,13 @@ def usable_rules(pairs: Sequence[DependencyPair], base: Sequence[Rule]) -> list[
             if is_risky(r) or isinstance(r, Abs) or (
                     isinstance(r, Var) and type_of(r).is_arrow()):
                 poison.add(name)
-            succ[name] |= _symbol_names(r)
+            succ[name] |= {f.name for f in symbols_of(r) if f.kind in (PLAIN, MARKED)}
 
     start: set[str] = set()
     risky_start = False
     for pair in pairs:
-        names = _symbol_names(pair.rhs)
         # the marked head counts as its unmarked counterpart
-        start |= names
+        start |= {f.name for f in symbols_of(pair.rhs) if f.kind in (PLAIN, MARKED)}
         if is_risky(pair.rhs):
             risky_start = True
     if risky_start:

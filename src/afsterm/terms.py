@@ -231,12 +231,6 @@ def lam(x: Variable, body: Term) -> Abs:
     return Abs(x.type, _abstract(body, x, 0), hint=x.name)
 
 
-def lams(xs: Sequence[Variable], body: Term) -> Term:
-    for x in reversed(xs):
-        body = lam(x, body)
-    return body
-
-
 def _abstract(t: Term, x: Variable, depth: int) -> Term:
     if isinstance(t, Var):
         return BVar(depth, x.type) if t.var == x else t
@@ -446,17 +440,20 @@ def _close_index(t: Term, index: int, depth: int = 0) -> Term:
 
 
 def symbols_of(t: Term) -> frozenset[FunctionSymbol]:
-    if isinstance(t, (Var, BVar)):
-        return frozenset()
-    if isinstance(t, Abs):
-        return symbols_of(t.body)
-    if isinstance(t, App):
-        return symbols_of(t.fn) | symbols_of(t.arg)
-    assert isinstance(t, FunApp)
-    out = frozenset((t.fn,))
-    for a in t.args:
-        out |= symbols_of(a)
-    return out
+    """Every function symbol occurring in t, of any kind."""
+    out: set[FunctionSymbol] = set()
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, FunApp):
+            out.add(s.fn)
+            todo.extend(s.args)
+        elif isinstance(s, App):
+            todo.append(s.fn)
+            todo.append(s.arg)
+        elif isinstance(s, Abs):
+            todo.append(s.body)
+    return frozenset(out)
 
 
 def term_size(t: Term) -> int:

@@ -1,11 +1,14 @@
-"""Shared test utilities: corpus loading and random well-typed terms."""
+"""Shared test utilities: corpus loading, random well-typed terms and a
+concrete evaluator for interpretation templates."""
 
 from __future__ import annotations
 
 import random
 from pathlib import Path
+from typing import Sequence
 
 from afsterm import parse_afs
+from afsterm.orderings.poly import Expr, Const, SlotRef, AppSlot, Add, Mul, MaxE
 from afsterm.terms import (
     Term, Var, Abs, App, FunApp, Variable, SimpleType, Arrow, Base,
     lam, type_of, free_vars,
@@ -98,3 +101,33 @@ MONOTONE_SAMPLES = [
     lambda *a: sum(a),
     lambda *a: sum(a) + 2,
 ]
+
+
+def monotone_fun(arity: int, a: int, b: int):
+    """x1..xk -> a*(x1 + .. + xk)//2 + b: monotone over the naturals, and a
+    TypeError unless given exactly `arity` naturals."""
+    def f(*xs: int) -> int:
+        if len(xs) != arity:
+            raise TypeError(f"takes {arity} argument(s), not {len(xs)}")
+        return a * sum(xs) // 2 + b
+    return f
+
+
+def eval_expr(e: Expr, env: Sequence) -> int:
+    """The value of a template body with naturals in the base slots and
+    functions of naturals in the functional slots."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, SlotRef):
+        return env[e.index]
+    if isinstance(e, AppSlot):
+        return env[e.index](*[eval_expr(a, env) for a in e.args])
+    if isinstance(e, Add):
+        return sum(eval_expr(p, env) for p in e.parts)
+    if isinstance(e, Mul):
+        out = 1
+        for p in e.parts:
+            out *= eval_expr(p, env)
+        return out
+    assert isinstance(e, MaxE)
+    return max(eval_expr(p, env) for p in e.parts)

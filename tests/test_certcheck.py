@@ -1,6 +1,8 @@
 """Certificate re-verification: the published witnesses and mutation tests."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from afsterm.orderings import (
     build_constraints, check_certificate, search_poly, PolyInterp, ArgFunRPO,
     Projection,
 )
+from afsterm.orderings import certcheck
 from afsterm.orderings.poly import (
     PolyFun, Const, SlotRef, AppSlot, Add, Mul, MaxE, slot_types_for,
     Interpreter, sides_to_nf, nf_slots, eval_nf, Unsupported,
@@ -266,3 +269,16 @@ class TestMutations:
         assert not check_certificate(None, bad, scc=scc, pairs=prob.pairs).valid
         empty = Projection({"dom#": 2}, ())
         assert not check_certificate(None, empty, scc=scc, pairs=prob.pairs).valid
+
+
+def test_checker_imports_nothing_from_the_search():
+    tree = ast.parse(Path(certcheck.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+            imported.extend(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.extend(a.name for a in node.names)
+    assert imported
+    assert not [name for name in imported if "poly_search" in name]

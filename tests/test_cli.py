@@ -71,16 +71,22 @@ class TestCheck:
             code, out2, err = run_cli(capsys, "check", str(path), str(proof_file))
             assert code == 0, f"{path.name}: {err}"
 
-    def test_tampered_proof_rejected(self, capsys, tmp_path):
-        code, out, _ = run_cli(capsys, "prove", str(CORPUS / "eval.afs"))
-        tampered = out.replace("nu(dom#) = 2", "nu(dom#) = 1")
+    @pytest.mark.parametrize("system, old, new", [
+        ("eval", "nu(dom#) = 2", "nu(dom#) = 1"),
+        # an over-applied functional slot: a proof that does not parse
+        ("twice", "J(twice) = x1(x1(x2))", "J(twice) = x1(x1(x2), 0)"),
+    ], ids=["eval-projection", "twice-over-applied"])
+    def test_tampered_proof_rejected(self, capsys, tmp_path, system, old, new):
+        afs_file = str(CORPUS / f"{system}.afs")
+        code, out, _ = run_cli(capsys, "prove", afs_file)
+        tampered = out.replace(old, new)
         assert tampered != out
         proof_file = tmp_path / "bad.proof"
         proof_file.write_text(tampered)
-        code, _, err = run_cli(capsys, "check", str(CORPUS / "eval.afs"),
-                               str(proof_file))
+        code, _, err = run_cli(capsys, "check", afs_file, str(proof_file))
         assert code == 1
         assert "invalid proof" in err
+        assert "Traceback" not in err
 
     def test_verdict_flip_rejected(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "prove", str(CORPUS / "fga.afs"))

@@ -25,10 +25,13 @@ class TestExprGrammar:
             fun = parse_polyfun(text, tw)
             assert expr_text(fun.body) == text
 
-    def test_slot_bounds(self):
+    # twice's slots are x1 : nat -> nat and x2 : nat
+    @pytest.mark.parametrize("text", ["x3", "x1(x1(x2), 0)", "x2(0)", "x1"], ids=[
+        "out-of-range", "over-applied", "applied-base", "bare-functional"])
+    def test_slot_bounds(self, text):
         afs = load("twice")
         with pytest.raises(ProofSyntaxError):
-            parse_polyfun("x3", afs.symbol("twice"))
+            parse_polyfun(text, afs.symbol("twice"))
 
     def test_pi_template_with_primed_symbol(self):
         afs = load("eval")

@@ -1,0 +1,173 @@
+"""Property tests for the code the certificate checker trusts: the normal-form
+comparator `nf_geq`, and the well-formedness rules of `PolyFun`, which stand
+in for a monotonicity check of each template."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from afsterm.orderings.poly import (
+    PolyFun, Const, SlotRef, AppSlot, Add, Mul, MaxE,
+    nf_const, nf_slot, nf_atom, nf_add, nf_mul, nf_max, nf_geq, eval_nf,
+)
+from afsterm.terms import Base, Arrow, arrow
+
+from helpers import eval_expr, monotone_fun
+
+nat = Base("nat")
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+# --------------------------------------------------------------------------
+# nf_geq is sound: s >= t (s > t) on normal forms holds for every valuation
+# of the slots by naturals and of the atoms by monotone functions
+
+SLOT_IDS = ("a", "b")
+ATOM_ARITY = {"F": 1, "G": 2}
+
+
+def _normal_forms():
+    leaf = st.one_of(st.integers(0, 2).map(nf_const), st.sampled_from(SLOT_IDS).map(nf_slot))
+
+    def extend(children):
+        two = st.tuples(children, children)
+        return st.one_of(
+            two.map(lambda p: nf_add(*p)),
+            two.map(lambda p: nf_mul(*p)),
+            two.map(lambda p: nf_max(*p)),
+            children.map(lambda x: nf_atom("F", [x])),
+            two.map(lambda p: nf_atom("G", list(p))),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=6)
+
+
+NORMAL_FORMS = _normal_forms()
+
+
+@st.composite
+def comparisons(draw):
+    """(s, t) with s often built on top of t, so that nf_geq often holds."""
+    t, u = draw(NORMAL_FORMS), draw(NORMAL_FORMS)
+    s = draw(st.sampled_from([
+        t, u, nf_add(t, u), nf_max(t, u), nf_mul(t, nf_add(u, nf_const(1))),
+        nf_atom("F", [t]), nf_add(nf_atom("F", [t]), t),
+    ]))
+    return nf_add(s, nf_const(draw(st.integers(0, 2)))), t
+
+
+@st.composite
+def nf_valuations(draw):
+    val = {sid: draw(st.integers(0, 4)) for sid in SLOT_IDS}
+    for sid, arity in ATOM_ARITY.items():
+        val[sid] = monotone_fun(arity, draw(st.integers(0, 4)), draw(st.integers(0, 2)))
+    return val
+
+
+@PROPERTY
+@given(comparisons(), st.booleans(), st.lists(nf_valuations(), min_size=1, max_size=4))
+def test_nf_geq_is_sound(pair, strict, valuations):
+    s, t = pair
+    if nf_geq(s, t, strict):
+        for val in valuations:
+            sv, tv = eval_nf(s, val), eval_nf(t, val)
+            assert sv > tv if strict else sv >= tv
+
+
+# --------------------------------------------------------------------------
+# PolyFun accepts exactly the bodies that evaluate, and each is weakly
+# monotone in every slot
+
+SLOTS = (Arrow(nat, nat), nat, arrow(nat, nat, nat), nat)
+
+
+def _parts(children):
+    return st.lists(children, min_size=1, max_size=3).map(tuple)
+
+
+def well_formed_bodies():
+    leaf = st.one_of(
+        st.builds(Const, st.integers(0, 3)),
+        st.sampled_from([SlotRef(i) for i, ty in enumerate(SLOTS) if ty.is_base()]))
+
+    def extend(children):
+        apps = [st.tuples(*[children] * len(ty.argument_types())).map(
+                    lambda args, i=i: AppSlot(i, args))
+                for i, ty in enumerate(SLOTS) if ty.is_arrow()]
+        parts = _parts(children)
+        return st.one_of(st.builds(Add, parts), st.builds(Mul, parts),
+                         st.builds(MaxE, parts), *apps)
+
+    return st.recursive(leaf, extend, max_leaves=8)
+
+
+def any_bodies():
+    """Bodies over SLOTS that may name a missing slot, apply a base slot,
+    leave a functional slot bare, or pass it the wrong number of arguments."""
+    index = st.integers(0, len(SLOTS))
+    leaf = st.one_of(st.builds(Const, st.integers(0, 3)), st.builds(SlotRef, index))
+
+    def extend(children):
+        parts = _parts(children)
+        args = st.lists(children, min_size=1, max_size=2).map(tuple)
+        return st.one_of(st.builds(Add, parts), st.builds(Mul, parts),
+                         st.builds(MaxE, parts), st.builds(AppSlot, index, args))
+
+    return st.recursive(leaf, extend, max_leaves=6)
+
+
+@st.composite
+def ordered_envs(draw):
+    """Two slot environments for SLOTS, the second pointwise >= the first."""
+    low, high = [], []
+    for ty in SLOTS:
+        arity = len(ty.argument_types())
+        if arity:
+            a, b = draw(st.integers(0, 4)), draw(st.integers(0, 2))
+            low.append(monotone_fun(arity, a, b))
+            high.append(monotone_fun(arity, a + draw(st.integers(0, 1)),
+                                     b + draw(st.integers(0, 1))))
+        else:
+            v = draw(st.integers(0, 4))
+            low.append(v)
+            high.append(v + draw(st.integers(0, 2)))
+    return low, high
+
+
+@PROPERTY
+@given(well_formed_bodies(), ordered_envs())
+def test_accepted_bodies_are_weakly_monotone(body, envs):
+    fun = PolyFun(SLOTS, body)
+    low, high = envs
+    assert eval_expr(fun.body, low) <= eval_expr(fun.body, high)
+
+
+def _evaluates(body) -> bool:
+    env = [monotone_fun(len(ty.argument_types()), 2, 1) if ty.is_arrow() else 1
+           for ty in SLOTS]
+    try:
+        return isinstance(eval_expr(body, env), int)
+    except (TypeError, IndexError):
+        return False
+
+
+@PROPERTY
+@given(any_bodies())
+def test_accepts_exactly_the_bodies_that_evaluate(body):
+    try:
+        PolyFun(SLOTS, body)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == _evaluates(body)
+
+
+@pytest.mark.parametrize("body, message", [
+    (SlotRef(4), "slot x5 out of range"),
+    (AppSlot(1, (Const(0),)), "base slot x2 cannot be applied"),
+    (SlotRef(0), "functional slot x1 must be applied"),
+    (AppSlot(0, (SlotRef(1), Const(0))), "slot x1 takes 1 argument"),
+    (Add((SlotRef(1), Const(-1))), "negative constant -1"),
+])
+def test_ill_formed_bodies_rejected(body, message):
+    with pytest.raises(ValueError, match=message):
+        PolyFun(SLOTS, body)
