@@ -7,8 +7,8 @@ from typing import Optional
 
 from .terms import (
     Term, Var, Abs, App, FunApp, Variable, FunctionSymbol,
-    Arrow, type_of, free_vars, app_spine, is_beta_normal,
-    fresh_name, term_text, PLAIN, instantiate,
+    type_of, free_vars, app_spine, is_beta_normal, subterms, open_abs,
+    fresh_arguments, fresh_name, term_text, PLAIN, instantiate,
 )
 
 
@@ -112,39 +112,13 @@ def complete(afs: AFS) -> AFS:
 
 
 def _left_linear(lhs: Term) -> bool:
-    counts: dict[Variable, int] = {}
-
-    def walk(t: Term) -> None:
-        if isinstance(t, Var):
-            counts[t.var] = counts.get(t.var, 0) + 1
-        elif isinstance(t, Abs):
-            walk(t.body)
-        elif isinstance(t, App):
-            walk(t.fn)
-            walk(t.arg)
-        elif isinstance(t, FunApp):
-            for a in t.args:
-                walk(a)
-
-    walk(lhs)
-    return all(c == 1 for c in counts.values())
+    occurrences = [s.var for s in subterms(lhs) if isinstance(s, Var)]
+    return len(occurrences) == len(set(occurrences))
 
 
 def _fully_extended(lhs: Term) -> bool:
     """No free variable of the left-hand side occurs below an abstraction."""
-
-    def walk(t: Term, under_abs: bool) -> bool:
-        if isinstance(t, Var):
-            return not under_abs
-        if isinstance(t, Abs):
-            return walk(t.body, True)
-        if isinstance(t, App):
-            return walk(t.fn, under_abs) and walk(t.arg, under_abs)
-        if isinstance(t, FunApp):
-            return all(walk(a, under_abs) for a in t.args)
-        return True  # BVar
-
-    return walk(lhs, False)
+    return not any(free_vars(s.body) for s in subterms(lhs) if isinstance(s, Abs))
 
 
 def _functional_vars(t: Term) -> frozenset[Variable]:
@@ -154,47 +128,14 @@ def _functional_vars(t: Term) -> frozenset[Variable]:
 def _has_defined_call_under_binder(rhs: Term, defined: frozenset[str]) -> bool:
     """True if rhs has a subterm \\x. C[f(...)] with f defined and the bound
     variable free in the f-subterm."""
-
-    def scan_abs_body(body: Term, depth: int) -> bool:
-        # look for FunApp with a defined head whose subtree references the
-        # binder at `depth` (index == depth at that point of the traversal)
-        def uses_binder(t: Term, d: int) -> bool:
-            from .terms import BVar
-            if isinstance(t, BVar):
-                return t.index == d
-            if isinstance(t, Abs):
-                return uses_binder(t.body, d + 1)
-            if isinstance(t, App):
-                return uses_binder(t.fn, d) or uses_binder(t.arg, d)
-            if isinstance(t, FunApp):
-                return any(uses_binder(a, d) for a in t.args)
-            return False
-
-        def walk(t: Term, d: int) -> bool:
-            if isinstance(t, FunApp):
-                if t.fn.name in defined and t.fn.kind == PLAIN and uses_binder(t, d):
-                    return True
-                return any(walk(a, d) for a in t.args)
-            if isinstance(t, Abs):
-                return walk(t.body, d + 1)
-            if isinstance(t, App):
-                return walk(t.fn, d) or walk(t.arg, d)
-            return False
-
-        return walk(body, depth)
-
-    def walk(t: Term) -> bool:
-        if isinstance(t, Abs):
-            if scan_abs_body(t.body, 0):
+    for s in subterms(rhs):
+        if isinstance(s, Abs):
+            x, body = open_abs(s, free_vars(s))
+            if any(isinstance(u, FunApp) and u.fn.kind == PLAIN
+                   and u.fn.name in defined and x in free_vars(u)
+                   for u in subterms(body)):
                 return True
-            return walk(t.body)
-        if isinstance(t, App):
-            return walk(t.fn) or walk(t.arg)
-        if isinstance(t, FunApp):
-            return any(walk(a) for a in t.args)
-        return False
-
-    return walk(rhs)
+    return False
 
 
 def classify(afs: AFS) -> AFS:
@@ -231,15 +172,8 @@ def build_rplus(afs: AFS) -> tuple[Rule, ...]:
     for rule in afs.rules:
         if isinstance(rule.rhs, Abs):
             continue
-        t = type_of(rule.lhs)
-        avoid = {v.name for v in free_vars(rule.lhs)}
         lhs, rhs = rule.lhs, rule.rhs
-        while isinstance(t, Arrow):
-            name = fresh_name("x", avoid)
-            avoid.add(name)
-            x = Variable(name, t.left)
-            lhs = App(lhs, Var(x))
-            rhs = App(rhs, Var(x))
+        for x in fresh_arguments(rule.lhs, "x"):
+            lhs, rhs = App(lhs, x), App(rhs, x)
             out.append(Rule(lhs, rhs, origin="extension-R+"))
-            t = t.right
     return tuple(out)

@@ -9,8 +9,8 @@ from .afs import AFS, Rule
 from .terms import (
     Term, Var, BVar, Abs, App, FunApp, Variable, FunctionSymbol,
     type_of, free_vars, app_spine, head, mark, strict_subterms_closed,
-    fresh_const, fresh_name, term_text, apply_subst, tagged, untagged,
-    symbols_of, PLAIN, TAGGED, lam,
+    fresh_const, fresh_arguments, term_text, apply_subst, tagged, untagged,
+    symbols_of, open_abs, PLAIN, TAGGED, lam,
 )
 
 
@@ -91,7 +91,6 @@ def candidate_terms(rhs: Term, afs: AFS) -> list[Term]:
             return
         if isinstance(t, Abs):
             avoid = list(bound) + list(rhs_free)
-            from .terms import open_abs
             x, body = open_abs(t, avoid)
             inner = dict(bound)
             inner[x] = None
@@ -143,20 +142,12 @@ def dependency_pairs(afs: AFS, spfp_drop: bool = True) -> DPProblem:
                 isinstance(rhead, FunApp) and rhead.fn.kind == PLAIN
                 and rhead.fn.name in defined)
             if applies and not isinstance(rule.rhs, Abs):
-                avoid = {v.name for v in free_vars(rule.lhs)}
                 lhs, rhs = rule.lhs, rule.rhs
-                t = lhs_type
-                while t.is_arrow():
-                    name = fresh_name("y", avoid)
-                    avoid.add(name)
-                    y = Variable(name, t.left)
-                    lhs = App(lhs, Var(y))
-                    rhs = App(rhs, Var(y))
-                    key = (lhs, rhs)
-                    if key not in seen:
-                        seen.add(key)
+                for y in fresh_arguments(rule.lhs, "y"):
+                    lhs, rhs = App(lhs, y), App(rhs, y)
+                    if (lhs, rhs) not in seen:
+                        seen.add((lhs, rhs))
                         pairs.append(DependencyPair(lhs, rhs, "applied-head", idx))
-                    t = t.right
 
     static_mode = False
     if spfp_drop and afs.spfp:
@@ -178,7 +169,6 @@ def _tag(t: Term, z: frozenset[Variable]) -> Term:
     if isinstance(t, (Var, BVar)):
         return t
     if isinstance(t, Abs):
-        from .terms import open_abs
         x, body = open_abs(t, z | free_vars(t))
         return lam(x, _tag(body, z | {x}))
     if isinstance(t, App):

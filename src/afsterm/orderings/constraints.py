@@ -11,8 +11,8 @@ from ..dp import DPProblem, tag, untag_rule, tagged_symbols_below_lambda
 from ..selection import formative_rules, usable_rules
 from ..terms import (
     Term, Var, App, FunApp, Variable, FunctionSymbol, SimpleType,
-    type_of, free_vars, fresh_const, fresh_name, pairing_symbol,
-    marked, untagged, type_text, subterms, Abs, BVar, symbols_of,
+    type_of, app, fresh_arguments, fresh_const, pairing_symbol,
+    marked, untagged, type_text, subterms, Abs, BVar, symbols_of, IllTyped,
     PLAIN, MARKED, TAGGED,
 )
 
@@ -59,14 +59,7 @@ def occurring_symbols(cs: ConstraintSet) -> list[FunctionSymbol]:
 
 def flatten_lhs(lhs: Term) -> Term:
     """Apply the left-hand side to fresh variables down to base type."""
-    t = type_of(lhs)
-    avoid = {v.name for v in free_vars(lhs)}
-    while t.is_arrow():
-        name = fresh_name("z", avoid)
-        avoid.add(name)
-        lhs = App(lhs, Var(Variable(name, t.left)))
-        t = t.right
-    return lhs
+    return app(lhs, *fresh_arguments(lhs, "z"))
 
 
 def flatten_rhs(rhs: Term) -> Term:
@@ -88,7 +81,7 @@ def _constraint_types(strict: Sequence[StrictCandidate],
                     continue
                 try:
                     ty = type_of(sub) if not isinstance(sub, Abs) else None
-                except Exception:
+                except IllTyped:  # a raw subterm with a dangling bound variable
                     ty = None
                 if ty is not None:
                     seen.setdefault(type_text(ty), ty)

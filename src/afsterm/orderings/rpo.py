@@ -13,10 +13,10 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..afs import Rule, lhs_head_symbol
+from ..afs import AFS
 from ..terms import (
     Term, Var, BVar, Abs, App, FunApp, Variable, FunctionSymbol, SimpleType,
-    Arrow, TypeDecl, type_of, free_vars, type_text, type_subterms,
+    Arrow, TypeDecl, type_of, free_vars, type_text, type_subterms, substitute,
     PLAIN, MARKED, TAGGED, FRESH, EXT, app_spine, marked,
 )
 from .constraints import ConstraintSet, occurring_symbols
@@ -35,15 +35,16 @@ PAIRK = "pair"    # the pairing symbols from the usable-rules obligations
 @dataclass(frozen=True)
 class MSym:
     cat: str
-    name: str            # display name, or type text for app/lam/const
-    tpair: Optional[tuple[str, str]] = None  # (sigma, tau) for app/lam
+    name: str                    # display name; @{s,t} / L{s,t} for app/lam
+    type: Optional[Arrow] = None  # s -> t for app/lam
 
     def __str__(self) -> str:
-        if self.cat == APPK:
-            return "@{%s,%s}" % self.tpair
-        if self.cat == LAMK:
-            return "L{%s,%s}" % self.tpair
         return self.name
+
+
+def _typed_sym(cat: str, prefix: str, ty: SimpleType) -> MSym:
+    assert isinstance(ty, Arrow)
+    return MSym(cat, f"{prefix}{{{type_text(ty.left)},{type_text(ty.right)}}}", ty)
 
 
 @dataclass(frozen=True)
@@ -83,16 +84,10 @@ def mu(t: Term, binders: tuple[SimpleType, ...] = ()) -> MTerm:
     if isinstance(t, BVar):
         return MIdx(t.index)
     if isinstance(t, Abs):
-        ty = type_of(t, binders)
-        assert isinstance(ty, Arrow)
-        sym = MSym(LAMK, f"L{{{type_text(ty.left)},{type_text(ty.right)}}}",
-                   (type_text(ty.left), type_text(ty.right)))
+        sym = _typed_sym(LAMK, "L", type_of(t, binders))
         return MFun(sym, (MBind(mu(t.body, binders + (t.var_type,))),))
     if isinstance(t, App):
-        fty = type_of(t.fn, binders)
-        assert isinstance(fty, Arrow)
-        sym = MSym(APPK, f"@{{{type_text(fty.left)},{type_text(fty.right)}}}",
-                   (type_text(fty.left), type_text(fty.right)))
+        sym = _typed_sym(APPK, "@", type_of(t.fn, binders))
         return MFun(sym, (mu(t.fn, binders), mu(t.arg, binders)))
     assert isinstance(t, FunApp)
     if t.fn.kind == FRESH:
@@ -186,7 +181,7 @@ class Precedence:
             if g.cat in (LAMK, CONSTK):
                 return True
             if g.cat == APPK:
-                return _strict_subtype(g.tpair, f.tpair)
+                return g.type != f.type and g.type in type_subterms(f.type)
             return False
         if f.cat == LAMK:
             return g.cat == CONSTK
@@ -203,15 +198,6 @@ class Precedence:
         if f.cat != USER or g.cat != USER or f.name == g.name:
             return False
         return self._add(f.name, g.name)
-
-
-def _strict_subtype(small: Optional[tuple[str, str]], big: Optional[tuple[str, str]]) -> bool:
-    if small is None or big is None:
-        return False
-    from ..parser import parse_type_text
-    s = Arrow(parse_type_text(small[0]), parse_type_text(small[1]))
-    b = Arrow(parse_type_text(big[0]), parse_type_text(big[1]))
-    return s != b and any(s == sub for sub in type_subterms(b))
 
 
 # --------------------------------------------------------------------------
@@ -316,24 +302,10 @@ def apply_argfun(pi: dict, t: Term) -> Term:
     template = pi.get(t.fn.display)
     if template is None:
         return FunApp(t.fn, args)
-    slots = template_slots(t.fn)
-    return _subst_slots(template, dict(zip(slots, args)))
+    return substitute(template, dict(zip(template_slots(t.fn), args)))
 
 
-def _subst_slots(t: Term, mapping: dict[Variable, Term]) -> Term:
-    if isinstance(t, Var):
-        return mapping.get(t.var, t)
-    if isinstance(t, BVar):
-        return t
-    if isinstance(t, Abs):
-        return Abs(t.var_type, _subst_slots(t.body, mapping), t.hint)
-    if isinstance(t, App):
-        return App(_subst_slots(t.fn, mapping), _subst_slots(t.arg, mapping))
-    assert isinstance(t, FunApp)
-    return FunApp(t.fn, tuple(_subst_slots(a, mapping) for a in t.args))
-
-
-def pi_options(f: FunctionSymbol, in_s: bool, rules: Sequence[Rule]) -> list[Term]:
+def pi_options(f: FunctionSymbol, in_s: bool, afs: AFS) -> list[Term]:
     """Candidate templates for one symbol: identity, untag/unmark images,
     rule right-hand sides over variable arguments, collapses, and kept
     subsets (a fresh primed symbol)."""
@@ -350,10 +322,8 @@ def pi_options(f: FunctionSymbol, in_s: bool, rules: Sequence[Rule]) -> list[Ter
         cand = FunApp(base, slot_terms)
         if s_ok(cand):
             out.append(cand)
-        is_defined = any((lhs_head_symbol(r.lhs) or base).name == f.name
-                         and lhs_head_symbol(r.lhs) is not None for r in rules)
         cand2 = FunApp(marked(base), slot_terms)
-        if is_defined and s_ok(cand2):
+        if f.name in afs.defined_names and s_ok(cand2):
             out.append(cand2)
     if f.kind == MARKED:
         cand = FunApp(base, slot_terms)
@@ -361,7 +331,7 @@ def pi_options(f: FunctionSymbol, in_s: bool, rules: Sequence[Rule]) -> list[Ter
             out.append(cand)
 
     # a rule f(x1..xn) => r with distinct variable arguments suggests r
-    for rule in rules:
+    for rule in afs.rules:
         head, applied = app_spine(rule.lhs)
         if applied or not isinstance(head, FunApp):
             continue
@@ -371,7 +341,7 @@ def pi_options(f: FunctionSymbol, in_s: bool, rules: Sequence[Rule]) -> list[Ter
         if sym.kind == f.kind or (f.kind == MARKED and sym.kind == PLAIN):
             if all(isinstance(a, Var) for a in head.args) and \
                     len({a.var for a in head.args}) == len(head.args):
-                body = _subst_slots(rule.rhs, {a.var: Var(s) for a, s in zip(head.args, slots)})
+                body = substitute(rule.rhs, {a.var: Var(s) for a, s in zip(head.args, slots)})
                 if f.kind == MARKED:
                     body2 = body
                     h2, ap2 = app_spine(body2)
@@ -435,8 +405,7 @@ def search_rpo(cs: ConstraintSet, budget: float = 10.0) -> Optional[ArgFunRPO]:
     deadline = time.monotonic() + budget
     symbols = occurring_symbols(cs)
     s_names = {f.display for f in cs.S}
-    rules = list(cs.afs.rules)
-    options = {f.display: pi_options(f, f.display in s_names, rules) for f in symbols}
+    options = {f.display: pi_options(f, f.display in s_names, cs.afs) for f in symbols}
     names = [f.display for f in symbols]
 
     def attempt(pi: dict) -> Optional[ArgFunRPO]:

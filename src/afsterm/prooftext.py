@@ -187,11 +187,24 @@ def parse_pi_template(text: str, sym: FunctionSymbol, table: SymbolTable) -> Ter
 # proof parsing ---------------------------------------------------------------
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ProofSyntaxError(f"not a number: {text.strip()!r}") from None
+
+
 def _int_list(rest: str) -> tuple[int, ...]:
-    rest = rest.strip()
-    if not rest:
-        return ()
-    return tuple(int(x) for x in rest.split())
+    return tuple(_int(x) for x in rest.split())
+
+
+def _entry(line: str, prefix: str) -> tuple[str, str]:
+    """Split `prefix(name) = value` into the name and the value."""
+    name, close, rest = line[len(prefix):].partition(")")
+    _, eq, value = rest.partition("=")
+    if not close or not eq:
+        raise ProofSyntaxError(f"malformed entry {line!r}")
+    return name, value.strip()
 
 
 def parse_proof(text: str, problem: DPProblem) -> tuple[Proof, list[str]]:
@@ -234,7 +247,7 @@ def parse_proof(text: str, problem: DPProblem) -> tuple[Proof, list[str]]:
             fields, ordered, i = fields_block(i + 1)
             pair_lines = [(k, v) for k, v in ordered if k.startswith("pair ")]
             for k, v in pair_lines:
-                idx = int(k.split()[1])
+                idx = _int(k.split()[1])
                 if idx >= len(problem.pairs):
                     mismatches.append(f"pair {idx} out of range")
                 elif v != str(problem.pairs[idx]):
@@ -287,27 +300,25 @@ def parse_proof(text: str, problem: DPProblem) -> tuple[Proof, list[str]]:
                         part = part.strip()
                         if not part:
                             continue
-                        if not (part.startswith("nu(") and "=" in part):
+                        if not part.startswith("nu("):
                             raise ProofSyntaxError(f"malformed projection entry {part!r}")
-                        name = part[3:part.index(")")]
-                        nu[name] = int(part.split("=")[1].strip())
+                        name, value = _entry(part, "nu(")
+                        nu[name] = _int(value)
                 elif stripped == "POLY":
                     kind = "poly"
                 elif stripped == "ARGFUN+RPO":
                     kind = "rpo"
                 elif stripped.startswith("J(") and kind == "poly":
-                    name = stripped[2:stripped.index(")")]
+                    name, body = _entry(stripped, "J(")
                     sym = table.lookup_symbol(name)
                     if sym is None:
                         raise ProofSyntaxError(f"unknown symbol in J({name})")
-                    body = stripped.split("=", 1)[1].strip()
                     poly_assign[name] = parse_polyfun(body, sym)
                 elif stripped.startswith("pi(") and kind == "rpo":
-                    name = stripped[3:stripped.index(")")]
+                    name, body = _entry(stripped, "pi(")
                     sym = table.lookup_symbol(name)
                     if sym is None:
                         raise ProofSyntaxError(f"unknown symbol in pi({name})")
-                    body = stripped.split("=", 1)[1].strip()
                     pi_map[name] = parse_pi_template(body, sym, table)
                 elif stripped.startswith("prec:") and kind == "rpo":
                     rest = stripped[5:]

@@ -8,7 +8,8 @@ from typing import Optional, Sequence
 from .afs import AFS, Rule, lhs_head_symbol
 from .terms import (
     Term, Var, Abs, App, FunApp, Variable, SimpleType,
-    type_of, free_vars, app_spine, head, open_abs, symbols_of, PLAIN, MARKED,
+    type_of, free_vars, app_spine, head, open_abs, subterms, symbols_of,
+    PLAIN, MARKED,
 )
 from .dp import DependencyPair
 
@@ -97,28 +98,9 @@ def formative_rules(pairs: Sequence[DependencyPair], afs: AFS,
     """
     if not afs.local:
         raise NotLocal("formative rules are defined for local systems")
-    start: frozenset[TypedSymbol] = frozenset()
-    for pair in pairs:
-        for arg in _pair_lhs_arguments(pair):
-            s = symb(arg)
-            if s is None:
-                return list(rplus)
-            start |= s
-
-    # close under: A in FS, rule l' => r' with r' has form A  ==>  Symb(l') in FS
-    fs = set(start)
-    changed = True
-    while changed:
-        changed = False
-        for rule in rplus:
-            if any(has_form(rule.rhs, a) for a in list(fs)):
-                s = symb(rule.lhs)
-                if s is None:
-                    return list(rplus)
-                if not s <= fs:
-                    fs |= s
-                    changed = True
-
+    fs = formative_symbols(pairs, afs, rplus)
+    if fs is None:
+        return list(rplus)
     return [r for r in rplus if any(has_form(r.rhs, a) for a in fs)]
 
 
@@ -132,6 +114,7 @@ def formative_symbols(pairs: Sequence[DependencyPair], afs: AFS,
             if s is None:
                 return None
             start |= s
+    # close under: A in FS, rule l' => r' with r' has form A  ==>  Symb(l') in FS
     fs = set(start)
     changed = True
     while changed:
@@ -152,22 +135,9 @@ def formative_symbols(pairs: Sequence[DependencyPair], afs: AFS,
 
 def is_risky(t: Term) -> bool:
     """A term is risky if it has a subterm x t1.. with x one of its free
-    variables (an applied variable that may be instantiated)."""
-    t_free = free_vars(t)
-
-    def walk(s: Term) -> bool:
-        if isinstance(s, App):
-            h = head(s)
-            if isinstance(h, Var) and h.var in t_free:
-                return True
-            return walk(s.fn) or walk(s.arg)
-        if isinstance(s, Abs):
-            return walk(s.body)
-        if isinstance(s, FunApp):
-            return any(walk(a) for a in s.args)
-        return False
-
-    return walk(t)
+    variables (an applied variable that may be instantiated).  Bound
+    variables are indices, so every named head is free."""
+    return any(isinstance(s, App) and isinstance(head(s), Var) for s in subterms(t))
 
 
 def usable_rules(pairs: Sequence[DependencyPair], base: Sequence[Rule]) -> list[Rule]:

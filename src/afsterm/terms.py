@@ -9,7 +9,7 @@ the dependency-pair machinery relies on for graphs and deduplication.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
 # --------------------------------------------------------------------------
@@ -226,36 +226,31 @@ class BudgetExceeded(Exception):
 # construction helpers ------------------------------------------------------
 
 
+def replace_leaves(t: Term, leaf: Callable[[Term, int], Term], depth: int = 0) -> Term:
+    """Rebuild t with every Var/BVar leaf s replaced by leaf(s, d), where d
+    is the number of binders between t's root and s."""
+    if isinstance(t, (Var, BVar)):
+        return leaf(t, depth)
+    if isinstance(t, Abs):
+        return Abs(t.var_type, replace_leaves(t.body, leaf, depth + 1), t.hint)
+    if isinstance(t, App):
+        return App(replace_leaves(t.fn, leaf, depth), replace_leaves(t.arg, leaf, depth))
+    assert isinstance(t, FunApp)
+    return FunApp(t.fn, tuple(replace_leaves(a, leaf, depth) for a in t.args))
+
+
 def lam(x: Variable, body: Term) -> Abs:
     """Abstraction binding the named variable x in body."""
-    return Abs(x.type, _abstract(body, x, 0), hint=x.name)
+    return Abs(x.type, replace_leaves(
+        body, lambda s, d: BVar(d, x.type) if isinstance(s, Var) and s.var == x else s),
+        hint=x.name)
 
 
-def _abstract(t: Term, x: Variable, depth: int) -> Term:
-    if isinstance(t, Var):
-        return BVar(depth, x.type) if t.var == x else t
-    if isinstance(t, BVar):
-        return t
-    if isinstance(t, Abs):
-        return Abs(t.var_type, _abstract(t.body, x, depth + 1), t.hint)
-    if isinstance(t, App):
-        return App(_abstract(t.fn, x, depth), _abstract(t.arg, x, depth))
-    assert isinstance(t, FunApp)
-    return FunApp(t.fn, tuple(_abstract(a, x, depth) for a in t.args))
-
-
-def instantiate(body: Term, value: Term, depth: int = 0) -> Term:
-    """Replace the binder at `depth` by a locally closed value."""
-    if isinstance(body, BVar):
-        return value if body.index == depth else body
-    if isinstance(body, Var):
-        return body
-    if isinstance(body, Abs):
-        return Abs(body.var_type, instantiate(body.body, value, depth + 1), body.hint)
-    if isinstance(body, App):
-        return App(instantiate(body.fn, value, depth), instantiate(body.arg, value, depth))
-    assert isinstance(body, FunApp)
-    return FunApp(body.fn, tuple(instantiate(a, value, depth) for a in body.args))
+def instantiate(body: Term, value: Term) -> Term:
+    """Replace the outermost binder of an abstraction body by a locally
+    closed value."""
+    return replace_leaves(
+        body, lambda s, d: value if isinstance(s, BVar) and s.index == d else s)
 
 
 def open_abs(t: Abs, avoid: Iterable[Variable] = ()) -> tuple[Variable, Term]:
@@ -275,6 +270,20 @@ def app(fn: Term, *args: Term) -> Term:
     for a in args:
         fn = App(fn, a)
     return fn
+
+
+def fresh_arguments(t: Term, base: str) -> list[Var]:
+    """Variables named after `base` and fresh for t that apply t down to
+    base type: the arguments x1..xk of the applied variant t x1..xk."""
+    avoid = {v.name for v in free_vars(t)}
+    out: list[Var] = []
+    ty = type_of(t)
+    while isinstance(ty, Arrow):
+        name = fresh_name(base, avoid)
+        avoid.add(name)
+        out.append(Var(Variable(name, ty.left)))
+        ty = ty.right
+    return out
 
 
 def app_spine(t: Term) -> tuple[Term, list[Term]]:
@@ -399,44 +408,16 @@ def subterms(t: Term) -> list[Term]:
 
 
 def strict_subterms_closed(t: Term) -> list[Term]:
-    """Strict subterms of a locally closed t, with escaping bound variables
-    replaced by the per-type constants (so every result is closed)."""
-    out: list[Term] = []
-
-    def walk(s: Term, first: bool) -> None:
-        if not first:
-            dangling = dangling_bvars(s)
-            closed = s
-            for idx in sorted(dangling, reverse=True):
-                # indices are relative to s's root; substitute outside-in
-                closed = _close_index(closed, idx)
-            out.append(closed)
-        if isinstance(s, Abs):
-            walk(s.body, False)
-        elif isinstance(s, App):
-            walk(s.fn, False)
-            walk(s.arg, False)
-        elif isinstance(s, FunApp):
-            for a in s.args:
-                walk(a, False)
-
-    walk(t, True)
-    return out
+    """Strict subterms of a locally closed t, in pre-order, with escaping
+    bound variables replaced by the per-type constants (so every result is
+    closed)."""
+    return [replace_leaves(s, _close_dangling) for s in subterms(t)[1:]]
 
 
-def _close_index(t: Term, index: int, depth: int = 0) -> Term:
-    if isinstance(t, BVar):
-        if t.index == depth + index:
-            return FunApp(fresh_const(t.type))
-        return t
-    if isinstance(t, Var):
-        return t
-    if isinstance(t, Abs):
-        return Abs(t.var_type, _close_index(t.body, index, depth + 1), t.hint)
-    if isinstance(t, App):
-        return App(_close_index(t.fn, index, depth), _close_index(t.arg, index, depth))
-    assert isinstance(t, FunApp)
-    return FunApp(t.fn, tuple(_close_index(a, index, depth) for a in t.args))
+def _close_dangling(s: Term, depth: int) -> Term:
+    if isinstance(s, BVar) and s.index >= depth:
+        return FunApp(fresh_const(s.type))
+    return s
 
 
 def symbols_of(t: Term) -> frozenset[FunctionSymbol]:
@@ -456,17 +437,6 @@ def symbols_of(t: Term) -> frozenset[FunctionSymbol]:
     return frozenset(out)
 
 
-def term_size(t: Term) -> int:
-    if isinstance(t, (Var, BVar)):
-        return 1
-    if isinstance(t, Abs):
-        return 1 + term_size(t.body)
-    if isinstance(t, App):
-        return 1 + term_size(t.fn) + term_size(t.arg)
-    assert isinstance(t, FunApp)
-    return 1 + sum(term_size(a) for a in t.args)
-
-
 # substitution and matching -------------------------------------------------
 
 Substitution = Mapping[Variable, Term]
@@ -481,20 +451,13 @@ def apply_subst(t: Term, subst: Substitution) -> Term:
     for v, s in subst.items():
         if type_of(s) != v.type:
             raise TypeMismatch(f"substitution maps {v.name} : {v.type} to a term of type {type_of(s)}")
-    return _subst(t, subst)
+    return substitute(t, subst)
 
 
-def _subst(t: Term, subst: Substitution) -> Term:
-    if isinstance(t, Var):
-        return subst.get(t.var, t)
-    if isinstance(t, BVar):
-        return t
-    if isinstance(t, Abs):
-        return Abs(t.var_type, _subst(t.body, subst), t.hint)
-    if isinstance(t, App):
-        return App(_subst(t.fn, subst), _subst(t.arg, subst))
-    assert isinstance(t, FunApp)
-    return FunApp(t.fn, tuple(_subst(a, subst) for a in t.args))
+def substitute(t: Term, subst: Substitution) -> Term:
+    """apply_subst without the type check; t may contain dangling indices."""
+    return replace_leaves(
+        t, lambda s, d: subst.get(s.var, s) if isinstance(s, Var) else s)
 
 
 def match(pattern: Term, subject: Term) -> Optional[dict[Variable, Term]]:
@@ -551,15 +514,7 @@ def beta_reduce_root(t: Term) -> Optional[Term]:
 
 
 def is_beta_normal(t: Term) -> bool:
-    if isinstance(t, App) and isinstance(t.fn, Abs):
-        return False
-    if isinstance(t, Abs):
-        return is_beta_normal(t.body)
-    if isinstance(t, App):
-        return is_beta_normal(t.fn) and is_beta_normal(t.arg)
-    if isinstance(t, FunApp):
-        return all(is_beta_normal(a) for a in t.args)
-    return True
+    return not any(isinstance(s, App) and isinstance(s.fn, Abs) for s in subterms(t))
 
 
 def beta_normalize(t: Term, max_steps: int = 10_000) -> Term:
@@ -612,7 +567,7 @@ def rewrite_step(t: Term, rules: Sequence) -> list[Term]:
         for rule in rules:
             gamma = match(rule.lhs, s)
             if gamma is not None:
-                add(rebuild(_subst(rule.rhs, gamma)))
+                add(rebuild(substitute(rule.rhs, gamma)))
         if isinstance(s, Abs):
             walk(s.body, lambda r, s=s: rebuild(Abs(s.var_type, r, s.hint)))
         elif isinstance(s, App):

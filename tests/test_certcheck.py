@@ -271,14 +271,30 @@ class TestMutations:
         assert not check_certificate(None, empty, scc=scc, pairs=prob.pairs).valid
 
 
-def test_checker_imports_nothing_from_the_search():
-    tree = ast.parse(Path(certcheck.__file__).read_text())
-    imported = []
-    for node in ast.walk(tree):
+def _imports(path: Path, package: str) -> list[str]:
+    """Absolute names of the modules a source file imports, each also with
+    every name it takes from the module (`afsterm.terms.Term`)."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom):
-            imported.append(node.module or "")
-            imported.extend(a.name for a in node.names)
+            base = package.rsplit(".", node.level - 1)[0] if node.level else ""
+            module = ".".join(p for p in (base, node.module) if p)
+            out.append(module)
+            out.extend(f"{module}.{a.name}" for a in node.names)
         elif isinstance(node, ast.Import):
-            imported.extend(a.name for a in node.names)
+            out.extend(a.name for a in node.names)
+    return out
+
+
+def test_checker_imports_nothing_from_the_search():
+    imported = _imports(Path(certcheck.__file__), "afsterm.orderings")
     assert imported
     assert not [name for name in imported if "poly_search" in name]
+
+
+def test_orderings_import_nothing_from_the_parser():
+    imported = {path.name: _imports(path, "afsterm.orderings")
+                for path in Path(certcheck.__file__).parent.glob("*.py")}
+    assert "afsterm.terms" in imported["rpo.py"]
+    assert {name: [m for m in names if m.split(".")[:2] == ["afsterm", "parser"]]
+            for name, names in imported.items()} == {name: [] for name in imported}

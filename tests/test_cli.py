@@ -75,7 +75,17 @@ class TestCheck:
         ("eval", "nu(dom#) = 2", "nu(dom#) = 1"),
         # an over-applied functional slot: a proof that does not parse
         ("twice", "J(twice) = x1(x1(x2))", "J(twice) = x1(x1(x2), 0)"),
-    ], ids=["eval-projection", "twice-over-applied"])
+        # malformed numbers and entries: proofs that do not parse
+        ("ack", "scc: 0 1 2", "scc: 0 1 x"),
+        ("ack", "removed: 0 1", "removed: 0 1 q"),
+        ("ack", "pair 0:", "pair x:"),
+        ("ack", "nu(ack#) = 2", "nu(ack#) = two"),
+        ("ack", "nu(ack#) = 2", "nu(ack# = 2"),
+        ("twice", "J(twice) = x1(x1(x2))", "J(twice) x1(x1(x2))"),
+    ], ids=["eval-projection", "twice-over-applied", "scc-not-a-number",
+            "removed-not-a-number", "pair-index-not-a-number",
+            "projection-not-a-number", "projection-unclosed",
+            "interpretation-without-equals"])
     def test_tampered_proof_rejected(self, capsys, tmp_path, system, old, new):
         afs_file = str(CORPUS / f"{system}.afs")
         code, out, _ = run_cli(capsys, "prove", afs_file)

@@ -1,19 +1,20 @@
 """The proving loop: verdicts, determinism, self-verification, corpus."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from afsterm import parse_afs
 from afsterm.afs import complete, classify
+from afsterm.cli import main
 from afsterm.engine import (
     Config, prove, run_corpus, verify_proof, InternalError, YES, MAYBE,
     Preparation, GiveUp, ReductionPairStep, SubtermStep,
 )
-from afsterm.prooftext import render_proof
 from afsterm.terms import bounded_reductions, free_vars, Base
 
-from helpers import load, CORPUS, random_closed_term
+from helpers import load, CORPUS, corpus_names, random_closed_term
 
 
 class TestVerdicts:
@@ -38,13 +39,22 @@ class TestVerdicts:
         assert isinstance(proof.steps[0], Preparation)
 
 
-class TestDeterminism:
-    def test_byte_identical_proofs(self):
-        for name in ("twice", "eval", "fga"):
-            afs = load(name)
-            p1 = render_proof(prove(afs, Config()), 1)
-            p2 = render_proof(prove(afs, Config()), 1)
-            assert p1 == p2
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestGoldenProofs:
+    """`afsterm prove -v` must print exactly the committed proof of every
+    corpus system.  A refactor that changes a proof changes its golden file
+    too, so proof drift between commits shows up in the diff."""
+
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_prove_v_matches_golden(self, name, capsys):
+        assert main(["prove", "-v", str(CORPUS / f"{name}.afs")]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / f"{name}.proof").read_text()
+
+    def test_one_golden_per_corpus_system(self):
+        assert sorted(p.stem for p in GOLDEN.glob("*.proof")) == corpus_names()
 
 
 class TestConfig:

@@ -1,6 +1,7 @@
 """Property tests for the code the certificate checker trusts: the normal-form
-comparator `nf_geq`, and the well-formedness rules of `PolyFun`, which stand
-in for a monotonicity check of each template."""
+comparator `nf_geq`, the well-formedness rules of `PolyFun`, which stand in
+for a monotonicity check of each template, and the recursive path ordering
+that `check_argfun_rpo` re-runs."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,10 @@ from hypothesis import given, settings, strategies as st
 from afsterm.orderings.poly import (
     PolyFun, Const, SlotRef, AppSlot, Add, Mul, MaxE,
     nf_const, nf_slot, nf_atom, nf_add, nf_mul, nf_max, nf_geq, eval_nf,
+)
+from afsterm.orderings.rpo import (
+    MSym, MTerm, MVar, MIdx, MBind, MFun, USER, APPK, LAMK, CONSTK,
+    Precedence, rpo_greater, rpo_geq,
 )
 from afsterm.terms import Base, Arrow, arrow
 
@@ -171,3 +176,97 @@ def test_accepts_exactly_the_bodies_that_evaluate(body):
 def test_ill_formed_bodies_rejected(body, message):
     with pytest.raises(ValueError, match=message):
         PolyFun(SLOTS, body)
+
+
+# --------------------------------------------------------------------------
+# the recursive path ordering on mu-terms is irreflexive, its strict part is
+# contained in its weak part, and it is stable under closed substitutions
+
+NAT, NN = Base("nat"), Arrow(Base("nat"), Base("nat"))
+F, G, C = MSym(USER, "f"), MSym(USER, "g"), MSym(USER, "c")
+CONST = MSym(CONSTK, "!c{nat}")
+APPS = [MSym(APPK, f"@{{{ty.left},{ty.right}}}", ty)
+        for ty in (NN, Arrow(NN, NAT), arrow(NAT, NAT, NAT))]
+LAM = MSym(LAMK, "L{nat,nat}", NN)
+RPO_VARS = ("x", "y", "z")
+PRECEDENCES = [(), (("f", "g"),), (("g", "f"), ("f", "c")), (("c", "g"),)]
+
+
+def _bind(body: MTerm, name: str, depth: int = 0) -> MTerm:
+    """Bind the variable `name` in body: its occurrences become indices."""
+    if isinstance(body, MVar):
+        return MIdx(depth) if body.name == name else body
+    if isinstance(body, MBind):
+        return MBind(_bind(body.body, name, depth + 1))
+    if isinstance(body, MFun):
+        return MFun(body.sym, tuple(_bind(a, name, depth) for a in body.args))
+    return body
+
+
+def _msubst(t: MTerm, sigma: dict) -> MTerm:
+    if isinstance(t, MVar):
+        return sigma.get(t.name, t)
+    if isinstance(t, MBind):
+        return MBind(_msubst(t.body, sigma))
+    if isinstance(t, MFun):
+        return MFun(t.sym, tuple(_msubst(a, sigma) for a in t.args))
+    return t
+
+
+def mu_terms(variables=RPO_VARS):
+    """Small locally closed mu-terms over f/2, g/1, c, a fresh constant,
+    three application symbols and an abstraction symbol that binds z."""
+    leaf = st.sampled_from([MFun(C), MFun(CONST)] + [MVar(v) for v in variables])
+
+    def extend(children):
+        two = st.tuples(children, children)
+        return st.one_of(
+            two.map(lambda p: MFun(F, p)),
+            children.map(lambda a: MFun(G, (a,))),
+            st.tuples(st.sampled_from(APPS), two).map(lambda p: MFun(p[0], p[1])),
+            children.map(lambda b: MFun(LAM, (MBind(_bind(b, "z")),))),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=6)
+
+
+MU_TERMS = mu_terms()
+CLOSED_MU_TERMS = mu_terms(variables=())
+
+
+def _precedence(facts) -> Precedence:
+    return Precedence(facts, frozen=True)
+
+
+@PROPERTY
+@given(MU_TERMS, st.sampled_from(PRECEDENCES))
+def test_rpo_irreflexive(s, facts):
+    assert not rpo_greater(s, s, _precedence(facts))
+
+
+@PROPERTY
+@given(MU_TERMS, MU_TERMS, st.sampled_from(PRECEDENCES))
+def test_rpo_greater_implies_geq(s, t, facts):
+    if rpo_greater(s, t, _precedence(facts)):
+        assert rpo_geq(s, t, _precedence(facts))
+
+
+@st.composite
+def rpo_pairs(draw):
+    """(s, t) with s often built on top of t, so that s > t often holds."""
+    t, u = draw(MU_TERMS), draw(MU_TERMS)
+    app = draw(st.sampled_from(APPS))
+    s = draw(st.sampled_from([
+        u, MFun(G, (u,)), MFun(G, (t,)), MFun(F, (t, u)), MFun(F, (u, t)),
+        MFun(app, (t, u)), MFun(LAM, (MBind(_bind(t, "z")),)),
+    ]))
+    return s, t
+
+
+@PROPERTY
+@given(rpo_pairs(), st.fixed_dictionaries({v: CLOSED_MU_TERMS for v in RPO_VARS}),
+       st.sampled_from(PRECEDENCES))
+def test_rpo_stable_under_closed_substitutions(pair, sigma, facts):
+    s, t = pair
+    if rpo_greater(s, t, _precedence(facts)):
+        assert rpo_greater(_msubst(s, sigma), _msubst(t, sigma), _precedence(facts))
