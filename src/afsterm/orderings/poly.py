@@ -11,11 +11,12 @@ max branches and monotone functional slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..terms import (
     Term, Var, BVar, Abs, App, FunApp, Variable, FunctionSymbol, SimpleType,
-    Arrow, type_of, free_vars, open_abs, type_text, FRESH, EXT,
+    Arrow, IllTyped, type_of, free_vars, open_abs, symbols_of, type_text,
+    FRESH, EXT,
 )
 
 
@@ -394,12 +395,40 @@ def slot_types_for(f: FunctionSymbol) -> tuple[SimpleType, ...]:
 
 
 class Interpreter:
-    """Interprets terms under an assignment of templates to symbols."""
+    """Interprets terms under an assignment of templates to symbols.
 
-    def __init__(self, assign: dict[str, PolyFun]):
+    A search also passes its `SubtermMemo` and `val`, the valuation of the
+    constraint being checked (`valuation_for` of its two sides), and the
+    memo then serves the subterms it indexes.  Only values reached under
+    `val` itself are memoized: below a binder the valuation is a copy that
+    also binds the abstraction's variable.
+    """
+
+    def __init__(self, assign: dict[str, PolyFun],
+                 memo: Optional[SubtermMemo] = None,
+                 val: Optional[dict[Variable, SemVal]] = None):
         self.assign = assign
+        self.memo = memo
+        self.val = val
+
+    def valuation(self, lhs: Term, rhs: Term) -> dict[Variable, SemVal]:
+        return valuation_for([lhs, rhs]) if self.val is None else self.val
 
     def interp(self, t: Term, val: dict[Variable, SemVal]) -> SemVal:
+        memo = self.memo
+        if memo is None or val is not self.val:
+            return self._interp(t, val)
+        entry = memo.index.get(id(t))
+        if entry is None:
+            return self._interp(t, val)
+        assign = self.assign
+        key = (entry[1], tuple([id(assign.get(s)) for s in entry[2]]))
+        hit = memo.table.get(key)
+        if hit is None:
+            hit = memo.table[key] = self._interp(t, val)
+        return hit
+
+    def _interp(self, t: Term, val: dict[Variable, SemVal]) -> SemVal:
         if isinstance(t, Var):
             return val[t.var]
         if isinstance(t, BVar):
@@ -434,6 +463,41 @@ class Interpreter:
         return apply_polyfun(fun, args, f.decl.output)
 
 
+class SubtermMemo:
+    """The values of base-typed subterms of one search's constraints, keyed
+    by the subterm and the templates assigned to every symbol in it.
+
+    A variable's value depends only on its name and type (`valuation_for`),
+    so a subterm outside every binder has the same value in every
+    constraint it occurs in, and structurally equal subterms share entries.
+    The index holds the constraint terms themselves, which keeps their ids
+    valid while the memo lives; terms that interpretation builds are never
+    looked up.  A failed interpretation raises before anything is stored.
+    """
+
+    def __init__(self, terms: Iterable[Term]):
+        # id(subterm) -> (subterm, shared key, sorted symbol names)
+        self.index: dict[int, tuple[Term, int, tuple[str, ...]]] = {}
+        self.table: dict[tuple, SemVal] = {}
+        keys: dict[Term, int] = {}
+        todo = list(terms)
+        while todo:
+            t = todo.pop()
+            if isinstance(t, App):
+                todo += (t.fn, t.arg)
+            elif isinstance(t, FunApp):
+                todo += t.args
+            else:  # variables are looked up, abstractions bind
+                continue
+            try:
+                if not type_of(t).is_base():
+                    continue
+            except IllTyped:
+                continue
+            syms = tuple(sorted({f.display for f in symbols_of(t)}))
+            self.index[id(t)] = (t, keys.setdefault(t, len(keys)), syms)
+
+
 def valuation_for(terms: Sequence[Term]) -> dict[Variable, SemVal]:
     vs: set[Variable] = set()
     for t in terms:
@@ -445,7 +509,7 @@ def valuation_for(terms: Sequence[Term]) -> dict[Variable, SemVal]:
 def sides_to_nf(lhs: Term, rhs: Term, interp: Interpreter) -> tuple[NF, NF]:
     """Interpret both sides under a shared valuation; eta-expand functional
     comparisons with shared fresh slots."""
-    val = valuation_for([lhs, rhs])
+    val = interp.valuation(lhs, rhs)
     lv = interp.interp(lhs, val)
     rv = interp.interp(rhs, val)
     i = 0
@@ -488,22 +552,11 @@ def _sum_geq(a: Branch, b: Branch, asms, depth: int = 2) -> bool:
     return False
 
 
-_cover_memo: dict = {}
-
-
 def _sum_covers(a: Branch, b: Branch, asms) -> bool:
     """Every monomial of b is matched into a's monomials, factor multisets
     covered bijectively, respecting coefficients."""
-    key = (a, b, asms)
-    hit = _cover_memo.get(key)
-    if hit is not None:
-        return hit
-    if len(_cover_memo) > 200_000:
-        _cover_memo.clear()
     capacities = [c for c, _f in a]
-    out = _alloc(list(b), 0, a, capacities, asms)
-    _cover_memo[key] = out
-    return out
+    return _alloc(list(b), 0, a, capacities, asms)
 
 
 def _alloc(need: list, i: int, a: Branch, caps: list[int], asms) -> bool:
@@ -613,42 +666,3 @@ def compare_terms(lhs: Term, rhs: Term, interp: Interpreter, strict: bool) -> bo
     except Unsupported:
         return False
     return nf_geq(l_nf, r_nf, strict)
-
-
-# --------------------------------------------------------------------------
-# concrete evaluation of normal forms (used by numeric spot checks)
-
-
-def eval_nf(nf: NF, assign: dict) -> int:
-    best = 0
-    for branch in nf:
-        total = 0
-        for coeff, factors in branch:
-            prod = coeff
-            for f in factors:
-                if f[0] == "slot":
-                    prod *= assign[f[1]]
-                else:
-                    fn = assign[f[1]]
-                    prod *= fn(*[eval_nf((arg,), assign) for arg in f[2]])
-            total += prod
-        best = max(best, total)
-    return best
-
-
-def nf_slots(nf: NF) -> set:
-    out = set()
-
-    def factor(f):
-        out.add(f[1])
-        if f[0] == "atom":
-            for arg in f[2]:
-                for m in arg:
-                    for g in m[1]:
-                        factor(g)
-
-    for branch in nf:
-        for _c, factors in branch:
-            for f in factors:
-                factor(f)
-    return out

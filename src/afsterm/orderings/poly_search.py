@@ -14,7 +14,8 @@ from ..terms import Term, FunctionSymbol, SimpleType, symbols_of
 from .constraints import ConstraintSet, USER_KINDS, occurring_symbols
 from .poly import (
     PolyFun, PolyInterp, Expr, Const, SlotRef, AppSlot, Add, Mul, MaxE,
-    Interpreter, compare_terms, expr_weight, slot_types_for, recovers_argument,
+    Interpreter, SubtermMemo, compare_terms, expr_weight, slot_types_for,
+    recovers_argument, valuation_for,
 )
 from .poly import nf_geq  # noqa: F401  (perfbench's layer tracer wraps it here)
 
@@ -205,6 +206,9 @@ def search_poly(cs: ConstraintSet, budget: float = 10.0,
 
     assign: dict[str, PolyFun] = {}
     check_cache: dict = {}
+    memo = SubtermMemo(t for _, lhs, rhs in constraints for t in (lhs, rhs))
+    vals = [valuation_for([lhs, rhs]) for _, lhs, rhs in constraints]
+    key_syms = [tuple(sorted(syms)) for syms in con_syms]
     cand_indices = [ci for ci, (kind, _l, _r) in enumerate(constraints) if kind == "cand"]
     last_cand_pos = max(
         (max((assigned_pos[s] for s in con_syms[ci]), default=-1) for ci in cand_indices),
@@ -212,14 +216,12 @@ def search_poly(cs: ConstraintSet, budget: float = 10.0,
     )
 
     def check(ci: int, strict: bool) -> bool:
-        _kind, lhs, rhs = constraints[ci]
-        key_syms = tuple(sorted(con_syms[ci]))
-        key = (ci, strict, tuple(id(assign[s]) for s in key_syms))
+        key = (ci, strict, tuple([id(assign[s]) for s in key_syms[ci]]))
         hit = check_cache.get(key)
         if hit is not None:
             return hit
-        interp = Interpreter(assign)
-        ok = compare_terms(lhs, rhs, interp, strict=strict)
+        _kind, lhs, rhs = constraints[ci]
+        ok = compare_terms(lhs, rhs, Interpreter(assign, memo, vals[ci]), strict=strict)
         check_cache[key] = ok
         return ok
 
@@ -261,14 +263,19 @@ def search_poly(cs: ConstraintSet, budget: float = 10.0,
         assign.pop(name, None)
         return False
 
-    # constraints with no symbols at all must hold under the empty assignment
-    for ci in ready_at.get(-1, ()):
-        if not check(ci, strict=False):
+    try:
+        # constraints with no symbols at all must hold under the empty assignment
+        for ci in ready_at.get(-1, ()):
+            if not check(ci, strict=False):
+                return None
+            if constraints[ci][0] == "cand":
+                strict_status[ci] = check(ci, strict=True)
+        if last_cand_pos == -1 and not any(strict_status.get(ci, False) for ci in cand_indices):
             return None
-        if constraints[ci][0] == "cand":
-            strict_status[ci] = check(ci, strict=True)
-    if last_cand_pos == -1 and not any(strict_status.get(ci, False) for ci in cand_indices):
+        if dfs(0):
+            return result
         return None
-    if dfs(0):
-        return result
-    return None
+    finally:
+        # dfs reaches itself through its closure; break that cycle so the
+        # memo and the check cache are freed when the search returns
+        dfs = None

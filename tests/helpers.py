@@ -1,5 +1,5 @@
-"""Shared test utilities: corpus loading, random well-typed terms and a
-concrete evaluator for interpretation templates."""
+"""Shared test utilities: corpus loading, random well-typed terms and
+concrete evaluators for interpretation templates and normal forms."""
 
 from __future__ import annotations
 
@@ -10,8 +10,7 @@ from typing import Sequence
 from afsterm import parse_afs
 from afsterm.orderings.poly import Expr, Const, SlotRef, AppSlot, Add, Mul, MaxE
 from afsterm.terms import (
-    Term, Var, Abs, App, FunApp, Variable, SimpleType, Arrow, Base,
-    lam, type_of, free_vars,
+    Term, Var, App, FunApp, Variable, SimpleType, Arrow, Base, lam, free_vars,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -131,3 +130,41 @@ def eval_expr(e: Expr, env: Sequence) -> int:
         return out
     assert isinstance(e, MaxE)
     return max(eval_expr(p, env) for p in e.parts)
+
+
+def eval_nf(nf, assign: dict) -> int:
+    """The value of a normal form with naturals for its slots and functions
+    of naturals for its atoms."""
+    best = 0
+    for branch in nf:
+        total = 0
+        for coeff, factors in branch:
+            prod = coeff
+            for f in factors:
+                if f[0] == "slot":
+                    prod *= assign[f[1]]
+                else:
+                    fn = assign[f[1]]
+                    prod *= fn(*[eval_nf((arg,), assign) for arg in f[2]])
+            total += prod
+        best = max(best, total)
+    return best
+
+
+def nf_slots(nf) -> set:
+    """The ids of every slot and atom occurring in a normal form."""
+    out = set()
+
+    def factor(f):
+        out.add(f[1])
+        if f[0] == "atom":
+            for arg in f[2]:
+                for m in arg:
+                    for g in m[1]:
+                        factor(g)
+
+    for branch in nf:
+        for _c, factors in branch:
+            for f in factors:
+                factor(f)
+    return out

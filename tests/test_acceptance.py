@@ -4,8 +4,6 @@ line (run with -s to see them inline)."""
 import random
 import time
 
-import pytest
-
 from afsterm import parse_afs
 from afsterm.afs import complete, classify, build_rplus
 from afsterm.dp import dependency_pairs, tag, untag
@@ -13,21 +11,23 @@ from afsterm.engine import Config, prove, run_corpus, YES, MAYBE
 from afsterm.graph import DPGraph, approximate_graph, prune, sccs
 from afsterm.orderings import (
     build_constraints, check_certificate, search_poly, PolyInterp, ArgFunRPO,
-    Projection, mu, rpo_greater, Precedence,
+    mu, rpo_greater, Precedence,
 )
 from afsterm.orderings.poly import (
     PolyFun, Const, SlotRef, AppSlot, Add, Mul, MaxE, slot_types_for,
-    Interpreter, sides_to_nf, nf_slots, eval_nf, Unsupported,
+    Interpreter, sides_to_nf, Unsupported,
 )
 from afsterm.parser import SymbolTable, parse_term_text
 from afsterm.selection import formative_rules, usable_rules
 from afsterm.terms import (
     Base, Arrow, TypeDecl, FunctionSymbol, Variable, Var, FunApp, EXT,
     alpha_equal, apply_subst, bounded_reductions, free_vars, term_text,
-    rewrite_step,
 )
 
-from helpers import CORPUS, load, random_term, random_closed_term, MONOTONE_SAMPLES
+from helpers import (
+    CORPUS, load, random_term, random_closed_term, eval_nf, nf_slots,
+    MONOTONE_SAMPLES,
+)
 from test_certcheck import mutate_poly, sample_validates
 from test_graph import TestSccOracle
 

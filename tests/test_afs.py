@@ -3,7 +3,7 @@
 import pytest
 
 from afsterm import parse_afs
-from afsterm.afs import AFS, Rule, IllegalLhs, complete, classify, build_rplus
+from afsterm.afs import IllegalLhs, complete, build_rplus
 from afsterm.parser import ParseError
 from afsterm.terms import IllTyped, term_text, alpha_equal, Abs
 

@@ -4,9 +4,6 @@ import ast
 import random
 from pathlib import Path
 
-import pytest
-
-from afsterm import parse_afs
 from afsterm.afs import complete, classify
 from afsterm.dp import dependency_pairs
 from afsterm.graph import approximate_graph, prune, sccs
@@ -17,13 +14,13 @@ from afsterm.orderings import (
 from afsterm.orderings import certcheck
 from afsterm.orderings.poly import (
     PolyFun, Const, SlotRef, AppSlot, Add, Mul, MaxE, slot_types_for,
-    Interpreter, sides_to_nf, nf_slots, eval_nf, Unsupported,
+    Interpreter, sides_to_nf, Unsupported,
 )
 from afsterm.terms import (
-    Base, Arrow, TypeDecl, FunctionSymbol, Variable, Var, FunApp, EXT,
+    Base, TypeDecl, FunctionSymbol, Variable, Var, FunApp, EXT,
 )
 
-from helpers import load, MONOTONE_SAMPLES
+from helpers import load, eval_nf, nf_slots, MONOTONE_SAMPLES
 
 nat = Base("nat")
 

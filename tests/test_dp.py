@@ -12,7 +12,7 @@ from afsterm.dp import (
 from afsterm.parser import SymbolTable, parse_term_text
 from afsterm.terms import (
     Base, Arrow, Variable, Var, App, FunApp, lam, term_text, alpha_equal,
-    free_vars, apply_subst, rewrite_step, bounded_reductions, TAGGED,
+    apply_subst, bounded_reductions,
 )
 
 from helpers import load, random_term

@@ -9,10 +9,10 @@ from afsterm import parse_afs
 from afsterm.afs import complete, classify
 from afsterm.cli import main
 from afsterm.engine import (
-    Config, prove, run_corpus, verify_proof, InternalError, YES, MAYBE,
-    Preparation, GiveUp, ReductionPairStep, SubtermStep,
+    Config, prove, run_corpus, verify_proof, YES, MAYBE, Preparation, GiveUp,
+    ReductionPairStep, SubtermStep,
 )
-from afsterm.terms import bounded_reductions, free_vars, Base
+from afsterm.terms import bounded_reductions, Base
 
 from helpers import load, CORPUS, corpus_names, random_closed_term
 

@@ -1,31 +1,36 @@
 """Constraint construction, the subterm criterion, and both reduction pair
 engines with their property guarantees."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
-from afsterm import parse_afs
 from afsterm.afs import complete, classify
 from afsterm.dp import dependency_pairs
+from afsterm.engine import Config, prove
 from afsterm.graph import approximate_graph, prune, sccs
 from afsterm.orderings import (
     build_constraints, subterm_criterion, search_poly, search_rpo,
     check_certificate, Projection, MODE_NON_COLLAPSING, MODE_BASIC,
-    MODE_LOCAL_COLLAPSING, mu, rpo_greater, rpo_geq, Precedence,
+    MODE_LOCAL_COLLAPSING, mu, rpo_greater, Precedence,
 )
-from afsterm.orderings.constraints import ConstraintSet, StrictCandidate, WeakConstraint
+from afsterm.orderings import poly, poly_search
+from afsterm.orderings.constraints import (
+    ConstraintSet, StrictCandidate, WeakConstraint, occurring_symbols,
+)
 from afsterm.orderings.poly import (
-    Interpreter, compare_terms, PolyFun, Const, SlotRef, AppSlot, Add, Mul,
-    MaxE, slot_types_for, eval_nf, nf_slots, sides_to_nf, Unsupported,
+    Interpreter, SubtermMemo, compare_terms, PolyFun, Const, SlotRef, AppSlot,
+    Add, Mul, slot_types_for, sides_to_nf, valuation_for, Unsupported,
 )
+from afsterm.orderings.poly_search import candidate_templates
 from afsterm.parser import SymbolTable, parse_term_text
 from afsterm.terms import (
-    Base, Arrow, Variable, Var, FunApp, term_text, type_of, apply_subst,
-    free_vars,
+    Base, Arrow, Variable, Var, term_text, type_of, apply_subst, free_vars,
 )
 
-from helpers import load, random_term, MONOTONE_SAMPLES
+from helpers import load, random_term, eval_nf, nf_slots, MONOTONE_SAMPLES
 
 nat = Base("nat")
 
@@ -243,6 +248,83 @@ class TestPolySearch:
                 cert = search_poly(cs, budget=10.0)
                 if cert is not None:
                     assert check_certificate(cs, cert).valid
+
+
+def sides_or_unsupported(lhs, rhs, interp):
+    try:
+        return sides_to_nf(lhs, rhs, interp)
+    except Unsupported:
+        return None
+
+
+class TestSubtermMemo:
+    @pytest.mark.parametrize("name", ["fga", "fromchain"])
+    def test_memo_never_changes_a_normal_form(self, name):
+        # one memo per constraint set, as in a search, walked through a fixed
+        # sequence of assignments that keeps revisiting the first templates
+        # and leaves symbols unassigned (Unsupported) now and then
+        rng = random.Random(5)
+        prob, comps = problem_and_sccs(name)
+        binder_cases = 0
+        for scc in comps:
+            cs = build_constraints(scc, prob)
+            s_names = {f.display for f in cs.S}
+            sides = [(c.lhs, c.rhs) for c in (*cs.strict_candidates, *cs.weak)]
+            memo = SubtermMemo(t for pair in sides for t in pair)
+            vals = [valuation_for(pair) for pair in sides]
+            options = {f.display: candidate_templates(f, f.display in s_names, 3)[:4]
+                       for f in occurring_symbols(cs)}
+            for _ in range(40):
+                assign = {s: rng.choice(opts) for s, opts in options.items()
+                          if rng.random() < 0.95}
+                for (lhs, rhs), val in zip(sides, vals):
+                    shared = sides_or_unsupported(lhs, rhs, Interpreter(assign, memo, val))
+                    assert shared == sides_or_unsupported(lhs, rhs, Interpreter(assign))
+            assert memo.table
+            for lhs, rhs in sides:
+                if term_text(rhs) == "g#(\\x:nat. f-(x), a)":
+                    # f- occurs under the binder here and at the top of the
+                    # weak constraint f-(x1) >= f(x1); nothing below the
+                    # binder is indexed
+                    abs_ = rhs.args[0]
+                    assert id(rhs) in memo.index
+                    assert id(abs_) not in memo.index and id(abs_.body) not in memo.index
+                    binder_cases += 1
+        assert binder_cases == (name == "fga")
+
+    def test_search_work_is_pinned_and_nothing_outlives_a_search(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return compare_terms(*args, **kwargs)
+
+        memos = []
+
+        class Recorded(SubtermMemo):
+            def __init__(self, terms):
+                super().__init__(terms)
+                memos.append(weakref.ref(self))
+
+        monkeypatch.setattr(poly_search, "compare_terms", counted)
+        monkeypatch.setattr(poly_search, "SubtermMemo", Recorded)
+        # a budget no run reaches, so the counts do not depend on the machine
+        cfg = Config(timeout=600.0, scc_budget=300.0)
+        counts = []
+        gc.disable()  # what a search keeps must be freed without the collector
+        try:
+            for _ in range(2):
+                for name in ("fga", "fromchain"):
+                    calls.clear()
+                    prove(load(name), cfg)
+                    counts.append(len(calls))
+                    assert memos and all(m() is None for m in memos)
+        finally:
+            gc.enable()
+        assert counts == [36025, 3364] * 2
+        for module in (poly, poly_search):
+            assert not [k for k, v in vars(module).items()
+                        if isinstance(v, dict) and v and not k.startswith("__")]
 
 
 class TestRpo:

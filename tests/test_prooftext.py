@@ -2,10 +2,8 @@
 
 import pytest
 
-from afsterm.afs import complete, classify
-from afsterm.dp import dependency_pairs
 from afsterm.engine import Config, prove
-from afsterm.orderings.poly import expr_text, slot_types_for
+from afsterm.orderings.poly import expr_text
 from afsterm.parser import SymbolTable
 from afsterm.prooftext import (
     parse_polyfun, parse_pi_template, render_proof, check_proof_text,

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from afsterm.orderings.poly import (
     PolyFun, Const, SlotRef, AppSlot, Add, Mul, MaxE,
-    nf_const, nf_slot, nf_atom, nf_add, nf_mul, nf_max, nf_geq, eval_nf,
+    nf_const, nf_slot, nf_atom, nf_add, nf_mul, nf_max, nf_geq,
 )
 from afsterm.orderings.rpo import (
     MSym, MTerm, MVar, MIdx, MBind, MFun, USER, APPK, LAMK, CONSTK,
@@ -16,7 +16,7 @@ from afsterm.orderings.rpo import (
 )
 from afsterm.terms import Base, Arrow, arrow
 
-from helpers import eval_expr, monotone_fun
+from helpers import eval_expr, eval_nf, monotone_fun
 
 nat = Base("nat")
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)

@@ -10,8 +10,7 @@ from afsterm.selection import (
     formative_rules, formative_symbols, usable_rules, symb, TypedSymbol,
     NotLocal, ABS, VAR,
 )
-from afsterm.parser import SymbolTable, parse_term_text
-from afsterm.terms import Base, Arrow, Variable
+from afsterm.terms import Base, Arrow
 
 from helpers import load
 

@@ -4,12 +4,10 @@ import random
 
 import pytest
 
-from afsterm import parse_afs
 from afsterm.afs import complete
 from afsterm.parser import SymbolTable, parse_term_text
 from afsterm.terms import (
-    Base, Arrow, TypeDecl, FunctionSymbol, Variable,
-    Var, Abs, App, FunApp, lam, app,
+    Base, Arrow, TypeDecl, FunctionSymbol, Variable, Var, App, FunApp, lam,
     type_of, typecheck, IllTyped, alpha_equal, apply_subst, match,
     rewrite_step, bounded_reductions, mark, head, free_vars, subterms,
     term_text, beta_normalize, is_beta_normal, TypeMismatch,
