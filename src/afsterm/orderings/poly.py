@@ -200,7 +200,22 @@ def nf_atom(sid, arg_nfs: Sequence[NF]) -> NF:
 
 
 def _branch_add(a: Branch, b: Branch) -> Branch:
-    return _canon_branch(list(a) + list(b))
+    # both branches are canonical: merge them by factors in one pass
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        fa, fb = a[i][1], b[j][1]
+        if fa == fb:
+            out.append((a[i][0] + b[j][0], fa))
+            i += 1
+            j += 1
+        elif fa < fb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
 
 
 def _branch_mul(a: Branch, b: Branch) -> Branch:
@@ -239,6 +254,7 @@ def _canon_nf(branches) -> NF:
     return tuple(kept) if kept else ((),)
 
 
+NF_ZERO: NF = ((),)
 _NF_LIMIT = 64
 
 
@@ -249,6 +265,11 @@ def _guard(nf: NF) -> NF:
 
 
 def nf_add(a: NF, b: NF) -> NF:
+    # both sides are canonical, so zero leaves the other side as it is
+    if a == NF_ZERO:
+        return _guard(b)
+    if b == NF_ZERO:
+        return _guard(a)
     return _guard(_canon_nf([_branch_add(x, y) for x in a for y in b]))
 
 
@@ -258,9 +279,6 @@ def nf_mul(a: NF, b: NF) -> NF:
 
 def nf_max(a: NF, b: NF) -> NF:
     return _guard(_canon_nf(list(a) + list(b)))
-
-
-NF_ZERO: NF = ((),)
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,18 @@
 """Search for polynomial interpretation certificates.
 
 Candidate templates per symbol are enumerated in ascending total coefficient
-weight; assignments are explored depth-first, checking each constraint as
-soon as all of its symbols are assigned.
+weight, and symbols are assigned depth-first in `symbol_order`.  A
+constraint is checked at the position of the last of its symbols.  Its other
+symbols stay fixed while the options there are tried, so each DFS node
+fetches one table row per such constraint, keyed by the option indices at
+those other positions and indexed by the option tried here.
+
+A failed subtree backjumps (conflict-directed backjumping, Prosser 1993,
+*Hybrid algorithms for the constraint satisfaction problem*): it returns the
+earlier positions its failure depends on, and a level whose own position is
+not among them passes them up instead of trying its next option.  Only
+subtrees without a certificate are skipped, so the first certificate in
+chronological order is the one found.
 """
 
 from __future__ import annotations
@@ -147,39 +157,12 @@ def candidate_templates(f: FunctionSymbol, in_s: bool, bound: int) -> list[PolyF
     return out
 
 
-def search_poly(cs: ConstraintSet, budget: float = 10.0,
-                coef_bound: int = 3) -> Optional[PolyInterp]:
-    """Enumerate interpretations; all constraints must hold weakly and at
-    least one strict candidate strictly.  Returns the first (deterministic)
-    hit with its maximal strict subset."""
-    deadline = time.monotonic() + budget
-    symbols = occurring_symbols(cs)
-    s_names = {f.display for f in cs.S}
-
-    options = {
-        f.display: candidate_templates(f, f.display in s_names, coef_bound)
-        for f in symbols
-    }
-    if any(not opts for opts in options.values()):
-        return None
-
-    constraints: list[tuple[str, Term, Term]] = []
-    for w in cs.weak:
-        constraints.append(("weak", w.lhs, w.rhs))
-    for c in cs.strict_candidates:
-        constraints.append(("cand", c.lhs, c.rhs))
-
-    # symbols used by each constraint; check a constraint once all assigned
-    con_syms: list[frozenset[str]] = [
-        frozenset(f.display for f in symbols_of(lhs) | symbols_of(rhs)
-                  if f.kind in USER_KINDS)
-        for _, lhs, rhs in constraints
-    ]
-
-    # order symbols so constraints become checkable as early as possible:
-    # repeatedly complete the constraint with the fewest unassigned symbols
+def symbol_order(names: set[str], con_syms: list[frozenset[str]]) -> list[str]:
+    """The order in which the search assigns symbols, so that constraints
+    become checkable as early as possible: repeatedly complete the
+    constraint with the fewest unassigned symbols."""
     order: list[str] = []
-    remaining = {f.display for f in symbols}
+    remaining = set(names)
     open_cons = [set(s) & remaining for s in con_syms]
     while remaining:
         candidates = [c for c in open_cons if c]
@@ -197,85 +180,137 @@ def search_poly(cs: ConstraintSet, budget: float = 10.0,
             remaining.discard(name)
             for c in open_cons:
                 c.discard(name)
+    return order
 
-    ready_at: dict[int, list[int]] = {}
-    assigned_pos = {name: i for i, name in enumerate(order)}
+
+class _Deadline(Exception):
+    """The search budget ran out; ends the whole search at once."""
+
+
+def search_poly(cs: ConstraintSet, budget: float = 10.0,
+                coef_bound: int = 3) -> Optional[PolyInterp]:
+    """Enumerate interpretations; all constraints must hold weakly and at
+    least one strict candidate strictly.  Returns the first (deterministic)
+    hit with its maximal strict subset."""
+    deadline = time.monotonic() + budget
+    symbols = occurring_symbols(cs)
+    s_names = {f.display for f in cs.S}
+
+    options = {
+        f.display: candidate_templates(f, f.display in s_names, coef_bound)
+        for f in symbols
+    }
+    if any(not opts for opts in options.values()):
+        return None
+
+    constraints: list[tuple[Term, Term]] = [(c.lhs, c.rhs) for c in cs.weak]
+    constraints += [(c.lhs, c.rhs) for c in cs.strict_candidates]
+    first_cand = len(cs.weak)
+    con_syms: list[frozenset[str]] = [
+        frozenset(f.display for f in symbols_of(lhs) | symbols_of(rhs)
+                  if f.kind in USER_KINDS)
+        for lhs, rhs in constraints
+    ]
+    order = symbol_order({f.display for f in symbols}, con_syms)
+    n = len(order)
+    pos_of = {name: i for i, name in enumerate(order)}
+    opts = [options[name] for name in order]
+
+    # Sets of positions are bit masks.  ready[p]: (constraint, its other
+    # positions, their mask) for the constraints whose last symbol sits at
+    # position p; symbol-free constraints are checked up front.
+    ready: list[list[tuple[int, tuple[int, ...], int]]] = [[] for _ in range(n)]
+    upfront: list[int] = []
+    cand_mask = 0
+    last_cand_pos = -1
     for ci, syms in enumerate(con_syms):
-        pos = max((assigned_pos[s] for s in syms), default=-1)
-        ready_at.setdefault(pos, []).append(ci)
+        ps = sorted(pos_of[s] for s in syms)
+        mask = sum(1 << p for p in ps)
+        if ci >= first_cand and ps:
+            cand_mask |= mask
+            last_cand_pos = max(last_cand_pos, ps[-1])
+        if ps:
+            ready[ps[-1]].append((ci, tuple(ps[:-1]), mask & ~(1 << ps[-1])))
+        else:
+            upfront.append(ci)
 
     assign: dict[str, PolyFun] = {}
-    check_cache: dict = {}
-    memo = SubtermMemo(t for _, lhs, rhs in constraints for t in (lhs, rhs))
-    vals = [valuation_for([lhs, rhs]) for _, lhs, rhs in constraints]
-    key_syms = [tuple(sorted(syms)) for syms in con_syms]
-    cand_indices = [ci for ci, (kind, _l, _r) in enumerate(constraints) if kind == "cand"]
-    last_cand_pos = max(
-        (max((assigned_pos[s] for s in con_syms[ci]), default=-1) for ci in cand_indices),
-        default=-1,
-    )
+    chosen = [0] * n  # the option index at each assigned position
+    strict = [False] * len(cs.strict_candidates)
+    # (constraint, option indices at its other positions) -> one entry per
+    # option at its last position: 0 weak fails, 1 weak holds, 2 strict holds
+    tables: dict[tuple, list] = {}
+    memo = SubtermMemo(t for pair in constraints for t in pair)
+    vals = [valuation_for(pair) for pair in constraints]
 
-    def check(ci: int, strict: bool) -> bool:
-        key = (ci, strict, tuple([id(assign[s]) for s in key_syms[ci]]))
-        hit = check_cache.get(key)
-        if hit is not None:
-            return hit
-        _kind, lhs, rhs = constraints[ci]
-        ok = compare_terms(lhs, rhs, Interpreter(assign, memo, vals[ci]), strict=strict)
-        check_cache[key] = ok
-        return ok
+    def verdict(ci: int) -> int:
+        if time.monotonic() > deadline:
+            raise _Deadline
+        lhs, rhs = constraints[ci]
+        interp = Interpreter(assign, memo, vals[ci])
+        if not compare_terms(lhs, rhs, interp, strict=False):
+            return 0
+        return 2 if ci >= first_cand and compare_terms(lhs, rhs, interp, strict=True) else 1
 
     result: Optional[PolyInterp] = None
-    strict_status: dict[int, bool] = {}
 
-    def dfs(pos: int) -> bool:
+    def dfs(pos: int) -> Optional[int]:
+        """None once a certificate is found, else the mask of the earlier
+        positions whose options this subtree's failure depends on."""
         nonlocal result
         if time.monotonic() > deadline:
-            return False
-        if pos == len(order):
-            strict = tuple(
-                c.pair_index for ci, c in zip(
-                    [k for k, (kind, _l, _r) in enumerate(constraints) if kind == "cand"],
-                    cs.strict_candidates)
-                if strict_status.get(ci, False)
-            )
-            if strict:
-                result = PolyInterp(dict(assign), strict)
-                return True
-            return False
+            raise _Deadline
+        if pos == n:  # some candidate holds strictly: checked at last_cand_pos
+            pairs = tuple(c.pair_index for c, s in zip(cs.strict_candidates, strict) if s)
+            result = PolyInterp(dict(assign), pairs)
+            return None
         name = order[pos]
-        for fun in options[name]:
-            if time.monotonic() > deadline:
-                return False
+        rows = []
+        for ci, others, mask in ready[pos]:
+            key = (ci, tuple([chosen[q] for q in others]))
+            row = tables.get(key)
+            if row is None:
+                row = tables[key] = [None] * len(opts[pos])
+            rows.append((ci, mask, row, ci - first_cand))
+        needs_strict = pos >= last_cand_pos
+        conflict = 0
+        for i, fun in enumerate(opts[pos]):
             assign[name] = fun
-            ok = True
-            for ci in ready_at.get(pos, ()):
-                if not check(ci, strict=False):
-                    ok = False
+            chosen[pos] = i
+            for ci, mask, row, k in rows:
+                v = row[i]
+                if v is None:
+                    v = row[i] = verdict(ci)
+                if not v:
+                    conflict |= mask
                     break
-                if constraints[ci][0] == "cand":
-                    strict_status[ci] = check(ci, strict=True)
-            if ok and pos >= last_cand_pos and not any(
-                    strict_status.get(ci, False) for ci in cand_indices):
-                ok = False  # no pair can still become strictly oriented
-            if ok and dfs(pos + 1):
-                return True
-        assign.pop(name, None)
-        return False
+                if k >= 0:
+                    strict[k] = v == 2
+            else:
+                if needs_strict and not any(strict):
+                    conflict |= cand_mask  # no pair can still become strict
+                    continue
+                below = dfs(pos + 1)
+                if below is None:
+                    return None
+                if not below >> pos & 1:
+                    return below  # no option here changes that failure
+                conflict |= below
+        return conflict & ~(1 << pos)
 
     try:
-        # constraints with no symbols at all must hold under the empty assignment
-        for ci in ready_at.get(-1, ()):
-            if not check(ci, strict=False):
+        for ci in upfront:
+            v = verdict(ci)
+            if not v:
                 return None
-            if constraints[ci][0] == "cand":
-                strict_status[ci] = check(ci, strict=True)
-        if last_cand_pos == -1 and not any(strict_status.get(ci, False) for ci in cand_indices):
+            if ci >= first_cand:
+                strict[ci - first_cand] = v == 2
+        if last_cand_pos == -1 and not any(strict):
             return None
-        if dfs(0):
-            return result
+        return result if dfs(0) is None else None
+    except _Deadline:
         return None
     finally:
         # dfs reaches itself through its closure; break that cycle so the
-        # memo and the check cache are freed when the search returns
+        # memo and the tables are freed when the search returns
         dfs = None

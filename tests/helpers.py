@@ -1,5 +1,6 @@
-"""Shared test utilities: corpus loading, random well-typed terms and
-concrete evaluators for interpretation templates and normal forms."""
+"""Shared test utilities: corpus loading, random well-typed terms, concrete
+evaluators for interpretation templates and normal forms, and plain reference
+versions of the normal-form sum and of the polynomial search."""
 
 from __future__ import annotations
 
@@ -8,9 +9,15 @@ from pathlib import Path
 from typing import Sequence
 
 from afsterm import parse_afs
-from afsterm.orderings.poly import Expr, Const, SlotRef, AppSlot, Add, Mul, MaxE
+from afsterm.orderings import poly_search
+from afsterm.orderings.constraints import USER_KINDS, occurring_symbols
+from afsterm.orderings.poly import (
+    Expr, Const, SlotRef, AppSlot, Add, Mul, MaxE, Interpreter, PolyInterp,
+    SubtermMemo, compare_terms, valuation_for, _canon_branch, _canon_nf, _guard,
+)
 from afsterm.terms import (
     Term, Var, App, FunApp, Variable, SimpleType, Arrow, Base, lam, free_vars,
+    symbols_of,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -168,3 +175,80 @@ def nf_slots(nf) -> set:
             for f in factors:
                 factor(f)
     return out
+
+
+def nf_add_reference(a, b):
+    """`nf_add` as a re-sort and re-merge of every pair of branches."""
+    return _guard(_canon_nf([_canon_branch(list(x) + list(y)) for x in a for y in b]))
+
+
+def chronological_search_poly(cs, coef_bound: int = 3):
+    """The polynomial search as a plain chronological DFS over
+    `symbol_order`: try every option at each position in turn, check each
+    constraint once all its symbols are assigned, and prune when no strict
+    candidate can still hold strictly.  No backjumping, and one cache of
+    comparisons keyed by the templates of the constraint's symbols."""
+    symbols = occurring_symbols(cs)
+    s_names = {f.display for f in cs.S}
+    options = {f.display: poly_search.candidate_templates(f, f.display in s_names, coef_bound)
+               for f in symbols}
+    if any(not opts for opts in options.values()):
+        return None
+    constraints = [(False, c.lhs, c.rhs) for c in cs.weak]
+    constraints += [(True, c.lhs, c.rhs) for c in cs.strict_candidates]
+    con_syms = [tuple(sorted(f.display for f in symbols_of(lhs) | symbols_of(rhs)
+                             if f.kind in USER_KINDS))
+                for _cand, lhs, rhs in constraints]
+    order = poly_search.symbol_order(set(options), [frozenset(s) for s in con_syms])
+    pos_of = {name: i for i, name in enumerate(order)}
+    last_at = [max((pos_of[s] for s in syms), default=-1) for syms in con_syms]
+    ready: dict[int, list[int]] = {}
+    for ci, p in enumerate(last_at):
+        ready.setdefault(p, []).append(ci)
+    last_cand = max((p for (cand, _l, _r), p in zip(constraints, last_at) if cand),
+                    default=-1)
+    memo = SubtermMemo(t for _c, lhs, rhs in constraints for t in (lhs, rhs))
+    vals = [valuation_for([lhs, rhs]) for _c, lhs, rhs in constraints]
+    assign: dict = {}
+    status: dict[int, bool] = {}
+    cache: dict = {}
+
+    def holds(ci: int, strict: bool) -> bool:
+        key = (ci, strict, tuple([id(assign[s]) for s in con_syms[ci]]))
+        if key not in cache:
+            _cand, lhs, rhs = constraints[ci]
+            interp = Interpreter(assign, memo, vals[ci])
+            cache[key] = compare_terms(lhs, rhs, interp, strict=strict)
+        return cache[key]
+
+    def place(ci: int) -> bool:
+        if not holds(ci, False):
+            return False
+        if constraints[ci][0]:
+            status[ci] = holds(ci, True)
+        return True
+
+    def strict_pairs() -> tuple:
+        cands = range(len(cs.weak), len(constraints))
+        return tuple(c.pair_index for ci, c in zip(cands, cs.strict_candidates)
+                     if status.get(ci))
+
+    def dfs(p: int):
+        if p == len(order):
+            pairs = strict_pairs()
+            return PolyInterp(dict(assign), pairs) if pairs else None
+        for fun in options[order[p]]:
+            assign[order[p]] = fun
+            if all(place(ci) for ci in ready.get(p, ())) \
+                    and (p < last_cand or strict_pairs()):
+                found = dfs(p + 1)
+                if found is not None:
+                    return found
+        del assign[order[p]]
+        return None
+
+    if not all(place(ci) for ci in ready.get(-1, ())):
+        return None
+    if last_cand == -1 and not strict_pairs():
+        return None
+    return dfs(0)

@@ -30,7 +30,10 @@ from afsterm.terms import (
     Base, Arrow, Variable, Var, term_text, type_of, apply_subst, free_vars,
 )
 
-from helpers import load, random_term, eval_nf, nf_slots, MONOTONE_SAMPLES
+from helpers import (
+    load, corpus_names, random_term, eval_nf, nf_slots, chronological_search_poly,
+    MONOTONE_SAMPLES,
+)
 
 nat = Base("nat")
 
@@ -321,10 +324,52 @@ class TestSubtermMemo:
                     assert memos and all(m() is None for m in memos)
         finally:
             gc.enable()
-        assert counts == [36025, 3364] * 2
+        assert counts == [36025, 2319] * 2
         for module in (poly, poly_search):
             assert not [k for k, v in vars(module).items()
                         if isinstance(v, dict) and v and not k.startswith("__")]
+
+
+class TestBackjumping:
+    def test_same_certificate_as_the_chronological_search(self, monkeypatch):
+        # every SCC of every corpus system, with the candidate lists cut to
+        # their first k templates so that both searches run to the end
+        full = poly_search.candidate_templates
+        outcomes = []
+        for name in corpus_names():
+            for spfp_drop in (True, False):
+                prob, comps = problem_and_sccs(name, spfp_drop)
+                for scc in comps:
+                    cs = build_constraints(scc, prob)
+                    for k in (1, 2, 3, 4, 5, 6, 8, 10, 14):
+                        monkeypatch.setattr(poly_search, "candidate_templates",
+                                            lambda *args, k=k: full(*args)[:k])
+                        got = search_poly(cs, budget=600.0)
+                        assert got == chronological_search_poly(cs), (name, scc, k)
+                        outcomes.append(got is not None)
+        assert (outcomes.count(True), outcomes.count(False)) == (64, 260)
+
+    def test_deadline_ends_the_search_outright(self, monkeypatch):
+        # the clock passes the deadline at its 2000th reading; after that the
+        # search must neither compare again nor read the clock again
+        events = []
+        reads = []
+
+        def clock():
+            reads.append(1)
+            events.append("late" if len(reads) >= 2000 else "read")
+            return 1e9 if len(reads) >= 2000 else 0.0
+
+        def counted(*args, **kwargs):
+            events.append("compare")
+            return compare_terms(*args, **kwargs)
+
+        prob, comps = problem_and_sccs("fga")
+        cs = build_constraints(comps[0], prob)
+        monkeypatch.setattr(poly_search.time, "monotonic", clock)
+        monkeypatch.setattr(poly_search, "compare_terms", counted)
+        assert search_poly(cs, budget=10.0) is None
+        assert "compare" in events and events.index("late") == len(events) - 1
 
 
 class TestRpo:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from afsterm.orderings.poly import (
     PolyFun, Const, SlotRef, AppSlot, Add, Mul, MaxE,
-    nf_const, nf_slot, nf_atom, nf_add, nf_mul, nf_max, nf_geq,
+    Unsupported, nf_const, nf_slot, nf_atom, nf_add, nf_mul, nf_max, nf_geq,
 )
 from afsterm.orderings.rpo import (
     MSym, MTerm, MVar, MIdx, MBind, MFun, USER, APPK, LAMK, CONSTK,
@@ -16,7 +16,7 @@ from afsterm.orderings.rpo import (
 )
 from afsterm.terms import Base, Arrow, arrow
 
-from helpers import eval_expr, eval_nf, monotone_fun
+from helpers import eval_expr, eval_nf, monotone_fun, nf_add_reference
 
 nat = Base("nat")
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
@@ -76,6 +76,22 @@ def test_nf_geq_is_sound(pair, strict, valuations):
         for val in valuations:
             sv, tv = eval_nf(s, val), eval_nf(t, val)
             assert sv > tv if strict else sv >= tv
+
+
+# --------------------------------------------------------------------------
+# nf_add, which merges canonical sums in one pass, gives what re-sorting and
+# re-merging every pair of branches gives
+
+@PROPERTY
+@given(NORMAL_FORMS, NORMAL_FORMS)
+def test_nf_add_merges_like_a_full_re_sort(a, b):
+    try:
+        want = nf_add_reference(a, b)
+    except Unsupported:
+        with pytest.raises(Unsupported):
+            nf_add(a, b)
+    else:
+        assert nf_add(a, b) == want
 
 
 # --------------------------------------------------------------------------
