@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from .terms import (
@@ -66,7 +67,7 @@ class AFS:
     spfp: bool = False
     completed: bool = False
 
-    @property
+    @cached_property
     def defined_names(self) -> frozenset[str]:
         names = set()
         for rule in self.rules:

@@ -11,7 +11,7 @@ from typing import Optional, Union
 
 from .afs import AFS, complete, classify
 from .dp import DPProblem, dependency_pairs
-from .graph import approximate_graph, sccs, prune
+from .graph import DPGraph, approximate_graph, sccs, prune
 from .orderings import (
     build_constraints, subterm_criterion, Projection,
     search_poly, search_rpo, PolyInterp, ArgFunRPO, check_certificate,
@@ -106,16 +106,15 @@ def prove(afs: AFS, cfg: Optional[Config] = None) -> Proof:
         edge_count=graph.edge_count(),
     )]
 
+    pruned = prune(graph)
+    dropped = tuple(sorted(graph.alive - pruned.alive))
+    components = sccs(pruned)
     while True:
-        pruned = prune(graph)
-        dropped = tuple(sorted(graph.alive - pruned.alive))
         if dropped:
             steps.append(PruneStep(dropped))
-        graph = pruned
-        if graph.empty:
+        if not components:
             proof = Proof(YES, steps, problem)
             break
-        components = sccs(graph)
         scc = components[0]
         remaining = deadline - time.monotonic()
         if remaining <= 0:
@@ -131,12 +130,25 @@ def prove(afs: AFS, cfg: Optional[Config] = None) -> Proof:
             proof = Proof(MAYBE, steps, problem)
             break
         steps.append(step)
-        graph = graph.without(step.removed)
+        dropped, components = _split_first(graph, components, step.removed)
 
     errors = verify_proof(proof)
     if errors:
         raise InternalError("; ".join(errors))
     return proof
+
+
+def _split_first(graph: DPGraph, components: list[tuple[int, ...]],
+                 removed: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The first component loses `removed`. No other component changes, so
+    only the rest of the first is decomposed again. Returns the nodes of the
+    first that now lie on no cycle (the next prune step) and the new
+    component list, ordered by smallest member as `sccs` orders it."""
+    rest = DPGraph(graph.pairs, graph.edges, frozenset(components[0]) - frozenset(removed))
+    parts = sccs(rest)
+    on_cycle = {i for part in parts for i in part}
+    dropped = tuple(sorted(rest.alive - on_cycle))
+    return dropped, sorted(components[1:] + parts, key=lambda c: c[0])
 
 
 def _discharge(scc: tuple[int, ...], problem: DPProblem, cfg: Config,
@@ -166,6 +178,9 @@ def verify_proof(proof: Proof) -> list[str]:
     problem = proof.problem
     errors: list[str] = []
     graph = approximate_graph(problem)
+    pruned = prune(graph)
+    pending = tuple(sorted(graph.alive - pruned.alive))
+    components = sccs(pruned)
     removed_total: list[int] = []
 
     steps = list(proof.steps)
@@ -180,22 +195,19 @@ def verify_proof(proof: Proof) -> list[str]:
             errors.append("duplicate preparation step")
             break
         if isinstance(step, PruneStep):
-            pruned = prune(graph)
-            expected = tuple(sorted(graph.alive - pruned.alive))
-            if expected != step.removed:
-                errors.append(f"prune step removed {step.removed}, expected {expected}")
+            if pending != step.removed:
+                errors.append(f"prune step removed {step.removed}, expected {pending}")
                 break
-            graph = pruned
+            graph = graph.without(pending)
+            pending = ()
             removed_total.extend(step.removed)
             continue
         if isinstance(step, GiveUp):
             break
         # an SCC step: the chosen set must be the first SCC of the graph
-        pruned = prune(graph)
-        if pruned.alive != graph.alive:
+        if pending:
             errors.append("missing prune step before an SCC step")
             break
-        components = sccs(graph)
         if not components:
             errors.append("SCC step on an empty graph")
             break
@@ -224,6 +236,7 @@ def verify_proof(proof: Proof) -> list[str]:
             break
         removed_total.extend(step.removed)
         graph = graph.without(step.removed)
+        pending, components = _split_first(graph, components, step.removed)
 
     if not errors:
         if proof.verdict == YES:

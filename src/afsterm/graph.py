@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .terms import (
-    Term, Var, BVar, Abs, FunApp, app_spine, type_of,
+    Term, Var, BVar, Abs, FunApp, FunctionSymbol, app_spine, head, type_of,
     PLAIN, FRESH,
 )
 from .dp import DependencyPair, DPProblem
@@ -89,14 +89,27 @@ def _may_follow(p: DependencyPair, q: DependencyPair, defined: frozenset[str]) -
 
 
 def approximate_graph(problem: DPProblem) -> DPGraph:
+    """Edges by `_may_follow`. A non-collapsing pair can only be followed by
+    pairs whose left-hand side has its right-hand side's head symbol, so it
+    is tested against that bucket alone; a collapsing pair against all."""
     defined = problem.afs.defined_names
-    n = len(problem.pairs)
+    pairs = problem.pairs
+    by_head: dict[FunctionSymbol, list[int]] = {}
+    for j, q in enumerate(pairs):
+        l_head = head(q.lhs)
+        if isinstance(l_head, FunApp):
+            by_head.setdefault(l_head.fn, []).append(j)
     edges: dict[int, frozenset[int]] = {}
-    for i, p in enumerate(problem.pairs):
-        edges[i] = frozenset(
-            j for j, q in enumerate(problem.pairs) if _may_follow(p, q, defined)
-        )
-    return DPGraph(problem.pairs, edges, frozenset(range(n)))
+    for i, p in enumerate(pairs):
+        r_head = head(p.rhs)
+        if p.collapsing:
+            candidates = range(len(pairs))
+        elif isinstance(r_head, FunApp):
+            candidates = by_head.get(r_head.fn, ())
+        else:
+            candidates = ()
+        edges[i] = frozenset(j for j in candidates if _may_follow(p, pairs[j], defined))
+    return DPGraph(pairs, edges, frozenset(range(len(pairs))))
 
 
 def sccs(g: DPGraph) -> list[tuple[int, ...]]:

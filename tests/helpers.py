@@ -4,11 +4,15 @@ versions of the normal-form sum and of the polynomial search."""
 
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
 import random
 from pathlib import Path
 from typing import Sequence
 
 from afsterm import parse_afs
+from afsterm.engine import GiveUp, Preparation, PruneStep, Proof, Step
+from afsterm.graph import _may_follow, approximate_graph, prune, sccs
 from afsterm.orderings import poly_search
 from afsterm.orderings.constraints import USER_KINDS, occurring_symbols
 from afsterm.orderings.poly import (
@@ -20,7 +24,9 @@ from afsterm.terms import (
     symbols_of,
 )
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def load(name: str):
@@ -29,6 +35,44 @@ def load(name: str):
 
 def corpus_names() -> list[str]:
     return sorted(p.stem for p in CORPUS.glob("*.afs"))
+
+
+def wide_system(seed: int) -> str:
+    """The source text of the benchmark's generated `wide` system."""
+    spec = importlib.util.spec_from_file_location("wide", ROOT / "perfbench" / "wide.py")
+    wide = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wide)
+    return wide.generate(seed)
+
+
+def all_pairs_edges(problem) -> dict[int, frozenset[int]]:
+    """The dependency graph's edges by `_may_follow` on every pair of pairs."""
+    defined = problem.afs.defined_names
+    return {i: frozenset(j for j, q in enumerate(problem.pairs) if _may_follow(p, q, defined))
+            for i, p in enumerate(problem.pairs)}
+
+
+def rederived_steps(proof: Proof) -> list[Step]:
+    """The steps of `proof` with the graph work redone from scratch after
+    every step: prune the whole graph, then put the first SCC of the whole
+    graph into the next SCC step (or give-up) of the proof."""
+    graph = approximate_graph(proof.problem)
+    steps: list[Step] = [proof.steps[0]]
+    assert isinstance(steps[0], Preparation)
+    discharges = iter([s for s in proof.steps[1:] if not isinstance(s, PruneStep)])
+    while True:
+        pruned = prune(graph)
+        dropped = tuple(sorted(graph.alive - pruned.alive))
+        if dropped:
+            steps.append(PruneStep(dropped))
+        graph = pruned
+        step = next(discharges, None)
+        if step is None:
+            return steps
+        steps.append(dataclasses.replace(step, scc=sccs(graph)[0]))
+        if isinstance(step, GiveUp):
+            return steps
+        graph = graph.without(step.removed)
 
 
 def random_term(rng: random.Random, afs, ty: SimpleType, size: int,
@@ -187,7 +231,9 @@ def chronological_search_poly(cs, coef_bound: int = 3):
     `symbol_order`: try every option at each position in turn, check each
     constraint once all its symbols are assigned, and prune when no strict
     candidate can still hold strictly.  No backjumping, and one cache of
-    comparisons keyed by the templates of the constraint's symbols."""
+    comparisons keyed by the option indices of the constraint's symbols: a
+    node looks up one row per constraint it checks, keyed by the indices at
+    the earlier positions, and indexes it by the option it tries."""
     symbols = occurring_symbols(cs)
     s_names = {f.display for f in cs.S}
     options = {f.display: poly_search.candidate_templates(f, f.display in s_names, coef_bound)
@@ -202,6 +248,7 @@ def chronological_search_poly(cs, coef_bound: int = 3):
     order = poly_search.symbol_order(set(options), [frozenset(s) for s in con_syms])
     pos_of = {name: i for i, name in enumerate(order)}
     last_at = [max((pos_of[s] for s in syms), default=-1) for syms in con_syms]
+    earlier = [sorted({pos_of[s] for s in syms} - {p}) for syms, p in zip(con_syms, last_at)]
     ready: dict[int, list[int]] = {}
     for ci, p in enumerate(last_at):
         ready.setdefault(p, []).append(ci)
@@ -210,22 +257,26 @@ def chronological_search_poly(cs, coef_bound: int = 3):
     memo = SubtermMemo(t for _c, lhs, rhs in constraints for t in (lhs, rhs))
     vals = [valuation_for([lhs, rhs]) for _c, lhs, rhs in constraints]
     assign: dict = {}
+    chosen: list[int] = []  # the option index at each assigned position
     status: dict[int, bool] = {}
     cache: dict = {}
 
-    def holds(ci: int, strict: bool) -> bool:
-        key = (ci, strict, tuple([id(assign[s]) for s in con_syms[ci]]))
-        if key not in cache:
+    def rows(p: int) -> list:
+        return [(ci, cache.setdefault((ci, tuple([chosen[q] for q in earlier[ci]])), {}))
+                for ci in ready.get(p, ())]
+
+    def holds(ci: int, row: dict, k: int, strict: bool) -> bool:
+        if (k, strict) not in row:
             _cand, lhs, rhs = constraints[ci]
             interp = Interpreter(assign, memo, vals[ci])
-            cache[key] = compare_terms(lhs, rhs, interp, strict=strict)
-        return cache[key]
+            row[k, strict] = compare_terms(lhs, rhs, interp, strict=strict)
+        return row[k, strict]
 
-    def place(ci: int) -> bool:
-        if not holds(ci, False):
+    def place(ci: int, row: dict, k: int) -> bool:
+        if not holds(ci, row, k, False):
             return False
         if constraints[ci][0]:
-            status[ci] = holds(ci, True)
+            status[ci] = holds(ci, row, k, True)
         return True
 
     def strict_pairs() -> tuple:
@@ -237,17 +288,21 @@ def chronological_search_poly(cs, coef_bound: int = 3):
         if p == len(order):
             pairs = strict_pairs()
             return PolyInterp(dict(assign), pairs) if pairs else None
-        for fun in options[order[p]]:
+        checks = rows(p)
+        chosen.append(0)
+        for k, fun in enumerate(options[order[p]]):
             assign[order[p]] = fun
-            if all(place(ci) for ci in ready.get(p, ())) \
+            chosen[p] = k
+            if all(place(ci, row, k) for ci, row in checks) \
                     and (p < last_cand or strict_pairs()):
                 found = dfs(p + 1)
                 if found is not None:
                     return found
         del assign[order[p]]
+        chosen.pop()
         return None
 
-    if not all(place(ci) for ci in ready.get(-1, ())):
+    if not all(place(ci, row, 0) for ci, row in rows(-1)):
         return None
     if last_cand == -1 and not strict_pairs():
         return None

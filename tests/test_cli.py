@@ -7,7 +7,7 @@ import pytest
 
 from afsterm.cli import main
 
-from helpers import CORPUS
+from helpers import CORPUS, GOLDEN
 
 
 def run_cli(capsys, *argv):
@@ -62,13 +62,11 @@ class TestProve:
 
 
 class TestCheck:
-    def test_round_trip_all_corpus(self, capsys, tmp_path):
+    def test_round_trip_all_corpus(self, capsys):
+        # the goldens are pinned to `prove -v` output by TestGoldenProofs
         for path in sorted(CORPUS.glob("*.afs")):
-            code, out, _ = run_cli(capsys, "prove", str(path), "--timeout", "50")
-            assert code == 0
-            proof_file = tmp_path / (path.stem + ".proof")
-            proof_file.write_text(out)
-            code, out2, err = run_cli(capsys, "check", str(path), str(proof_file))
+            proof_file = GOLDEN / (path.stem + ".proof")
+            code, _, err = run_cli(capsys, "check", str(path), str(proof_file))
             assert code == 0, f"{path.name}: {err}"
 
     @pytest.mark.parametrize("system, old, new", [

@@ -1,7 +1,6 @@
 """The proving loop: verdicts, determinism, self-verification, corpus."""
 
 import random
-from pathlib import Path
 
 import pytest
 
@@ -12,9 +11,12 @@ from afsterm.engine import (
     Config, prove, run_corpus, verify_proof, YES, MAYBE, Preparation, GiveUp,
     ReductionPairStep, SubtermStep,
 )
+from afsterm.prooftext import check_proof_text, render_proof
 from afsterm.terms import bounded_reductions, Base
 
-from helpers import load, CORPUS, corpus_names, random_closed_term
+from helpers import (
+    load, CORPUS, GOLDEN, corpus_names, random_closed_term, rederived_steps, wide_system,
+)
 
 
 class TestVerdicts:
@@ -37,9 +39,6 @@ class TestVerdicts:
         assert proof.verdict == YES
         assert len(proof.steps) == 1
         assert isinstance(proof.steps[0], Preparation)
-
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestGoldenProofs:
@@ -92,12 +91,54 @@ class TestSelfVerification:
         broken = type(proof)(YES, proof.steps, proof.problem)
         assert verify_proof(broken)
 
+    def test_missing_prune_step_detected(self):
+        afs = load("eval")
+        text = (GOLDEN / "eval.proof").read_text()
+        assert check_proof_text(text.replace("PRUNE\n  removed: 3\n", ""), afs) == [
+            "missing prune step before an SCC step"]
+
+    def test_scc_out_of_order_detected(self):
+        afs = load("eval")
+        text = (GOLDEN / "eval.proof").read_text()
+        swapped = text.replace("scc: 0\n", "scc: X\n").replace("scc: 1\n", "scc: 0\n") \
+            .replace("scc: X\n", "scc: 1\n")
+        assert swapped != text
+        assert check_proof_text(swapped, afs) == ["step works on (1,), expected SCC (0,)"]
+
     def test_strict_bookkeeping(self):
         proof = prove(load("eval"))
         for step in proof.steps:
             if isinstance(step, (SubtermStep, ReductionPairStep)):
                 assert set(step.removed) <= set(step.scc)
                 assert step.removed
+
+
+class TestIncrementalDecomposition:
+    # f(s(x)) => g(x) and g(x) => f(x): one SCC of two pairs; removing the
+    # f# pair leaves the g# pair on no cycle, so a PRUNE follows the step
+    MID_PRUNE = ("SIG\n  s : [nat] -> nat\n  f : [nat] -> nat\n  g : [nat] -> nat\n"
+                 "VARS\n  x : nat\nRULES\n  f(s(x)) => g(x)\n  g(x) => f(x)\n")
+    PRUNE_1 = "PRUNE\n  removed: 1\n"
+
+    def test_prune_after_an_scc_step(self):
+        afs = parse_afs(self.MID_PRUNE)
+        text = render_proof(prove(afs))
+        assert text.endswith("STEP\n  scc: 0 1\n  SUBTERM CRITERION nu(f#) = 1, nu(g#) = 1\n"
+                             "  strict: 0\n  removed: 0\n" + self.PRUNE_1 + "END\n")
+        assert check_proof_text(text, afs) == []
+        assert check_proof_text(text.replace(self.PRUNE_1, ""), afs) == [
+            "verdict YES but pairs remain"]
+        assert check_proof_text(text.replace(self.PRUNE_1, "PRUNE\n  removed: 0\n"), afs) == [
+            "prune step removed (0,), expected (1,)"]
+
+    @pytest.mark.parametrize("name", corpus_names() + ["wide-0", "wide-3"])
+    def test_same_steps_as_a_from_scratch_replay(self, name):
+        if name.startswith("wide-"):
+            afs = parse_afs(wide_system(int(name[5:])))
+        else:
+            afs = load(name)
+        proof = prove(afs)
+        assert rederived_steps(proof) == proof.steps
 
 
 class TestSoundnessHarness:

@@ -2,11 +2,15 @@
 
 import random
 
+import pytest
+
+from afsterm import parse_afs
 from afsterm.afs import complete, classify
 from afsterm.dp import dependency_pairs
+from afsterm.engine import _split_first
 from afsterm.graph import DPGraph, approximate_graph, prune, sccs, to_dot
 
-from helpers import load
+from helpers import all_pairs_edges, corpus_names, load, wide_system
 
 
 def build(name, spfp_drop=True):
@@ -39,6 +43,17 @@ class TestApproximation:
         }
         for i, targets in expected.items():
             assert g.out_edges(i) == frozenset(targets), f"node {i}"
+
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_head_buckets_give_the_all_pairs_edges(self, name):
+        for spfp_drop in (True, False):
+            prob, g = build(name, spfp_drop)
+            assert g.edges == all_pairs_edges(prob), spfp_drop
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_head_buckets_give_the_all_pairs_edges_on_wide(self, seed):
+        prob = dependency_pairs(classify(complete(parse_afs(wide_system(seed)))))
+        assert approximate_graph(prob).edges == all_pairs_edges(prob)
 
     def test_collapsing_node_reaches_everything(self):
         prob, g = build("twice")
@@ -138,6 +153,34 @@ class TestSccOracle:
             got = sccs(g)
             want = self.brute_sccs(n, edges)
             assert got == want, f"trial {trial}: {edges}"
+
+
+class TestSplitFirst:
+    def test_matches_a_from_scratch_decomposition(self):
+        # remove a random non-empty part of the first SCC until no SCC is
+        # left; after each removal the pruned nodes and the component list
+        # must be those of the whole remaining graph
+        rng = random.Random(7)
+        rounds = 0
+        for trial in range(150):
+            n = rng.randrange(1, 16)
+            edges = {i: frozenset(j for j in range(n) if rng.random() < 0.3)
+                     for i in range(n)}
+            g = prune(DPGraph(tuple(range(n)), edges, frozenset(range(n))))
+            components = sccs(g)
+            while components:
+                first = components[0]
+                removed = tuple(sorted(rng.sample(first, rng.randrange(1, len(first) + 1))))
+                dropped, components = _split_first(g, components, removed)
+                g = g.without(removed)
+                pruned = prune(g)
+                assert set(dropped) == g.alive - pruned.alive, (trial, removed)
+                assert components == sccs(pruned), (trial, removed)
+                alive_edges = {i: edges[i] & pruned.alive for i in pruned.alive}
+                assert components == TestSccOracle.brute_sccs(n, alive_edges)
+                g = pruned
+                rounds += 1
+        assert rounds > 300
 
 
 def test_dot_output():

@@ -2,16 +2,18 @@
 
 import pytest
 
+from afsterm.afs import classify, complete
+from afsterm.dp import dependency_pairs
 from afsterm.engine import Config, prove
 from afsterm.orderings.poly import expr_text
 from afsterm.parser import SymbolTable
 from afsterm.prooftext import (
-    parse_polyfun, parse_pi_template, render_proof, check_proof_text,
+    parse_polyfun, parse_pi_template, parse_proof, render_proof, check_proof_text,
     ProofSyntaxError,
 )
 from afsterm.terms import term_text
 
-from helpers import load, CORPUS
+from helpers import load, corpus_names, GOLDEN
 
 
 class TestExprGrammar:
@@ -106,10 +108,14 @@ class TestHandWrittenProof:
             assert check_proof_text(broken, afs)
 
     def test_all_corpus_proofs_round_trip_verbose(self):
-        for path in sorted(CORPUS.glob("*.afs")):
-            from afsterm import parse_afs
-            afs = parse_afs(path.read_text())
-            proof = prove(afs, Config(timeout=50.0))
+        # the goldens are pinned to `prove -v` output by TestGoldenProofs
+        for name in corpus_names():
+            afs = load(name)
+            golden = (GOLDEN / f"{name}.proof").read_text()
+            problem = dependency_pairs(classify(complete(afs)))
+            proof, mismatches = parse_proof(golden, problem)
+            assert mismatches == [], name
+            assert render_proof(proof, 1) == golden, name
             for verbosity in (0, 1):
                 text = render_proof(proof, verbosity)
-                assert check_proof_text(text, afs) == [], path.name
+                assert check_proof_text(text, afs) == [], name
