@@ -6,6 +6,10 @@ to a max of sums of monomials over base slots and applied functional slots,
 then decides coverage branch by branch.  The comparator is sound but
 incomplete; a bounded total-order case split handles the interplay between
 max branches and monotone functional slots.
+
+`PointInterpreter` is the same interpretation at two fixed valuations by
+naturals and monotone functions.  The comparator is sound for every such
+valuation, so a comparison that fails at either point is one it rejects.
 """
 
 from __future__ import annotations
@@ -422,15 +426,45 @@ class Interpreter:
     also binds the abstraction's variable.
     """
 
+    # the value domain: normal forms
+    zero = staticmethod(zero_sem)
+    flat = staticmethod(flat_sem)
+    max_with = staticmethod(sem_max)
+    join = staticmethod(sem_join)
+    apply = staticmethod(apply_polyfun)
+
     def __init__(self, assign: dict[str, PolyFun],
                  memo: Optional[SubtermMemo] = None,
                  val: Optional[dict[Variable, SemVal]] = None):
         self.assign = assign
         self.memo = memo
         self.val = val
+        self.table = None if memo is None else memo.table
 
     def valuation(self, lhs: Term, rhs: Term) -> dict[Variable, SemVal]:
         return valuation_for([lhs, rhs]) if self.val is None else self.val
+
+    def eta(self, i: int, ty: SimpleType) -> SemVal:
+        """The shared argument that eta-expands functional sides."""
+        return slot_sem(f"eta:{i}", ty)
+
+    def sides(self, lhs: Term, rhs: Term) -> tuple:
+        """Interpret both sides under a shared valuation; eta-expand
+        functional comparisons down to two base values."""
+        val = self.valuation(lhs, rhs)
+        lv = self.interp(lhs, val)
+        rv = self.interp(rhs, val)
+        i = 0
+        while isinstance(lv, SFun):
+            if not isinstance(rv, SFun):
+                raise Unsupported("sides of different functional depth")
+            arg = self.eta(i, lv.type.left)
+            lv = lv(arg)
+            rv = rv(arg)
+            i += 1
+        if isinstance(rv, SFun):
+            raise Unsupported("sides of different functional depth")
+        return lv, rv
 
     def interp(self, t: Term, val: dict[Variable, SemVal]) -> SemVal:
         memo = self.memo
@@ -441,9 +475,10 @@ class Interpreter:
             return self._interp(t, val)
         assign = self.assign
         key = (entry[1], tuple([id(assign.get(s)) for s in entry[2]]))
-        hit = memo.table.get(key)
+        table = self.table
+        hit = table.get(key)
         if hit is None:
-            hit = memo.table[key] = self._interp(t, val)
+            hit = table[key] = self._interp(t, val)
         return hit
 
     def _interp(self, t: Term, val: dict[Variable, SemVal]) -> SemVal:
@@ -466,19 +501,127 @@ class Interpreter:
             a = self.interp(t.arg, val)
             if not isinstance(f, SFun):
                 raise Unsupported("application of a base value")
-            return sem_max(f(a), flat_sem(a))
+            return self.max_with(f(a), self.flat(a))
         assert isinstance(t, FunApp)
         f = t.fn
         if f.kind == FRESH:
-            return zero_sem(f.decl.output)
+            return self.zero(f.decl.output)
         if f.kind == EXT and f.name.startswith("!p{"):
             args = [self.interp(a, val) for a in t.args]
-            return sem_join(args[0], args[1])
+            return self.join(args[0], args[1])
         fun = self.assign.get(f.display)
         if fun is None:
             raise Unsupported(f"no interpretation for {f.display}")
         args = [self.interp(a, val) for a in t.args]
-        return apply_polyfun(fun, args, f.decl.output)
+        return self.apply(fun, args, f.decl.output)
+
+
+# --------------------------------------------------------------------------
+# concrete values at two fixed points
+#
+# A base value is a pair of naturals, the term's value at point A and at
+# point B, computed in one pass.  At A every variable and eta slot is 0 and
+# a functional one sums its arguments; at B the i-th variable of
+# `point_valuation` is i + 1, a functional one adds i + 1 to that sum, and
+# eta slots are as at A.  Functional values are `SFun`s over pairs.
+
+Pair = tuple
+
+
+def _pt_zero(ty: SimpleType):
+    if ty.is_base():
+        return (0, 0)
+    return SFun(ty, lambda _arg: _pt_zero(ty.right))
+
+
+def _pt_flat(v) -> Pair:
+    while isinstance(v, SFun):
+        v = v(_pt_zero(v.type.left))
+    return v
+
+
+def _pt_max(v, y: Pair):
+    if isinstance(v, SFun):
+        return SFun(v.type, lambda arg, v=v, y=y: _pt_max(v(arg), y))
+    return (v[0] if v[0] >= y[0] else y[0], v[1] if v[1] >= y[1] else y[1])
+
+
+def _pt_join(a, b):
+    if isinstance(a, SFun):
+        return SFun(a.type, lambda arg, a=a, b=b: _pt_join(a(arg), b(arg)))
+    return (a[0] if a[0] >= b[0] else b[0], a[1] if a[1] >= b[1] else b[1])
+
+
+def point_slot(c: int, ty: SimpleType):
+    """An opaque slot at the two points: a base one is (0, c); a functional
+    one sums its arguments, plus c at point B."""
+    if ty.is_base():
+        return (0, c)
+
+    def chain(a: int, b: int, t: SimpleType) -> SFun:
+        def fn(arg):
+            if isinstance(arg, SFun):
+                raise Unsupported("functional argument to an opaque slot")
+            if t.right.is_base():
+                return (a + arg[0], b + arg[1])
+            return chain(a + arg[0], b + arg[1], t.right)
+        return SFun(t, fn)
+
+    return chain(0, c, ty)
+
+
+def _body_pt(e: Expr, env: tuple) -> Pair:
+    if isinstance(e, Const):
+        return (e.value, e.value)
+    if isinstance(e, SlotRef):
+        return env[e.index]
+    if isinstance(e, AppSlot):
+        v = env[e.index]
+        for a in e.args:
+            v = v(_body_pt(a, env))
+        return v
+    parts = [_body_pt(p, env) for p in e.parts]
+    if isinstance(e, Add):
+        return (sum([p[0] for p in parts]), sum([p[1] for p in parts]))
+    if isinstance(e, Mul):
+        a = b = 1
+        for pa, pb in parts:
+            a *= pa
+            b *= pb
+        return (a, b)
+    assert isinstance(e, MaxE)
+    return (max([p[0] for p in parts]), max([p[1] for p in parts]))
+
+
+def _apply_pt(fun: PolyFun, args: Sequence, out_type: SimpleType):
+    if len(args) == len(fun.slot_types):
+        return _body_pt(fun.body, tuple(args))
+    return SFun(out_type,
+                lambda a, args=tuple(args): _apply_pt(fun, args + (a,), out_type.right))
+
+
+class PointInterpreter(Interpreter):
+    """The integer twin of `Interpreter`: the values of terms at the two
+    points, memoized in the `SubtermMemo`'s point table.  `val` is then
+    `point_valuation` of every constraint of the search, so that a
+    variable's value depends only on its name and type there too."""
+
+    zero = staticmethod(_pt_zero)
+    flat = staticmethod(_pt_flat)
+    max_with = staticmethod(_pt_max)
+    join = staticmethod(_pt_join)
+    apply = staticmethod(_apply_pt)
+
+    def __init__(self, assign: dict[str, PolyFun],
+                 memo: Optional[SubtermMemo] = None, val: Optional[dict] = None):
+        super().__init__(assign, memo, val)
+        self.table = None if memo is None else memo.points
+
+    def valuation(self, lhs: Term, rhs: Term) -> dict:
+        return point_valuation([lhs, rhs]) if self.val is None else self.val
+
+    def eta(self, i: int, ty: SimpleType):
+        return point_slot(0, ty)
 
 
 class SubtermMemo:
@@ -491,12 +634,14 @@ class SubtermMemo:
     The index holds the constraint terms themselves, which keeps their ids
     valid while the memo lives; terms that interpretation builds are never
     looked up.  A failed interpretation raises before anything is stored.
+    `table` holds normal forms, `points` the pairs of `PointInterpreter`.
     """
 
     def __init__(self, terms: Iterable[Term]):
         # id(subterm) -> (subterm, shared key, sorted symbol names)
         self.index: dict[int, tuple[Term, int, tuple[str, ...]]] = {}
         self.table: dict[tuple, SemVal] = {}
+        self.points: dict[tuple, Pair] = {}
         keys: dict[Term, int] = {}
         todo = list(terms)
         while todo:
@@ -516,31 +661,40 @@ class SubtermMemo:
             self.index[id(t)] = (t, keys.setdefault(t, len(keys)), syms)
 
 
-def valuation_for(terms: Sequence[Term]) -> dict[Variable, SemVal]:
+def _sorted_vars(terms: Iterable[Term]) -> list[Variable]:
     vs: set[Variable] = set()
     for t in terms:
         vs |= free_vars(t)
+    return sorted(vs, key=lambda v: (v.name, type_text(v.type)))
+
+
+def valuation_for(terms: Sequence[Term]) -> dict[Variable, SemVal]:
     return {v: slot_sem(f"v:{v.name}:{type_text(v.type)}", v.type)
-            for v in sorted(vs, key=lambda v: (v.name, type_text(v.type)))}
+            for v in _sorted_vars(terms)}
+
+
+def point_valuation(terms: Iterable[Term]) -> dict[Variable, object]:
+    """The variables of `terms` at the two points, numbered from 1 in
+    `valuation_for`'s order."""
+    return {v: point_slot(i + 1, v.type) for i, v in enumerate(_sorted_vars(terms))}
 
 
 def sides_to_nf(lhs: Term, rhs: Term, interp: Interpreter) -> tuple[NF, NF]:
     """Interpret both sides under a shared valuation; eta-expand functional
     comparisons with shared fresh slots."""
-    val = interp.valuation(lhs, rhs)
-    lv = interp.interp(lhs, val)
-    rv = interp.interp(rhs, val)
-    i = 0
-    while isinstance(lv, SFun):
-        if not isinstance(rv, SFun):
-            raise Unsupported("sides of different functional depth")
-        arg = slot_sem(f"eta:{i}", lv.type.left)
-        lv = lv(arg)
-        rv = rv(arg)
-        i += 1
-    if not isinstance(rv, SBase) or not isinstance(lv, SBase):
-        raise Unsupported("sides of different functional depth")
+    lv, rv = interp.sides(lhs, rhs)
     return lv.nf, rv.nf
+
+
+def point_slack(lhs: Term, rhs: Term, interp: PointInterpreter) -> Optional[int]:
+    """The least of lhs - rhs over the two points, or None when the sides
+    cannot be interpreted.  Below 0 `compare_terms` rejects lhs >= rhs; at
+    or below 0 it rejects lhs > rhs."""
+    try:
+        (la, lb), (ra, rb) = interp.sides(lhs, rhs)
+    except Unsupported:
+        return None
+    return min(la - ra, lb - rb)
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,14 @@ earlier positions its failure depends on, and a level whose own position is
 not among them passes them up instead of trying its next option.  Only
 subtrees without a certificate are skipped, so the first certificate in
 chronological order is the one found.
+
+Most comparisons fail, so each is first evaluated at two fixed points
+(`PointInterpreter`): valuations by naturals and monotone functions, under
+which `compare_terms`, sound for all of them, cannot accept a side that is
+smaller there.  A weak comparison whose lhs is below its rhs at a point, or
+a strict one whose lhs is at most its rhs there, is decided without
+building normal forms; anything else, and any comparison the points cannot
+evaluate, goes to `compare_terms`.  So the filter changes no verdict.
 """
 
 from __future__ import annotations
@@ -24,8 +32,8 @@ from ..terms import Term, FunctionSymbol, SimpleType, symbols_of
 from .constraints import ConstraintSet, USER_KINDS, occurring_symbols
 from .poly import (
     PolyFun, PolyInterp, Expr, Const, SlotRef, AppSlot, Add, Mul, MaxE,
-    Interpreter, SubtermMemo, compare_terms, expr_weight, slot_types_for,
-    recovers_argument, valuation_for,
+    Interpreter, PointInterpreter, SubtermMemo, compare_terms, expr_weight,
+    slot_types_for, recovers_argument, valuation_for, point_valuation, point_slack,
 )
 from .poly import nf_geq  # noqa: F401  (perfbench's layer tracer wraps it here)
 
@@ -241,16 +249,25 @@ def search_poly(cs: ConstraintSet, budget: float = 10.0,
     # option at its last position: 0 weak fails, 1 weak holds, 2 strict holds
     tables: dict[tuple, list] = {}
     memo = SubtermMemo(t for pair in constraints for t in pair)
-    vals = [valuation_for(pair) for pair in constraints]
+    # the interpreters read `assign` as the search changes it
+    interps = [Interpreter(assign, memo, valuation_for(pair)) for pair in constraints]
+    at_points = PointInterpreter(
+        assign, memo, point_valuation(t for pair in constraints for t in pair))
 
     def verdict(ci: int) -> int:
         if time.monotonic() > deadline:
             raise _Deadline
         lhs, rhs = constraints[ci]
-        interp = Interpreter(assign, memo, vals[ci])
+        # refute at the two points before building normal forms
+        slack = point_slack(lhs, rhs, at_points)
+        if slack is not None and slack < 0:
+            return 0
+        interp = interps[ci]
         if not compare_terms(lhs, rhs, interp, strict=False):
             return 0
-        return 2 if ci >= first_cand and compare_terms(lhs, rhs, interp, strict=True) else 1
+        if ci < first_cand or slack == 0:
+            return 1
+        return 2 if compare_terms(lhs, rhs, interp, strict=True) else 1
 
     result: Optional[PolyInterp] = None
 

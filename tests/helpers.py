@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import random
+from collections import defaultdict
 from pathlib import Path
 from typing import Sequence
 
@@ -21,7 +22,7 @@ from afsterm.orderings.poly import (
 )
 from afsterm.terms import (
     Term, Var, App, FunApp, Variable, SimpleType, Arrow, Base, lam, free_vars,
-    symbols_of,
+    symbols_of, type_text,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -200,6 +201,24 @@ def eval_nf(nf, assign: dict) -> int:
             total += prod
         best = max(best, total)
     return best
+
+
+class PointValue(int):
+    """A slot's value at one of the two points of `PointInterpreter`;
+    called as an atom, the sum of its arguments plus that value."""
+
+    def __call__(self, *args: int) -> int:
+        return sum(args) + self
+
+
+def point_assignments(pval: dict) -> tuple[dict, dict]:
+    """`eval_nf` assignments of the two points of the point valuation
+    `pval`: at A every slot is 0 and every atom sums its arguments; at B the
+    i-th variable of `pval` is i + 1 (eta slots stay as at A)."""
+    at_b = defaultdict(lambda: PointValue(0))
+    for i, v in enumerate(sorted(pval, key=lambda v: (v.name, type_text(v.type)))):
+        at_b[f"v:{v.name}:{type_text(v.type)}"] = PointValue(i + 1)
+    return defaultdict(lambda: PointValue(0)), at_b
 
 
 def nf_slots(nf) -> set:

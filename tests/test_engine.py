@@ -1,6 +1,7 @@
 """The proving loop: verdicts, determinism, self-verification, corpus."""
 
 import random
+import zlib
 
 import pytest
 
@@ -146,7 +147,7 @@ class TestSoundnessHarness:
     def test_no_loops_from_random_starts(self, name):
         afs = classify(complete(load(name)))
         assert prove(load(name)).verdict == YES
-        rng = random.Random(hash(name) % 1000)
+        rng = random.Random(zlib.crc32(name.encode()))
         base_types = sorted({f.decl.output.base_result().name for f in afs.signature})
         found = 0
         for _ in range(50):

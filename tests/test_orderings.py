@@ -23,16 +23,17 @@ from afsterm.orderings.constraints import (
 from afsterm.orderings.poly import (
     Interpreter, SubtermMemo, compare_terms, PolyFun, Const, SlotRef, AppSlot,
     Add, Mul, slot_types_for, sides_to_nf, valuation_for, Unsupported,
+    PointInterpreter, point_valuation, point_slack,
 )
 from afsterm.orderings.poly_search import candidate_templates
 from afsterm.parser import SymbolTable, parse_term_text
 from afsterm.terms import (
-    Base, Arrow, Variable, Var, term_text, type_of, apply_subst, free_vars,
+    Base, Arrow, Variable, Var, App, lam, term_text, type_of, apply_subst, free_vars,
 )
 
 from helpers import (
     load, corpus_names, random_term, eval_nf, nf_slots, chronological_search_poly,
-    MONOTONE_SAMPLES,
+    point_assignments, MONOTONE_SAMPLES,
 )
 
 nat = Base("nat")
@@ -302,12 +303,19 @@ class TestSubtermMemo:
             calls.append(1)
             return compare_terms(*args, **kwargs)
 
-        memos = []
+        memos, point_tables, point_writes = [], [], []
+
+        class PointTable(dict):
+            def __setitem__(self, key, value):
+                point_writes.append(1)
+                super().__setitem__(key, value)
 
         class Recorded(SubtermMemo):
             def __init__(self, terms):
                 super().__init__(terms)
+                self.points = PointTable()
                 memos.append(weakref.ref(self))
+                point_tables.append(weakref.ref(self.points))
 
         monkeypatch.setattr(poly_search, "compare_terms", counted)
         monkeypatch.setattr(poly_search, "SubtermMemo", Recorded)
@@ -319,15 +327,110 @@ class TestSubtermMemo:
             for _ in range(2):
                 for name in ("fga", "fromchain"):
                     calls.clear()
+                    point_writes.clear()
                     prove(load(name), cfg)
                     counts.append(len(calls))
+                    assert point_writes
                     assert memos and all(m() is None for m in memos)
+                    assert point_tables and all(t() is None for t in point_tables)
         finally:
             gc.enable()
-        assert counts == [36025, 2319] * 2
+        assert counts == [9424, 453] * 2
         for module in (poly, poly_search):
             assert not [k for k, v in vars(module).items()
-                        if isinstance(v, dict) and v and not k.startswith("__")]
+                        if isinstance(v, (dict, list, set)) and v and not k.startswith("__")]
+
+
+def sampled_comparisons(rng, per_scc):
+    """The constraints of every SCC of every corpus system, in both
+    `spfp_drop` modes, under `per_scc` sampled assignments of their first
+    four templates (a symbol is left unassigned now and then).  Yields
+    (lhs, rhs, assign, point interpreter, point valuation): one
+    `PointInterpreter` and memo per constraint set, as in a search."""
+    for name in corpus_names():
+        for spfp_drop in (True, False):
+            prob, comps = problem_and_sccs(name, spfp_drop)
+            for scc in comps:
+                cs = build_constraints(scc, prob)
+                s_names = {f.display for f in cs.S}
+                sides = [(c.lhs, c.rhs) for c in (*cs.weak, *cs.strict_candidates)]
+                terms = [t for pair in sides for t in pair]
+                options = {f.display: candidate_templates(f, f.display in s_names, 3)[:4]
+                           for f in occurring_symbols(cs)}
+                assign = {}
+                pval = point_valuation(terms)
+                at_points = PointInterpreter(assign, SubtermMemo(terms), pval)
+                for _ in range(per_scc):
+                    assign.clear()
+                    assign.update((s, rng.choice(opts)) for s, opts in options.items()
+                                  if rng.random() < 0.95)
+                    for lhs, rhs in sides:
+                        yield lhs, rhs, dict(assign), at_points, pval
+
+
+class TestPointFilter:
+    def test_points_refute_only_what_compare_terms_rejects(self):
+        refuted = {False: 0, True: 0}
+        held = 0
+        for lhs, rhs, assign, at_points, _ in sampled_comparisons(random.Random(7), 40):
+            slack = point_slack(lhs, rhs, at_points)
+            if slack is None:
+                continue
+            interp = Interpreter(assign)
+            for strict in (False, True):
+                if slack < strict:
+                    assert not compare_terms(lhs, rhs, interp, strict)
+                    refuted[strict] += 1
+                elif not strict:
+                    held += compare_terms(lhs, rhs, interp, strict)
+        assert refuted[False] > 2000 and refuted[True] > 5000 and held > 5000
+
+    def test_points_agree_with_the_normal_forms(self):
+        agreed = 0
+        for lhs, rhs, assign, at_points, pval in sampled_comparisons(random.Random(8), 40):
+            try:
+                nfs = sides_to_nf(lhs, rhs, Interpreter(assign))
+            except Unsupported:
+                nfs = None
+            try:
+                pairs = at_points.sides(lhs, rhs)
+            except Unsupported:
+                assert nfs is None  # the twins give up on the same terms
+                continue
+            if nfs is None:  # a normal form grew too large
+                continue
+            for k, at in enumerate(point_assignments(pval)):
+                assert [eval_nf(nf, at) for nf in nfs] == [p[k] for p in pairs]
+            agreed += 1
+        assert agreed > 5000
+
+    def test_unsupported_at_the_points_is_left_to_compare_terms(self, monkeypatch):
+        # a functional argument to an opaque functional variable: neither
+        # interpreter can represent F(\z. z)
+        afs = classify(complete(load("map")))
+        F = Variable("F", Arrow(Arrow(nat, nat), nat))
+        z = Variable("z", nat)
+        lhs = App(Var(F), lam(z, Var(z)))
+        cs = ConstraintSet(
+            (StrictCandidate(0, lhs, lhs),), (), (), MODE_NON_COLLAPSING, afs)
+        assert point_slack(lhs, lhs, PointInterpreter({})) is None
+        assert not compare_terms(lhs, lhs, Interpreter({}), strict=False)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["strict"])
+            return compare_terms(*args, **kwargs)
+
+        monkeypatch.setattr(poly_search, "compare_terms", counted)
+        assert search_poly(cs, budget=5.0) is None
+        assert calls == [False]
+        # the verdict is the comparator's: one that accepted both
+        # comparisons would orient the pair strictly
+        calls.clear()
+        monkeypatch.setattr(poly_search, "compare_terms",
+                            lambda *args, strict: calls.append(strict) or True)
+        assert search_poly(cs, budget=5.0) == poly.PolyInterp({}, (0,))
+        assert calls == [False, True]
 
 
 class TestBackjumping:

@@ -1,22 +1,27 @@
 """Property tests for the code the certificate checker trusts: the normal-form
 comparator `nf_geq`, the well-formedness rules of `PolyFun`, which stand in
 for a monotonicity check of each template, and the recursive path ordering
-that `check_argfun_rpo` re-runs."""
+that `check_argfun_rpo` re-runs; and for the point evaluator, which the
+search trusts to refute only what the comparator rejects."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from afsterm.orderings.poly import (
-    PolyFun, Const, SlotRef, AppSlot, Add, Mul, MaxE,
+    PolyFun, Const, SlotRef, AppSlot, Add, Mul, MaxE, Interpreter,
     Unsupported, nf_const, nf_slot, nf_atom, nf_add, nf_mul, nf_max, nf_geq,
+    PointInterpreter, point_valuation, sides_to_nf,
 )
 from afsterm.orderings.rpo import (
     MSym, MTerm, MVar, MIdx, MBind, MFun, USER, APPK, LAMK, CONSTK,
     Precedence, rpo_greater, rpo_geq,
 )
-from afsterm.terms import Base, Arrow, arrow
+from afsterm.terms import (
+    Base, Arrow, arrow, App, FunApp, FunctionSymbol, TypeDecl, Var, Variable, lam,
+    fresh_const, pairing_symbol,
+)
 
-from helpers import eval_expr, eval_nf, monotone_fun, nf_add_reference
+from helpers import eval_expr, eval_nf, monotone_fun, nf_add_reference, point_assignments
 
 nat = Base("nat")
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
@@ -192,6 +197,58 @@ def test_accepts_exactly_the_bodies_that_evaluate(body):
 def test_ill_formed_bodies_rejected(body, message):
     with pytest.raises(ValueError, match=message):
         PolyFun(SLOTS, body)
+
+
+# --------------------------------------------------------------------------
+# the point evaluator gives the values of the symbolic normal forms at its two
+# points, for terms over a symbol h whose template is a random body over SLOTS
+
+H = FunctionSymbol("h", TypeDecl(SLOTS, nat))
+FV, GV = Variable("F", SLOTS[0]), Variable("G", SLOTS[2])
+ZV, WV = Variable("z", nat), Variable("w", nat)
+
+
+def point_terms():
+    """(nat terms, nat -> nat terms) over h, the variables F, G, x, y and the
+    binder variables z, w (free where no abstraction binds them), a fresh
+    constant and the pairing symbol."""
+    leaf = st.sampled_from([Var(Variable(n, nat)) for n in "xyzw"] + [FunApp(fresh_const(nat))])
+
+    def extend(children):
+        binary = st.one_of(st.just(Var(GV)), children.map(lambda b: lam(ZV, lam(WV, b))))
+        unary = st.one_of(st.just(Var(FV)), children.map(lambda b: lam(ZV, b)),
+                          st.tuples(binary, children).map(lambda p: App(*p)))
+        return st.one_of(
+            st.tuples(unary, children, binary, children).map(lambda a: FunApp(H, a)),
+            st.tuples(unary, children).map(lambda p: App(*p)),
+            st.tuples(children, children).map(lambda p: FunApp(pairing_symbol(nat), p)),
+        )
+
+    nats = st.recursive(leaf, extend, max_leaves=6)
+    return nats, st.one_of(st.just(Var(FV)), nats.map(lambda b: lam(ZV, b)))
+
+
+POINT_NATS, POINT_UNARY = point_terms()
+
+
+@PROPERTY
+@given(well_formed_bodies(),
+       st.one_of(st.tuples(POINT_NATS, POINT_NATS), st.tuples(POINT_UNARY, POINT_UNARY)))
+def test_points_are_the_normal_forms_at_two_points(body, sides):
+    lhs, rhs = sides
+    assign = {"h": PolyFun(SLOTS, body)}
+    try:
+        nfs = sides_to_nf(lhs, rhs, Interpreter(assign))
+    except Unsupported:
+        nfs = None
+    try:
+        pairs = PointInterpreter(assign).sides(lhs, rhs)
+    except Unsupported:
+        assert nfs is None
+        return
+    if nfs is not None:  # else a normal form grew too large
+        for k, at in enumerate(point_assignments(point_valuation([lhs, rhs]))):
+            assert [eval_nf(nf, at) for nf in nfs] == [p[k] for p in pairs]
 
 
 # --------------------------------------------------------------------------
