@@ -10,9 +10,17 @@ those other positions and indexed by the option tried here.
 A failed subtree backjumps (conflict-directed backjumping, Prosser 1993,
 *Hybrid algorithms for the constraint satisfaction problem*): it returns the
 earlier positions its failure depends on, and a level whose own position is
-not among them passes them up instead of trying its next option.  Only
-subtrees without a certificate are skipped, so the first certificate in
-chronological order is the one found.
+not among them passes them up instead of trying its next option.  Each
+conflict set a level receives is also learned as a nogood (Dechter 1990,
+*Enhancement schemes for constraint processing*): the option indices at its
+positions, stored under its top position and keyed like the table rows.  A
+later node checks an option against the nogoods there only after the option
+passes its rows and the strictness check, whose conflict sets are smaller;
+an option a nogood rules out adds that nogood's other positions to the
+node's conflict set and is skipped.  A conflict set covers every position
+its failure depends on, strictness included, so every assignment agreeing
+with it fails.  Only subtrees without a certificate are skipped, so the
+first certificate in chronological order is the one found.
 
 Most comparisons fail, so each is first evaluated at two fixed points
 (`PointInterpreter`): valuations by naturals and monotone functions, under
@@ -195,6 +203,12 @@ class _Deadline(Exception):
     """The search budget ran out; ends the whole search at once."""
 
 
+class _Nogoods(dict):
+    """The nogoods learned at one position: mask of their other positions ->
+    (those positions, {their option indices -> mask of the options here that
+    they rule out})."""
+
+
 def search_poly(cs: ConstraintSet, budget: float = 10.0,
                 coef_bound: int = 3) -> Optional[PolyInterp]:
     """Enumerate interpretations; all constraints must hold weakly and at
@@ -248,6 +262,7 @@ def search_poly(cs: ConstraintSet, budget: float = 10.0,
     # (constraint, option indices at its other positions) -> one entry per
     # option at its last position: 0 weak fails, 1 weak holds, 2 strict holds
     tables: dict[tuple, list] = {}
+    learned = [_Nogoods() for _ in range(n)]
     memo = SubtermMemo(t for pair in constraints for t in pair)
     # the interpreters read `assign` as the search changes it
     interps = [Interpreter(assign, memo, valuation_for(pair)) for pair in constraints]
@@ -289,6 +304,13 @@ def search_poly(cs: ConstraintSet, budget: float = 10.0,
             if row is None:
                 row = tables[key] = [None] * len(opts[pos])
             rows.append((ci, mask, row, ci - first_cand))
+        nogoods = []
+        ruled_out = 0  # the options here that some nogood rules out
+        for mask, (others, table) in learned[pos].items():
+            ruled = table.get(tuple([chosen[q] for q in others]))
+            if ruled:
+                nogoods.append((mask, ruled))
+                ruled_out |= ruled
         needs_strict = pos >= last_cand_pos
         conflict = 0
         for i, fun in enumerate(opts[pos]):
@@ -307,12 +329,27 @@ def search_poly(cs: ConstraintSet, budget: float = 10.0,
                 if needs_strict and not any(strict):
                     conflict |= cand_mask  # no pair can still become strict
                     continue
+                if ruled_out >> i & 1:
+                    for mask, ruled in nogoods:
+                        if ruled >> i & 1:
+                            conflict |= mask
+                            break
+                    continue
                 below = dfs(pos + 1)
                 if below is None:
                     return None
                 if not below >> pos & 1:
                     return below  # no option here changes that failure
                 conflict |= below
+                # learn it: this option with those at its other positions fails
+                mask = below & ~(1 << pos)
+                entry = learned[pos].get(mask)
+                if entry is None:
+                    entry = learned[pos][mask] = (
+                        tuple(q for q in range(pos) if mask >> q & 1), {})
+                others, table = entry
+                key = tuple([chosen[q] for q in others])
+                table[key] = table.get(key, 0) | 1 << i
         return conflict & ~(1 << pos)
 
     try:
@@ -329,5 +366,5 @@ def search_poly(cs: ConstraintSet, budget: float = 10.0,
         return None
     finally:
         # dfs reaches itself through its closure; break that cycle so the
-        # memo and the tables are freed when the search returns
+        # memo, the tables and the nogoods are freed when the search returns
         dfs = None

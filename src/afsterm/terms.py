@@ -185,6 +185,25 @@ class BVar(Term):
     type: SimpleType
 
 
+def _hash_once(cls):
+    """Keep each node's dataclass hash on the node.  The generated hash
+    rehashes the whole subterm on every call, and reductions and memos hash
+    the same deep terms many times."""
+    rehash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = rehash(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class Abs(Term):
     var_type: SimpleType
@@ -192,12 +211,14 @@ class Abs(Term):
     hint: str = field(default="x", compare=False)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class App(Term):
     fn: Term
     arg: Term
 
 
+@_hash_once
 @dataclass(frozen=True)
 class FunApp(Term):
     fn: FunctionSymbol

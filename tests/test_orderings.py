@@ -26,7 +26,7 @@ from afsterm.orderings.poly import (
     PointInterpreter, point_valuation, point_slack,
 )
 from afsterm.orderings.poly_search import candidate_templates
-from afsterm.parser import SymbolTable, parse_term_text
+from afsterm.parser import SymbolTable, parse_afs, parse_term_text
 from afsterm.terms import (
     Base, Arrow, Variable, Var, App, lam, term_text, type_of, apply_subst, free_vars,
 )
@@ -303,7 +303,7 @@ class TestSubtermMemo:
             calls.append(1)
             return compare_terms(*args, **kwargs)
 
-        memos, point_tables, point_writes = [], [], []
+        memos, point_tables, point_writes, nogood_stores = [], [], [], []
 
         class PointTable(dict):
             def __setitem__(self, key, value):
@@ -317,8 +317,14 @@ class TestSubtermMemo:
                 memos.append(weakref.ref(self))
                 point_tables.append(weakref.ref(self.points))
 
+        class RecordedNogoods(poly_search._Nogoods):
+            def __init__(self):
+                super().__init__()
+                nogood_stores.append(weakref.ref(self))
+
         monkeypatch.setattr(poly_search, "compare_terms", counted)
         monkeypatch.setattr(poly_search, "SubtermMemo", Recorded)
+        monkeypatch.setattr(poly_search, "_Nogoods", RecordedNogoods)
         # a budget no run reaches, so the counts do not depend on the machine
         cfg = Config(timeout=600.0, scc_budget=300.0)
         counts = []
@@ -333,9 +339,10 @@ class TestSubtermMemo:
                     assert point_writes
                     assert memos and all(m() is None for m in memos)
                     assert point_tables and all(t() is None for t in point_tables)
+                    assert nogood_stores and all(t() is None for t in nogood_stores)
         finally:
             gc.enable()
-        assert counts == [9424, 453] * 2
+        assert counts == [5946, 453] * 2
         for module in (poly, poly_search):
             assert not [k for k, v in vars(module).items()
                         if isinstance(v, (dict, list, set)) and v and not k.startswith("__")]
@@ -433,6 +440,30 @@ class TestPointFilter:
         assert calls == [False, True]
 
 
+X, X1 = SlotRef(0), Add((SlotRef(0), Const(1)))
+
+
+def unary_constraints(monkeypatch, picks, weak, strict):
+    """A constraint set over unary symbols `nat -> nat` with sides over
+    `x : nat`; each symbol's candidates are cut to the given indices into its
+    full list (0, 1, x, x + 1, ...).  Strict candidates are pairs 0, 1, ..."""
+    names = sorted(picks)
+    afs = parse_afs("SIG\n" + "".join(f" {f} : [nat] -> nat\n" for f in names)
+                    + f"VARS\n x : nat\nRULES\n {names[0]}(x) => x\n")
+    table = SymbolTable({f.name: f for f in afs.signature}, {"x": Variable("x", nat)})
+
+    def sides(text, rel):
+        return [parse_term_text(side, table) for side in text.split(f" {rel} ")]
+
+    full = poly_search.candidate_templates
+    monkeypatch.setattr(poly_search, "candidate_templates",
+                        lambda f, *args: [full(f, *args)[i] for i in picks[f.name]])
+    return ConstraintSet(
+        tuple(StrictCandidate(i, *sides(c, ">")) for i, c in enumerate(strict)),
+        tuple(WeakConstraint("rule", *sides(c, ">=")) for c in weak),
+        (), MODE_NON_COLLAPSING, afs)
+
+
 class TestBackjumping:
     def test_same_certificate_as_the_chronological_search(self, monkeypatch):
         # every SCC of every corpus system, with the candidate lists cut to
@@ -451,6 +482,53 @@ class TestBackjumping:
                         assert got == chronological_search_poly(cs), (name, scc, k)
                         outcomes.append(got is not None)
         assert (outcomes.count(True), outcomes.count(False)) == (64, 260)
+
+    def test_a_nogood_learned_in_one_branch_prunes_a_later_one(self, monkeypatch):
+        # symbol order a, b, c, d.  Under c = 0, every d fails `c(d(x)) >= a(x)`
+        # for a = x + 1 whatever b is, so that subtree's conflict set is
+        # {a, c}; c = x + 1 fails `b(x) >= c(x)` for b = x, so the search
+        # moves on to b = x + 1, where the nogood skips the c = 0 subtree
+        # (and its checks of `b(d(x)) >= d(x)`) without entering it
+        cs = unary_constraints(
+            monkeypatch, {"a": (3,), "b": (2, 3), "c": (0, 3), "d": (2, 0, 3)},
+            ["b(d(x)) >= d(x)", "c(d(x)) >= a(x)", "b(x) >= c(x)"], ["a(x) > x"])
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return compare_terms(*args, **kwargs)
+
+        class Forgetful(poly_search._Nogoods):
+            def __setitem__(self, key, value):
+                pass  # learns nothing
+
+        monkeypatch.setattr(poly_search, "compare_terms", counted)
+        got = search_poly(cs, budget=60.0)
+        assert got is not None and got == chronological_search_poly(cs)
+        assert got.strict == (0,)
+        assert {name: fun.body for name, fun in got.assign.items()} == \
+            {"a": X1, "b": X1, "c": X1, "d": X}
+        learning = len(calls)
+        calls.clear()
+        monkeypatch.setattr(poly_search, "_Nogoods", Forgetful)
+        assert search_poly(cs, budget=60.0) == got
+        assert (learning, len(calls)) == (10, 12)
+
+    def test_a_learned_strictness_conflict_keeps_the_candidate_positions(self, monkeypatch):
+        # symbol order a, b, c.  Under a = x the pair `a(c(x)) > c(x)` is
+        # never strict, so with b = x the subtree fails on {a} (strictness)
+        # and {b} (`b(x) >= c(x)` for c = x + 1), and the nogood learned at b
+        # holds only while a = x: under a = x + 1 the first certificate has
+        # b = x.  A nogood that dropped the candidate's position a, or a
+        # strictness failure that blamed no position, would lose it.
+        cs = unary_constraints(
+            monkeypatch, {"a": (2, 3), "b": (2, 3), "c": (2, 3)},
+            ["b(a(x)) >= a(x)", "b(x) >= c(x)"], ["a(c(x)) > c(x)"])
+        got = search_poly(cs, budget=60.0)
+        assert got is not None and got == chronological_search_poly(cs)
+        assert got.strict == (0,)
+        assert {name: fun.body for name, fun in got.assign.items()} == \
+            {"a": X1, "b": X, "c": X}
 
     def test_deadline_ends_the_search_outright(self, monkeypatch):
         # the clock passes the deadline at its 2000th reading; after that the
