@@ -8,8 +8,10 @@ incomplete; a bounded total-order case split handles the interplay between
 max branches and monotone functional slots.
 
 `PointInterpreter` is the same interpretation at two fixed valuations by
-naturals and monotone functions.  The comparator is sound for every such
-valuation, so a comparison that fails at either point is one it rejects.
+naturals and weakly monotone functions: a small one and a generic one whose
+functional variables grow cubically.  The comparator is sound for every
+such valuation, so a comparison that fails at either point is one it
+rejects.
 """
 
 from __future__ import annotations
@@ -521,11 +523,21 @@ class Interpreter:
 #
 # A base value is a pair of naturals, the term's value at point A and at
 # point B, computed in one pass.  At A every variable and eta slot is 0 and
-# a functional one sums its arguments; at B the i-th variable of
-# `point_valuation` is i + 1, a functional one adds i + 1 to that sum, and
-# eta slots are as at A.  Functional values are `SFun`s over pairs.
+# a functional one sums its arguments.  B is meant to be generic: the i-th
+# variable of `point_valuation` is 3 * (i + 1), and a functional variable or
+# eta slot with constant c (0 for eta slots) maps arguments summing to s to
+# c + s^3 + s, which outgrows every template (their degree is at most 2).
+# Functional values are `SFun`s over pairs.  Cubes compound with nesting, so
+# a value past `_POINT_BITS` bits gives up like a too-large normal form.
 
 Pair = tuple
+_POINT_BITS = 4096
+
+
+def _pt_guard(n: int) -> int:
+    if n.bit_length() > _POINT_BITS:
+        raise Unsupported("point value too large")
+    return n
 
 
 def _pt_zero(ty: SimpleType):
@@ -554,7 +566,8 @@ def _pt_join(a, b):
 
 def point_slot(c: int, ty: SimpleType):
     """An opaque slot at the two points: a base one is (0, c); a functional
-    one sums its arguments, plus c at point B."""
+    one maps arguments summing to s to s at point A and to c + s^3 + s at
+    point B."""
     if ty.is_base():
         return (0, c)
 
@@ -563,11 +576,12 @@ def point_slot(c: int, ty: SimpleType):
             if isinstance(arg, SFun):
                 raise Unsupported("functional argument to an opaque slot")
             if t.right.is_base():
-                return (a + arg[0], b + arg[1])
+                s = b + arg[1]
+                return (a + arg[0], _pt_guard(c + s * s * s + s))
             return chain(a + arg[0], b + arg[1], t.right)
         return SFun(t, fn)
 
-    return chain(0, c, ty)
+    return chain(0, 0, ty)
 
 
 def _body_pt(e: Expr, env: tuple) -> Pair:
@@ -588,7 +602,7 @@ def _body_pt(e: Expr, env: tuple) -> Pair:
         for pa, pb in parts:
             a *= pa
             b *= pb
-        return (a, b)
+        return (_pt_guard(a), _pt_guard(b))
     assert isinstance(e, MaxE)
     return (max([p[0] for p in parts]), max([p[1] for p in parts]))
 
@@ -674,9 +688,10 @@ def valuation_for(terms: Sequence[Term]) -> dict[Variable, SemVal]:
 
 
 def point_valuation(terms: Iterable[Term]) -> dict[Variable, object]:
-    """The variables of `terms` at the two points, numbered from 1 in
-    `valuation_for`'s order."""
-    return {v: point_slot(i + 1, v.type) for i, v in enumerate(_sorted_vars(terms))}
+    """The variables of `terms` at the two points: the i-th in
+    `valuation_for`'s order, from 0, is `point_slot(3 * (i + 1), _)`, so
+    base variables are 3, 6, 9, ... at point B."""
+    return {v: point_slot(3 * (i + 1), v.type) for i, v in enumerate(_sorted_vars(terms))}
 
 
 def sides_to_nf(lhs: Term, rhs: Term, interp: Interpreter) -> tuple[NF, NF]:

@@ -23,12 +23,16 @@ with it fails.  Only subtrees without a certificate are skipped, so the
 first certificate in chronological order is the one found.
 
 Most comparisons fail, so each is first evaluated at two fixed points
-(`PointInterpreter`): valuations by naturals and monotone functions, under
-which `compare_terms`, sound for all of them, cannot accept a side that is
-smaller there.  A weak comparison whose lhs is below its rhs at a point, or
-a strict one whose lhs is at most its rhs there, is decided without
-building normal forms; anything else, and any comparison the points cannot
-evaluate, goes to `compare_terms`.  So the filter changes no verdict.
+(`PointInterpreter`): valuations by naturals and weakly monotone functions,
+under which `compare_terms`, sound for all of them, cannot accept a side
+that is smaller there.  The second point is generic (its functional
+variables grow cubically, faster than any template), so it refutes most
+false comparisons (Schwartz 1980, *Fast probabilistic algorithms for
+verification of polynomial identities*).  A weak comparison whose lhs is
+below its rhs at a point, or a strict one whose lhs is at most its rhs
+there, is decided without building normal forms; anything else, and any
+comparison the points cannot evaluate or whose values grow too large, goes
+to `compare_terms`.  So the filter changes no verdict.
 """
 
 from __future__ import annotations
@@ -76,11 +80,10 @@ def candidate_templates(f: FunctionSymbol, in_s: bool, bound: int) -> list[PolyF
     flats = [_flat(i, slots[i]) for i in range(n)]
     all_flats = _sum(list(flats))
 
-    bodies: list[Expr] = []
+    bodies: dict[Expr, None] = {}  # insertion-ordered set
 
     def add(e: Expr) -> None:
-        if e not in bodies:
-            bodies.append(e)
+        bodies.setdefault(e, None)
 
     # constants and linear forms
     for k in range(0, min(bound, 3) + 1):

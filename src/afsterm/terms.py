@@ -615,9 +615,6 @@ class Exploration:
     def reached(self) -> set[Term]:
         return set(self.traces.keys())
 
-    def normal_forms(self, rules: Sequence) -> set[Term]:
-        return {t for t in self.traces if not rewrite_step(t, rules)}
-
 
 def bounded_reductions(t: Term, rules: Sequence, max_steps: int,
                        require_complete: bool = False,

@@ -21,8 +21,8 @@ from afsterm.orderings.poly import (
     SubtermMemo, compare_terms, valuation_for, _canon_branch, _canon_nf, _guard,
 )
 from afsterm.terms import (
-    Term, Var, App, FunApp, Variable, SimpleType, Arrow, Base, lam, free_vars,
-    symbols_of, type_text,
+    Term, Var, App, FunApp, Variable, SimpleType, Arrow, Base, Exploration, lam,
+    free_vars, rewrite_step, symbols_of, type_text,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,6 +74,11 @@ def rederived_steps(proof: Proof) -> list[Step]:
         if isinstance(step, GiveUp):
             return steps
         graph = graph.without(step.removed)
+
+
+def normal_forms(ex: Exploration, rules: Sequence) -> set[Term]:
+    """The terms `ex` reached that no rule rewrites."""
+    return {t for t in ex.traces if not rewrite_step(t, rules)}
 
 
 def random_term(rng: random.Random, afs, ty: SimpleType, size: int,
@@ -204,21 +209,29 @@ def eval_nf(nf, assign: dict) -> int:
 
 
 class PointValue(int):
-    """A slot's value at one of the two points of `PointInterpreter`;
-    called as an atom, the sum of its arguments plus that value."""
+    """A slot's value c at one of the two points of `PointInterpreter`;
+    called as an atom of arguments summing to s, it is s at point A, where c
+    is 0, and c + s**3 + s at point B."""
+
+    at_b = True
 
     def __call__(self, *args: int) -> int:
-        return sum(args) + self
+        s = sum(args)
+        return self + s ** 3 + s if self.at_b else s
+
+
+class _AtA(PointValue):
+    at_b = False
 
 
 def point_assignments(pval: dict) -> tuple[dict, dict]:
     """`eval_nf` assignments of the two points of the point valuation
     `pval`: at A every slot is 0 and every atom sums its arguments; at B the
-    i-th variable of `pval` is i + 1 (eta slots stay as at A)."""
+    i-th variable of `pval` is 3 * (i + 1) and eta slots are 0."""
     at_b = defaultdict(lambda: PointValue(0))
     for i, v in enumerate(sorted(pval, key=lambda v: (v.name, type_text(v.type)))):
-        at_b[f"v:{v.name}:{type_text(v.type)}"] = PointValue(i + 1)
-    return defaultdict(lambda: PointValue(0)), at_b
+        at_b[f"v:{v.name}:{type_text(v.type)}"] = PointValue(3 * (i + 1))
+    return defaultdict(lambda: _AtA(0)), at_b
 
 
 def nf_slots(nf) -> set:

@@ -28,7 +28,8 @@ from afsterm.orderings.poly import (
 from afsterm.orderings.poly_search import candidate_templates
 from afsterm.parser import SymbolTable, parse_afs, parse_term_text
 from afsterm.terms import (
-    Base, Arrow, Variable, Var, App, lam, term_text, type_of, apply_subst, free_vars,
+    Base, Arrow, Variable, Var, App, FunApp, FunctionSymbol, TypeDecl, lam, term_text,
+    type_of, apply_subst, free_vars,
 )
 
 from helpers import (
@@ -342,7 +343,7 @@ class TestSubtermMemo:
                     assert nogood_stores and all(t() is None for t in nogood_stores)
         finally:
             gc.enable()
-        assert counts == [5946, 453] * 2
+        assert counts == [5796, 399] * 2
         for module in (poly, poly_search):
             assert not [k for k, v in vars(module).items()
                         if isinstance(v, (dict, list, set)) and v and not k.startswith("__")]
@@ -410,6 +411,49 @@ class TestPointFilter:
                 assert [eval_nf(nf, at) for nf in nfs] == [p[k] for p in pairs]
             agreed += 1
         assert agreed > 5000
+
+    def test_abfun_rule_is_refuted_at_the_points(self):
+        # A(B(F)) @ x >= F @ x under A = x1, B = x1(0) + 2.  Both sides are
+        # F(0) + 2 or x, whichever is larger, wherever F(x) is a constant
+        # plus x; point B's F grows faster than x, so F @ x is larger there
+        afs = load("abfun")
+        o = Base("o")
+        table = SymbolTable({f.name: f for f in afs.signature},
+                            {"F": Variable("F", Arrow(o, o)), "x": Variable("x", o)})
+        lhs = parse_term_text("A(B(F)) @ x", table)
+        rhs = parse_term_text("F @ x", table)
+        sig = {f.name: f for f in afs.signature}
+        assign = {"A": PolyFun(slot_types_for(sig["A"]), SlotRef(0)),
+                  "B": PolyFun(slot_types_for(sig["B"]),
+                               Add((AppSlot(0, (Const(0),)), Const(2))))}
+        assert point_slack(lhs, rhs, PointInterpreter(assign)) < 0
+        assert not compare_terms(lhs, rhs, Interpreter(assign), strict=False)
+
+    def test_a_point_value_past_the_bound_is_left_to_compare_terms(self):
+        # point B cubes the argument sum of a functional variable, so every
+        # level of F @ (F @ ..) triples the bit length of the value; a
+        # squaring template doubles it
+        F, x = Variable("F", Arrow(nat, nat)), Variable("x", nat)
+        h = FunctionSymbol("h", TypeDecl((nat,), nat))
+        square = {"h": PolyFun((nat,), Mul((SlotRef(0), SlotRef(0))))}
+
+        def nest(wrap, depth):
+            t = Var(x)
+            for _ in range(depth):
+                t = wrap(t)
+            return t
+
+        def at_f(depth):
+            return nest(lambda t: App(Var(F), t), depth)
+
+        def in_h(depth):
+            return nest(lambda t: FunApp(h, (t,)), depth)
+
+        assert point_slack(at_f(4), Var(x), PointInterpreter({})) == 0
+        assert point_slack(at_f(12), Var(x), PointInterpreter({})) is None
+        assert compare_terms(at_f(12), Var(x), Interpreter({}), strict=False)
+        assert point_slack(Var(x), in_h(8), PointInterpreter(square)) < 0
+        assert point_slack(Var(x), in_h(16), PointInterpreter(square)) is None
 
     def test_unsupported_at_the_points_is_left_to_compare_terms(self, monkeypatch):
         # a functional argument to an opaque functional variable: neither

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from afsterm.orderings.poly import (
     PolyFun, Const, SlotRef, AppSlot, Add, Mul, MaxE, Interpreter,
     Unsupported, nf_const, nf_slot, nf_atom, nf_add, nf_mul, nf_max, nf_geq,
-    PointInterpreter, point_valuation, sides_to_nf,
+    PointInterpreter, point_slot, point_valuation, sides_to_nf,
 )
 from afsterm.orderings.rpo import (
     MSym, MTerm, MVar, MIdx, MBind, MFun, USER, APPK, LAMK, CONSTK,
@@ -249,6 +249,20 @@ def test_points_are_the_normal_forms_at_two_points(body, sides):
     if nfs is not None:  # else a normal form grew too large
         for k, at in enumerate(point_assignments(point_valuation([lhs, rhs]))):
             assert [eval_nf(nf, at) for nf in nfs] == [p[k] for p in pairs]
+
+
+@PROPERTY
+@given(st.integers(0, 30),
+       st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40),
+                          st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=3))
+def test_functional_point_values_are_weakly_monotone(c, args):
+    # a functional slot at the two points, applied to pairs (a, b) and to
+    # pairs raised by (da, db): no value falls at either point
+    fun = point_slot(c, arrow(*[nat] * (len(args) + 1)))
+    low, high = fun, fun
+    for a, b, da, db in args:
+        low, high = low((a, b)), high((a + da, b + db))
+    assert low[0] <= high[0] and low[1] <= high[1]
 
 
 # --------------------------------------------------------------------------
