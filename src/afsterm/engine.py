@@ -109,6 +109,7 @@ def prove(afs: AFS, cfg: Optional[Config] = None) -> Proof:
     pruned = prune(graph)
     dropped = tuple(sorted(graph.alive - pruned.alive))
     components = sccs(pruned)
+    templates: dict = {}  # the poly search's candidate lists, built once per proof
     while True:
         if dropped:
             steps.append(PruneStep(dropped))
@@ -122,7 +123,7 @@ def prove(afs: AFS, cfg: Optional[Config] = None) -> Proof:
             proof = Proof(MAYBE, steps, problem)
             break
         budget = min(cfg.scc_budget, remaining)
-        step = _discharge(scc, problem, cfg, budget)
+        step = _discharge(scc, problem, cfg, budget, templates)
         if step is None:
             tried = tuple(e for e in cfg.engines
                           if e != "subterm" or not any(problem.pairs[i].collapsing for i in scc))
@@ -151,8 +152,8 @@ def _split_first(graph: DPGraph, components: list[tuple[int, ...]],
     return dropped, sorted(components[1:] + parts, key=lambda c: c[0])
 
 
-def _discharge(scc: tuple[int, ...], problem: DPProblem, cfg: Config,
-               budget: float) -> Optional[Union[SubtermStep, ReductionPairStep]]:
+def _discharge(scc: tuple[int, ...], problem: DPProblem, cfg: Config, budget: float,
+               templates: dict) -> Optional[Union[SubtermStep, ReductionPairStep]]:
     collapsing = any(problem.pairs[i].collapsing for i in scc)
     if "subterm" in cfg.engines and not collapsing:
         cert = subterm_criterion(scc, problem.pairs)
@@ -160,7 +161,7 @@ def _discharge(scc: tuple[int, ...], problem: DPProblem, cfg: Config,
             return SubtermStep(scc, cert, cert.strict)
     cs = build_constraints(scc, problem)
     if "poly" in cfg.engines:
-        cert = search_poly(cs, budget=budget, coef_bound=cfg.coef_bound)
+        cert = search_poly(cs, budget=budget, coef_bound=cfg.coef_bound, store=templates)
         if cert is not None:
             return ReductionPairStep(scc, cs.mode, cert, cert.strict)
     # the path ordering engine does not contain beta, which the collapsing

@@ -66,15 +66,38 @@ def _sum(parts: list[Expr]) -> Expr:
     return Add(tuple(parts))
 
 
-def candidate_templates(f: FunctionSymbol, in_s: bool, bound: int) -> list[PolyFun]:
+def candidate_templates(f: FunctionSymbol, in_s: bool, bound: int,
+                        store: Optional[dict] = None) -> list[PolyFun]:
     """Deterministic candidate list, ascending weight.
 
     For symbols in the protected set S every declared argument must be
-    recovered, which is enforced by keeping all flats in the template.
+    recovered: their list is the general one filtered by `recovers_argument`
+    for each declared argument, in order.
+
+    The general list depends only on the slot types and `bound`, and an
+    S-list also on the declared arity, so `store` keeps each under
+    (slot types, bound) or (slot types, bound, declared arity): it is built
+    once per store and served to every symbol with that key, and callers
+    must not mutate it.  Without a store the lists are built afresh.
     """
     slots = slot_types_for(f)
+    store = {} if store is None else store
+    general = store.get((slots, bound))
+    if general is None:
+        general = store[slots, bound] = _general_templates(slots, bound)
+    if not in_s:
+        return general
+    key = (slots, bound, f.decl.arity)
+    recovering = store.get(key)
+    if recovering is None:
+        recovering = store[key] = [
+            fun for fun in general
+            if all(recovers_argument(fun, i) for i in range(f.decl.arity))]
+    return recovering
+
+
+def _general_templates(slots: tuple[SimpleType, ...], bound: int) -> list[PolyFun]:
     n = len(slots)
-    ndecl = f.decl.arity
     base_ids = [i for i, t in enumerate(slots) if t.is_base()]
     fun_ids = [i for i, t in enumerate(slots) if t.is_arrow()]
     flats = [_flat(i, slots[i]) for i in range(n)]
@@ -164,16 +187,9 @@ def candidate_templates(f: FunctionSymbol, in_s: bool, bound: int) -> list[PolyF
         add(_sum([sq, all_flats, Const(1)]))
         add(_sum([sq, flats[i], flats[i], all_flats, Const(1)]))
 
-    out = []
-    for body in bodies:
-        if expr_weight(body) > bound + n + 4:
-            continue
-        fun = PolyFun(slots, body)
-        if in_s and not all(recovers_argument(fun, i) for i in range(ndecl)):
-            continue
-        out.append(fun)
-    out.sort(key=lambda fun: (expr_weight(fun.body), repr(fun.body)))
-    return out
+    kept = [(w, body) for body in bodies if (w := expr_weight(body)) <= bound + n + 4]
+    kept.sort(key=lambda entry: (entry[0], repr(entry[1])))
+    return [PolyFun(slots, body) for _w, body in kept]
 
 
 def symbol_order(names: set[str], con_syms: list[frozenset[str]]) -> list[str]:
@@ -212,17 +228,20 @@ class _Nogoods(dict):
     they rule out})."""
 
 
-def search_poly(cs: ConstraintSet, budget: float = 10.0,
-                coef_bound: int = 3) -> Optional[PolyInterp]:
+def search_poly(cs: ConstraintSet, budget: float = 10.0, coef_bound: int = 3,
+                store: Optional[dict] = None) -> Optional[PolyInterp]:
     """Enumerate interpretations; all constraints must hold weakly and at
     least one strict candidate strictly.  Returns the first (deterministic)
-    hit with its maximal strict subset."""
+    hit with its maximal strict subset.  `store` keeps the candidate lists
+    for `candidate_templates`; `prove` passes one per proof, and without it
+    the search makes its own."""
     deadline = time.monotonic() + budget
     symbols = occurring_symbols(cs)
     s_names = {f.display for f in cs.S}
+    store = {} if store is None else store
 
     options = {
-        f.display: candidate_templates(f, f.display in s_names, coef_bound)
+        f.display: candidate_templates(f, f.display in s_names, coef_bound, store)
         for f in symbols
     }
     if any(not opts for opts in options.values()):

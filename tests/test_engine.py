@@ -1,6 +1,10 @@
 """The proving loop: verdicts, determinism, self-verification, corpus."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 import zlib
 
 import pytest
@@ -16,8 +20,42 @@ from afsterm.prooftext import check_proof_text, render_proof
 from afsterm.terms import bounded_reductions, Base
 
 from helpers import (
-    load, CORPUS, GOLDEN, corpus_names, random_closed_term, rederived_steps, wide_system,
+    ROOT, load, CORPUS, GOLDEN, corpus_names, random_closed_term, rederived_steps,
+    wide_system,
 )
+
+# Proves, renders and checks the systems named on the command line in a
+# fresh interpreter, and prints the length of every module-level dict, list
+# and set (and functools cache) of every afsterm module before and after.
+GLOBALS_AROUND_THE_CORPUS = """
+import importlib, json, pkgutil, sys
+import afsterm
+from afsterm.engine import prove
+from afsterm.parser import parse_afs
+from afsterm.prooftext import check_proof_text, render_proof
+
+modules = [importlib.import_module(m.name)
+           for m in pkgutil.walk_packages(afsterm.__path__, "afsterm.")]
+
+def sizes():
+    out = {}
+    for module in modules:
+        for name, value in vars(module).items():
+            key = f"{module.__name__}.{name}"
+            if isinstance(value, (dict, list, set)) and not name.startswith("__"):
+                out[key] = len(value)
+            elif hasattr(value, "cache_info"):
+                out[key] = value.cache_info().currsize
+    return out
+
+before = sizes()
+verdicts = []
+for path in sys.argv[1:]:
+    afs = parse_afs(open(path).read())
+    proof = prove(afs)
+    verdicts.append([proof.verdict, check_proof_text(render_proof(proof), afs)])
+print(json.dumps({"before": before, "after": sizes(), "verdicts": verdicts}))
+"""
 
 
 class TestVerdicts:
@@ -167,6 +205,21 @@ class TestCorpus:
             assert e.error is None, f"{e.path.name}: {e.error}"
             assert e.expect is not None
             assert e.verdict == e.expect, f"{e.path.name}"
+
+    def test_no_module_global_changes_while_proving_it(self):
+        # no module-level cache: in a fresh interpreter, proving and checking
+        # the whole corpus leaves every module-level container of every
+        # afsterm module at its length after import (constants are allowed)
+        paths = [str(CORPUS / f"{name}.afs") for name in corpus_names()]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", GLOBALS_AROUND_THE_CORPUS, *paths],
+                             capture_output=True, text=True, timeout=300, env=env)
+        assert out.returncode == 0, out.stderr
+        report = json.loads(out.stdout)
+        assert len(report["verdicts"]) == 12
+        assert all(not errors for _verdict, errors in report["verdicts"])
+        assert report["before"]["afsterm.parser._PUNCT"] > 0
+        assert report["after"] == report["before"]
 
     def test_empty_directory(self, tmp_path):
         assert run_corpus(tmp_path, Config()) == []

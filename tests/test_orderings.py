@@ -7,6 +7,7 @@ import weakref
 
 import pytest
 
+from afsterm import engine
 from afsterm.afs import complete, classify
 from afsterm.dp import dependency_pairs
 from afsterm.engine import Config, prove
@@ -255,6 +256,64 @@ class TestPolySearch:
                     assert check_certificate(cs, cert).valid
 
 
+def shown(templates):
+    return [(t.slot_types, t.body) for t in templates]
+
+
+class TestTemplateStore:
+    def test_a_shared_store_serves_the_lists_a_fresh_build_gives(self):
+        # one store for every SCC of every corpus system in both `spfp_drop`
+        # modes, as if they were one proof.  Each symbol is asked for its
+        # S-list too, whether or not it is in S, so that symbols with the
+        # same slot types but another declared arity (`twice` and fga's `g`)
+        # meet in the store
+        store = {}
+        served = 0
+        for name in corpus_names():
+            for spfp_drop in (True, False):
+                prob, comps = problem_and_sccs(name, spfp_drop)
+                for scc in comps:
+                    for f in occurring_symbols(build_constraints(scc, prob)):
+                        general = candidate_templates(f, False, 3, store)
+                        recovering = candidate_templates(f, True, 3, store)
+                        assert shown(general) == shown(candidate_templates(f, False, 3))
+                        assert shown(recovering) == shown(candidate_templates(f, True, 3))
+                        assert recovering == [
+                            t for t in general
+                            if all(poly.recovers_argument(t, i) for i in range(f.decl.arity))]
+                        # built once: the store serves the same lists again
+                        assert candidate_templates(f, False, 3, store) is general
+                        assert candidate_templates(f, True, 3, store) is recovering
+                        served += 2
+        assert (served, len(store)) == (384, 41)  # lists served, lists built
+
+    def test_one_store_serves_every_search_of_a_proof(self, monkeypatch):
+        stores = []
+        full = poly_search.candidate_templates
+
+        def recorded(f, in_s, bound, store):
+            stores.append(store)
+            return full(f, in_s, bound, store)
+
+        monkeypatch.setattr(poly_search, "candidate_templates", recorded)
+        searches = []
+        search = poly_search.search_poly
+        monkeypatch.setattr(engine, "search_poly",
+                            lambda *args, **kwargs: searches.append(1) or search(*args, **kwargs))
+        prove(load("apeq"))
+        assert len(searches) > 1
+        assert all(store is stores[0] for store in stores)
+        # a search called without a store makes its own
+        stores.clear()
+        prob, comps = problem_and_sccs("apeq")
+        cs = build_constraints(comps[0], prob)
+        search_poly(cs)
+        first = len(stores)
+        search_poly(cs)
+        assert all(store is stores[0] for store in stores[:first])
+        assert stores[first] is not stores[0]
+
+
 def sides_or_unsupported(lhs, rhs, interp):
     try:
         return sides_to_nf(lhs, rhs, interp)
@@ -323,9 +382,24 @@ class TestSubtermMemo:
                 super().__init__()
                 nogood_stores.append(weakref.ref(self))
 
+        class Tag:
+            pass
+
+        # a plain dict cannot be weakly referenced, so each template store
+        # gets a tag that lives exactly as long as the store does
+        tags = []
+        full = poly_search.candidate_templates
+
+        def tagged(f, in_s, bound, store):
+            if "tag" not in store:
+                store["tag"] = Tag()
+                tags.append(weakref.ref(store["tag"]))
+            return full(f, in_s, bound, store)
+
         monkeypatch.setattr(poly_search, "compare_terms", counted)
         monkeypatch.setattr(poly_search, "SubtermMemo", Recorded)
         monkeypatch.setattr(poly_search, "_Nogoods", RecordedNogoods)
+        monkeypatch.setattr(poly_search, "candidate_templates", tagged)
         # a budget no run reaches, so the counts do not depend on the machine
         cfg = Config(timeout=600.0, scc_budget=300.0)
         counts = []
@@ -335,18 +409,18 @@ class TestSubtermMemo:
                 for name in ("fga", "fromchain"):
                     calls.clear()
                     point_writes.clear()
+                    tags.clear()
                     prove(load(name), cfg)
                     counts.append(len(calls))
                     assert point_writes
                     assert memos and all(m() is None for m in memos)
                     assert point_tables and all(t() is None for t in point_tables)
                     assert nogood_stores and all(t() is None for t in nogood_stores)
+                    # one store per proof, freed when `prove` returns
+                    assert len(tags) == 1 and tags[0]() is None
         finally:
             gc.enable()
         assert counts == [5796, 399] * 2
-        for module in (poly, poly_search):
-            assert not [k for k, v in vars(module).items()
-                        if isinstance(v, (dict, list, set)) and v and not k.startswith("__")]
 
 
 def sampled_comparisons(rng, per_scc):
@@ -511,8 +585,10 @@ def unary_constraints(monkeypatch, picks, weak, strict):
 class TestBackjumping:
     def test_same_certificate_as_the_chronological_search(self, monkeypatch):
         # every SCC of every corpus system, with the candidate lists cut to
-        # their first k templates so that both searches run to the end
+        # their first k templates so that both searches run to the end; the
+        # full lists are built once, in one store shared by every search
         full = poly_search.candidate_templates
+        store = {}
         outcomes = []
         for name in corpus_names():
             for spfp_drop in (True, False):
@@ -522,8 +598,9 @@ class TestBackjumping:
                     for k in (1, 2, 3, 4, 5, 6, 8, 10, 14):
                         monkeypatch.setattr(poly_search, "candidate_templates",
                                             lambda *args, k=k: full(*args)[:k])
-                        got = search_poly(cs, budget=600.0)
-                        assert got == chronological_search_poly(cs), (name, scc, k)
+                        got = search_poly(cs, budget=600.0, store=store)
+                        assert got == chronological_search_poly(cs, store=store), \
+                            (name, scc, k)
                         outcomes.append(got is not None)
         assert (outcomes.count(True), outcomes.count(False)) == (64, 260)
 
