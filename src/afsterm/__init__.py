@@ -12,7 +12,7 @@ from .terms import (
     BudgetExceeded,
 )
 from .afs import AFS, Rule, IllegalLhs, complete, classify, build_rplus
-from .parser import parse_afs, ParseError
+from .parser import parse_afs, parse_term_text, ParseError
 from .dp import (
     DependencyPair, DPProblem, candidate_terms, dependency_pairs, tag,
     untag, build_rtag,

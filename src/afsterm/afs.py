@@ -8,7 +8,7 @@ from typing import Optional
 
 from .terms import (
     Term, Var, Abs, App, FunApp, Variable, FunctionSymbol,
-    type_of, free_vars, app_spine, is_beta_normal, subterms, open_abs,
+    type_of, free_vars, dangling_bvars, app_spine, is_beta_normal, subterms,
     fresh_arguments, fresh_name, term_text, PLAIN, instantiate,
 )
 
@@ -113,13 +113,13 @@ def complete(afs: AFS) -> AFS:
 
 
 def _left_linear(lhs: Term) -> bool:
-    occurrences = [s.var for s in subterms(lhs) if isinstance(s, Var)]
+    occurrences = [s.var for s, _ in subterms(lhs) if isinstance(s, Var)]
     return len(occurrences) == len(set(occurrences))
 
 
 def _fully_extended(lhs: Term) -> bool:
     """No free variable of the left-hand side occurs below an abstraction."""
-    return not any(free_vars(s.body) for s in subterms(lhs) if isinstance(s, Abs))
+    return not any(free_vars(s.body) for s, _ in subterms(lhs) if isinstance(s, Abs))
 
 
 def _functional_vars(t: Term) -> frozenset[Variable]:
@@ -128,15 +128,11 @@ def _functional_vars(t: Term) -> frozenset[Variable]:
 
 def _has_defined_call_under_binder(rhs: Term, defined: frozenset[str]) -> bool:
     """True if rhs has a subterm \\x. C[f(...)] with f defined and the bound
-    variable free in the f-subterm."""
-    for s in subterms(rhs):
-        if isinstance(s, Abs):
-            x, body = open_abs(s, free_vars(s))
-            if any(isinstance(u, FunApp) and u.fn.kind == PLAIN
-                   and u.fn.name in defined and x in free_vars(u)
-                   for u in subterms(body)):
-                return True
-    return False
+    variable free in the f-subterm: in the locally closed rhs, a defined
+    call below a binder with an index escaping it."""
+    return any(d and isinstance(u, FunApp) and u.fn.kind == PLAIN
+               and u.fn.name in defined and dangling_bvars(u)
+               for u, d in subterms(rhs))
 
 
 def classify(afs: AFS) -> AFS:

@@ -7,10 +7,10 @@ from typing import Iterable, Optional, Sequence
 
 from .afs import AFS, Rule
 from .terms import (
-    Term, Var, BVar, Abs, App, FunApp, Variable, FunctionSymbol,
-    type_of, free_vars, app_spine, head, mark, strict_subterms_closed,
-    fresh_const, fresh_arguments, term_text, apply_subst, tagged, untagged,
-    symbols_of, open_abs, PLAIN, TAGGED, lam,
+    Term, Var, Abs, App, FunApp, Variable, FunctionSymbol,
+    type_of, free_vars, dangling_bvars, app_spine, head, mark,
+    strict_subterms_closed, close_dangling, fresh_arguments, term_text,
+    tagged, untagged, symbols_of, replace_nodes, PLAIN, TAGGED,
 )
 
 
@@ -44,24 +44,16 @@ def candidate_terms(rhs: Term, afs: AFS) -> list[Term]:
     per-type fresh constants.
     """
     defined = afs.defined_names
-    rhs_free = free_vars(rhs)
     out: list[Term] = []
     seen: set[Term] = set()
 
-    def close(t: Term, bound: dict[Variable, None]) -> Term:
-        escaped = {v for v in free_vars(t) if v in bound}
-        if not escaped:
-            return t
-        subst = {v: FunApp(fresh_const(v.type)) for v in escaped}
-        return apply_subst(t, subst)
-
-    def add(t: Term, bound: dict[Variable, None]) -> None:
-        closed = close(t, bound)
+    def add(t: Term, depth: int) -> None:
+        closed = close_dangling(t) if depth else t
         if closed not in seen:
             seen.add(closed)
             out.append(closed)
 
-    def walk(t: Term, bound: dict[Variable, None]) -> None:
+    def walk(t: Term, depth: int) -> None:
         spine_head, args = app_spine(t)
         if isinstance(spine_head, FunApp) and spine_head.fn.kind == PLAIN \
                 and spine_head.fn.name in defined:
@@ -71,40 +63,35 @@ def candidate_terms(rhs: Term, afs: AFS) -> list[Term]:
                 prefix = prefix.fn
                 chain.append(prefix)
             for c in chain:  # longest application prefix first
-                add(c, bound)
+                add(c, depth)
             for a in spine_head.args:
-                walk(a, bound)
+                walk(a, depth)
             for a in args:
-                walk(a, bound)
+                walk(a, depth)
             return
-        if isinstance(spine_head, Var) and args and spine_head.var in rhs_free \
-                and spine_head.var not in bound:
+        if isinstance(spine_head, Var) and args:  # free: bound variables are indices
             prefix = t
             chain = [prefix]
             while isinstance(prefix.fn, App):  # keep >= 1 argument
                 prefix = prefix.fn
                 chain.append(prefix)
             for c in chain:
-                add(c, bound)
+                add(c, depth)
             for a in args:
-                walk(a, bound)
+                walk(a, depth)
             return
         if isinstance(t, Abs):
-            avoid = list(bound) + list(rhs_free)
-            x, body = open_abs(t, avoid)
-            inner = dict(bound)
-            inner[x] = None
-            walk(body, inner)
+            walk(t.body, depth + 1)
             return
         if isinstance(t, App):
-            walk(t.fn, bound)
-            walk(t.arg, bound)
+            walk(t.fn, depth)
+            walk(t.arg, depth)
             return
         if isinstance(t, FunApp):
             for a in t.args:
-                walk(a, bound)
+                walk(a, depth)
 
-    walk(rhs, {})
+    walk(rhs, 0)
     return out
 
 
@@ -161,35 +148,22 @@ def dependency_pairs(afs: AFS, spfp_drop: bool = True) -> DPProblem:
 
 def tag(t: Term, bound: Optional[set[Variable]] = None) -> Term:
     """tag_Z: replace f by f- on functional subterms whose free variables
-    meet the set of traversed binders (Z grows under abstractions)."""
-    return _tag(t, frozenset(bound or ()))
+    meet Z, the given `bound` set plus the traversed binders.  In the locally
+    closed t a traversed binder's variable is an index escaping the
+    subterm."""
+    z = frozenset(bound or ())
 
+    def node(s: FunApp, args: tuple[Term, ...]) -> Term:
+        if s.fn.kind == PLAIN and (dangling_bvars(s) or (z and free_vars(s) & z)):
+            return FunApp(tagged(s.fn), args)
+        return FunApp(s.fn, args)
 
-def _tag(t: Term, z: frozenset[Variable]) -> Term:
-    if isinstance(t, (Var, BVar)):
-        return t
-    if isinstance(t, Abs):
-        x, body = open_abs(t, z | free_vars(t))
-        return lam(x, _tag(body, z | {x}))
-    if isinstance(t, App):
-        return App(_tag(t.fn, z), _tag(t.arg, z))
-    assert isinstance(t, FunApp)
-    args = tuple(_tag(a, z) for a in t.args)
-    if t.fn.kind == PLAIN and z and (free_vars(t) & z):
-        return FunApp(tagged(t.fn), args)
-    return FunApp(t.fn, args)
+    return replace_nodes(t, node)
 
 
 def untag(t: Term) -> Term:
-    if isinstance(t, (Var, BVar)):
-        return t
-    if isinstance(t, Abs):
-        return Abs(t.var_type, untag(t.body), t.hint)
-    if isinstance(t, App):
-        return App(untag(t.fn), untag(t.arg))
-    assert isinstance(t, FunApp)
-    fn = untagged(t.fn) if t.fn.kind == TAGGED else t.fn
-    return FunApp(fn, tuple(untag(a) for a in t.args))
+    return replace_nodes(t, lambda s, args: FunApp(
+        untagged(s.fn) if s.fn.kind == TAGGED else s.fn, args))
 
 
 def untag_rule(f: FunctionSymbol) -> Rule:

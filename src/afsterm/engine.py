@@ -124,13 +124,10 @@ def prove(afs: AFS, cfg: Optional[Config] = None) -> Proof:
             break
         budget = min(cfg.scc_budget, remaining)
         step = _discharge(scc, problem, cfg, budget, templates)
-        if step is None:
-            tried = tuple(e for e in cfg.engines
-                          if e != "subterm" or not any(problem.pairs[i].collapsing for i in scc))
-            steps.append(GiveUp(scc, tried, "no engine oriented a pair strictly"))
+        steps.append(step)
+        if isinstance(step, GiveUp):
             proof = Proof(MAYBE, steps, problem)
             break
-        steps.append(step)
         dropped, components = _split_first(graph, components, step.removed)
 
     errors = verify_proof(proof)
@@ -153,24 +150,30 @@ def _split_first(graph: DPGraph, components: list[tuple[int, ...]],
 
 
 def _discharge(scc: tuple[int, ...], problem: DPProblem, cfg: Config, budget: float,
-               templates: dict) -> Optional[Union[SubtermStep, ReductionPairStep]]:
+               templates: dict) -> Union[SubtermStep, ReductionPairStep, GiveUp]:
+    """The first step an engine finds for the SCC, or a give-up step that
+    names the engines that ran."""
     collapsing = any(problem.pairs[i].collapsing for i in scc)
+    tried: list[str] = []
     if "subterm" in cfg.engines and not collapsing:
+        tried.append("subterm")
         cert = subterm_criterion(scc, problem.pairs)
         if cert is not None:
             return SubtermStep(scc, cert, cert.strict)
     cs = build_constraints(scc, problem)
     if "poly" in cfg.engines:
+        tried.append("poly")
         cert = search_poly(cs, budget=budget, coef_bound=cfg.coef_bound, store=templates)
         if cert is not None:
             return ReductionPairStep(scc, cs.mode, cert, cert.strict)
     # the path ordering engine does not contain beta, which the collapsing
     # modes require; it is only offered on non-collapsing problems
     if "rpo" in cfg.engines and not collapsing:
+        tried.append("rpo")
         cert = search_rpo(cs, budget=budget)
         if cert is not None:
             return ReductionPairStep(scc, cs.mode, cert, cert.strict)
-    return None
+    return GiveUp(scc, tuple(tried), "no engine oriented a pair strictly")
 
 
 def verify_proof(proof: Proof) -> list[str]:

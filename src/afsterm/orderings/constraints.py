@@ -76,7 +76,7 @@ def _constraint_types(strict: Sequence[StrictCandidate],
     seen: dict[str, SimpleType] = {}
     for terms in ([(c.lhs, c.rhs) for c in strict] + [(w.lhs, w.rhs) for w in weak]):
         for side in terms:
-            for sub in subterms(side):
+            for sub, _ in subterms(side):
                 if isinstance(sub, BVar):
                     continue
                 try:

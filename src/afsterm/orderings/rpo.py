@@ -17,9 +17,9 @@ from ..afs import AFS
 from ..terms import (
     Term, Var, BVar, Abs, App, FunApp, Variable, FunctionSymbol, SimpleType,
     Arrow, TypeDecl, type_of, free_vars, type_text, type_subterms, substitute,
-    PLAIN, MARKED, TAGGED, FRESH, EXT, app_spine, marked,
+    PLAIN, MARKED, TAGGED, FRESH, EXT, app_spine, marked, replace_nodes,
 )
-from .constraints import ConstraintSet, occurring_symbols
+from .constraints import ConstraintSet, occurring_symbols, MODE_NON_COLLAPSING
 
 
 # --------------------------------------------------------------------------
@@ -110,30 +110,13 @@ def _open_bind(b: MBind, atom: MAtom) -> MTerm:
     return inst(b.body, 0)
 
 
-def mvars(t: MTerm) -> frozenset[str]:
-    if isinstance(t, MVar):
-        return frozenset((t.name,))
+def _occurs(leaf: MTerm, t: MTerm) -> bool:
+    """Whether the variable or atom `leaf` occurs in t."""
     if isinstance(t, MBind):
-        return mvars(t.body)
+        return _occurs(leaf, t.body)
     if isinstance(t, MFun):
-        out: frozenset[str] = frozenset()
-        for a in t.args:
-            out |= mvars(a)
-        return out
-    return frozenset()
-
-
-def matoms(t: MTerm) -> frozenset[int]:
-    if isinstance(t, MAtom):
-        return frozenset((t.ident,))
-    if isinstance(t, MBind):
-        return matoms(t.body)
-    if isinstance(t, MFun):
-        out: frozenset[int] = frozenset()
-        for a in t.args:
-            out |= matoms(a)
-        return out
-    return frozenset()
+        return any(_occurs(leaf, a) for a in t.args)
+    return t == leaf
 
 
 # --------------------------------------------------------------------------
@@ -228,10 +211,8 @@ def _greater(s: MTerm, t: MTerm, prec: Precedence, counter: list[int], gas: _Gas
         counter[0] += 1
         return _greater(_open_bind(s, MAtom(counter[0])), t, prec, counter, gas)
     assert isinstance(s, MFun)
-    if isinstance(t, MVar):
-        return t.name in mvars(s)
-    if isinstance(t, MAtom):
-        return t.ident in matoms(s)
+    if isinstance(t, (MVar, MAtom)):
+        return _occurs(t, s)
     if isinstance(t, MBind):
         counter[0] += 1
         return _greater(s, _open_bind(t, MAtom(counter[0])), prec, counter, gas)
@@ -291,18 +272,13 @@ def template_slots(f: FunctionSymbol) -> tuple[Variable, ...]:
 
 def apply_argfun(pi: dict, t: Term) -> Term:
     """The homomorphic extension of the argument function table."""
-    if isinstance(t, (Var, BVar)):
-        return t
-    if isinstance(t, Abs):
-        return Abs(t.var_type, apply_argfun(pi, t.body), t.hint)
-    if isinstance(t, App):
-        return App(apply_argfun(pi, t.fn), apply_argfun(pi, t.arg))
-    assert isinstance(t, FunApp)
-    args = tuple(apply_argfun(pi, a) for a in t.args)
-    template = pi.get(t.fn.display)
-    if template is None:
-        return FunApp(t.fn, args)
-    return substitute(template, dict(zip(template_slots(t.fn), args)))
+    def node(s: FunApp, args: tuple[Term, ...]) -> Term:
+        template = pi.get(s.fn.display)
+        if template is None:
+            return FunApp(s.fn, args)
+        return substitute(template, dict(zip(template_slots(s.fn), args)))
+
+    return replace_nodes(t, node)
 
 
 def pi_options(f: FunctionSymbol, in_s: bool, afs: AFS) -> list[Term]:
@@ -373,11 +349,7 @@ def pi_options(f: FunctionSymbol, in_s: bool, afs: AFS) -> list[Term]:
             )
             out.append(FunApp(g, tuple(Var(slots[i]) for i in kept)))
 
-    dedup: list[Term] = []
-    for t in out:
-        if t not in dedup:
-            dedup.append(t)
-    return dedup
+    return list(dict.fromkeys(out))
 
 
 def orient(cs: ConstraintSet, pi: dict, prec: Precedence) -> Optional[tuple[int, ...]]:
@@ -472,6 +444,10 @@ def _dfs_pi(names, options, pi, depth, attempt, deadline, suggested, start=0):
 
 def check_argfun_rpo(cs: ConstraintSet, cert: ArgFunRPO) -> tuple[bool, str]:
     """Re-run the ordering decisions with the certificate's frozen facts."""
+    if cs.mode != MODE_NON_COLLAPSING:
+        # the collapsing modes need a reduction pair that contains beta, and
+        # this ordering does not: @(L(x.s), t) need not be >= s[x:=t]
+        return False, f"the path ordering does not contain beta, which mode {cs.mode} requires"
     try:
         prec = Precedence(cert.precedence, frozen=True)
     except ValueError as exc:

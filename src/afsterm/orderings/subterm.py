@@ -7,7 +7,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from ..dp import DependencyPair
-from ..terms import Term, FunApp, app_spine, subterms, dangling_bvars
+from ..terms import Term, FunApp, app_spine, subterms
 
 
 @dataclass(frozen=True)
@@ -27,12 +27,9 @@ def _head_symbol_and_args(t: Term) -> Optional[tuple[str, list[Term]]]:
 
 
 def _is_strict_subterm(small: Term, big: Term) -> bool:
-    # subterm modulo alpha; candidates with escaping bound variables never
-    # equal a closed projection image
-    for sub in subterms(big)[1:]:
-        if not dangling_bvars(sub) and sub == small:
-            return True
-    return False
+    # subterm modulo alpha; small is locally closed, so no subterm with an
+    # escaping bound variable equals it
+    return any(sub == small for sub, _ in subterms(big)[1:])
 
 
 def project(nu: dict[str, int], t: Term) -> Optional[Term]:

@@ -7,9 +7,8 @@ from typing import Optional, Sequence
 
 from .afs import AFS, Rule, lhs_head_symbol
 from .terms import (
-    Term, Var, Abs, App, FunApp, Variable, SimpleType,
-    type_of, free_vars, app_spine, head, open_abs, subterms, symbols_of,
-    PLAIN, MARKED,
+    Term, Var, BVar, Abs, App, FunApp, SimpleType,
+    type_of, app_spine, head, subterms, symbols_of, PLAIN, MARKED,
 )
 from .dp import DependencyPair
 
@@ -31,34 +30,35 @@ class TypedSymbol:
         return f"<{self.head}, {self.type}>"
 
 
-def symb(t: Term, xs: frozenset[Variable] = frozenset()) -> Optional[frozenset[TypedSymbol]]:
-    """Symb_X of a beta-normal term; None when the term has an applied free
-    variable outside X (the recursion is undefined there)."""
+def symb(t: Term, binders: tuple[SimpleType, ...] = ()) -> Optional[frozenset[TypedSymbol]]:
+    """Symb_X of a beta-normal term, X the variables of the binders above it
+    (their types in `binders`, innermost last, as `type_of` takes them);
+    None when the term has an applied free variable (the recursion is
+    undefined there)."""
     spine_head, args = app_spine(t)
-    ty = type_of(t)
+    ty = type_of(t, binders)
     if isinstance(t, Abs):
-        x, body = open_abs(t, xs | free_vars(t))
-        inner = symb(body, xs | {x})
+        inner = symb(t.body, binders + (t.var_type,))
         if inner is None:
             return None
         return frozenset((TypedSymbol(ABS, ty),)) | inner
     if isinstance(spine_head, FunApp):
         out = frozenset((TypedSymbol(spine_head.fn.name, ty),))
         for a in list(spine_head.args) + args:
-            inner = symb(a, xs)
+            inner = symb(a, binders)
+            if inner is None:
+                return None
+            out |= inner
+        return out
+    if isinstance(spine_head, BVar):
+        out = frozenset((TypedSymbol(VAR, ty),))
+        for a in args:
+            inner = symb(a, binders)
             if inner is None:
                 return None
             out |= inner
         return out
     if isinstance(spine_head, Var):
-        if spine_head.var in xs:
-            out = frozenset((TypedSymbol(VAR, ty),))
-            for a in args:
-                inner = symb(a, xs)
-                if inner is None:
-                    return None
-                out |= inner
-            return out
         if args:
             return None  # applied free variable: undefined
         return frozenset()
@@ -137,7 +137,7 @@ def is_risky(t: Term) -> bool:
     """A term is risky if it has a subterm x t1.. with x one of its free
     variables (an applied variable that may be instantiated).  Bound
     variables are indices, so every named head is free."""
-    return any(isinstance(s, App) and isinstance(head(s), Var) for s in subterms(t))
+    return any(isinstance(s, App) and isinstance(head(s), Var) for s, _ in subterms(t))
 
 
 def usable_rules(pairs: Sequence[DependencyPair], base: Sequence[Rule]) -> list[Rule]:

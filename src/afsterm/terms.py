@@ -4,6 +4,10 @@ Terms use a locally nameless representation: free variables are named
 (`Var`), bound variables are de Bruijn indices (`BVar`).  Alpha-equivalent
 terms are therefore structurally equal, and terms hash consistently, which
 the dependency-pair machinery relies on for graphs and deduplication.
+
+Two walkers serve every transformation that goes through a whole term:
+`replace_leaves` and its node-level sibling `replace_nodes` rebuild a term,
+and `subterms` visits its nodes with their binder depth.
 """
 
 from __future__ import annotations
@@ -260,6 +264,20 @@ def replace_leaves(t: Term, leaf: Callable[[Term, int], Term], depth: int = 0) -
     return FunApp(t.fn, tuple(replace_leaves(a, leaf, depth) for a in t.args))
 
 
+def replace_nodes(t: Term, node: Callable[[FunApp, tuple[Term, ...]], Term]) -> Term:
+    """Rebuild t bottom-up with every FunApp s replaced by node(s, args), where
+    args are s's arguments rebuilt; leaves, abstractions and applications
+    keep their shape."""
+    if isinstance(t, (Var, BVar)):
+        return t
+    if isinstance(t, Abs):
+        return Abs(t.var_type, replace_nodes(t.body, node), t.hint)
+    if isinstance(t, App):
+        return App(replace_nodes(t.fn, node), replace_nodes(t.arg, node))
+    assert isinstance(t, FunApp)
+    return node(t, tuple(replace_nodes(a, node) for a in t.args))
+
+
 def lam(x: Variable, body: Term) -> Abs:
     """Abstraction binding the named variable x in body."""
     return Abs(x.type, replace_leaves(
@@ -379,52 +397,30 @@ def alpha_equal(s: Term, t: Term) -> bool:
 
 
 def free_vars(t: Term) -> frozenset[Variable]:
-    if isinstance(t, Var):
-        return frozenset((t.var,))
-    if isinstance(t, (BVar,)):
-        return frozenset()
-    if isinstance(t, Abs):
-        return free_vars(t.body)
-    if isinstance(t, App):
-        return free_vars(t.fn) | free_vars(t.arg)
-    assert isinstance(t, FunApp)
-    out: frozenset[Variable] = frozenset()
-    for a in t.args:
-        out |= free_vars(a)
-    return out
+    return frozenset(s.var for s, _ in subterms(t) if isinstance(s, Var))
 
 
-def dangling_bvars(t: Term, depth: int = 0) -> frozenset[int]:
+def dangling_bvars(t: Term) -> frozenset[int]:
     """Indices of bound variables escaping t (relative to t's root)."""
-    if isinstance(t, BVar):
-        return frozenset((t.index - depth,)) if t.index >= depth else frozenset()
-    if isinstance(t, Var):
-        return frozenset()
-    if isinstance(t, Abs):
-        return dangling_bvars(t.body, depth + 1)
-    if isinstance(t, App):
-        return dangling_bvars(t.fn, depth) | dangling_bvars(t.arg, depth)
-    assert isinstance(t, FunApp)
-    out: frozenset[int] = frozenset()
-    for a in t.args:
-        out |= dangling_bvars(a, depth)
-    return out
+    return frozenset(s.index - d for s, d in subterms(t)
+                     if isinstance(s, BVar) and s.index >= d)
 
 
-def subterms(t: Term) -> list[Term]:
-    """All subterm nodes in pre-order, including t itself.
+def subterms(t: Term, depth: int = 0) -> list[tuple[Term, int]]:
+    """All subterm nodes in pre-order, including t itself, each with the
+    number of binders between t's root and it (plus `depth`).
 
     Nodes below a binder are returned raw and may contain dangling indices.
     """
-    out = [t]
-    if isinstance(t, Abs):
-        out.extend(subterms(t.body))
-    elif isinstance(t, App):
-        out.extend(subterms(t.fn))
-        out.extend(subterms(t.arg))
-    elif isinstance(t, FunApp):
+    out = [(t, depth)]
+    if isinstance(t, FunApp):
         for a in t.args:
-            out.extend(subterms(a))
+            out += subterms(a, depth)
+    elif isinstance(t, App):
+        out += subterms(t.fn, depth)
+        out += subterms(t.arg, depth)
+    elif isinstance(t, Abs):
+        out += subterms(t.body, depth + 1)
     return out
 
 
@@ -432,30 +428,19 @@ def strict_subterms_closed(t: Term) -> list[Term]:
     """Strict subterms of a locally closed t, in pre-order, with escaping
     bound variables replaced by the per-type constants (so every result is
     closed)."""
-    return [replace_leaves(s, _close_dangling) for s in subterms(t)[1:]]
+    return [close_dangling(s) for s, _ in subterms(t)[1:]]
 
 
-def _close_dangling(s: Term, depth: int) -> Term:
-    if isinstance(s, BVar) and s.index >= depth:
-        return FunApp(fresh_const(s.type))
-    return s
+def close_dangling(t: Term) -> Term:
+    """t with every bound variable escaping it replaced by the per-type
+    constant, so that the result is locally closed."""
+    return replace_leaves(t, lambda s, d: FunApp(fresh_const(s.type))
+                          if isinstance(s, BVar) and s.index >= d else s)
 
 
 def symbols_of(t: Term) -> frozenset[FunctionSymbol]:
     """Every function symbol occurring in t, of any kind."""
-    out: set[FunctionSymbol] = set()
-    todo = [t]
-    while todo:
-        s = todo.pop()
-        if isinstance(s, FunApp):
-            out.add(s.fn)
-            todo.extend(s.args)
-        elif isinstance(s, App):
-            todo.append(s.fn)
-            todo.append(s.arg)
-        elif isinstance(s, Abs):
-            todo.append(s.body)
-    return frozenset(out)
+    return frozenset(s.fn for s, _ in subterms(t) if isinstance(s, FunApp))
 
 
 # substitution and matching -------------------------------------------------
@@ -535,41 +520,7 @@ def beta_reduce_root(t: Term) -> Optional[Term]:
 
 
 def is_beta_normal(t: Term) -> bool:
-    return not any(isinstance(s, App) and isinstance(s.fn, Abs) for s in subterms(t))
-
-
-def beta_normalize(t: Term, max_steps: int = 10_000) -> Term:
-    """Beta normal form (terminating on well-typed terms)."""
-    steps = 0
-    while True:
-        reducts = _beta_step(t)
-        if reducts is None:
-            return t
-        t = reducts
-        steps += 1
-        if steps > max_steps:
-            raise BudgetExceeded(Exploration(t, {}, None, False))
-
-
-def _beta_step(t: Term) -> Optional[Term]:
-    root = beta_reduce_root(t)
-    if root is not None:
-        return root
-    if isinstance(t, Abs):
-        b = _beta_step(t.body)
-        return None if b is None else Abs(t.var_type, b, t.hint)
-    if isinstance(t, App):
-        f = _beta_step(t.fn)
-        if f is not None:
-            return App(f, t.arg)
-        a = _beta_step(t.arg)
-        return None if a is None else App(t.fn, a)
-    if isinstance(t, FunApp):
-        for i, a in enumerate(t.args):
-            r = _beta_step(a)
-            if r is not None:
-                return FunApp(t.fn, t.args[:i] + (r,) + t.args[i + 1:])
-    return None
+    return not any(isinstance(s, App) and isinstance(s.fn, Abs) for s, _ in subterms(t))
 
 
 def rewrite_step(t: Term, rules: Sequence) -> list[Term]:

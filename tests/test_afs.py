@@ -136,6 +136,20 @@ class TestClassify:
     def test_map_is_spfp(self):
         assert load("map").spfp
 
+    SIG_K = ("SIG\n  o : nat\n  f : [nat] -> nat\n  h : [nat] -> nat\n"
+             "  k : [nat -> nat] -> nat\nVARS\n  n : nat\nRULES\n  f(n) => o\n")
+
+    def test_defined_call_without_the_bound_variable_stays_spfp(self):
+        afs = parse_afs(self.SIG_K + "  h(n) => k(\\x:nat. f(o))\n")
+        assert afs.pfp and afs.base_output
+        assert afs.spfp
+
+    def test_defined_call_on_an_outer_binder_variable_is_not_spfp(self):
+        # f(x) sits below \y and uses the outer binder's x, index 1 there
+        afs = parse_afs(self.SIG_K + "  h(n) => k(\\x:nat. k(\\y:nat. f(x)))\n")
+        assert afs.pfp and afs.base_output
+        assert not afs.spfp
+
 
 class TestRPlus:
     def test_twice_unchanged(self):

@@ -8,8 +8,8 @@ from afsterm.afs import complete, classify
 from afsterm.dp import dependency_pairs
 from afsterm.graph import approximate_graph, prune, sccs
 from afsterm.orderings import (
-    build_constraints, check_certificate, search_poly, PolyInterp, ArgFunRPO,
-    Projection,
+    build_constraints, check_certificate, search_poly, search_rpo, PolyInterp,
+    ArgFunRPO, Projection,
 )
 from afsterm.orderings import certcheck
 from afsterm.orderings.poly import (
@@ -84,6 +84,9 @@ class TestPaperWitnesses:
         assert check_certificate(cs2, cert).valid
 
     def test_eval_argument_function(self):
+        # the published certificate belongs to an ordering that contains
+        # beta; the path ordering on mu-terms does not (abfun's loop
+        # A(B(w)) @ B(w) -> w @ B(w) -> A(B(w)) @ B(w) gets such a proof)
         afs, prob, comps = build("eval")
         scc = next(c for c in comps if any(prob.pairs[i].collapsing for i in c))
         cs = build_constraints(scc, prob)
@@ -95,7 +98,9 @@ class TestPaperWitnesses:
             (("fun", "dom'"), ("dom'", "s"), ("dom'", "o")),
             scc,
         )
-        assert check_certificate(cs, cert).valid
+        verdict = check_certificate(cs, cert)
+        assert not verdict.valid
+        assert "mode local-collapsing" in verdict.reason
 
     def test_eval_without_filtering_fails(self):
         # dropping the argument function loses the orientation: the third
@@ -245,17 +250,31 @@ class TestMutations:
         assert rejected >= 95
 
     def test_precedence_mutation_rejected(self):
-        afs, prob, comps = build("eval")
-        scc = next(c for c in comps if any(prob.pairs[i].collapsing for i in c))
-        cs = build_constraints(scc, prob)
-        M = afs.symbol("dom").decl.output
-        domp = FunctionSymbol("dom'", TypeDecl((M, M), M), EXT)
-        x1, x2 = Variable("x1", M), Variable("x2", M)
-        pi = {"dom": FunApp(domp, (Var(x1), Var(x2)))}
-        good = ArgFunRPO(pi, (("fun", "dom'"),), scc)
+        # map's static-mode SCC is non-collapsing, where the path ordering
+        # is a reduction pair
+        _afs, prob, comps = build("map")
+        cs = build_constraints(comps[0], prob)
+        assert cs.mode == "non-collapsing"
+        good = ArgFunRPO({}, (("cons", "map#"), ("map", "cons")), comps[0])
         assert check_certificate(cs, good).valid
-        flipped = ArgFunRPO(pi, (("dom'", "fun"),), scc)
+        # map's rule needs map > cons
+        flipped = ArgFunRPO({}, (("cons", "map#"), ("cons", "map")), comps[0])
         assert not check_certificate(cs, flipped).valid
+
+    def test_rpo_certificates_rejected_on_nonterminating_systems(self):
+        # abfun loops: with w = \x. A(x) @ x, A(B(w)) @ B(w) -> w @ B(w)
+        # -> A(B(w)) @ B(w); fga loops from f(o)
+        found = 0
+        for name in ("abfun", "fga"):
+            for spfp_drop in (True, False):
+                _afs, prob, comps = build(name, spfp_drop)
+                for scc in comps:
+                    cs = build_constraints(scc, prob)
+                    cert = search_rpo(cs, budget=10.0)
+                    if cert is not None:
+                        found += 1
+                        assert not check_certificate(cs, cert).valid, (name, scc)
+        assert found == 2  # abfun's one SCC, in both modes
 
     def test_projection_mutations(self):
         afs, prob, comps = build("eval")

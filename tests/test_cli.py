@@ -105,6 +105,34 @@ class TestCheck:
                                str(proof_file))
         assert code == 1
 
+    def test_path_ordering_yes_for_abfun_rejected(self, capsys, tmp_path):
+        # abfun does not terminate: with w = \x:o. A(x) @ x,
+        # A(B(w)) @ B(w) -> w @ B(w) -> A(B(w)) @ B(w).  The path ordering
+        # orients its collapsing pair with an empty pi and precedence, but it
+        # does not contain beta, which the collapsing modes require.
+        proof_file = tmp_path / "abfun.proof"
+        proof_file.write_text("\n".join([
+            "YES",
+            "PREPARATION",
+            "  local: yes",
+            "  static-mode: no",
+            "  rules: 1",
+            "  pairs: 1",
+            "  pair 0: A(B(F)) @ y ~> F @ y",
+            "  graph: 1 nodes, 1 edges",
+            "STEP",
+            "  scc: 0",
+            "  mode: local-collapsing",
+            "  ARGFUN+RPO",
+            "  strict: 0",
+            "  removed: 0",
+            "END",
+        ]) + "\n")
+        code, _, err = run_cli(capsys, "check", str(CORPUS / "abfun.afs"),
+                               str(proof_file))
+        assert code == 1
+        assert "mode local-collapsing" in err
+
 
 class TestCorpusCmd:
     def test_all_expectations(self, capsys):

@@ -1,5 +1,6 @@
 """The proving loop: verdicts, determinism, self-verification, corpus."""
 
+import ast
 import json
 import os
 import random
@@ -220,6 +221,29 @@ class TestCorpus:
         assert all(not errors for _verdict, errors in report["verdicts"])
         assert report["before"]["afsterm.parser._PUNCT"] > 0
         assert report["after"] == report["before"]
+
+    def test_every_module_level_definition_has_a_user(self):
+        # no helpers that nothing calls: each module-level function or class
+        # of the package is referenced somewhere in the package outside its
+        # own definition, or exported by the package
+        src = ROOT / "src" / "afsterm"
+        exported = {a.name for node in ast.parse((src / "__init__.py").read_text()).body
+                    if isinstance(node, ast.ImportFrom) for a in node.names}
+        defined = []  # (file, name) of each module-level def and class
+        users = {}  # name -> {(file, the module-level def it sits in, or None)}
+        for path in sorted(src.rglob("*.py")):
+            for stmt in ast.parse(path.read_text()).body:
+                owner = None
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                    owner = stmt.name
+                    defined.append((path, owner))
+                for node in ast.walk(stmt):
+                    if isinstance(node, (ast.Name, ast.Attribute)):
+                        name = node.id if isinstance(node, ast.Name) else node.attr
+                        users.setdefault(name, set()).add((path, owner))
+        unused = [f"{path.relative_to(src)}:{name}" for path, name in defined
+                  if name not in exported and not users.get(name, set()) - {(path, name)}]
+        assert unused == []
 
     def test_empty_directory(self, tmp_path):
         assert run_corpus(tmp_path, Config()) == []

@@ -51,9 +51,34 @@ class TestExprGrammar:
 
 
 class TestHandWrittenProof:
+    def test_map_path_ordering_certificate_checks(self):
+        afs = load("map")
+        text = "\n".join([
+            "YES",
+            "PREPARATION",
+            "  local: yes",
+            "  static-mode: yes",
+            "  rules: 2",
+            "  pairs: 1",
+            "  pair 0: map#(F, cons(h, t)) ~> map#(F, t)",
+            "  graph: 1 nodes, 1 edges",
+            "STEP",
+            "  scc: 0",
+            "  mode: non-collapsing",
+            "  ARGFUN+RPO",
+            "    prec: cons > map#",
+            "    prec: map > cons",
+            "  strict: 0",
+            "  removed: 0",
+            "END",
+        ]) + "\n"
+        assert check_proof_text(text, afs) == []
+
     def test_published_eval_certificate_checks(self):
         # the proof skeleton the engine derives, but with the published
-        # argument-function certificate for the collapsing component
+        # argument-function certificate for the collapsing component: it
+        # belongs to an ordering that contains beta, and the path ordering
+        # does not (abfun's A(B(w)) @ B(w) loop gets such a proof)
         afs = load("eval")
         text = "\n".join([
             "YES",
@@ -91,7 +116,9 @@ class TestHandWrittenProof:
             "  removed: 2",
             "END",
         ]) + "\n"
-        assert check_proof_text(text, afs) == []
+        assert check_proof_text(text, afs) == [
+            "certificate rejected: the path ordering does not contain beta, "
+            "which mode local-collapsing requires"]
 
     def test_wrong_pair_listing_flagged(self):
         afs = load("map")

@@ -10,7 +10,7 @@ from afsterm.terms import (
     Base, Arrow, TypeDecl, FunctionSymbol, Variable, Var, App, FunApp, lam,
     type_of, typecheck, IllTyped, alpha_equal, apply_subst, match,
     rewrite_step, bounded_reductions, mark, head, free_vars, subterms,
-    term_text, beta_normalize, is_beta_normal, TypeMismatch,
+    dangling_bvars, term_text, is_beta_normal, TypeMismatch,
 )
 
 from helpers import load, random_term, random_closed_term, normal_forms
@@ -33,6 +33,14 @@ def table(twice):
 
 def t(text, table):
     return parse_term_text(text, table)
+
+
+def beta_nf(u):
+    """Leftmost-outermost beta normal form: the first beta reduct until none
+    is left (terminates on well-typed terms)."""
+    while reducts := rewrite_step(u, ()):
+        u = reducts[0]
+    return u
 
 
 class TestTyping:
@@ -195,11 +203,11 @@ class TestRewriting:
         rng = random.Random(5)
         for _ in range(40):
             u = random_term(rng, twice, nat, rng.randrange(3, 12))
-            nf = beta_normalize(u)
+            nf = beta_nf(u)
             assert is_beta_normal(nf)
             # all one-step beta reducts normalize to the same term
             for r in rewrite_step(u, []):
-                assert alpha_equal(beta_normalize(r), nf)
+                assert alpha_equal(beta_nf(r), nf)
 
 
 class TestBoundedReductions:
@@ -245,3 +253,7 @@ class TestMisc:
         u = t("twice(\\x:nat. I(x)) @ m", table)
         assert {v.name for v in free_vars(u)} == {"m"}
         assert len(subterms(u)) == 6
+        # pre-order, with the binder depth; I(x) lets its index escape
+        assert [d for _, d in subterms(u)] == [0, 0, 0, 1, 1, 0]
+        assert [dangling_bvars(s) for s, _ in subterms(u)][2:5] == [
+            frozenset(), frozenset({0}), frozenset({0})]
