@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .afs import IllegalLhs, classify, complete
 from .dp import dependency_pairs
-from .engine import Config, prove, run_corpus, InternalError
+from .engine import Config, ENGINE_ORDER, prove, run_corpus, InternalError
 from .graph import approximate_graph, to_dot
 from .parser import ParseError, parse_afs
 from .prooftext import render_proof, check_proof_text
@@ -30,23 +30,18 @@ def _load(path: str):
 
 
 def _config(args) -> Config:
-    engines = tuple(args.engines.split(",")) if getattr(args, "engines", None) \
-        else Config().engines
-    return Config(
-        timeout=args.timeout,
-        engines=engines,
-        coef_bound=getattr(args, "coef_bound", 3),
-        verbosity=getattr(args, "verbose", 0),
-    )
+    engines = getattr(args, "engines", None)
+    try:
+        return Config(timeout=args.timeout,
+                      engines=tuple(engines.split(",")) if engines else ENGINE_ORDER)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        raise SystemExit(2)
 
 
 def cmd_prove(args) -> int:
     afs = _load(args.file)
-    try:
-        cfg = _config(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    cfg = _config(args)
     if args.dot:
         problem = dependency_pairs(classify(complete(afs)))
         Path(args.dot).write_text(to_dot(approximate_graph(problem)))
@@ -56,7 +51,7 @@ def cmd_prove(args) -> int:
         print(f"internal error: search produced an invalid certificate: {exc}",
               file=sys.stderr)
         return 1
-    sys.stdout.write(render_proof(proof, cfg.verbosity))
+    sys.stdout.write(render_proof(proof, args.verbose))
     return 0
 
 
@@ -77,11 +72,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    try:
-        cfg = _config(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    cfg = _config(args)
     if not Path(args.dir).is_dir():
         print(f"not a directory: {args.dir}", file=sys.stderr)
         return 2
@@ -113,7 +104,6 @@ def main(argv=None) -> int:
     p.add_argument("file")
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--engines", help="comma separated subset of subterm,poly,rpo")
-    p.add_argument("--coef-bound", type=int, default=3, dest="coef_bound")
     p.add_argument("--dot", help="write the dependency graph in DOT format")
     p.add_argument("-v", "--verbose", action="count", default=0)
     p.set_defaults(func=cmd_prove)

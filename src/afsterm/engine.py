@@ -25,15 +25,12 @@ ENGINE_ORDER = ("subterm", "poly", "rpo")
 
 @dataclass
 class Config:
-    timeout: float = 60.0
-    scc_budget: float = 10.0
+    timeout: float = 60.0  # seconds for the whole proof, the only clock
     engines: tuple[str, ...] = ENGINE_ORDER
-    coef_bound: int = 3
-    verbosity: int = 0
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0 or self.scc_budget <= 0:
-            raise ValueError("budgets must be positive")
+        if self.timeout <= 0:
+            raise ValueError("timeout must be positive")
         for e in self.engines:
             if e not in ENGINE_ORDER:
                 raise ValueError(f"unknown engine {e!r}")
@@ -117,13 +114,11 @@ def prove(afs: AFS, cfg: Optional[Config] = None) -> Proof:
             proof = Proof(YES, steps, problem)
             break
         scc = components[0]
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
+        if time.monotonic() >= deadline:
             steps.append(GiveUp(scc, (), "timeout"))
             proof = Proof(MAYBE, steps, problem)
             break
-        budget = min(cfg.scc_budget, remaining)
-        step = _discharge(scc, problem, cfg, budget, templates)
+        step = _discharge(scc, problem, cfg, deadline, templates)
         steps.append(step)
         if isinstance(step, GiveUp):
             proof = Proof(MAYBE, steps, problem)
@@ -149,10 +144,11 @@ def _split_first(graph: DPGraph, components: list[tuple[int, ...]],
     return dropped, sorted(components[1:] + parts, key=lambda c: c[0])
 
 
-def _discharge(scc: tuple[int, ...], problem: DPProblem, cfg: Config, budget: float,
+def _discharge(scc: tuple[int, ...], problem: DPProblem, cfg: Config, deadline: float,
                templates: dict) -> Union[SubtermStep, ReductionPairStep, GiveUp]:
-    """The first step an engine finds for the SCC, or a give-up step that
-    names the engines that ran."""
+    """The first step an engine finds for the SCC before the proof's
+    `time.monotonic()` deadline, or a give-up step that names the engines
+    that ran."""
     collapsing = any(problem.pairs[i].collapsing for i in scc)
     tried: list[str] = []
     if "subterm" in cfg.engines and not collapsing:
@@ -163,14 +159,14 @@ def _discharge(scc: tuple[int, ...], problem: DPProblem, cfg: Config, budget: fl
     cs = build_constraints(scc, problem)
     if "poly" in cfg.engines:
         tried.append("poly")
-        cert = search_poly(cs, budget=budget, coef_bound=cfg.coef_bound, store=templates)
+        cert = search_poly(cs, store=templates, deadline=deadline)
         if cert is not None:
             return ReductionPairStep(scc, cs.mode, cert, cert.strict)
     # the path ordering engine does not contain beta, which the collapsing
     # modes require; it is only offered on non-collapsing problems
     if "rpo" in cfg.engines and not collapsing:
         tried.append("rpo")
-        cert = search_rpo(cs, budget=budget)
+        cert = search_rpo(cs, deadline=deadline)
         if cert is not None:
             return ReductionPairStep(scc, cs.mode, cert, cert.strict)
     return GiveUp(scc, tuple(tried), "no engine oriented a pair strictly")

@@ -49,6 +49,14 @@ from .poly import (
 )
 from .poly import nf_geq  # noqa: F401  (perfbench's layer tracer wraps it here)
 
+# the largest constant of a candidate template; its weight exceeds its slot
+# count by at most COEF_BOUND + 4
+COEF_BOUND = 3
+# a search gives up after this many DFS nodes, as it does at the deadline: a
+# bound on work, not time.  The largest corpus search, fga's exhausted one,
+# visits 12,155.
+MAX_NODES = 200_000
+
 
 def _flat(i: int, ty: SimpleType) -> Expr:
     if ty.is_base():
@@ -66,7 +74,7 @@ def _sum(parts: list[Expr]) -> Expr:
     return Add(tuple(parts))
 
 
-def candidate_templates(f: FunctionSymbol, in_s: bool, bound: int,
+def candidate_templates(f: FunctionSymbol, in_s: bool,
                         store: Optional[dict] = None) -> list[PolyFun]:
     """Deterministic candidate list, ascending weight.
 
@@ -74,20 +82,20 @@ def candidate_templates(f: FunctionSymbol, in_s: bool, bound: int,
     recovered: their list is the general one filtered by `recovers_argument`
     for each declared argument, in order.
 
-    The general list depends only on the slot types and `bound`, and an
-    S-list also on the declared arity, so `store` keeps each under
-    (slot types, bound) or (slot types, bound, declared arity): it is built
-    once per store and served to every symbol with that key, and callers
-    must not mutate it.  Without a store the lists are built afresh.
+    The general list depends only on the slot types, and an S-list also on
+    the declared arity, so `store` keeps each under the slot types or
+    (slot types, declared arity): it is built once per store and served to
+    every symbol with that key, and callers must not mutate it.  Without a
+    store the lists are built afresh.
     """
     slots = slot_types_for(f)
     store = {} if store is None else store
-    general = store.get((slots, bound))
+    general = store.get(slots)
     if general is None:
-        general = store[slots, bound] = _general_templates(slots, bound)
+        general = store[slots] = _general_templates(slots)
     if not in_s:
         return general
-    key = (slots, bound, f.decl.arity)
+    key = (slots, f.decl.arity)
     recovering = store.get(key)
     if recovering is None:
         recovering = store[key] = [
@@ -96,7 +104,7 @@ def candidate_templates(f: FunctionSymbol, in_s: bool, bound: int,
     return recovering
 
 
-def _general_templates(slots: tuple[SimpleType, ...], bound: int) -> list[PolyFun]:
+def _general_templates(slots: tuple[SimpleType, ...]) -> list[PolyFun]:
     n = len(slots)
     base_ids = [i for i, t in enumerate(slots) if t.is_base()]
     fun_ids = [i for i, t in enumerate(slots) if t.is_arrow()]
@@ -109,7 +117,7 @@ def _general_templates(slots: tuple[SimpleType, ...], bound: int) -> list[PolyFu
         bodies.setdefault(e, None)
 
     # constants and linear forms
-    for k in range(0, min(bound, 3) + 1):
+    for k in range(COEF_BOUND + 1):
         add(Const(k))
     for i in range(n):
         add(flats[i])
@@ -187,7 +195,7 @@ def _general_templates(slots: tuple[SimpleType, ...], bound: int) -> list[PolyFu
         add(_sum([sq, all_flats, Const(1)]))
         add(_sum([sq, flats[i], flats[i], all_flats, Const(1)]))
 
-    kept = [(w, body) for body in bodies if (w := expr_weight(body)) <= bound + n + 4]
+    kept = [(w, body) for body in bodies if (w := expr_weight(body)) <= COEF_BOUND + n + 4]
     kept.sort(key=lambda entry: (entry[0], repr(entry[1])))
     return [PolyFun(slots, body) for _w, body in kept]
 
@@ -218,8 +226,8 @@ def symbol_order(names: set[str], con_syms: list[frozenset[str]]) -> list[str]:
     return order
 
 
-class _Deadline(Exception):
-    """The search budget ran out; ends the whole search at once."""
+class _Stop(Exception):
+    """The deadline passed or `MAX_NODES` was reached: ends the search at once."""
 
 
 class _Nogoods(dict):
@@ -228,20 +236,21 @@ class _Nogoods(dict):
     they rule out})."""
 
 
-def search_poly(cs: ConstraintSet, budget: float = 10.0, coef_bound: int = 3,
-                store: Optional[dict] = None) -> Optional[PolyInterp]:
+def search_poly(cs: ConstraintSet, store: Optional[dict] = None,
+                deadline: Optional[float] = None) -> Optional[PolyInterp]:
     """Enumerate interpretations; all constraints must hold weakly and at
     least one strict candidate strictly.  Returns the first (deterministic)
-    hit with its maximal strict subset.  `store` keeps the candidate lists
-    for `candidate_templates`; `prove` passes one per proof, and without it
-    the search makes its own."""
-    deadline = time.monotonic() + budget
+    hit with its maximal strict subset, or None once the space is exhausted,
+    `MAX_NODES` DFS nodes are visited or the `time.monotonic()` deadline
+    passes.  `store` keeps the candidate lists for `candidate_templates`;
+    `prove` passes one per proof, and without it the search makes its own."""
+    deadline = float("inf") if deadline is None else deadline
     symbols = occurring_symbols(cs)
     s_names = {f.display for f in cs.S}
     store = {} if store is None else store
 
     options = {
-        f.display: candidate_templates(f, f.display in s_names, coef_bound, store)
+        f.display: candidate_templates(f, f.display in s_names, store)
         for f in symbols
     }
     if any(not opts for opts in options.values()):
@@ -293,7 +302,7 @@ def search_poly(cs: ConstraintSet, budget: float = 10.0, coef_bound: int = 3,
 
     def verdict(ci: int) -> int:
         if time.monotonic() > deadline:
-            raise _Deadline
+            raise _Stop
         lhs, rhs = constraints[ci]
         # refute at the two points before building normal forms
         slack = point_slack(lhs, rhs, at_points)
@@ -307,13 +316,15 @@ def search_poly(cs: ConstraintSet, budget: float = 10.0, coef_bound: int = 3,
         return 2 if compare_terms(lhs, rhs, interp, strict=True) else 1
 
     result: Optional[PolyInterp] = None
+    nodes = 0
 
     def dfs(pos: int) -> Optional[int]:
         """None once a certificate is found, else the mask of the earlier
         positions whose options this subtree's failure depends on."""
-        nonlocal result
-        if time.monotonic() > deadline:
-            raise _Deadline
+        nonlocal result, nodes
+        nodes += 1
+        if nodes > MAX_NODES or time.monotonic() > deadline:
+            raise _Stop
         if pos == n:  # some candidate holds strictly: checked at last_cand_pos
             pairs = tuple(c.pair_index for c, s in zip(cs.strict_candidates, strict) if s)
             result = PolyInterp(dict(assign), pairs)
@@ -384,7 +395,7 @@ def search_poly(cs: ConstraintSet, budget: float = 10.0, coef_bound: int = 3,
         if last_cand_pos == -1 and not any(strict):
             return None
         return result if dfs(0) is None else None
-    except _Deadline:
+    except _Stop:
         return None
     finally:
         # dfs reaches itself through its closure; break that cycle so the

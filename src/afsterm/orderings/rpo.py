@@ -129,6 +129,7 @@ class Precedence:
     def __init__(self, facts: Sequence[tuple[str, str]] = (), frozen: bool = False):
         self.above: dict[str, set[str]] = {}
         self.frozen = frozen
+        self.added: list[tuple[str, str]] = []  # the undo log of `_add`
         for a, b in facts:
             if not self._add(a, b):
                 raise ValueError(f"cyclic precedence: {a} > {b}")
@@ -153,7 +154,14 @@ class Precedence:
         if a == b or self._reachable(b, a):
             return False
         self.above.setdefault(a, set()).add(b)
+        self.added.append((a, b))
         return True
+
+    def undo(self, mark: int) -> None:
+        """Drop the facts added since the undo log had `mark` entries."""
+        while len(self.added) > mark:
+            a, b = self.added.pop()
+            self.above[a].discard(b)
 
     def holds(self, f: MSym, g: MSym) -> bool:
         """The mandatory facts plus the user facts (transitively)."""
@@ -187,6 +195,9 @@ class Precedence:
 # the ordering
 
 
+GAS = 200_000  # the comparison steps one `rpo_greater` or `rpo_geq` call may take
+
+
 class _Gas:
     __slots__ = ("n",)
 
@@ -203,6 +214,7 @@ def _geq(s: MTerm, t: MTerm, prec: Precedence, counter: list[int], gas: _Gas) ->
 
 
 def _greater(s: MTerm, t: MTerm, prec: Precedence, counter: list[int], gas: _Gas) -> bool:
+    """Whether s > t; a failed comparison leaves `prec` as it found it."""
     if not gas.tick():
         return False
     if isinstance(s, (MVar, MAtom, MIdx)):
@@ -225,6 +237,7 @@ def _greater(s: MTerm, t: MTerm, prec: Precedence, counter: list[int], gas: _Gas
         elif _geq(arg, t, prec, counter, gas):
             return True
     if isinstance(t, MFun):
+        mark = len(prec.added)  # the facts added from here on go if s > t fails
         if s.sym == t.sym and len(s.args) == len(t.args):
             # lexicographic status, left to right
             for i, (a, b) in enumerate(zip(s.args, t.args)):
@@ -236,21 +249,22 @@ def _greater(s: MTerm, t: MTerm, prec: Precedence, counter: list[int], gas: _Gas
                     first = _greater(_open_bind(a, atom), _open_bind(b, atom), prec, counter, gas)
                 else:
                     first = _greater(a, b, prec, counter, gas)
-                if not first:
-                    return False
-                return all(_greater(s, tb, prec, counter, gas) for tb in t.args[i + 1:])
-            return False
-        if prec.request(s.sym, t.sym):
-            return all(_greater(s, tb, prec, counter, gas) for tb in t.args)
+                if first and all(_greater(s, tb, prec, counter, gas) for tb in t.args[i + 1:]):
+                    return True
+                break
+        elif prec.request(s.sym, t.sym) and \
+                all(_greater(s, tb, prec, counter, gas) for tb in t.args):
+            return True
+        prec.undo(mark)
     return False
 
 
-def rpo_greater(s: MTerm, t: MTerm, prec: Precedence, gas_limit: int = 200_000) -> bool:
-    return _greater(s, t, prec, [0], _Gas(gas_limit))
+def rpo_greater(s: MTerm, t: MTerm, prec: Precedence) -> bool:
+    return _greater(s, t, prec, [0], _Gas(GAS))
 
 
-def rpo_geq(s: MTerm, t: MTerm, prec: Precedence, gas_limit: int = 200_000) -> bool:
-    return _geq(s, t, prec, [0], _Gas(gas_limit))
+def rpo_geq(s: MTerm, t: MTerm, prec: Precedence) -> bool:
+    return _geq(s, t, prec, [0], _Gas(GAS))
 
 
 # --------------------------------------------------------------------------
@@ -371,10 +385,11 @@ def orient(cs: ConstraintSet, pi: dict, prec: Precedence) -> Optional[tuple[int,
     return tuple(strict)
 
 
-def search_rpo(cs: ConstraintSet, budget: float = 10.0) -> Optional[ArgFunRPO]:
+def search_rpo(cs: ConstraintSet, deadline: Optional[float] = None) -> Optional[ArgFunRPO]:
     """Search over argument functions (iterative deepening on the number of
-    non-identity entries) with greedy precedence accumulation."""
-    deadline = time.monotonic() + budget
+    non-identity entries) with greedy precedence accumulation; gives up once
+    the `time.monotonic()` deadline passes."""
+    deadline = float("inf") if deadline is None else deadline
     symbols = occurring_symbols(cs)
     s_names = {f.display for f in cs.S}
     options = {f.display: pi_options(f, f.display in s_names, cs.afs) for f in symbols}
@@ -387,59 +402,36 @@ def search_rpo(cs: ConstraintSet, budget: float = 10.0) -> Optional[ArgFunRPO]:
             return None
         return ArgFunRPO(dict(pi), tuple(prec.facts()), strict)
 
-    # tier 0: identity everywhere; tier 1: the "suggested" option per symbol
-    # (untag/unmark/rule image), alone and combined; then pairs of changes
-    base_pi: dict = {}
-    found = attempt(base_pi)
-    if found:
-        return found
-
-    suggested: dict = {}
-    for name in names:
-        opts = options[name]
-        if len(opts) > 1:
-            suggested[name] = opts[1]
-    if suggested:
-        found = attempt(suggested)
-        if found:
-            return found
-
-    for depth in (1, 2):
+    def dfs(pi: dict, depth: int, start: int) -> Optional[ArgFunRPO]:
         if time.monotonic() > deadline:
             return None
-        found = _dfs_pi(names, options, {}, depth, attempt, deadline, suggested)
-        if found:
-            return found
-    return None
-
-
-def _dfs_pi(names, options, pi, depth, attempt, deadline, suggested, start=0):
-    if time.monotonic() > deadline:
-        return None
-    result = attempt(pi) if pi else None
-    if result:
-        return result
-    if depth == 0:
-        return None
-    for i in range(start, len(names)):
-        name = names[i]
-        for opt in options[name][1:]:
-            if time.monotonic() > deadline:
-                return None
-            pi2 = dict(pi)
-            pi2[name] = opt
-            # also combine with the suggested assignments of other symbols
-            found = _dfs_pi(names, options, pi2, depth - 1, attempt, deadline,
-                            suggested, i + 1)
-            if found:
-                return found
-            merged = dict(suggested)
-            merged.update(pi2)
-            if merged != pi2:
-                found = attempt(merged)
+        result = attempt(pi) if pi else None
+        if result or depth == 0:
+            return result
+        for i in range(start, len(names)):
+            name = names[i]
+            for opt in options[name][1:]:
+                if time.monotonic() > deadline:
+                    return None
+                pi2 = dict(pi)
+                pi2[name] = opt
+                found = dfs(pi2, depth - 1, i + 1)
                 if found:
                     return found
-    return None
+                # also combine with the suggested assignments of other symbols
+                merged = dict(suggested)
+                merged.update(pi2)
+                if merged != pi2:
+                    found = attempt(merged)
+                    if found:
+                        return found
+        return None
+
+    # identity everywhere; then the "suggested" option of every symbol
+    # (untag/unmark/rule image) at once; then one, then two changes
+    suggested = {name: options[name][1] for name in names if len(options[name]) > 1}
+    return (attempt({}) or (attempt(suggested) if suggested else None)
+            or dfs({}, 1, 0) or dfs({}, 2, 0))
 
 
 def check_argfun_rpo(cs: ConstraintSet, cert: ArgFunRPO) -> tuple[bool, str]:

@@ -258,7 +258,7 @@ def nf_add_reference(a, b):
     return _guard(_canon_nf([_canon_branch(list(x) + list(y)) for x in a for y in b]))
 
 
-def chronological_search_poly(cs, coef_bound: int = 3, store=None):
+def chronological_search_poly(cs, store=None):
     """The polynomial search as a plain chronological DFS over
     `symbol_order`: try every option at each position in turn, check each
     constraint once all its symbols are assigned, and prune when no strict
@@ -269,8 +269,7 @@ def chronological_search_poly(cs, coef_bound: int = 3, store=None):
     is handed to `candidate_templates` as `search_poly` hands it on."""
     symbols = occurring_symbols(cs)
     s_names = {f.display for f in cs.S}
-    options = {f.display: poly_search.candidate_templates(f, f.display in s_names,
-                                                          coef_bound, store)
+    options = {f.display: poly_search.candidate_templates(f, f.display in s_names, store)
                for f in symbols}
     if any(not opts for opts in options.values()):
         return None

@@ -339,7 +339,7 @@ def test_criterion_8d_ordering_properties():
     # poly comparator soundness sampling over a found certificate
     prob = dependency_pairs(afs)
     cs = build_constraints(sccs(prune(approximate_graph(prob)))[0], prob)
-    cert = search_poly(cs, budget=15.0)
+    cert = search_poly(cs)
     assert cert is not None
     interp = Interpreter(cert.assign)
     duties = [(w.lhs, w.rhs) for w in cs.weak]
@@ -376,7 +376,7 @@ def test_criterion_8e_mutations():
         prob = dependency_pairs(afs, spfp_drop=(name != "map"))
         for scc in sccs(prune(approximate_graph(prob))):
             cs = build_constraints(scc, prob)
-            cert = search_poly(cs, budget=10.0)
+            cert = search_poly(cs)
             if cert is not None:
                 stock.append((cs, cert))
     total = rejected = accepted_valid = 0

@@ -225,7 +225,7 @@ class TestMutations:
             afs, prob, comps = build(name, spfp_drop=(name != "map"))
             for scc in comps:
                 cs = build_constraints(scc, prob)
-                cert = search_poly(cs, budget=10.0)
+                cert = search_poly(cs)
                 if cert is not None:
                     assert check_certificate(cs, cert).valid
                     stock.append((cs, cert))
@@ -270,7 +270,7 @@ class TestMutations:
                 _afs, prob, comps = build(name, spfp_drop)
                 for scc in comps:
                     cs = build_constraints(scc, prob)
-                    cert = search_rpo(cs, budget=10.0)
+                    cert = search_rpo(cs)
                     if cert is not None:
                         found += 1
                         assert not check_certificate(cs, cert).valid, (name, scc)

@@ -1,5 +1,6 @@
 """Command-line contract: first-line verdicts, exit codes, check round-trip."""
 
+import re
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 
 from afsterm.cli import main
 
-from helpers import CORPUS, GOLDEN
+from helpers import CORPUS, GOLDEN, ROOT
 
 
 def run_cli(capsys, *argv):
@@ -152,3 +153,22 @@ class TestCorpusCmd:
             capture_output=True, text=True, timeout=120)
         assert out.returncode == 0
         assert out.stdout.splitlines()[0] == "YES"
+
+
+class TestReadmeSynopsis:
+    @pytest.mark.parametrize("cmd", ["prove", "corpus"])
+    def test_documented_flags_are_the_real_ones(self, capsys, cmd):
+        # the options in README's "Command line" block are exactly those of
+        # the usage line `--help` prints (minus -h), so a removed flag
+        # cannot stay documented
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        synopsis = block.split(f"afsterm {cmd} ", 1)[1].split("\nafsterm ", 1)[0]
+        code, out, _ = run_cli(capsys, cmd, "--help")
+        assert code == 0
+        usage = out.split("\n\n", 1)[0]
+
+        def flags(text):
+            return set(re.findall(r"\[(--?[\w-]+)", text))
+
+        assert flags(synopsis) and flags(synopsis) == flags(usage) - {"-h"}

@@ -1,11 +1,13 @@
 """The proving loop: verdicts, determinism, self-verification, corpus."""
 
 import ast
+import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+import time
 import zlib
 
 import pytest
@@ -96,6 +98,18 @@ class TestGoldenProofs:
         assert sorted(p.stem for p in GOLDEN.glob("*.proof")) == corpus_names()
 
 
+class TestDeterminism:
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_a_slow_clock_changes_no_proof(self, name, monkeypatch):
+        # each reading of the clock advances it by a second, as on a very
+        # slow machine; the searches compare it only with the proof's
+        # deadline, which is far away, so each proof is still its golden
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
+        proof = prove(load(name), Config(timeout=1e9))
+        assert render_proof(proof, 1) == (GOLDEN / f"{name}.proof").read_text()
+
+
 class TestConfig:
     def test_engine_subset(self):
         # with only the path ordering engine, twice cannot be proved: the
@@ -104,9 +118,18 @@ class TestConfig:
         assert proof.verdict == MAYBE
         # map is fine with the subterm criterion alone
         assert prove(load("map"), Config(engines=("subterm",))).verdict == YES
-        # and with rpo alone (non-collapsing after the static drop)
-        assert prove(load("map"), Config(engines=("rpo",))).verdict == MAYBE or \
-            prove(load("map"), Config(engines=("rpo",))).verdict == YES
+
+    def test_rpo_alone_proves_five_systems(self):
+        # the path ordering engine on its own (it runs on non-collapsing
+        # SCCs only), each proof accepted by the text checker
+        proved = []
+        for name in corpus_names():
+            afs = load(name)
+            proof = prove(afs, Config(engines=("rpo",)))
+            assert check_proof_text(render_proof(proof), afs) == [], name
+            if proof.verdict == YES:
+                proved.append(name)
+        assert proved == ["ack", "map", "mapappend", "quot", "rec"]
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
@@ -115,7 +138,7 @@ class TestConfig:
             Config(engines=("magic",))
 
     def test_first_line_on_timeout(self):
-        proof = prove(load("fga"), Config(timeout=0.001, scc_budget=0.001))
+        proof = prove(load("fga"), Config(timeout=0.001))
         assert proof.verdict == MAYBE
 
 

@@ -10,14 +10,14 @@ import pytest
 from afsterm import engine
 from afsterm.afs import complete, classify
 from afsterm.dp import dependency_pairs
-from afsterm.engine import Config, prove
+from afsterm.engine import Config, ReductionPairStep, prove
 from afsterm.graph import approximate_graph, prune, sccs
 from afsterm.orderings import (
     build_constraints, subterm_criterion, search_poly, search_rpo,
     check_certificate, Projection, MODE_NON_COLLAPSING, MODE_BASIC,
     MODE_LOCAL_COLLAPSING, mu, rpo_greater, Precedence,
 )
-from afsterm.orderings import poly, poly_search
+from afsterm.orderings import poly, poly_search, rpo
 from afsterm.orderings.constraints import (
     ConstraintSet, StrictCandidate, WeakConstraint, occurring_symbols,
 )
@@ -27,14 +27,16 @@ from afsterm.orderings.poly import (
     PointInterpreter, point_valuation, point_slack,
 )
 from afsterm.orderings.poly_search import candidate_templates
+from afsterm.orderings.rpo import MFun, MSym, MVar
 from afsterm.parser import SymbolTable, parse_afs, parse_term_text
+from afsterm.prooftext import parse_proof
 from afsterm.terms import (
     Base, Arrow, Variable, Var, App, FunApp, FunctionSymbol, TypeDecl, lam, term_text,
     type_of, apply_subst, free_vars,
 )
 
 from helpers import (
-    load, corpus_names, random_term, eval_nf, nf_slots, chronological_search_poly,
+    GOLDEN, load, corpus_names, random_term, eval_nf, nf_slots, chronological_search_poly,
     point_assignments, MONOTONE_SAMPLES,
 )
 
@@ -193,7 +195,7 @@ class TestPolyComparator:
         prob = dependency_pairs(afs)
         comps = sccs(prune(approximate_graph(prob)))
         cs = build_constraints(comps[0], prob)
-        cert = search_poly(cs, budget=10.0)
+        cert = search_poly(cs)
         assert cert is not None
         interp = Interpreter(cert.assign)
         samples = 0
@@ -234,7 +236,7 @@ class TestPolySearch:
         afs = classify(complete(load("map")))
         prob = dependency_pairs(afs, spfp_drop=False)
         cs = build_constraints(sccs(prune(approximate_graph(prob)))[0], prob)
-        cert = search_poly(cs, budget=10.0)
+        cert = search_poly(cs)
         assert cert is not None
         assert check_certificate(cs, cert).valid
 
@@ -243,7 +245,7 @@ class TestPolySearch:
         x = Variable("x", Base("list"))
         cs = ConstraintSet(
             (StrictCandidate(0, Var(x), Var(x)),), (), (), MODE_NON_COLLAPSING, afs)
-        assert search_poly(cs, budget=5.0) is None
+        assert search_poly(cs) is None
 
     def test_search_results_check(self):
         for name in ("quot", "dupapp"):
@@ -251,7 +253,7 @@ class TestPolySearch:
             prob = dependency_pairs(afs)
             for scc in sccs(prune(approximate_graph(prob))):
                 cs = build_constraints(scc, prob)
-                cert = search_poly(cs, budget=10.0)
+                cert = search_poly(cs)
                 if cert is not None:
                     assert check_certificate(cs, cert).valid
 
@@ -274,16 +276,16 @@ class TestTemplateStore:
                 prob, comps = problem_and_sccs(name, spfp_drop)
                 for scc in comps:
                     for f in occurring_symbols(build_constraints(scc, prob)):
-                        general = candidate_templates(f, False, 3, store)
-                        recovering = candidate_templates(f, True, 3, store)
-                        assert shown(general) == shown(candidate_templates(f, False, 3))
-                        assert shown(recovering) == shown(candidate_templates(f, True, 3))
+                        general = candidate_templates(f, False, store)
+                        recovering = candidate_templates(f, True, store)
+                        assert shown(general) == shown(candidate_templates(f, False))
+                        assert shown(recovering) == shown(candidate_templates(f, True))
                         assert recovering == [
                             t for t in general
                             if all(poly.recovers_argument(t, i) for i in range(f.decl.arity))]
                         # built once: the store serves the same lists again
-                        assert candidate_templates(f, False, 3, store) is general
-                        assert candidate_templates(f, True, 3, store) is recovering
+                        assert candidate_templates(f, False, store) is general
+                        assert candidate_templates(f, True, store) is recovering
                         served += 2
         assert (served, len(store)) == (384, 41)  # lists served, lists built
 
@@ -291,9 +293,9 @@ class TestTemplateStore:
         stores = []
         full = poly_search.candidate_templates
 
-        def recorded(f, in_s, bound, store):
+        def recorded(f, in_s, store):
             stores.append(store)
-            return full(f, in_s, bound, store)
+            return full(f, in_s, store)
 
         monkeypatch.setattr(poly_search, "candidate_templates", recorded)
         searches = []
@@ -336,7 +338,7 @@ class TestSubtermMemo:
             sides = [(c.lhs, c.rhs) for c in (*cs.strict_candidates, *cs.weak)]
             memo = SubtermMemo(t for pair in sides for t in pair)
             vals = [valuation_for(pair) for pair in sides]
-            options = {f.display: candidate_templates(f, f.display in s_names, 3)[:4]
+            options = {f.display: candidate_templates(f, f.display in s_names)[:4]
                        for f in occurring_symbols(cs)}
             for _ in range(40):
                 assign = {s: rng.choice(opts) for s, opts in options.items()
@@ -390,18 +392,18 @@ class TestSubtermMemo:
         tags = []
         full = poly_search.candidate_templates
 
-        def tagged(f, in_s, bound, store):
+        def tagged(f, in_s, store):
             if "tag" not in store:
                 store["tag"] = Tag()
                 tags.append(weakref.ref(store["tag"]))
-            return full(f, in_s, bound, store)
+            return full(f, in_s, store)
 
         monkeypatch.setattr(poly_search, "compare_terms", counted)
         monkeypatch.setattr(poly_search, "SubtermMemo", Recorded)
         monkeypatch.setattr(poly_search, "_Nogoods", RecordedNogoods)
         monkeypatch.setattr(poly_search, "candidate_templates", tagged)
-        # a budget no run reaches, so the counts do not depend on the machine
-        cfg = Config(timeout=600.0, scc_budget=300.0)
+        # a timeout no run reaches, so the counts do not depend on the machine
+        cfg = Config(timeout=600.0)
         counts = []
         gc.disable()  # what a search keeps must be freed without the collector
         try:
@@ -437,7 +439,7 @@ def sampled_comparisons(rng, per_scc):
                 s_names = {f.display for f in cs.S}
                 sides = [(c.lhs, c.rhs) for c in (*cs.weak, *cs.strict_candidates)]
                 terms = [t for pair in sides for t in pair]
-                options = {f.display: candidate_templates(f, f.display in s_names, 3)[:4]
+                options = {f.display: candidate_templates(f, f.display in s_names)[:4]
                            for f in occurring_symbols(cs)}
                 assign = {}
                 pval = point_valuation(terms)
@@ -547,14 +549,14 @@ class TestPointFilter:
             return compare_terms(*args, **kwargs)
 
         monkeypatch.setattr(poly_search, "compare_terms", counted)
-        assert search_poly(cs, budget=5.0) is None
+        assert search_poly(cs) is None
         assert calls == [False]
         # the verdict is the comparator's: one that accepted both
         # comparisons would orient the pair strictly
         calls.clear()
         monkeypatch.setattr(poly_search, "compare_terms",
                             lambda *args, strict: calls.append(strict) or True)
-        assert search_poly(cs, budget=5.0) == poly.PolyInterp({}, (0,))
+        assert search_poly(cs) == poly.PolyInterp({}, (0,))
         assert calls == [False, True]
 
 
@@ -598,7 +600,7 @@ class TestBackjumping:
                     for k in (1, 2, 3, 4, 5, 6, 8, 10, 14):
                         monkeypatch.setattr(poly_search, "candidate_templates",
                                             lambda *args, k=k: full(*args)[:k])
-                        got = search_poly(cs, budget=600.0, store=store)
+                        got = search_poly(cs, store=store)
                         assert got == chronological_search_poly(cs, store=store), \
                             (name, scc, k)
                         outcomes.append(got is not None)
@@ -624,7 +626,7 @@ class TestBackjumping:
                 pass  # learns nothing
 
         monkeypatch.setattr(poly_search, "compare_terms", counted)
-        got = search_poly(cs, budget=60.0)
+        got = search_poly(cs)
         assert got is not None and got == chronological_search_poly(cs)
         assert got.strict == (0,)
         assert {name: fun.body for name, fun in got.assign.items()} == \
@@ -632,7 +634,7 @@ class TestBackjumping:
         learning = len(calls)
         calls.clear()
         monkeypatch.setattr(poly_search, "_Nogoods", Forgetful)
-        assert search_poly(cs, budget=60.0) == got
+        assert search_poly(cs) == got
         assert (learning, len(calls)) == (10, 12)
 
     def test_a_learned_strictness_conflict_keeps_the_candidate_positions(self, monkeypatch):
@@ -645,7 +647,7 @@ class TestBackjumping:
         cs = unary_constraints(
             monkeypatch, {"a": (2, 3), "b": (2, 3), "c": (2, 3)},
             ["b(a(x)) >= a(x)", "b(x) >= c(x)"], ["a(c(x)) > c(x)"])
-        got = search_poly(cs, budget=60.0)
+        got = search_poly(cs)
         assert got is not None and got == chronological_search_poly(cs)
         assert got.strict == (0,)
         assert {name: fun.body for name, fun in got.assign.items()} == \
@@ -670,8 +672,25 @@ class TestBackjumping:
         cs = build_constraints(comps[0], prob)
         monkeypatch.setattr(poly_search.time, "monotonic", clock)
         monkeypatch.setattr(poly_search, "compare_terms", counted)
-        assert search_poly(cs, budget=10.0) is None
+        assert search_poly(cs, deadline=10.0) is None
         assert "compare" in events and events.index("late") == len(events) - 1
+
+    def test_node_cap_ends_the_search(self, monkeypatch):
+        # fromchain's one poly search finds its certificate at its 104th DFS
+        # node: with exactly that many allowed it returns the golden
+        # certificate, with one fewer nothing.  The real cap leaves ten times
+        # the largest corpus search, fga's exhausted 12,155 nodes.
+        assert poly_search.MAX_NODES >= 10 * 12_155
+        afs = load("fromchain")
+        problem = dependency_pairs(classify(complete(afs)))
+        golden, errors = parse_proof((GOLDEN / "fromchain.proof").read_text(), problem)
+        assert errors == []
+        step = next(s for s in golden.steps if isinstance(s, ReductionPairStep))
+        cs = build_constraints(step.scc, problem)
+        monkeypatch.setattr(poly_search, "MAX_NODES", 104)
+        assert search_poly(cs) == step.cert
+        monkeypatch.setattr(poly_search, "MAX_NODES", 103)
+        assert search_poly(cs) is None
 
 
 class TestRpo:
@@ -734,7 +753,7 @@ class TestRpo:
         prob, comps = problem_and_sccs("eval")
         scc = next(c for c in comps if any(prob.pairs[i].collapsing for i in c))
         cs = build_constraints(scc, prob)
-        cert = search_rpo(cs, budget=10.0)
+        cert = search_rpo(cs)
         assert cert is not None
         verdict = check_certificate(cs, cert)
         assert not verdict.valid and "mode local-collapsing" in verdict.reason
@@ -742,9 +761,26 @@ class TestRpo:
     def test_search_on_noncollapsing_map(self):
         prob, comps = problem_and_sccs("map")
         cs = build_constraints(comps[0], prob)
-        cert = search_rpo(cs, budget=10.0)
+        cert = search_rpo(cs)
         assert cert is not None
         assert check_certificate(cs, cert).valid
+
+    def test_a_failed_comparison_leaves_the_precedence_as_it_was(self):
+        # f(x) > g(y) requests f > g, then fails on f(x) > y; h(f(x), x) >
+        # h(g(x), y) requests f > g for its first arguments, then fails on
+        # h(f(x), x) > y
+        def fun(name, *args):
+            return MFun(MSym(rpo.USER, name), args)
+
+        x, y = MVar("x"), MVar("y")
+        for s, t in ((fun("f", x), fun("g", y)),
+                     (fun("h", fun("f", x), x), fun("h", fun("g", x), y))):
+            prec = Precedence()
+            assert not rpo_greater(s, t, prec)
+            assert prec.facts() == []
+        prec = Precedence()
+        assert rpo_greater(fun("f", x), fun("g", x), prec)
+        assert prec.facts() == [("f", "g")]
 
     def test_cyclic_precedence_rejected(self):
         with pytest.raises(ValueError):
