@@ -16,11 +16,19 @@ from .orderings import (
     build_constraints, subterm_criterion, Projection,
     search_poly, search_rpo, PolyInterp, ArgFunRPO, check_certificate,
 )
+from .terms import (
+    Abs, Arrow, FunApp, FunctionSymbol, IllTyped, SimpleType, Term,
+    bounded_reductions, free_vars, fresh_const, rewrite_step, substitute, type_of,
+)
 
 YES = "YES"
 MAYBE = "MAYBE"
 
 ENGINE_ORDER = ("subterm", "poly", "rpo")
+
+# the loop check's bounds: reduction steps and explored terms per start term
+LOOP_STEPS = 4
+LOOP_NODES = 16
 
 
 @dataclass
@@ -71,6 +79,7 @@ class GiveUp:
     scc: tuple[int, ...]
     tried: tuple[str, ...]
     reason: str
+    loop: tuple[Term, ...] = ()  # t0 -> ... -> tn = t0, when one was found
 
 
 Step = Union[Preparation, PruneStep, SubtermStep, ReductionPairStep, GiveUp]
@@ -107,6 +116,7 @@ def prove(afs: AFS, cfg: Optional[Config] = None) -> Proof:
     dropped = tuple(sorted(graph.alive - pruned.alive))
     components = sccs(pruned)
     templates: dict = {}  # the poly search's candidate lists, built once per proof
+    explored: set[Union[int, Term]] = set()  # the loop check's rules and start terms
     while True:
         if dropped:
             steps.append(PruneStep(dropped))
@@ -118,7 +128,7 @@ def prove(afs: AFS, cfg: Optional[Config] = None) -> Proof:
             steps.append(GiveUp(scc, (), "timeout"))
             proof = Proof(MAYBE, steps, problem)
             break
-        step = _discharge(scc, problem, cfg, deadline, templates)
+        step = _discharge(scc, problem, cfg, deadline, templates, explored)
         steps.append(step)
         if isinstance(step, GiveUp):
             proof = Proof(MAYBE, steps, problem)
@@ -145,10 +155,12 @@ def _split_first(graph: DPGraph, components: list[tuple[int, ...]],
 
 
 def _discharge(scc: tuple[int, ...], problem: DPProblem, cfg: Config, deadline: float,
-               templates: dict) -> Union[SubtermStep, ReductionPairStep, GiveUp]:
+               templates: dict, explored: set[Union[int, Term]]
+               ) -> Union[SubtermStep, ReductionPairStep, GiveUp]:
     """The first step an engine finds for the SCC before the proof's
     `time.monotonic()` deadline, or a give-up step that names the engines
-    that ran."""
+    that ran.  A reduction loop found before the ordering searches ends the
+    proof: no reduction pair can orient the SCC then."""
     collapsing = any(problem.pairs[i].collapsing for i in scc)
     tried: list[str] = []
     if "subterm" in cfg.engines and not collapsing:
@@ -156,6 +168,10 @@ def _discharge(scc: tuple[int, ...], problem: DPProblem, cfg: Config, deadline: 
         cert = subterm_criterion(scc, problem.pairs)
         if cert is not None:
             return SubtermStep(scc, cert, cert.strict)
+    loop = _find_loop(scc, problem, explored)
+    if loop:
+        return GiveUp(scc, tuple(tried),
+                      "a term reduces to itself, so the system does not terminate", loop)
     cs = build_constraints(scc, problem)
     if "poly" in cfg.engines:
         tried.append("poly")
@@ -170,6 +186,57 @@ def _discharge(scc: tuple[int, ...], problem: DPProblem, cfg: Config, deadline: 
         if cert is not None:
             return ReductionPairStep(scc, cs.mode, cert, cert.strict)
     return GiveUp(scc, tuple(tried), "no engine oriented a pair strictly")
+
+
+def _ground(ty: SimpleType, signature: tuple[FunctionSymbol, ...]) -> Term:
+    """A closed term of type ty: the first nullary signature symbol of a base
+    type (its fresh constant if there is none), \\x. ground(tau) for an arrow
+    type sigma -> tau."""
+    if isinstance(ty, Arrow):
+        return Abs(ty.left, _ground(ty.right, signature))
+    f = next((f for f in signature if not f.decl.arity and f.decl.output == ty), None)
+    return FunApp(f or fresh_const(ty))
+
+
+def _find_loop(scc: tuple[int, ...], problem: DPProblem,
+               explored: set[Union[int, Term]]) -> tuple[Term, ...]:
+    """A reduction loop t0 -> ... -> tn = t0 under the completed rules from
+    a ground instance of the left-hand side of a rule behind one of the
+    SCC's pairs, or () when none shows within the step and node bounds.
+    The completed rules are derivable from the input rules, so a loop is a
+    real infinite reduction.  Rule indices and start terms in `explored`
+    are skipped, and the new ones are added."""
+    afs = problem.afs
+    for i in scc:
+        r = problem.pairs[i].rule_index
+        if r in explored:
+            continue
+        explored.add(r)
+        lhs = afs.rules[r].lhs
+        start = substitute(lhs, {v: _ground(v.type, afs.signature) for v in free_vars(lhs)})
+        if start in explored:
+            continue
+        explored.add(start)
+        trace = bounded_reductions(start, afs.rules, LOOP_STEPS, max_nodes=LOOP_NODES).loop
+        if trace is not None:
+            return trace[trace.index(trace[-1]):]
+    return ()
+
+
+def _replay_loop(loop: tuple[Term, ...], rules) -> list[str]:
+    """The problems of a claimed loop: it must be well typed, close, and
+    each step must be a one-step reduction."""
+    try:
+        for t in loop:
+            type_of(t)
+    except IllTyped as exc:
+        return [f"loop term is ill-typed: {exc}"]
+    if len(loop) < 2 or loop[-1] != loop[0]:
+        return ["loop does not end at its first term"]
+    for k, (a, b) in enumerate(zip(loop, loop[1:])):
+        if b not in rewrite_step(a, rules):
+            return [f"loop step {k} is not a one-step reduction"]
+    return []
 
 
 def verify_proof(proof: Proof) -> list[str]:
@@ -203,6 +270,8 @@ def verify_proof(proof: Proof) -> list[str]:
             removed_total.extend(step.removed)
             continue
         if isinstance(step, GiveUp):
+            if step.loop:
+                errors.extend(_replay_loop(step.loop, problem.afs.rules))
             break
         # an SCC step: the chosen set must be the first SCC of the graph
         if pending:

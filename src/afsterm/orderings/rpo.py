@@ -388,17 +388,24 @@ def orient(cs: ConstraintSet, pi: dict, prec: Precedence) -> Optional[tuple[int,
 def search_rpo(cs: ConstraintSet, deadline: Optional[float] = None) -> Optional[ArgFunRPO]:
     """Search over argument functions (iterative deepening on the number of
     non-identity entries) with greedy precedence accumulation; gives up once
-    the `time.monotonic()` deadline passes."""
+    the `time.monotonic()` deadline passes.  Each attempt starts from an
+    empty precedence, so a table that failed once is not oriented again."""
     deadline = float("inf") if deadline is None else deadline
     symbols = occurring_symbols(cs)
     s_names = {f.display for f in cs.S}
     options = {f.display: pi_options(f, f.display in s_names, cs.afs) for f in symbols}
     names = [f.display for f in symbols]
 
+    failed: set[frozenset] = set()  # tables already oriented in vain
+
     def attempt(pi: dict) -> Optional[ArgFunRPO]:
+        key = frozenset(pi.items())
+        if key in failed:
+            return None
         prec = Precedence()
         strict = orient(cs, pi, prec)
         if strict is None:
+            failed.add(key)
             return None
         return ArgFunRPO(dict(pi), tuple(prec.facts()), strict)
 

@@ -23,7 +23,7 @@ from .orderings.poly import (
     slot_types_for,
 )
 from .parser import (
-    ParseError, SymbolTable, TokenStream, tokenize, parse_term,
+    ParseError, SymbolTable, TokenStream, tokenize, parse_term, parse_term_text,
 )
 from .terms import (
     FunctionSymbol, Variable, Term, term_text, TypeDecl, EXT,
@@ -85,8 +85,9 @@ def render_proof(proof: Proof, verbosity: int = 0) -> str:
         elif isinstance(step, GiveUp):
             lines.append("GIVEUP")
             lines.append("  scc: " + " ".join(map(str, step.scc)))
-            lines.append("  tried: " + " ".join(step.tried))
+            lines.append(" ".join(("  tried:", *step.tried)))
             lines.append(f"  reason: {step.reason}")
+            lines.extend(f"  loop: {term_text(t)}" for t in step.loop)
     lines.append("END")
     return "\n".join(lines) + "\n"
 
@@ -271,10 +272,11 @@ def parse_proof(text: str, problem: DPProblem) -> tuple[Proof, list[str]]:
             steps.append(PruneStep(_int_list(fields.get("removed", ""))))
             continue
         if line == "GIVEUP":
-            fields, _, i = fields_block(i + 1)
+            fields, ordered, i = fields_block(i + 1)
+            loop = tuple(parse_term_text(v, table) for k, v in ordered if k == "loop")
             steps.append(GiveUp(_int_list(fields.get("scc", "")),
                                 tuple(fields.get("tried", "").split()),
-                                fields.get("reason", "")))
+                                fields.get("reason", ""), loop))
             continue
         if line == "STEP":
             j = i + 1

@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 
 from .afs import AFS, Rule, lhs_head_symbol
 from .terms import (
-    Term, Var, BVar, Abs, App, FunApp, SimpleType,
+    Term, Var, BVar, Abs, App, FunApp, SimpleType, Arrow,
     type_of, app_spine, head, subterms, symbols_of, PLAIN, MARKED,
 )
 from .dp import DependencyPair
@@ -30,56 +30,76 @@ class TypedSymbol:
         return f"<{self.head}, {self.type}>"
 
 
-def symb(t: Term, binders: tuple[SimpleType, ...] = ()) -> Optional[frozenset[TypedSymbol]]:
-    """Symb_X of a beta-normal term, X the variables of the binders above it
-    (their types in `binders`, innermost last, as `type_of` takes them);
-    None when the term has an applied free variable (the recursion is
-    undefined there)."""
-    spine_head, args = app_spine(t)
-    ty = type_of(t, binders)
+def symb(t: Term) -> Optional[frozenset[TypedSymbol]]:
+    """Symb_X of a beta-normal locally closed term, X the variables of the
+    binders in it; None when the term has an applied free variable (the
+    recursion is undefined there)."""
+    typed = _typed_symb(t)
+    return None if typed is None else typed[1]
+
+
+def _typed_symb(t: Term) -> Optional[tuple[SimpleType, frozenset[TypedSymbol]]]:
+    """t's type and Symb set, with each node typed once: a spine's type is
+    its head's type less one arrow per applied argument, and an
+    abstraction's is built from its body's."""
     if isinstance(t, Abs):
-        inner = symb(t.body, binders + (t.var_type,))
+        inner = _typed_symb(t.body)
         if inner is None:
             return None
-        return frozenset((TypedSymbol(ABS, ty),)) | inner
+        ty = Arrow(t.var_type, inner[0])
+        return ty, inner[1] | {TypedSymbol(ABS, ty)}
+    spine_head, args = app_spine(t)
+    if isinstance(spine_head, Var):
+        return None if args else (spine_head.var.type, frozenset())
     if isinstance(spine_head, FunApp):
-        out = frozenset((TypedSymbol(spine_head.fn.name, ty),))
-        for a in list(spine_head.args) + args:
-            inner = symb(a, binders)
-            if inner is None:
-                return None
-            out |= inner
-        return out
-    if isinstance(spine_head, BVar):
-        out = frozenset((TypedSymbol(VAR, ty),))
-        for a in args:
-            inner = symb(a, binders)
-            if inner is None:
-                return None
-            out |= inner
-        return out
+        ty, name, below = spine_head.fn.decl.output, spine_head.fn.name, (*spine_head.args, *args)
+    elif isinstance(spine_head, BVar):
+        ty, name, below = spine_head.type, VAR, tuple(args)
+    else:
+        return None
+    for _ in args:
+        ty = ty.right
+    out = {TypedSymbol(name, ty)}
+    for a in below:
+        inner = _typed_symb(a)
+        if inner is None:
+            return None
+        out |= inner[1]
+    return ty, frozenset(out)
+
+
+Form = Optional[tuple[SimpleType, Optional[str]]]
+
+
+def _form(t: Term) -> Form:
+    """A right-hand side's form, worked out once per closure: its type and
+    the head of the typed symbol whose form it has (ABS for an abstraction,
+    a plain symbol's name for an f(..) .. chain), or head None for a
+    variable-headed term, which has the form of every typed symbol of its
+    type.  None when it has the form of none.  A spine's type is its head's
+    less one arrow per applied argument."""
+    if isinstance(t, Abs):
+        return type_of(t), ABS
+    spine_head, args = app_spine(t)
     if isinstance(spine_head, Var):
-        if args:
-            return None  # applied free variable: undefined
-        return frozenset()
-    return None
+        ty, name = spine_head.var.type, None
+    elif isinstance(spine_head, FunApp) and spine_head.fn.kind == PLAIN \
+            and spine_head.fn.name not in (ABS, VAR):
+        ty, name = spine_head.fn.decl.output, spine_head.fn.name
+    else:
+        return None
+    for _ in args:
+        ty = ty.right
+    return ty, name
 
 
-def has_form(t: Term, ts: TypedSymbol) -> bool:
-    """A term s : sigma has form <a, sigma>: ABS matches abstractions, a
-    symbol matches f(..) .. chains, and a variable-headed term matches any
-    head of its type."""
-    if type_of(t) != ts.type:
+def _has_form_in(form: Form, fs: set[TypedSymbol], fs_types: set[SimpleType]) -> bool:
+    """Whether a term of this form has the form of some member of fs, whose
+    members' types are fs_types."""
+    if form is None:
         return False
-    spine_head, _args = app_spine(t)
-    if isinstance(spine_head, Var):
-        return True
-    if ts.head == ABS:
-        return isinstance(t, Abs)
-    if ts.head == VAR:
-        return False  # only variable-headed terms have VAR form (handled above)
-    return isinstance(spine_head, FunApp) and spine_head.fn.name == ts.head \
-        and spine_head.fn.kind == PLAIN
+    ty, name = form
+    return ty in fs_types if name is None else TypedSymbol(name, ty) in fs
 
 
 def _pair_lhs_arguments(pair: DependencyPair) -> list[Term]:
@@ -101,32 +121,40 @@ def formative_rules(pairs: Sequence[DependencyPair], afs: AFS,
     fs = formative_symbols(pairs, afs, rplus)
     if fs is None:
         return list(rplus)
-    return [r for r in rplus if any(has_form(r.rhs, a) for a in fs)]
+    types = {a.type for a in fs}
+    return [r for r in rplus if _has_form_in(_form(r.rhs), fs, types)]
 
 
 def formative_symbols(pairs: Sequence[DependencyPair], afs: AFS,
                       rplus: Sequence[Rule]) -> Optional[frozenset[TypedSymbol]]:
     """The closed set of formative symbols (None when undefined)."""
-    start: frozenset[TypedSymbol] = frozenset()
+    fs: set[TypedSymbol] = set()
     for pair in pairs:
         for arg in _pair_lhs_arguments(pair):
             s = symb(arg)
             if s is None:
                 return None
-            start |= s
-    # close under: A in FS, rule l' => r' with r' has form A  ==>  Symb(l') in FS
-    fs = set(start)
+            fs |= s
+    types = {a.type for a in fs}
+    # close under: A in FS, rule l' => r' with r' has form A  ==>  Symb(l') in FS;
+    # a rule that has fed its Symb(l') in needs no second look
+    pending = [(rule, _form(rule.rhs)) for rule in rplus]
     changed = True
     while changed:
         changed = False
-        for rule in rplus:
-            if any(has_form(rule.rhs, a) for a in list(fs)):
-                s = symb(rule.lhs)
-                if s is None:
-                    return None
-                if not s <= fs:
-                    fs |= s
-                    changed = True
+        rest = []
+        for rule, form in pending:
+            if not _has_form_in(form, fs, types):
+                rest.append((rule, form))
+                continue
+            s = symb(rule.lhs)
+            if s is None:
+                return None
+            if not s <= fs:
+                fs |= s
+                types |= {a.type for a in s}
+                changed = True
+        pending = rest
     return frozenset(fs)
 
 

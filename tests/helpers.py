@@ -20,9 +20,10 @@ from afsterm.orderings.poly import (
     Expr, Const, SlotRef, AppSlot, Add, Mul, MaxE, Interpreter, PolyInterp,
     SubtermMemo, compare_terms, valuation_for, _canon_branch, _canon_nf, _guard,
 )
+from afsterm.selection import ABS, VAR, TypedSymbol
 from afsterm.terms import (
-    Term, Var, App, FunApp, Variable, SimpleType, Arrow, Base, Exploration, lam,
-    free_vars, rewrite_step, symbols_of, type_text,
+    Term, Var, BVar, Abs, App, FunApp, Variable, SimpleType, Arrow, Base, Exploration,
+    PLAIN, app_spine, lam, free_vars, rewrite_step, symbols_of, type_of, type_text,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -340,3 +341,76 @@ def chronological_search_poly(cs, store=None):
     if last_cand == -1 and not strict_pairs():
         return None
     return dfs(0)
+
+
+def reference_symb(t: Term, binders: tuple = ()):
+    """`selection.symb` as it typed every node with `type_of`."""
+    spine_head, args = app_spine(t)
+    ty = type_of(t, binders)
+    if isinstance(t, Abs):
+        inner = reference_symb(t.body, binders + (t.var_type,))
+        if inner is None:
+            return None
+        return frozenset((TypedSymbol(ABS, ty),)) | inner
+    if isinstance(spine_head, FunApp):
+        out = frozenset((TypedSymbol(spine_head.fn.name, ty),))
+        for a in list(spine_head.args) + args:
+            inner = reference_symb(a, binders)
+            if inner is None:
+                return None
+            out |= inner
+        return out
+    if isinstance(spine_head, BVar):
+        out = frozenset((TypedSymbol(VAR, ty),))
+        for a in args:
+            inner = reference_symb(a, binders)
+            if inner is None:
+                return None
+            out |= inner
+        return out
+    if isinstance(spine_head, Var):
+        if args:
+            return None
+        return frozenset()
+    return None
+
+
+def reference_has_form(t: Term, ts: TypedSymbol) -> bool:
+    """The form test `selection` ran on each (rule, typed symbol) pair."""
+    if type_of(t) != ts.type:
+        return False
+    spine_head, _args = app_spine(t)
+    if isinstance(spine_head, Var):
+        return True
+    if ts.head == ABS:
+        return isinstance(t, Abs)
+    if ts.head == VAR:
+        return False
+    return isinstance(spine_head, FunApp) and spine_head.fn.name == ts.head \
+        and spine_head.fn.kind == PLAIN
+
+
+def reference_formative(pairs, rplus):
+    """The formative symbols and rules by `reference_has_form` on every
+    (rule, typed symbol) pair of every closure round: (FS, FR), FS None
+    and FR all of rplus when Symb is undefined on some argument."""
+    fs: set = set()
+    for pair in pairs:
+        spine_head, applied = app_spine(pair.lhs)
+        for arg in list(spine_head.args) + applied:
+            s = reference_symb(arg)
+            if s is None:
+                return None, list(rplus)
+            fs |= s
+    changed = True
+    while changed:
+        changed = False
+        for rule in rplus:
+            if any(reference_has_form(rule.rhs, a) for a in list(fs)):
+                s = reference_symb(rule.lhs)
+                if s is None:
+                    return None, list(rplus)
+                if not s <= fs:
+                    fs |= s
+                    changed = True
+    return frozenset(fs), [r for r in rplus if any(reference_has_form(r.rhs, a) for a in fs)]

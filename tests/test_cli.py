@@ -106,6 +106,43 @@ class TestCheck:
                                str(proof_file))
         assert code == 1
 
+    @pytest.mark.parametrize("old, new, diagnostic", [
+        # the loop stops one step short of its first term
+        ("  loop: (\\x:nat. f(x)) @ o\n  loop: f(o)\n", "  loop: (\\x:nat. f(x)) @ o\n",
+         "loop does not end at its first term"),
+        # g(\x. f(x), a) does not reduce to itself in one step
+        ("loop: g(\\x:nat. f(x), b)", "loop: g(\\x:nat. f(x), a)",
+         "loop step 1 is not a one-step reduction"),
+        ("loop: g(\\x:nat. f(x), b)", "loop: h(\\x:nat. f(x), b)",
+         "proof does not parse"),
+        ("loop: g(\\x:nat. f(x), b)", "loop: g(\\x:nat. f(x), \\x:nat. b)",
+         "loop term is ill-typed"),
+    ], ids=["loop-not-closed", "loop-step-not-a-reduction", "loop-unknown-symbol",
+            "loop-ill-typed"])
+    def test_tampered_loop_rejected(self, capsys, tmp_path, old, new, diagnostic):
+        afs_file = str(CORPUS / "fga.afs")
+        text = (GOLDEN / "fga.proof").read_text()
+        tampered = text.replace(old, new)
+        assert tampered != text
+        proof_file = tmp_path / "bad.proof"
+        proof_file.write_text(tampered)
+        code, _, err = run_cli(capsys, "check", afs_file, str(proof_file))
+        assert code == 1
+        assert f"invalid proof: {diagnostic}" in err
+        assert "Traceback" not in err
+
+    def test_give_up_without_a_loop_checks(self, capsys, tmp_path):
+        # the loop lines are optional: a MAYBE proof claims nothing
+        text = (GOLDEN / "fga.proof").read_text()
+        bare = "".join(line for line in text.splitlines(keepends=True)
+                       if not line.startswith("  loop: "))
+        assert bare != text and "GIVEUP" in bare
+        proof_file = tmp_path / "bare.proof"
+        proof_file.write_text(bare)
+        assert run_cli(capsys, "check", str(CORPUS / "fga.afs"), str(proof_file))[0] == 0
+        assert run_cli(capsys, "check", str(CORPUS / "abfun.afs"),
+                       str(GOLDEN / "abfun.proof"))[0] == 0
+
     def test_path_ordering_yes_for_abfun_rejected(self, capsys, tmp_path):
         # abfun does not terminate: with w = \x:o. A(x) @ x,
         # A(B(w)) @ B(w) -> w @ B(w) -> A(B(w)) @ B(w).  The path ordering

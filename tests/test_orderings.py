@@ -404,6 +404,9 @@ class TestSubtermMemo:
         monkeypatch.setattr(poly_search, "candidate_templates", tagged)
         # a timeout no run reaches, so the counts do not depend on the machine
         cfg = Config(timeout=600.0)
+        # `prove` ends fga at its reduction loop, so fga's exhausted search
+        # runs on its SCC directly
+        fga, fga_sccs = problem_and_sccs("fga")
         counts = []
         gc.disable()  # what a search keeps must be freed without the collector
         try:
@@ -412,17 +415,25 @@ class TestSubtermMemo:
                     calls.clear()
                     point_writes.clear()
                     tags.clear()
-                    prove(load(name), cfg)
+                    if name == "fga":
+                        assert search_poly(build_constraints(fga_sccs[0], fga)) is None
+                    else:
+                        prove(load(name), cfg)
                     counts.append(len(calls))
                     assert point_writes
                     assert memos and all(m() is None for m in memos)
                     assert point_tables and all(t() is None for t in point_tables)
                     assert nogood_stores and all(t() is None for t in nogood_stores)
-                    # one store per proof, freed when `prove` returns
+                    # one store per search or proof, freed when it returns
                     assert len(tags) == 1 and tags[0]() is None
         finally:
             gc.enable()
         assert counts == [5796, 399] * 2
+        searches = []
+        monkeypatch.setattr(engine, "search_poly",
+                            lambda *args, **kwargs: searches.append(1))
+        assert prove(load("fga"), cfg).verdict == "MAYBE"
+        assert searches == []
 
 
 def sampled_comparisons(rng, per_scc):
@@ -764,6 +775,29 @@ class TestRpo:
         cert = search_rpo(cs)
         assert cert is not None
         assert check_certificate(cs, cert).valid
+
+    def test_no_argument_function_table_is_oriented_twice(self, monkeypatch):
+        # the depth-2 pass re-reaches every depth-1 table and merged table;
+        # a table that failed once is skipped, so fromchain's exhausted SCC
+        # makes one `orient` call per distinct table
+        tables = []
+        full = rpo.orient
+
+        def recorded(cs, pi, prec):
+            tables.append(frozenset(pi.items()))
+            return full(cs, pi, prec)
+
+        monkeypatch.setattr(rpo, "orient", recorded)
+        calls = {}
+        for name in corpus_names():
+            for spfp_drop in (True, False):
+                prob, comps = problem_and_sccs(name, spfp_drop)
+                for scc in comps:
+                    tables.clear()
+                    search_rpo(build_constraints(scc, prob))
+                    assert len(tables) == len(set(tables)), (name, scc)
+                    calls[name, spfp_drop, scc] = len(tables)
+        assert calls["fromchain", True, (5,)] == 718
 
     def test_a_failed_comparison_leaves_the_precedence_as_it_was(self):
         # f(x) > g(y) requests f > g, then fails on f(x) > y; h(f(x), x) >

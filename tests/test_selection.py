@@ -12,7 +12,7 @@ from afsterm.selection import (
 )
 from afsterm.terms import Base, Arrow
 
-from helpers import load
+from helpers import corpus_names, load, reference_formative
 
 nat = Base("nat")
 
@@ -114,6 +114,34 @@ class TestFormative:
         big = formative_rules(list(prob.pairs), afs, rplus)
         assert set(map(str, small)) <= set(map(str, big))
         assert set(map(str, big)) <= set(map(str, rplus))
+
+    def test_same_as_the_per_pair_form_test(self):
+        # each rule's form is worked out once; FS and FR stay those of the
+        # form test run on every (rule, typed symbol) pair, on every SCC of
+        # every local corpus system
+        # h(y)'s right-hand side is an abstraction, formative for the
+        # pair's argument \x. x
+        absform = parse_afs("SIG\n  a : nat\n  h : [nat] -> nat -> nat\n"
+                            "  f : [nat -> nat] -> nat\nVARS\n  y : nat\nRULES\n"
+                            "  f(\\x:nat. x) => f(h(a))\n  h(y) => \\x:nat. x\n")
+        compared = 0
+        for name, source in [*((n, load(n)) for n in corpus_names()), ("absform", absform)]:
+            afs = classify(complete(source))
+            if not afs.local:
+                continue
+            rplus = build_rplus(afs)
+            for spfp_drop in (True, False):
+                prob = dependency_pairs(afs, spfp_drop=spfp_drop)
+                for scc in sccs(prune(approximate_graph(prob))):
+                    pairs = [prob.pairs[i] for i in scc]
+                    fs, fr = reference_formative(pairs, rplus)
+                    assert formative_symbols(pairs, afs, rplus) == fs, name
+                    assert formative_rules(pairs, afs, rplus) == fr, name
+                    compared += 1
+        assert compared >= 36
+        prob = dependency_pairs(classify(complete(absform)))
+        fr = formative_rules(list(prob.pairs), absform, build_rplus(absform))
+        assert "h(y) => \\x:nat. x" in map(str, fr)
 
     def test_closure_fixpoint(self):
         afs = classify(complete(load("fromchain")))
