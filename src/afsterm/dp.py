@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .afs import AFS, Rule
 from .terms import (
-    Term, Var, Abs, App, FunApp, Variable, FunctionSymbol,
+    SimpleType, Term, Var, Abs, App, FunApp, Variable, FunctionSymbol,
     type_of, free_vars, dangling_bvars, app_spine, head, mark,
     strict_subterms_closed, close_dangling, fresh_arguments, term_text,
     tagged, untagged, symbols_of, replace_nodes, PLAIN, TAGGED,
@@ -24,6 +25,15 @@ class DependencyPair:
     @property
     def collapsing(self) -> bool:
         return isinstance(head(self.rhs), Var)
+
+    # the graph's edge test compares these for every candidate edge
+    @cached_property
+    def lhs_type(self) -> SimpleType:
+        return type_of(self.lhs)
+
+    @cached_property
+    def rhs_type(self) -> SimpleType:
+        return type_of(self.rhs)
 
     def __str__(self) -> str:
         return f"{term_text(self.lhs)} ~> {term_text(self.rhs)}"

@@ -7,18 +7,19 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .afs import AFS, complete, classify
-from .dp import DPProblem, dependency_pairs
+from .dp import DependencyPair, DPProblem, dependency_pairs
 from .graph import DPGraph, approximate_graph, sccs, prune
 from .orderings import (
     build_constraints, subterm_criterion, Projection,
     search_poly, search_rpo, PolyInterp, ArgFunRPO, check_certificate,
 )
 from .terms import (
-    Abs, Arrow, FunApp, FunctionSymbol, IllTyped, SimpleType, Term,
-    bounded_reductions, free_vars, fresh_const, rewrite_step, substitute, type_of,
+    Abs, App, Arrow, FunApp, FunctionSymbol, IllTyped, SimpleType, Term, Var, Variable,
+    bounded_reductions, free_vars, fresh_const, lam, replace_nodes, rewrite_step,
+    substitute, subterms, type_of,
 )
 
 YES = "YES"
@@ -198,14 +199,43 @@ def _ground(ty: SimpleType, signature: tuple[FunctionSymbol, ...]) -> Term:
     return FunApp(f or fresh_const(ty))
 
 
-def _find_loop(scc: tuple[int, ...], problem: DPProblem,
-               explored: set[Union[int, Term]]) -> tuple[Term, ...]:
-    """A reduction loop t0 -> ... -> tn = t0 under the completed rules from
-    a ground instance of the left-hand side of a rule behind one of the
-    SCC's pairs, or () when none shows within the step and node bounds.
-    The completed rules are derivable from the input rules, so a loop is a
-    real infinite reduction.  Rule indices and start terms in `explored`
-    are skipped, and the new ones are added."""
+def _grounding(t: Term, signature: tuple[FunctionSymbol, ...],
+               keep: frozenset[Variable] = frozenset()) -> dict[Variable, Term]:
+    """`_ground` for every free variable of t that is not in `keep`."""
+    return {v: _ground(v.type, signature) for v in free_vars(t) if v not in keep}
+
+
+def _self_application_starts(pair: DependencyPair,
+                             signature: tuple[FunctionSymbol, ...]) -> Iterator[Term]:
+    """Start terms whose reduction passes a beta step, for an applied-head
+    pair l ~> F @ y: for each function application s in l outside every
+    binder, of y's type, without y and holding every occurrence of F, the
+    abstraction w = \\x. l[s := x, y := x] gives
+    l[F := w, y := s[F := w]] -> w @ s[F := w] ->beta the start again.
+    The other variables of l are grounded by `_ground`."""
+    rhs = pair.rhs
+    if pair.kind != "applied-head" or not isinstance(rhs, App) \
+            or not isinstance(rhs.fn, Var) or not isinstance(rhs.arg, Var):
+        return
+    f, y = rhs.fn.var, rhs.arg.var
+    lhs = substitute(pair.lhs, _grounding(pair.lhs, signature, frozenset((f, y))))
+    x = Var(Variable("x", y.type))
+    for s, depth in subterms(lhs):
+        if depth or not isinstance(s, FunApp) or type_of(s) != y.type or y in free_vars(s):
+            continue
+        body = substitute(replace_nodes(lhs, lambda n, args: x if n == s else FunApp(n.fn, args)),
+                          {y: x})
+        if f in free_vars(body):
+            continue  # s does not hold every occurrence of F
+        w = {f: lam(x.var, body)}
+        yield substitute(lhs, {**w, y: substitute(s, w)})
+
+
+def _start_terms(scc: tuple[int, ...], problem: DPProblem,
+                 explored: set[Union[int, Term]]) -> Iterator[Term]:
+    """The loop check's start terms: a ground instance of the left-hand side
+    of each rule behind a pair of the SCC whose index is not in `explored`
+    (the index is added), then the pairs' self-application starts."""
     afs = problem.afs
     for i in scc:
         r = problem.pairs[i].rule_index
@@ -213,26 +243,39 @@ def _find_loop(scc: tuple[int, ...], problem: DPProblem,
             continue
         explored.add(r)
         lhs = afs.rules[r].lhs
-        start = substitute(lhs, {v: _ground(v.type, afs.signature) for v in free_vars(lhs)})
+        yield substitute(lhs, _grounding(lhs, afs.signature))
+    for i in scc:
+        yield from _self_application_starts(problem.pairs[i], afs.signature)
+
+
+def _find_loop(scc: tuple[int, ...], problem: DPProblem,
+               explored: set[Union[int, Term]]) -> tuple[Term, ...]:
+    """A reduction loop t0 -> ... -> tn = t0 under the completed rules from
+    one of the SCC's start terms (`_start_terms`), or () when none shows
+    within the step and node bounds.  The completed rules are derivable
+    from the input rules, so a loop is a real infinite reduction.  Start
+    terms in `explored` are skipped, and the new ones are added."""
+    for start in _start_terms(scc, problem, explored):
         if start in explored:
             continue
         explored.add(start)
-        trace = bounded_reductions(start, afs.rules, LOOP_STEPS, max_nodes=LOOP_NODES).loop
+        trace = bounded_reductions(start, problem.afs.rules, LOOP_STEPS,
+                                   max_nodes=LOOP_NODES).loop
         if trace is not None:
             return trace[trace.index(trace[-1]):]
     return ()
 
 
 def _replay_loop(loop: tuple[Term, ...], rules) -> list[str]:
-    """The problems of a claimed loop: it must be well typed, close, and
+    """The problems of a claimed loop: it must close, be well typed, and
     each step must be a one-step reduction."""
+    if len(loop) < 2 or loop[-1] != loop[0]:
+        return ["loop does not end at its first term"]
     try:
-        for t in loop:
+        for t in loop[:-1]:
             type_of(t)
     except IllTyped as exc:
         return [f"loop term is ill-typed: {exc}"]
-    if len(loop) < 2 or loop[-1] != loop[0]:
-        return ["loop does not end at its first term"]
     for k, (a, b) in enumerate(zip(loop, loop[1:])):
         if b not in rewrite_step(a, rules):
             return [f"loop step {k} is not a one-step reduction"]

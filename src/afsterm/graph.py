@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .terms import (
-    Term, Var, BVar, Abs, FunApp, FunctionSymbol, app_spine, head, type_of,
+    Term, Var, BVar, Abs, FunApp, FunctionSymbol, app_spine, head,
     PLAIN, FRESH,
 )
 from .dp import DependencyPair, DPProblem
@@ -80,7 +80,7 @@ def _may_follow(p: DependencyPair, q: DependencyPair, defined: frozenset[str]) -
         return False
     if r_head.fn != l_head.fn or len(r_args) != len(l_args):
         return False
-    if type_of(p.rhs) != type_of(q.lhs):
+    if p.rhs_type != q.lhs_type:
         return False
     return all(
         _compatible(ra, la, defined)

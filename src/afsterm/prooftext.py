@@ -273,7 +273,9 @@ def parse_proof(text: str, problem: DPProblem) -> tuple[Proof, list[str]]:
             continue
         if line == "GIVEUP":
             fields, ordered, i = fields_block(i + 1)
-            loop = tuple(parse_term_text(v, table) for k, v in ordered if k == "loop")
+            lines_of_loop = [v for k, v in ordered if k == "loop"]
+            terms = {v: parse_term_text(v, table) for v in dict.fromkeys(lines_of_loop)}
+            loop = tuple(terms[v] for v in lines_of_loop)
             steps.append(GiveUp(_int_list(fields.get("scc", "")),
                                 tuple(fields.get("tried", "").split()),
                                 fields.get("reason", ""), loop))

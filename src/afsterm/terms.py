@@ -480,12 +480,14 @@ def match(pattern: Term, subject: Term) -> Optional[dict[Variable, Term]]:
 
 def _match(pattern: Term, subject: Term, binding: dict[Variable, Term]) -> bool:
     if isinstance(pattern, Var):
-        if dangling_bvars(subject):
-            return False  # a bound variable would escape
-        if type_of(subject) != pattern.var.type:
-            return False
         if pattern.var in binding:
             return binding[pattern.var] == subject
+        try:
+            ty = type_of(subject)
+        except IllTyped:
+            return False  # a bound variable would escape
+        if ty != pattern.var.type:
+            return False
         binding[pattern.var] = subject
         return True
     if isinstance(pattern, BVar):
@@ -524,8 +526,13 @@ def is_beta_normal(t: Term) -> bool:
 
 
 def rewrite_step(t: Term, rules: Sequence) -> list[Term]:
-    """All one-step reducts of t: rule steps at every position plus beta
-    steps, deduplicated modulo alpha (structural equality)."""
+    """All one-step reducts of t, deduplicated modulo alpha (structural
+    equality): at each position in pre-order the beta step, then the rules
+    in order.  Every left-hand side is headed by a function symbol
+    (`validate_rule`), so a position only tries the rules of its head."""
+    by_head: dict[FunctionSymbol, list] = {}
+    for rule in rules:
+        by_head.setdefault(head(rule.lhs).fn, []).append(rule)
     seen: dict[Term, None] = {}
 
     def add(s: Term) -> None:
@@ -536,7 +543,8 @@ def rewrite_step(t: Term, rules: Sequence) -> list[Term]:
         root = beta_reduce_root(s)
         if root is not None:
             add(rebuild(root))
-        for rule in rules:
+        h = head(s)
+        for rule in by_head.get(h.fn, ()) if isinstance(h, FunApp) else ():
             gamma = match(rule.lhs, s)
             if gamma is not None:
                 add(rebuild(substitute(rule.rhs, gamma)))

@@ -7,11 +7,13 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import random
+import zlib
 from collections import defaultdict
 from pathlib import Path
 from typing import Sequence
 
 from afsterm import parse_afs
+from afsterm.afs import classify, complete
 from afsterm.engine import GiveUp, Preparation, PruneStep, Proof, Step
 from afsterm.graph import _may_follow, approximate_graph, prune, sccs
 from afsterm.orderings import poly_search
@@ -23,7 +25,8 @@ from afsterm.orderings.poly import (
 from afsterm.selection import ABS, VAR, TypedSymbol
 from afsterm.terms import (
     Term, Var, BVar, Abs, App, FunApp, Variable, SimpleType, Arrow, Base, Exploration,
-    PLAIN, app_spine, lam, free_vars, rewrite_step, symbols_of, type_of, type_text,
+    PLAIN, app_spine, beta_reduce_root, dangling_bvars, lam, free_vars, rewrite_step,
+    substitute, symbols_of, type_of, type_text,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -146,6 +149,19 @@ def random_closed_term(rng: random.Random, afs, ty: SimpleType, size: int) -> Te
         if f.decl.output == ty and f.decl.arity == 0:
             return FunApp(f)
     raise RuntimeError(f"cannot build a closed term of type {ty}")
+
+
+def random_starts(name: str, count: int = 50) -> list[Term]:
+    """`count` random closed terms of base type over the completed corpus
+    system `name`, from a generator seeded by the name."""
+    afs = classify(complete(load(name)))
+    rng = random.Random(zlib.crc32(name.encode()))
+    base_types = sorted({f.decl.output.base_result().name for f in afs.signature})
+    out = []
+    for _ in range(count):
+        ty = Base(rng.choice(base_types))
+        out.append(random_closed_term(rng, afs, ty, rng.randrange(2, 10)))
+    return out
 
 
 MONOTONE_SAMPLES = [
@@ -414,3 +430,56 @@ def reference_formative(pairs, rplus):
                     fs |= s
                     changed = True
     return frozenset(fs), [r for r in rplus if any(reference_has_form(r.rhs, a) for a in fs)]
+
+
+def reference_match(pattern: Term, subject: Term, binding: dict) -> bool:
+    """`terms._match` as it tried every pattern variable: first the escape
+    test by `dangling_bvars`, then the subject's type, then the binding."""
+    if isinstance(pattern, Var):
+        if dangling_bvars(subject):
+            return False
+        if type_of(subject) != pattern.var.type:
+            return False
+        if pattern.var in binding:
+            return binding[pattern.var] == subject
+        binding[pattern.var] = subject
+        return True
+    if isinstance(pattern, BVar):
+        return isinstance(subject, BVar) and pattern.index == subject.index
+    if isinstance(pattern, Abs):
+        return (isinstance(subject, Abs) and pattern.var_type == subject.var_type
+                and reference_match(pattern.body, subject.body, binding))
+    if isinstance(pattern, App):
+        return (isinstance(subject, App)
+                and reference_match(pattern.fn, subject.fn, binding)
+                and reference_match(pattern.arg, subject.arg, binding))
+    return (isinstance(subject, FunApp) and pattern.fn == subject.fn
+            and all(reference_match(p, s, binding) for p, s in zip(pattern.args, subject.args)))
+
+
+def reference_rewrite_step(t: Term, rules: Sequence) -> list[Term]:
+    """`rewrite_step` as it matched every rule at every position: the
+    reducts in the order of a pre-order walk, at each position the beta
+    step first and then the rules in order, without repeats."""
+    seen: dict[Term, None] = {}
+
+    def walk(s: Term, rebuild) -> None:
+        root = beta_reduce_root(s)
+        if root is not None:
+            seen.setdefault(rebuild(root))
+        for rule in rules:
+            gamma: dict = {}
+            if reference_match(rule.lhs, s, gamma):
+                seen.setdefault(rebuild(substitute(rule.rhs, gamma)))
+        if isinstance(s, Abs):
+            walk(s.body, lambda r, s=s: rebuild(Abs(s.var_type, r, s.hint)))
+        elif isinstance(s, App):
+            walk(s.fn, lambda r, s=s: rebuild(App(r, s.arg)))
+            walk(s.arg, lambda r, s=s: rebuild(App(s.fn, r)))
+        elif isinstance(s, FunApp):
+            for i, a in enumerate(s.args):
+                walk(a, lambda r, s=s, i=i: rebuild(
+                    FunApp(s.fn, s.args[:i] + (r,) + s.args[i + 1:])))
+
+    walk(t, lambda r: r)
+    return list(seen)

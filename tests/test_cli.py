@@ -131,17 +131,30 @@ class TestCheck:
         assert f"invalid proof: {diagnostic}" in err
         assert "Traceback" not in err
 
+    def test_tampered_self_application_loop_rejected(self, capsys, tmp_path):
+        # another abstraction for w: (\x. x) @ B(w) reduces to B(w), which
+        # is not the loop's first term
+        text = (GOLDEN / "abfun.proof").read_text()
+        tampered = text.replace("\\x:o. A(x) @ x", "\\x:o. x")
+        assert tampered != text
+        proof_file = tmp_path / "bad.proof"
+        proof_file.write_text(tampered)
+        code, _, err = run_cli(capsys, "check", str(CORPUS / "abfun.afs"), str(proof_file))
+        assert code == 1
+        assert "invalid proof: loop step 1 is not a one-step reduction" in err
+        assert "Traceback" not in err
+
     def test_give_up_without_a_loop_checks(self, capsys, tmp_path):
         # the loop lines are optional: a MAYBE proof claims nothing
-        text = (GOLDEN / "fga.proof").read_text()
-        bare = "".join(line for line in text.splitlines(keepends=True)
-                       if not line.startswith("  loop: "))
-        assert bare != text and "GIVEUP" in bare
-        proof_file = tmp_path / "bare.proof"
-        proof_file.write_text(bare)
-        assert run_cli(capsys, "check", str(CORPUS / "fga.afs"), str(proof_file))[0] == 0
-        assert run_cli(capsys, "check", str(CORPUS / "abfun.afs"),
-                       str(GOLDEN / "abfun.proof"))[0] == 0
+        for name in ("fga", "abfun"):
+            text = (GOLDEN / f"{name}.proof").read_text()
+            bare = "".join(line for line in text.splitlines(keepends=True)
+                           if not line.startswith("  loop: "))
+            assert bare != text and "GIVEUP" in bare
+            proof_file = tmp_path / "bare.proof"
+            proof_file.write_text(bare)
+            assert run_cli(capsys, "check", str(CORPUS / f"{name}.afs"),
+                           str(proof_file))[0] == 0, name
 
     def test_path_ordering_yes_for_abfun_rejected(self, capsys, tmp_path):
         # abfun does not terminate: with w = \x:o. A(x) @ x,

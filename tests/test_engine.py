@@ -4,27 +4,26 @@ import ast
 import itertools
 import json
 import os
-import random
 import subprocess
 import sys
 import time
-import zlib
 
 import pytest
 
 from afsterm import engine, parse_afs
 from afsterm.afs import complete, classify
+from afsterm.dp import dependency_pairs
 from afsterm.cli import main
 from afsterm.engine import (
     Config, prove, run_corpus, verify_proof, YES, MAYBE, Preparation, GiveUp,
     ReductionPairStep, SubtermStep,
 )
 from afsterm.prooftext import check_proof_text, render_proof
-from afsterm.terms import bounded_reductions, term_text, Base
+from afsterm.terms import Abs, bounded_reductions, rewrite_step, term_text
 
 from helpers import (
-    ROOT, load, CORPUS, GOLDEN, corpus_names, random_closed_term, rederived_steps,
-    wide_system,
+    ROOT, load, CORPUS, GOLDEN, corpus_names, random_starts, rederived_steps,
+    reference_rewrite_step, wide_system,
 )
 
 # Proves, renders and checks the systems named on the command line in a
@@ -75,6 +74,7 @@ class TestVerdicts:
         proof = prove(load(name))
         assert proof.verdict == MAYBE
         assert isinstance(proof.steps[-1], GiveUp)
+        assert proof.steps[-1].loop  # both end at a replayable loop
 
     def test_empty_rules_yes(self):
         proof = prove(parse_afs("SIG\n  o : nat\nRULES\n"))
@@ -133,6 +133,65 @@ class TestLoopCheck:
         assert explored["fga"] == ["f(o)"]
         # twice(\x. o) is the start of two pairs' rules
         assert explored["twice"] == ["I(s(o))", "twice(\\x:nat. o)", "twice(\\x:nat. o) @ o"]
+        # the self-application start comes after the ground start
+        w = "\\x:o. A(x) @ x"
+        assert explored["abfun"] == ["A(B(\\x:o. !c{o}))", f"A(B({w})) @ B({w})"]
+
+    def test_abfun_ends_at_its_self_application_loop(self):
+        proof = prove(load("abfun"))
+        give_up = proof.steps[-1]
+        assert isinstance(give_up, GiveUp) and give_up.tried == ()
+        w = "\\x:o. A(x) @ x"
+        assert [term_text(t) for t in give_up.loop] == [
+            f"A(B({w})) @ B({w})", f"({w}) @ B({w})", f"A(B({w})) @ B({w})"]
+
+    @pytest.mark.parametrize("sig, rule", [
+        # F below two symbols: s may be C(B(F)) or B(F)
+        ("A : [o] -> o -> o\n  B : [o -> o] -> o\n  C : [o] -> o", "A(C(B(F))) => F"),
+        # an extra argument, grounded in the start and in w
+        ("A : [o * o] -> o -> o\n  B : [o -> o] -> o\n  c : o", "A(B(F), z) => F"),
+    ], ids=["deeper", "extra-argument"])
+    def test_self_application_variants_end_at_a_loop(self, sig, rule):
+        afs = parse_afs(f"SIG\n  {sig}\nVARS\n  F : o -> o\n  z : o\nRULES\n  {rule}\n")
+        proof = prove(afs)
+        assert proof.verdict == MAYBE
+        loop = proof.steps[-1].loop
+        assert loop and isinstance(loop[1].fn, Abs)  # w @ s[F := w]
+        assert check_proof_text(render_proof(proof), afs) == []
+
+    def test_no_self_application_start_when_F_occurs_outside_s(self):
+        afs = parse_afs("SIG\n  A : [o * (o -> o)] -> o -> o\n  B : [o -> o] -> o\n"
+                        "VARS\n  F : o -> o\nRULES\n  A(B(F), F) => F\n")
+        problem = dependency_pairs(classify(complete(afs)))
+        collapsing = [p for p in problem.pairs if p.kind == "applied-head" and p.collapsing]
+        assert [str(p) for p in collapsing] == ["A(B(F), F) @ y ~> F @ y"]
+        assert list(engine._self_application_starts(collapsing[0], afs.signature)) == []
+
+    def test_reducts_as_before_the_head_index(self):
+        # rewrite_step keeps the reducts and their order (loop traces depend
+        # on it) on every corpus start term, on the random twice starts and
+        # on every term their explorations reach; `choice` has three rules
+        # for one position
+        choice = parse_afs("SIG\n  o : nat\n  s : [nat] -> nat\n  f : [nat * nat] -> nat\n"
+                           "VARS\n  x : nat\n  y : nat\nRULES\n  f(x, y) => x\n"
+                           "  f(x, y) => y\n  f(s(x), y) => f(x, s(y))\n")
+        starts = []
+        for afs in [*map(load, corpus_names()), choice]:
+            problem = dependency_pairs(classify(complete(afs)))
+            scc = tuple(range(len(problem.pairs)))
+            starts += [(problem.afs.rules, t)
+                       for t in engine._start_terms(scc, problem, set())]
+        twice = classify(complete(load("twice")))
+        starts += [(twice.rules, t) for t in random_starts("twice")]
+        compared = ordered = 0
+        for rules, start in starts:
+            ex = bounded_reductions(start, rules, engine.LOOP_STEPS, max_nodes=engine.LOOP_NODES)
+            for u in ex.traces:
+                reducts = rewrite_step(u, rules)
+                assert reducts == reference_rewrite_step(u, rules), term_text(u)
+                compared += 1
+                ordered += len(reducts) > 1
+        assert compared > 400 and ordered > 100
 
 
 class TestGoldenProofs:
@@ -275,12 +334,8 @@ class TestSoundnessHarness:
     def test_no_loops_from_random_starts(self, name):
         afs = classify(complete(load(name)))
         assert prove(load(name)).verdict == YES
-        rng = random.Random(zlib.crc32(name.encode()))
-        base_types = sorted({f.decl.output.base_result().name for f in afs.signature})
         found = 0
-        for _ in range(50):
-            ty = Base(rng.choice(base_types))
-            t = random_closed_term(rng, afs, ty, rng.randrange(2, 10))
+        for t in random_starts(name):
             ex = bounded_reductions(t, afs.rules, 200, max_nodes=600)
             assert ex.loop is None, f"loop from {t}"
             found += 1

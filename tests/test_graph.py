@@ -6,6 +6,7 @@ import pytest
 
 from afsterm import parse_afs
 from afsterm.afs import complete, classify
+from afsterm import dp
 from afsterm.dp import dependency_pairs
 from afsterm.engine import _split_first
 from afsterm.graph import DPGraph, approximate_graph, prune, sccs, to_dot
@@ -54,6 +55,18 @@ class TestApproximation:
     def test_head_buckets_give_the_all_pairs_edges_on_wide(self, seed):
         prob = dependency_pairs(classify(complete(parse_afs(wide_system(seed)))))
         assert approximate_graph(prob).edges == all_pairs_edges(prob)
+
+    def test_each_pair_side_is_typed_once(self, monkeypatch):
+        # the edge test reads each pair's cached side types instead of
+        # typing both sides again for every candidate edge
+        prob = dependency_pairs(classify(complete(parse_afs(wide_system(0)))))
+        typed = []
+        type_of = dp.type_of
+        monkeypatch.setattr(dp, "type_of", lambda t: typed.append(t) or type_of(t))
+        approximate_graph(prob)
+        assert 0 < len(typed) <= 2 * len(prob.pairs)
+        assert all(p.lhs_type == type_of(p.lhs) and p.rhs_type == type_of(p.rhs)
+                   for p in prob.pairs)
 
     def test_collapsing_node_reaches_everything(self):
         prob, g = build("twice")

@@ -4,6 +4,7 @@ import pytest
 
 from afsterm.afs import classify, complete
 from afsterm.dp import dependency_pairs
+from afsterm import prooftext
 from afsterm.engine import Config, prove
 from afsterm.orderings.poly import expr_text
 from afsterm.parser import SymbolTable
@@ -146,3 +147,16 @@ class TestHandWrittenProof:
             for verbosity in (0, 1):
                 text = render_proof(proof, verbosity)
                 assert check_proof_text(text, afs) == [], name
+
+    def test_a_loop_line_is_parsed_once_per_distinct_term(self, monkeypatch):
+        # the closing line repeats the first one; it becomes the same term
+        afs = load("abfun")
+        golden = (GOLDEN / "abfun.proof").read_text()
+        parsed = []
+        parse = prooftext.parse_term_text
+        monkeypatch.setattr(prooftext, "parse_term_text",
+                            lambda text, table: parsed.append(text) or parse(text, table))
+        proof, _ = parse_proof(golden, dependency_pairs(classify(complete(afs))))
+        loop = proof.steps[-1].loop
+        assert len(loop) == 3 and loop[0] is loop[2]
+        assert len(parsed) == 2
