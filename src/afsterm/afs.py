@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from .record import record, replace
 from functools import cached_property
 from typing import Optional
 
@@ -17,7 +17,7 @@ class IllegalLhs(Exception):
     """A rule violates the required left-hand side / rule shape."""
 
 
-@dataclass(frozen=True)
+@record
 class Rule:
     lhs: Term
     rhs: Term
@@ -57,7 +57,7 @@ def validate_rule(rule: Rule, line: int = 0, col: int = 0) -> None:
         raise IllegalLhs(f"right-hand side contains a beta-redex: {term_text(rule.rhs)}")
 
 
-@dataclass(frozen=True)
+@record
 class AFS:
     signature: tuple[FunctionSymbol, ...]
     rules: tuple[Rule, ...]

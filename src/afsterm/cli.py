@@ -19,7 +19,7 @@ from .terms import IllTyped
 def _load(path: str):
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
     try:
@@ -44,7 +44,11 @@ def cmd_prove(args) -> int:
     cfg = _config(args)
     if args.dot:
         problem = dependency_pairs(classify(complete(afs)))
-        Path(args.dot).write_text(to_dot(approximate_graph(problem)))
+        try:
+            Path(args.dot).write_text(to_dot(approximate_graph(problem)))
+        except OSError as exc:
+            print(f"cannot write {args.dot}: {exc}", file=sys.stderr)
+            return 2
     try:
         proof = prove(afs, cfg)
     except InternalError as exc:
@@ -59,7 +63,7 @@ def cmd_check(args) -> int:
     afs = _load(args.file)
     try:
         text = Path(args.proof).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.proof}: {exc}", file=sys.stderr)
         return 2
     errors = check_proof_text(text, afs)

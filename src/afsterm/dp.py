@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import record
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -15,7 +15,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class DependencyPair:
     lhs: Term
     rhs: Term
@@ -39,7 +39,7 @@ class DependencyPair:
         return f"{term_text(self.lhs)} ~> {term_text(self.rhs)}"
 
 
-@dataclass(frozen=True)
+@record
 class DPProblem:
     pairs: tuple[DependencyPair, ...]
     afs: AFS

@@ -5,7 +5,7 @@ and the corpus runner."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from .record import record
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
@@ -32,20 +32,20 @@ LOOP_STEPS = 4
 LOOP_NODES = 16
 
 
-@dataclass
+@record(frozen=False)
 class Config:
     timeout: float = 60.0  # seconds for the whole proof, the only clock
     engines: tuple[str, ...] = ENGINE_ORDER
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # also rejects NaN, which no deadline passes
             raise ValueError("timeout must be positive")
         for e in self.engines:
             if e not in ENGINE_ORDER:
                 raise ValueError(f"unknown engine {e!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Preparation:
     local: bool
     static_mode: bool
@@ -55,19 +55,19 @@ class Preparation:
     edge_count: int
 
 
-@dataclass(frozen=True)
+@record
 class PruneStep:
     removed: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class SubtermStep:
     scc: tuple[int, ...]
     cert: Projection
     removed: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ReductionPairStep:
     scc: tuple[int, ...]
     mode: str
@@ -75,7 +75,7 @@ class ReductionPairStep:
     removed: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class GiveUp:
     scc: tuple[int, ...]
     tried: tuple[str, ...]
@@ -86,7 +86,7 @@ class GiveUp:
 Step = Union[Preparation, PruneStep, SubtermStep, ReductionPairStep, GiveUp]
 
 
-@dataclass
+@record(frozen=False)
 class Proof:
     verdict: str
     steps: list[Step]
@@ -365,7 +365,7 @@ def verify_proof(proof: Proof) -> list[str]:
 # corpus ----------------------------------------------------------------------
 
 
-@dataclass
+@record(frozen=False)
 class CorpusEntry:
     path: Path
     expect: Optional[str]
@@ -397,15 +397,16 @@ def run_corpus(directory: Union[str, Path], cfg: Optional[Config] = None) -> lis
     cfg = cfg or Config()
     out: list[CorpusEntry] = []
     for path in sorted(Path(directory).glob("*.afs")):
-        text = path.read_text()
-        expect = expected_verdict(text)
+        expect = None
         start = time.monotonic()
         try:
+            text = path.read_text()
+            expect = expected_verdict(text)
             afs = parse_afs(text)
             proof = prove(afs, cfg)
             out.append(CorpusEntry(path, expect, proof.verdict,
                                    time.monotonic() - start, len(proof.steps)))
-        except Exception as exc:  # parse failures must not abort the run
+        except Exception as exc:  # read and parse failures must not abort the run
             out.append(CorpusEntry(path, expect, None,
                                    time.monotonic() - start, 0, error=str(exc)))
     return out

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import record
 from typing import Iterable
 
 from .terms import (
@@ -12,7 +12,7 @@ from .terms import (
 from .dp import DependencyPair, DPProblem
 
 
-@dataclass(frozen=True)
+@record
 class DPGraph:
     pairs: tuple[DependencyPair, ...]
     edges: dict[int, frozenset[int]]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ..record import record
 from typing import Optional, Union
 
 from .constraints import ConstraintSet
@@ -14,7 +14,7 @@ from .rpo import ArgFunRPO, check_argfun_rpo
 Certificate = Union[Projection, PolyInterp, ArgFunRPO]
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     valid: bool
     strict: tuple[int, ...] = ()

@@ -3,7 +3,7 @@ tagging, and the pairing obligations that accompany usable rules."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ..record import record
 from typing import Sequence
 
 from ..afs import AFS, build_rplus
@@ -21,21 +21,21 @@ MODE_BASIC = "basic"                       # collapsing, non-local
 MODE_LOCAL_COLLAPSING = "local-collapsing"
 
 
-@dataclass(frozen=True)
+@record
 class StrictCandidate:
     pair_index: int  # index into the DP problem's pair list
     lhs: Term        # flattened left-hand side (base type)
     rhs: Term        # psi-image applied to fresh constants (base type)
 
 
-@dataclass(frozen=True)
+@record
 class WeakConstraint:
     label: str  # rule | untag | mark | pairing
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
+@record
 class ConstraintSet:
     strict_candidates: tuple[StrictCandidate, ...]
     weak: tuple[WeakConstraint, ...]

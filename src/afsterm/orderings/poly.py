@@ -16,7 +16,7 @@ rejects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ..record import record
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..terms import (
@@ -34,43 +34,43 @@ class Unsupported(Exception):
 # expression language (bodies of interpretation templates)
 
 
-@dataclass(frozen=True)
+@record
 class Expr:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Const(Expr):
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class SlotRef(Expr):
     index: int
 
 
-@dataclass(frozen=True)
+@record
 class AppSlot(Expr):
     index: int
     args: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Add(Expr):
     parts: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Mul(Expr):
     parts: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@record
 class MaxE(Expr):
     parts: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@record
 class PolyFun:
     """An interpretation template: slot types, then a body over the slots.
 
@@ -115,7 +115,7 @@ def _check_body(e: Expr, slots: tuple[SimpleType, ...]) -> None:
         _check_body(a, slots)
 
 
-@dataclass(frozen=True)
+@record
 class PolyInterp:
     """A polynomial interpretation certificate."""
 
@@ -295,12 +295,12 @@ class SemVal:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class SBase(SemVal):
     nf: NF
 
 
-@dataclass
+@record(frozen=False)
 class SFun(SemVal):
     type: SimpleType  # an arrow type
     fn: Callable[[SemVal], SemVal]

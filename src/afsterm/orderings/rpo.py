@@ -10,7 +10,7 @@ rigid atoms that nothing else dominates.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from ..record import record
 from typing import Optional, Sequence
 
 from ..afs import AFS
@@ -32,7 +32,7 @@ CONSTK = "const"  # fresh constants c_sigma
 PAIRK = "pair"    # the pairing symbols from the usable-rules obligations
 
 
-@dataclass(frozen=True)
+@record
 class MSym:
     cat: str
     name: str                    # display name; @{s,t} / L{s,t} for app/lam
@@ -47,32 +47,32 @@ def _typed_sym(cat: str, prefix: str, ty: SimpleType) -> MSym:
     return MSym(cat, f"{prefix}{{{type_text(ty.left)},{type_text(ty.right)}}}", ty)
 
 
-@dataclass(frozen=True)
+@record
 class MTerm:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class MVar(MTerm):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class MAtom(MTerm):
     ident: int
 
 
-@dataclass(frozen=True)
+@record
 class MBind(MTerm):
     body: MTerm  # contains MIdx nodes for the binder
 
 
-@dataclass(frozen=True)
+@record
 class MIdx(MTerm):
     index: int
 
 
-@dataclass(frozen=True)
+@record
 class MFun(MTerm):
     sym: MSym
     args: tuple[MTerm, ...] = ()
@@ -271,7 +271,7 @@ def rpo_geq(s: MTerm, t: MTerm, prec: Precedence) -> bool:
 # argument functions
 
 
-@dataclass(frozen=True)
+@record
 class ArgFunRPO:
     """Argument function table plus precedence facts plus strict pair set."""
 

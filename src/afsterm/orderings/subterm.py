@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ..record import record
 from itertools import product
 from typing import Optional, Sequence
 
@@ -10,7 +10,7 @@ from ..dp import DependencyPair
 from ..terms import Term, FunApp, app_spine, subterms
 
 
-@dataclass(frozen=True)
+@record
 class Projection:
     """A projection certificate: head symbol display name -> argument index
     (1-based), plus the pair indices it orders strictly."""

@@ -6,7 +6,7 @@ must re-read marked (f#), tagged (f-) and fresh-constant (!c{type}) symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import record
 from typing import Optional
 
 from .terms import (
@@ -23,7 +23,7 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: {message}")
 
 
-@dataclass
+@record(frozen=False)
 class Token:
     kind: str   # IDENT, CONST, PUNCT, NEWLINE, EOF
     text: str

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import record
 from typing import Optional, Sequence
 
 from .afs import AFS, Rule, lhs_head_symbol
@@ -21,7 +21,7 @@ ABS = "ABS"
 VAR = "VAR"
 
 
-@dataclass(frozen=True)
+@record
 class TypedSymbol:
     head: str  # a function symbol name, or the markers ABS / VAR
     type: SimpleType

@@ -12,7 +12,7 @@ and `subterms` visits its nodes with their binder depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import record
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -49,12 +49,12 @@ class SimpleType:
         return type_text(self)
 
 
-@dataclass(frozen=True)
+@record
 class Base(SimpleType):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Arrow(SimpleType):
     left: SimpleType
     right: SimpleType
@@ -86,7 +86,7 @@ def type_subterms(t: SimpleType) -> Iterator[SimpleType]:
         yield from type_subterms(t.right)
 
 
-@dataclass(frozen=True)
+@record
 class TypeDecl:
     """Type declaration [a1 x ... x an] -> out of a function symbol."""
 
@@ -112,7 +112,7 @@ FRESH = "fresh-constant"   # !c{type}, closes candidate terms
 EXT = "extension"          # pairing, filtered symbols, mu-encoding symbols
 
 
-@dataclass(frozen=True)
+@record
 class FunctionSymbol:
     name: str
     decl: TypeDecl
@@ -157,7 +157,7 @@ def pairing_symbol(t: SimpleType) -> FunctionSymbol:
     return FunctionSymbol(f"!p{{{type_text(t)}}}", TypeDecl((t, t), t), EXT)
 
 
-@dataclass(frozen=True)
+@record
 class Variable:
     name: str
     type: SimpleType
@@ -176,12 +176,12 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Var(Term):
     var: Variable
 
 
-@dataclass(frozen=True)
+@record
 class BVar(Term):
     """Bound variable occurrence (de Bruijn index); internal to Abs bodies."""
 
@@ -190,7 +190,7 @@ class BVar(Term):
 
 
 def _hash_once(cls):
-    """Keep each node's dataclass hash on the node.  The generated hash
+    """Keep each node's record hash on the node.  The generated hash
     rehashes the whole subterm on every call, and reductions and memos hash
     the same deep terms many times."""
     rehash = cls.__hash__
@@ -208,22 +208,22 @@ def _hash_once(cls):
 
 
 @_hash_once
-@dataclass(frozen=True)
+@record(uncompared=("hint",))
 class Abs(Term):
     var_type: SimpleType
     body: Term
-    hint: str = field(default="x", compare=False)
+    hint: str = "x"
 
 
 @_hash_once
-@dataclass(frozen=True)
+@record
 class App(Term):
     fn: Term
     arg: Term
 
 
 @_hash_once
-@dataclass(frozen=True)
+@record
 class FunApp(Term):
     fn: FunctionSymbol
     args: tuple[Term, ...] = ()
@@ -561,7 +561,7 @@ def rewrite_step(t: Term, rules: Sequence) -> list[Term]:
     return list(seen.keys())
 
 
-@dataclass
+@record(frozen=False)
 class Exploration:
     """Result of a bounded breadth-first reduction exploration."""
 

@@ -4,7 +4,6 @@ versions of the normal-form sum and of the polynomial search."""
 
 from __future__ import annotations
 
-import dataclasses
 import importlib.util
 import random
 import zlib
@@ -22,6 +21,7 @@ from afsterm.orderings.poly import (
     Expr, Const, SlotRef, AppSlot, Add, Mul, MaxE, Interpreter, PolyInterp,
     SubtermMemo, compare_terms, valuation_for, _canon_branch, _canon_nf, _guard,
 )
+from afsterm.record import replace
 from afsterm.selection import ABS, VAR, TypedSymbol
 from afsterm.terms import (
     Term, Var, BVar, Abs, App, FunApp, Variable, SimpleType, Arrow, Base, Exploration,
@@ -74,7 +74,7 @@ def rederived_steps(proof: Proof) -> list[Step]:
         step = next(discharges, None)
         if step is None:
             return steps
-        steps.append(dataclasses.replace(step, scc=sccs(graph)[0]))
+        steps.append(replace(step, scc=sccs(graph)[0]))
         if isinstance(step, GiveUp):
             return steps
         graph = graph.without(step.removed)

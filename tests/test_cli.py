@@ -42,6 +42,22 @@ class TestProve:
         assert code == 2
         assert err.strip()
 
+    @pytest.mark.parametrize("cmd", ["prove", "check"])
+    def test_system_not_utf8_exit_2(self, capsys, tmp_path, cmd):
+        bad = tmp_path / "bad.afs"
+        bad.write_bytes(b"\xff\xfe")
+        extra = [str(GOLDEN / "map.proof")] if cmd == "check" else []
+        code, _, err = run_cli(capsys, cmd, str(bad), *extra)
+        assert code == 2
+        assert f"cannot read {bad}: " in err
+
+    def test_dot_unwritable_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "prove", str(CORPUS / "map.afs"),
+                                 "--dot", "/nonexistent/x.dot")
+        assert code == 2
+        assert out == ""
+        assert "cannot write /nonexistent/x.dot: " in err
+
     def test_verbose_lists_constraints(self, capsys):
         code, out, _ = run_cli(capsys, "prove", str(CORPUS / "eval.afs"), "-v")
         assert code == 0
@@ -144,6 +160,13 @@ class TestCheck:
         assert "invalid proof: loop step 1 is not a one-step reduction" in err
         assert "Traceback" not in err
 
+    def test_proof_not_utf8_exit_2(self, capsys, tmp_path):
+        proof_file = tmp_path / "bad.proof"
+        proof_file.write_bytes(b"YES\n\xff\xfe")
+        code, _, err = run_cli(capsys, "check", str(CORPUS / "map.afs"), str(proof_file))
+        assert code == 2
+        assert f"cannot read {proof_file}: " in err
+
     def test_give_up_without_a_loop_checks(self, capsys, tmp_path):
         # the loop lines are optional: a MAYBE proof claims nothing
         for name in ("fga", "abfun"):
@@ -196,6 +219,16 @@ class TestCorpusCmd:
         code, out, _ = run_cli(capsys, "corpus", str(tmp_path))
         assert code == 1
         assert "EXPECTED MAYBE" in out
+
+    def test_file_not_utf8_is_an_error_row(self, capsys, tmp_path):
+        (tmp_path / "a.afs").write_bytes(b"\xff\xfe")
+        (tmp_path / "b.afs").write_text("# expect: YES\nSIG\n  o : nat\nRULES\n")
+        code, out, _ = run_cli(capsys, "corpus", str(tmp_path))
+        assert code == 1
+        rows = out.splitlines()
+        assert rows[0].startswith("a.afs  ERROR (")
+        assert rows[1].startswith("b.afs  YES")
+        assert rows[2] == "2 systems, 1 unexpected"
 
     def test_module_entry_point(self):
         out = subprocess.run(

@@ -260,6 +260,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             Config(timeout=0)
         with pytest.raises(ValueError):
+            Config(timeout=float("nan"))
+        with pytest.raises(ValueError):
             Config(engines=("magic",))
 
     def test_first_line_on_timeout(self):
@@ -365,6 +367,19 @@ class TestCorpus:
         assert all(not errors for _verdict, errors in report["verdicts"])
         assert report["before"]["afsterm.parser._PUNCT"] > 0
         assert report["after"] == report["before"]
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # every command starts a fresh interpreter; `dataclasses` would add
+        # `inspect` (and `ast`, `dis`, `tokenize`) to each cold start
+        code = ("import sys; before = set(sys.modules); import afsterm; "
+                "print(' '.join(sorted(set(sys.modules) - before)))")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, timeout=60, env=env)
+        assert out.returncode == 0, out.stderr
+        added = set(out.stdout.split())
+        assert "afsterm.record" in added
+        assert not added & {"dataclasses", "inspect"}
 
     def test_every_module_level_definition_has_a_user(self):
         # no helpers that nothing calls: each module-level function or class
