@@ -3,13 +3,13 @@
 `record` gives a class the methods `@dataclass(frozen=True)` would give it,
 and `record(frozen=False)` those of a plain `@dataclass`, for the field forms
 this package uses: annotated fields, plain defaults, inherited fields first
-and `__post_init__`.  A method the class defines itself is kept.
+and `__post_init__`.
 
 Every command-line run starts a fresh interpreter.  `dataclasses` imports
 `inspect` (and with it `ast`, `dis` and `tokenize`) and compiles each
 generated method with its own `exec`; for the package's 50 record classes
-that was ~40 % of `import afsterm`.  `record` imports nothing and compiles
-the methods of a class with one `exec`.
+that was over a third of `import afsterm`.  `record` imports nothing and
+compiles the methods of a class with one `exec`.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def __eq__(self, other):
         ns["__hash__"] = None
     exec(src, ns)
     for name in ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__"):
-        if name in ns and name not in cls.__dict__:
+        if name in ns:
             setattr(cls, name, ns[name])
     return cls
 

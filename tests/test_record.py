@@ -10,8 +10,7 @@ import pkgutil
 import pytest
 
 import afsterm
-from afsterm.engine import Config
-from afsterm.orderings.poly import Const, PolyFun, SlotRef
+from afsterm.orderings.poly import Const, SlotRef
 from afsterm.record import replace
 from afsterm.terms import Base
 
