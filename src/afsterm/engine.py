@@ -1,19 +1,21 @@
-"""The main proving loop: prepare, prune, pick an SCC, discharge it with the
-subterm criterion or a reduction pair, repeat; plus proof self-verification
-and the corpus runner."""
+"""The proof skeleton, walked once by `prove` and by `verify_proof`: prepare,
+prune, discharge the first SCC with the subterm criterion or a reduction
+pair, repeat.  `prove` checks each certificate against the constraint set it
+was found for before keeping it; `check` replays the whole proof through
+`verify_proof`.  Also the corpus runner."""
 
 from __future__ import annotations
 
 import time
 from .record import record
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .afs import AFS, complete, classify
 from .dp import DependencyPair, DPProblem, dependency_pairs
 from .graph import DPGraph, approximate_graph, sccs, prune
 from .orderings import (
-    build_constraints, subterm_criterion, Projection,
+    ConstraintSet, build_constraints, subterm_criterion, Projection,
     search_poly, search_rpo, PolyInterp, ArgFunRPO, check_certificate,
 )
 from .terms import (
@@ -84,6 +86,8 @@ class GiveUp:
 
 
 Step = Union[Preparation, PruneStep, SubtermStep, ReductionPairStep, GiveUp]
+# what `_walk` expects next: this Preparation or PruneStep, a step on this SCC, or none
+Due = Union[Preparation, PruneStep, tuple[int, ...], None]
 
 
 @record(frozen=False)
@@ -98,48 +102,23 @@ class InternalError(Exception):
 
 
 def prove(afs: AFS, cfg: Optional[Config] = None) -> Proof:
+    """Prove termination of `afs` along `_walk`, taking each SCC step from
+    `_discharge`; raises `InternalError` when `_walk` rejects a step."""
     cfg = cfg or Config()
     deadline = time.monotonic() + cfg.timeout
-
-    prepared = classify(complete(afs))
-    problem = dependency_pairs(prepared)
-    graph = approximate_graph(problem)
-    steps: list[Step] = [Preparation(
-        local=prepared.local,
-        static_mode=problem.static_mode,
-        rule_count=len(prepared.rules),
-        pair_count=len(problem.pairs),
-        node_count=len(graph.alive),
-        edge_count=graph.edge_count(),
-    )]
-
-    pruned = prune(graph)
-    dropped = tuple(sorted(graph.alive - pruned.alive))
-    components = sccs(pruned)
+    problem = dependency_pairs(classify(complete(afs)))
     templates: dict = {}  # the poly search's candidate lists, built once per proof
     explored: set[Union[int, Term]] = set()  # the loop check's rules and start terms
-    while True:
-        if dropped:
-            steps.append(PruneStep(dropped))
-        if not components:
-            proof = Proof(YES, steps, problem)
-            break
-        scc = components[0]
-        if time.monotonic() >= deadline:
-            steps.append(GiveUp(scc, (), "timeout"))
-            proof = Proof(MAYBE, steps, problem)
-            break
-        step = _discharge(scc, problem, cfg, deadline, templates, explored)
-        steps.append(step)
-        if isinstance(step, GiveUp):
-            proof = Proof(MAYBE, steps, problem)
-            break
-        dropped, components = _split_first(graph, components, step.removed)
 
-    errors = verify_proof(proof)
-    if errors:
-        raise InternalError("; ".join(errors))
-    return proof
+    def take(due: Due) -> tuple[Optional[Step], Optional[ConstraintSet]]:
+        if isinstance(due, tuple):
+            return _discharge(due, problem, cfg, deadline, templates, explored)
+        return due, None  # the preparation, a prune step, or the end
+
+    steps, error, verdict = _walk(problem, take)
+    if error:
+        raise InternalError(error)
+    return Proof(verdict, steps, problem)
 
 
 def _split_first(graph: DPGraph, components: list[tuple[int, ...]],
@@ -157,36 +136,39 @@ def _split_first(graph: DPGraph, components: list[tuple[int, ...]],
 
 def _discharge(scc: tuple[int, ...], problem: DPProblem, cfg: Config, deadline: float,
                templates: dict, explored: set[Union[int, Term]]
-               ) -> Union[SubtermStep, ReductionPairStep, GiveUp]:
+               ) -> tuple[Union[SubtermStep, ReductionPairStep, GiveUp], Optional[ConstraintSet]]:
     """The first step an engine finds for the SCC before the proof's
     `time.monotonic()` deadline, or a give-up step that names the engines
-    that ran.  A reduction loop found before the ordering searches ends the
-    proof: no reduction pair can orient the SCC then."""
+    that ran, with the constraint set of the ordering search when it ran.
+    A reduction loop found before the ordering searches ends the proof: no
+    reduction pair can orient the SCC then."""
+    if time.monotonic() >= deadline:
+        return GiveUp(scc, (), "timeout"), None
     collapsing = any(problem.pairs[i].collapsing for i in scc)
     tried: list[str] = []
     if "subterm" in cfg.engines and not collapsing:
         tried.append("subterm")
         cert = subterm_criterion(scc, problem.pairs)
         if cert is not None:
-            return SubtermStep(scc, cert, cert.strict)
+            return SubtermStep(scc, cert, cert.strict), None
     loop = _find_loop(scc, problem, explored)
     if loop:
         return GiveUp(scc, tuple(tried),
-                      "a term reduces to itself, so the system does not terminate", loop)
+                      "a term reduces to itself, so the system does not terminate", loop), None
     cs = build_constraints(scc, problem)
     if "poly" in cfg.engines:
         tried.append("poly")
         cert = search_poly(cs, store=templates, deadline=deadline)
         if cert is not None:
-            return ReductionPairStep(scc, cs.mode, cert, cert.strict)
+            return ReductionPairStep(scc, cs.mode, cert, cert.strict), cs
     # the path ordering engine does not contain beta, which the collapsing
     # modes require; it is only offered on non-collapsing problems
     if "rpo" in cfg.engines and not collapsing:
         tried.append("rpo")
         cert = search_rpo(cs, deadline=deadline)
         if cert is not None:
-            return ReductionPairStep(scc, cs.mode, cert, cert.strict)
-    return GiveUp(scc, tuple(tried), "no engine oriented a pair strictly")
+            return ReductionPairStep(scc, cs.mode, cert, cert.strict), cs
+    return GiveUp(scc, tuple(tried), "no engine oriented a pair strictly"), cs
 
 
 def _ground(ty: SimpleType, signature: tuple[FunctionSymbol, ...]) -> Term:
@@ -266,100 +248,116 @@ def _find_loop(scc: tuple[int, ...], problem: DPProblem,
     return ()
 
 
-def _replay_loop(loop: tuple[Term, ...], rules) -> list[str]:
-    """The problems of a claimed loop: it must close, be well typed, and
-    each step must be a one-step reduction."""
+def _replay_loop(loop: tuple[Term, ...], rules) -> Optional[str]:
+    """The first problem of a claimed loop: it must close, be well typed,
+    and each step must be a one-step reduction."""
     if len(loop) < 2 or loop[-1] != loop[0]:
-        return ["loop does not end at its first term"]
+        return "loop does not end at its first term"
     try:
         for t in loop[:-1]:
             type_of(t)
     except IllTyped as exc:
-        return [f"loop term is ill-typed: {exc}"]
+        return f"loop term is ill-typed: {exc}"
     for k, (a, b) in enumerate(zip(loop, loop[1:])):
         if b not in rewrite_step(a, rules):
-            return [f"loop step {k} is not a one-step reduction"]
-    return []
+            return f"loop step {k} is not a one-step reduction"
+    return None
 
 
-def verify_proof(proof: Proof) -> list[str]:
-    """Replay the proof skeleton and re-check every certificate; returns the
-    list of problems found (empty for a valid proof)."""
-    problem = proof.problem
-    errors: list[str] = []
+def _walk(problem: DPProblem,
+          take: Callable[[Due], tuple[Optional[Step], Optional[ConstraintSet]]]
+          ) -> tuple[list[Step], Optional[str], Optional[str]]:
+    """Walk the skeleton of `problem`.  `take(due)` returns the next step (None:
+    no more) and the constraint set its certificate was found for (None:
+    build it).  Returns the steps taken, the first problem `_step_error`
+    finds, and the verdict the steps prove (None if they stop early)."""
     graph = approximate_graph(problem)
     pruned = prune(graph)
     pending = tuple(sorted(graph.alive - pruned.alive))
     components = sccs(pruned)
-    removed_total: list[int] = []
-
-    steps = list(proof.steps)
-    if not steps or not isinstance(steps[0], Preparation):
-        return ["proof must start with a preparation step"]
-    prep = steps[0]
-    if prep.pair_count != len(problem.pairs):
-        errors.append("preparation step records the wrong pair count")
-
-    for step in steps[1:]:
-        if isinstance(step, Preparation):
-            errors.append("duplicate preparation step")
+    due: Due = Preparation(problem.afs.local, problem.static_mode, len(problem.afs.rules),
+                           len(problem.pairs), len(graph.alive), graph.edge_count())
+    steps: list[Step] = []
+    while True:
+        step, cs = take(due)
+        if step is None:
             break
+        error = _step_error(step, cs, due, problem)
+        if error:
+            return steps, error, None
+        steps.append(step)
         if isinstance(step, PruneStep):
-            if pending != step.removed:
-                errors.append(f"prune step removed {step.removed}, expected {pending}")
-                break
-            graph = graph.without(pending)
             pending = ()
-            removed_total.extend(step.removed)
-            continue
-        if isinstance(step, GiveUp):
-            if step.loop:
-                errors.extend(_replay_loop(step.loop, problem.afs.rules))
-            break
-        # an SCC step: the chosen set must be the first SCC of the graph
-        if pending:
-            errors.append("missing prune step before an SCC step")
-            break
-        if not components:
-            errors.append("SCC step on an empty graph")
-            break
-        if step.scc != components[0]:
-            errors.append(f"step works on {step.scc}, expected SCC {components[0]}")
-            break
-        if isinstance(step, SubtermStep):
-            verdict = check_certificate(None, step.cert, scc=step.scc, pairs=problem.pairs)
-        else:
-            cs = build_constraints(step.scc, problem)
-            if cs.mode != step.mode:
-                errors.append(f"step mode {step.mode} does not match {cs.mode}")
-                break
-            verdict = check_certificate(cs, step.cert)
-        if not verdict.valid:
-            errors.append(f"certificate rejected: {verdict.reason}")
-            break
-        if tuple(sorted(step.removed)) != tuple(sorted(verdict.strict)):
-            errors.append("removed pairs do not match the strictly oriented ones")
-            break
-        if not set(step.removed) <= set(step.scc):
-            errors.append("removed pairs outside the SCC")
-            break
-        if not step.removed:
-            errors.append("step removed no pairs")
-            break
-        removed_total.extend(step.removed)
-        graph = graph.without(step.removed)
-        pending, components = _split_first(graph, components, step.removed)
+        elif isinstance(step, GiveUp):
+            components = []  # nothing is due after a give-up
+        elif not isinstance(step, Preparation):
+            pending, components = _split_first(graph, components, step.removed)
+        due = PruneStep(pending) if pending else components[0] if components else None
+    if due is not None:
+        return steps, None if steps else f"proof must start with {due}", None
+    if isinstance(steps[-1], GiveUp):
+        return steps, None, MAYBE
+    # after the preparation, every step is a prune or an SCC step here
+    removed = sorted(i for s in steps[1:] for i in s.removed)
+    if removed != list(range(len(problem.pairs))):
+        return steps, "removal bookkeeping does not cover all pairs exactly once", None
+    return steps, None, YES
 
-    if not errors:
-        if proof.verdict == YES:
-            if graph.alive:
-                errors.append("verdict YES but pairs remain")
-            elif sorted(removed_total) != sorted(range(len(problem.pairs))):
-                errors.append("removal bookkeeping does not cover all pairs exactly once")
-        else:
-            if not isinstance(proof.steps[-1], GiveUp):
-                errors.append("verdict MAYBE without a give-up step")
-    return errors
+
+def _step_error(step: Step, cs: Optional[ConstraintSet], due: Due,
+                problem: DPProblem) -> Optional[str]:
+    """The first problem of `step` where `due` is due.  A certificate must
+    pass `check_certificate` and remove exactly the pairs it orients
+    strictly, at least one."""
+    if step == due:
+        return None
+    if isinstance(due, Preparation):
+        return f"proof must start with {due}"
+    if isinstance(step, Preparation):
+        return "duplicate preparation step"
+    if isinstance(step, PruneStep):
+        expected = due.removed if isinstance(due, PruneStep) else "no prune step"
+        return f"prune step removed {step.removed}, expected {expected}"
+    if isinstance(due, PruneStep):
+        return "missing prune step before an SCC step"
+    if due is None:
+        return "step after the end of the proof"
+    if step.scc != due:
+        return f"step works on {step.scc}, expected SCC {due}"
+    if isinstance(step, GiveUp):
+        return _replay_loop(step.loop, problem.afs.rules) if step.loop else None
+    if isinstance(step, SubtermStep):
+        verdict = check_certificate(None, step.cert, scc=step.scc, pairs=problem.pairs)
+    else:
+        if cs is None:
+            cs = build_constraints(step.scc, problem)
+        if cs.mode != step.mode:
+            return f"step mode {step.mode} does not match {cs.mode}"
+        verdict = check_certificate(cs, step.cert)
+    if not verdict.valid:
+        return f"certificate rejected: {verdict.reason}"
+    if sorted(step.removed) != sorted(verdict.strict):
+        return "removed pairs do not match the strictly oriented ones"
+    if not set(step.removed) <= set(step.scc):
+        return "removed pairs outside the SCC"
+    if not step.removed:
+        return "step removed no pairs"
+    return None
+
+
+def verify_proof(proof: Proof) -> list[str]:
+    """Walk the proof's steps along the skeleton of its problem (`_walk`)
+    and re-check every certificate; returns the list of problems found
+    (empty for a valid proof)."""
+    given = iter(proof.steps)
+    _, error, verdict = _walk(proof.problem, lambda due: (next(given, None), None))
+    if error:
+        return [error]
+    if verdict == proof.verdict:
+        return []
+    if proof.verdict == YES:
+        return ["verdict YES but pairs remain"]
+    return ["verdict MAYBE without a give-up step"]
 
 
 # corpus ----------------------------------------------------------------------

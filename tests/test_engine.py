@@ -19,6 +19,7 @@ from afsterm.engine import (
     ReductionPairStep, SubtermStep,
 )
 from afsterm.prooftext import check_proof_text, render_proof
+from afsterm.record import replace
 from afsterm.terms import Abs, bounded_reductions, rewrite_step, term_text
 
 from helpers import (
@@ -302,6 +303,83 @@ class TestSelfVerification:
                 assert set(step.removed) <= set(step.scc)
                 assert step.removed
 
+    @pytest.mark.parametrize("name, tamper, error", [
+        ("fga", lambda t: t.replace("  scc: 0 3\n", "  scc: 99\n"),
+         "step works on (99,), expected SCC (0, 3)"),
+        ("fga", lambda t: t.replace("  scc: 0 3\n", "  scc:\n"),
+         "step works on (), expected SCC (0, 3)"),
+        ("abfun", lambda t: t.replace("  scc: 0\n", "  scc: 99\n"),
+         "step works on (99,), expected SCC (0,)"),
+        ("abfun", lambda t: t.replace("  scc: 0\n", "  scc:\n"),
+         "step works on (), expected SCC (0,)"),
+        ("fga", lambda t: t.replace("PRUNE\n  removed: 1 2\n", ""),
+         "missing prune step before an SCC step"),
+        ("fga", lambda t: t.replace("END\n", t[t.index("GIVEUP"):]),
+         "step after the end of the proof"),
+        ("abfun", lambda t: t.replace("END\n", t[t.index("GIVEUP"):]),
+         "step after the end of the proof"),
+    ], ids=["fga-scc-99", "fga-scc-empty", "abfun-scc-99", "abfun-scc-empty",
+            "fga-no-prune", "fga-second-giveup", "abfun-second-giveup"])
+    def test_tampered_give_up_detected(self, name, tamper, error):
+        text = (GOLDEN / f"{name}.proof").read_text()
+        tampered = tamper(text)
+        assert tampered != text
+        assert check_proof_text(tampered, load(name)) == [error]
+
+    @pytest.mark.parametrize("old, new", [
+        ("  local: yes\n", "  local: no\n"),
+        ("  static-mode: no\n", "  static-mode: yes\n"),
+        ("  rules: 5\n", "  rules: 6\n"),
+        ("  graph: 4 nodes,", "  graph: 5 nodes,"),
+        (" 9 edges\n", " 8 edges\n"),
+    ], ids=["local", "static-mode", "rules", "nodes", "edges"])
+    def test_tampered_preparation_detected(self, old, new):
+        text = (GOLDEN / "eval.proof").read_text()
+        assert text.count(old) == 1
+        errors = check_proof_text(text.replace(old, new), load("eval"))
+        assert len(errors) == 1 and errors[0].startswith("proof must start with Preparation(")
+
+    # each certificate claims every pair it may orient strictly; on these
+    # systems the first one found orients one of them only weakly
+    @pytest.mark.parametrize("name, engine_fn, claim", [
+        ("ack", "subterm_criterion", lambda scc, pairs: scc),
+        ("twice", "search_poly",
+         lambda cs, **_: tuple(c.pair_index for c in cs.strict_candidates)),
+    ], ids=["subterm", "poly"])
+    def test_a_rejected_certificate_is_an_internal_error(self, name, engine_fn, claim,
+                                                         monkeypatch, capsys):
+        search = getattr(engine, engine_fn)
+
+        def overclaiming(*args, **kwargs):
+            cert = search(*args, **kwargs)
+            return cert and replace(cert, strict=claim(*args, **kwargs))
+
+        monkeypatch.setattr(engine, engine_fn, overclaiming)
+        with pytest.raises(engine.InternalError, match="certificate rejected"):
+            prove(load(name))
+        assert main(["prove", str(CORPUS / f"{name}.afs")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("internal error:")
+
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_prove_builds_the_graph_and_each_constraint_set_once(self, name, monkeypatch):
+        calls = {"approximate_graph": 0, "build_constraints": 0}
+
+        def counted(fn_name):
+            fn = getattr(engine, fn_name)
+
+            def wrapper(*args, **kwargs):
+                calls[fn_name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for fn_name in calls:
+            monkeypatch.setattr(engine, fn_name, counted(fn_name))
+        proof = prove(load(name))
+        searched = [s for s in proof.steps if isinstance(s, ReductionPairStep)
+                    or isinstance(s, GiveUp) and {"poly", "rpo"} & set(s.tried)]
+        assert calls == {"approximate_graph": 1, "build_constraints": len(searched)}
+
 
 class TestIncrementalDecomposition:
     # f(s(x)) => g(x) and g(x) => f(x): one SCC of two pairs; removing the
@@ -320,6 +398,8 @@ class TestIncrementalDecomposition:
             "verdict YES but pairs remain"]
         assert check_proof_text(text.replace(self.PRUNE_1, "PRUNE\n  removed: 0\n"), afs) == [
             "prune step removed (0,), expected (1,)"]
+        assert check_proof_text(text.replace("END\n", "PRUNE\n  removed:\nEND\n"), afs) == [
+            "prune step removed (), expected no prune step"]
 
     @pytest.mark.parametrize("name", corpus_names() + ["wide-0", "wide-3"])
     def test_same_steps_as_a_from_scratch_replay(self, name):
