@@ -7,8 +7,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .afs import IllegalLhs, classify, complete
-from .dp import dependency_pairs
+from .afs import IllegalLhs
 from .engine import Config, ENGINE_ORDER, prove, run_corpus, InternalError
 from .graph import approximate_graph, to_dot
 from .parser import ParseError, parse_afs
@@ -42,19 +41,18 @@ def _config(args) -> Config:
 def cmd_prove(args) -> int:
     afs = _load(args.file)
     cfg = _config(args)
-    if args.dot:
-        problem = dependency_pairs(classify(complete(afs)))
-        try:
-            Path(args.dot).write_text(to_dot(approximate_graph(problem)))
-        except OSError as exc:
-            print(f"cannot write {args.dot}: {exc}", file=sys.stderr)
-            return 2
     try:
         proof = prove(afs, cfg)
     except InternalError as exc:
         print(f"internal error: search produced an invalid certificate: {exc}",
               file=sys.stderr)
         return 1
+    if args.dot:
+        try:
+            Path(args.dot).write_text(to_dot(approximate_graph(proof.problem)))
+        except OSError as exc:
+            print(f"cannot write {args.dot}: {exc}", file=sys.stderr)
+            return 2
     sys.stdout.write(render_proof(proof, args.verbose))
     return 0
 

@@ -13,7 +13,8 @@ from typing import Callable, Iterator, Optional, Union
 
 from .afs import AFS, complete, classify
 from .dp import DependencyPair, DPProblem, dependency_pairs
-from .graph import DPGraph, approximate_graph, sccs, prune
+from .graph import DPGraph, approximate_graph, sccs
+from .graph import prune  # noqa: F401  (perfbench's layer tracer wraps it here)
 from .orderings import (
     ConstraintSet, build_constraints, subterm_criterion, Projection,
     search_poly, search_rpo, PolyInterp, ArgFunRPO, check_certificate,
@@ -126,7 +127,8 @@ def _split_first(graph: DPGraph, components: list[tuple[int, ...]],
     """The first component loses `removed`. No other component changes, so
     only the rest of the first is decomposed again. Returns the nodes of the
     first that now lie on no cycle (the next prune step) and the new
-    component list, ordered by smallest member as `sccs` orders it."""
+    component list, ordered by smallest member as `sccs` orders it.  `_walk`
+    starts from the whole graph as one component."""
     rest = DPGraph(graph.pairs, graph.edges, frozenset(components[0]) - frozenset(removed))
     parts = sccs(rest)
     on_cycle = {i for part in parts for i in part}
@@ -272,9 +274,7 @@ def _walk(problem: DPProblem,
     build it).  Returns the steps taken, the first problem `_step_error`
     finds, and the verdict the steps prove (None if they stop early)."""
     graph = approximate_graph(problem)
-    pruned = prune(graph)
-    pending = tuple(sorted(graph.alive - pruned.alive))
-    components = sccs(pruned)
+    pending, components = _split_first(graph, [tuple(graph.alive)], ())
     due: Due = Preparation(problem.afs.local, problem.static_mode, len(problem.afs.rules),
                            len(problem.pairs), len(graph.alive), graph.edge_count())
     steps: list[Step] = []

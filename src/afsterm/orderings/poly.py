@@ -1,17 +1,17 @@
 """Weakly monotonic interpretations over the naturals with 0 and max.
 
-Terms are interpreted symbolically; application uses the max construction,
-the per-type constants are fixed to zero.  Comparison normalizes both sides
-to a max of sums of monomials over base slots and applied functional slots,
-then decides coverage branch by branch.  The comparator is sound but
-incomplete; a bounded total-order case split handles the interplay between
-max branches and monotone functional slots.
-
-`PointInterpreter` is the same interpretation at two fixed valuations by
-naturals and weakly monotone functions: a small one and a generic one whose
-functional variables grow cubically.  The comparator is sound for every
-such valuation, so a comparison that fails at either point is one it
-rejects.
+Application uses the max construction, the per-type constants are fixed to
+zero.  A `Domain` gives base values with zero, constants, +, * and max, and
+lifts them to arrow types once.  In `NORMAL_FORMS` a base value is a max of
+sums of monomials over base slots and applied functional slots; the
+comparator decides coverage branch by branch.  It is sound but incomplete; a
+bounded total-order case split handles the interplay between max branches
+and monotone functional slots.  In `POINTS` a base value is a pair of
+naturals, the values at two fixed valuations by naturals and weakly monotone
+functions: a small one and a generic one whose functional variables grow
+cubically.  The comparator is sound for every such valuation, so a
+comparison that fails at either point is one it rejects.  `Interpreter` and
+`PointInterpreter` interpret terms in the two domains.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from ..terms import (
     Term, Var, BVar, Abs, App, FunApp, Variable, FunctionSymbol, SimpleType,
-    Arrow, IllTyped, type_of, free_vars, open_abs, symbols_of, type_text,
+    IllTyped, type_of, free_vars, open_abs, symbols_of, type_text,
     FRESH, EXT,
 )
 
@@ -288,129 +288,159 @@ def nf_max(a: NF, b: NF) -> NF:
 
 
 # --------------------------------------------------------------------------
-# semantic values
-
-
-class SemVal:
-    pass
-
-
-@record
-class SBase(SemVal):
-    nf: NF
+# value domains: a value of an arrow type is an `SFun` from values of its
+# argument type
 
 
 @record(frozen=False)
-class SFun(SemVal):
+class SFun:
     type: SimpleType  # an arrow type
-    fn: Callable[[SemVal], SemVal]
+    fn: Callable
 
-    def __call__(self, arg: SemVal) -> SemVal:
+    def __call__(self, arg):
         return self.fn(arg)
 
 
-def zero_sem(ty: SimpleType) -> SemVal:
-    if ty.is_base():
-        return SBase(NF_ZERO)
-    assert isinstance(ty, Arrow)
-    return SFun(ty, lambda _arg: zero_sem(ty.right))
+class Domain:
+    """Base zero, `const(n)`, and binary `add`, `mul` and `max` on base
+    values, lifted to arrow types by `zero`, `flat`, `join`, `apply` and
+    `body`."""
+
+    def __init__(self, zero, const: Callable, add: Callable, mul: Callable, max: Callable):
+        self.base_zero, self.const, self.add, self.mul, self.max = zero, const, add, mul, max
+
+    def zero(self, ty: SimpleType):
+        if ty.is_base():
+            return self.base_zero
+        return SFun(ty, lambda _arg: self.zero(ty.right))
+
+    def flat(self, v):
+        """Apply a value to zeros down to base."""
+        while isinstance(v, SFun):
+            v = v(self.zero(v.type.left))
+        return v
+
+    def join(self, a, b):
+        """The pointwise maximum of two values of a type, or of a value and
+        a base value that each of its results is joined with."""
+        if not isinstance(a, SFun):
+            return self.max(a, b)
+        if isinstance(b, SFun):
+            return SFun(a.type, lambda arg: self.join(a(arg), b(arg)))
+        return SFun(a.type, lambda arg: self.join(a(arg), b))
+
+    def apply(self, fun: PolyFun, args: Sequence, out_type: SimpleType):
+        """Apply a template: curry until all slots are filled, then evaluate."""
+        if len(args) == len(fun.slot_types):
+            return self.body(fun.body, tuple(args))
+        return SFun(out_type,
+                    lambda a, args=tuple(args): self.apply(fun, args + (a,), out_type.right))
+
+    def body(self, e: Expr, env: tuple):
+        """The base value of a template body; `env` holds a value of each
+        slot's type (the body is well-formed, see `PolyFun`)."""
+        if isinstance(e, Const):
+            return self.const(e.value)
+        if isinstance(e, SlotRef):
+            return env[e.index]
+        if isinstance(e, AppSlot):
+            v = env[e.index]
+            for a in e.args:
+                v = v(self.body(a, env))
+            return v
+        if isinstance(e, Add):
+            op, out = self.add, self.base_zero
+        elif isinstance(e, Mul):
+            op, out = self.mul, self.const(1)
+        else:  # MaxE
+            op, out = self.max, self.base_zero
+        for p in e.parts:
+            out = op(out, self.body(p, env))
+        return out
 
 
-def flat_sem(v: SemVal) -> NF:
-    """Apply a semantic value to zeros down to base."""
-    while isinstance(v, SFun):
-        v = v(zero_sem(v.type.left))
-    assert isinstance(v, SBase)
-    return v.nf
-
-
-def sem_max(v: SemVal, y: NF) -> SemVal:
-    if isinstance(v, SBase):
-        return SBase(nf_max(v.nf, y))
-    return SFun(v.type, lambda arg, v=v, y=y: sem_max(v(arg), y))
-
-
-def sem_join(a: SemVal, b: SemVal) -> SemVal:
-    """Pointwise maximum of two semantic values of the same type."""
-    if isinstance(a, SBase) and isinstance(b, SBase):
-        return SBase(nf_max(a.nf, b.nf))
-    assert isinstance(a, SFun) and isinstance(b, SFun)
-    return SFun(a.type, lambda arg, a=a, b=b: sem_join(a(arg), b(arg)))
-
-
-def slot_sem(sid, ty: SimpleType) -> SemVal:
-    """The semantic value of an opaque slot of the given type."""
-    if ty.is_base():
-        return SBase(nf_slot(sid))
-
-    def apply_chain(collected: tuple, t: SimpleType) -> SemVal:
+def opaque(ty: SimpleType, finish: Callable):
+    """An opaque value of type `ty`: applied to base values down to base, it
+    is `finish` of the tuple of those values (of `()` when `ty` is base)."""
+    def chain(args: tuple, t: SimpleType):
         if t.is_base():
-            raise AssertionError
-        def fn(arg: SemVal, collected=collected, t=t) -> SemVal:
+            return finish(args)
+
+        def fn(arg):
             if isinstance(arg, SFun):
                 raise Unsupported("functional argument to an opaque slot")
-            nxt = collected + (arg.nf,)
-            if t.right.is_base():
-                return SBase(nf_atom(sid, nxt))
-            return apply_chain(nxt, t.right)
+            return chain(args + (arg,), t.right)
         return SFun(t, fn)
 
-    return apply_chain((), ty)
+    return chain((), ty)
+
+
+NORMAL_FORMS = Domain(NF_ZERO, nf_const, nf_add, nf_mul, nf_max)
+
+
+def _slot(sid, ty: SimpleType):
+    """A slot or, if functional, an atom of its arguments' normal forms."""
+    return opaque(ty, lambda args: nf_atom(sid, args) if args else nf_slot(sid))
 
 
 # --------------------------------------------------------------------------
-# evaluating templates and interpreting terms
+# values at two fixed points
+#
+# A base value is a pair of naturals, the term's value at point A and at
+# point B, computed in one pass.  At A every variable and eta slot is 0 and
+# a functional one sums its arguments.  B is meant to be generic: the i-th
+# variable of `point_valuation` is 3 * (i + 1), and a functional variable or
+# eta slot with constant c (0 for eta slots) maps arguments summing to s to
+# c + s^3 + s, which outgrows every template (their degree is at most 2).
+# Cubes compound with nesting, so a product or a slot's value past
+# `_POINT_BITS` bits gives up like a too-large normal form.
+
+Pair = tuple
+_POINT_BITS = 4096
 
 
-def apply_polyfun(fun: PolyFun, args: Sequence[SemVal], out_type: SimpleType) -> SemVal:
-    """Apply a template: curry until all slots are filled, then evaluate."""
-    n = len(fun.slot_types)
-    if len(args) == n:
-        return SBase(_body_nf(fun.body, tuple(args)))
-    assert len(args) < n
-    assert isinstance(out_type, Arrow)
-    return SFun(out_type,
-                lambda a, args=tuple(args): apply_polyfun(fun, args + (a,), out_type.right))
+def _bounded(n: int) -> int:
+    if n.bit_length() > _POINT_BITS:
+        raise Unsupported("point value too large")
+    return n
 
 
-def _body_nf(e: Expr, env: tuple[SemVal, ...]) -> NF:
-    # the body is well-formed (PolyFun) and env holds a value of each slot's type
-    if isinstance(e, Const):
-        return nf_const(e.value)
-    if isinstance(e, SlotRef):
-        return env[e.index].nf
-    if isinstance(e, AppSlot):
-        v = env[e.index]
-        for a in e.args:
-            v = v(SBase(_body_nf(a, env)))
-        return v.nf
-    if isinstance(e, Add):
-        out = NF_ZERO
-        for p in e.parts:
-            out = nf_add(out, _body_nf(p, env))
-        return out
-    if isinstance(e, Mul):
-        out = nf_const(1)
-        for p in e.parts:
-            out = nf_mul(out, _body_nf(p, env))
-        return out
-    assert isinstance(e, MaxE)
-    out = NF_ZERO
-    for p in e.parts:
-        out = nf_max(out, _body_nf(p, env))
-    return out
+POINTS = Domain(
+    (0, 0),
+    lambda n: (n, n),
+    lambda x, y: (x[0] + y[0], x[1] + y[1]),
+    lambda x, y: (_bounded(x[0] * y[0]), _bounded(x[1] * y[1])),
+    lambda x, y: (x[0] if x[0] >= y[0] else y[0], x[1] if x[1] >= y[1] else y[1]),
+)
+
+
+def point_slot(c: int, ty: SimpleType):
+    """An opaque slot at the two points: a base one is (0, c); a functional
+    one maps arguments summing to s to s at point A and to c + s^3 + s at
+    point B."""
+    def finish(args: tuple) -> Pair:
+        if not args:
+            return (0, c)
+        s = sum([b for _a, b in args])
+        return (sum([a for a, _b in args]), _bounded(c + s * s * s + s))
+
+    return opaque(ty, finish)
+
+
+# --------------------------------------------------------------------------
+# interpreting terms
 
 
 def recovers_argument(fun: PolyFun, i: int) -> bool:
     """J(0, .., x_i, .., 0) >= x_i(0, .., 0): the template keeps slot i, as
     the symbols of the protected set S require for their declared arguments."""
-    env = tuple(slot_sem(f"rec:{j}", ty) if j == i else zero_sem(ty)
+    env = tuple(_slot(f"rec:{j}", ty) if j == i else NORMAL_FORMS.zero(ty)
                 for j, ty in enumerate(fun.slot_types))
     try:
-        value = _body_nf(fun.body, env)
+        value = NORMAL_FORMS.body(fun.body, env)
     except Unsupported:
         return False
-    return nf_geq(value, flat_sem(env[i]))
+    return nf_geq(value, NORMAL_FORMS.flat(env[i]))
 
 
 def slot_types_for(f: FunctionSymbol) -> tuple[SimpleType, ...]:
@@ -419,7 +449,8 @@ def slot_types_for(f: FunctionSymbol) -> tuple[SimpleType, ...]:
 
 
 class Interpreter:
-    """Interprets terms under an assignment of templates to symbols.
+    """Interprets terms in `domain` under an assignment of templates to
+    symbols: here `NORMAL_FORMS`, so the base values are normal forms.
 
     A search also passes its `SubtermMemo` and `val`, the valuation of the
     constraint being checked (`valuation_for` of its two sides), and the
@@ -428,27 +459,21 @@ class Interpreter:
     also binds the abstraction's variable.
     """
 
-    # the value domain: normal forms
-    zero = staticmethod(zero_sem)
-    flat = staticmethod(flat_sem)
-    max_with = staticmethod(sem_max)
-    join = staticmethod(sem_join)
-    apply = staticmethod(apply_polyfun)
+    domain = NORMAL_FORMS
 
     def __init__(self, assign: dict[str, PolyFun],
-                 memo: Optional[SubtermMemo] = None,
-                 val: Optional[dict[Variable, SemVal]] = None):
+                 memo: Optional[SubtermMemo] = None, val: Optional[dict] = None):
         self.assign = assign
         self.memo = memo
         self.val = val
         self.table = None if memo is None else memo.table
 
-    def valuation(self, lhs: Term, rhs: Term) -> dict[Variable, SemVal]:
+    def valuation(self, lhs: Term, rhs: Term) -> dict:
         return valuation_for([lhs, rhs]) if self.val is None else self.val
 
-    def eta(self, i: int, ty: SimpleType) -> SemVal:
+    def eta(self, i: int, ty: SimpleType):
         """The shared argument that eta-expands functional sides."""
-        return slot_sem(f"eta:{i}", ty)
+        return _slot(f"eta:{i}", ty)
 
     def sides(self, lhs: Term, rhs: Term) -> tuple:
         """Interpret both sides under a shared valuation; eta-expand
@@ -468,7 +493,7 @@ class Interpreter:
             raise Unsupported("sides of different functional depth")
         return lv, rv
 
-    def interp(self, t: Term, val: dict[Variable, SemVal]) -> SemVal:
+    def interp(self, t: Term, val: dict):
         memo = self.memo
         if memo is None or val is not self.val:
             return self._interp(t, val)
@@ -483,7 +508,7 @@ class Interpreter:
             hit = table[key] = self._interp(t, val)
         return hit
 
-    def _interp(self, t: Term, val: dict[Variable, SemVal]) -> SemVal:
+    def _interp(self, t: Term, val: dict):
         if isinstance(t, Var):
             return val[t.var]
         if isinstance(t, BVar):
@@ -492,139 +517,40 @@ class Interpreter:
             x, body = open_abs(t, list(val.keys()))
             ty = type_of(t)
 
-            def fn(arg: SemVal, x=x, body=body) -> SemVal:
+            def fn(arg, x=x, body=body):
                 inner = dict(val)
                 inner[x] = arg
                 return self.interp(body, inner)
 
             return SFun(ty, fn)
+        domain = self.domain
         if isinstance(t, App):
             f = self.interp(t.fn, val)
             a = self.interp(t.arg, val)
             if not isinstance(f, SFun):
                 raise Unsupported("application of a base value")
-            return self.max_with(f(a), self.flat(a))
+            return domain.join(f(a), domain.flat(a))
         assert isinstance(t, FunApp)
         f = t.fn
         if f.kind == FRESH:
-            return self.zero(f.decl.output)
+            return domain.zero(f.decl.output)
         if f.kind == EXT and f.name.startswith("!p{"):
             args = [self.interp(a, val) for a in t.args]
-            return self.join(args[0], args[1])
+            return domain.join(args[0], args[1])
         fun = self.assign.get(f.display)
         if fun is None:
             raise Unsupported(f"no interpretation for {f.display}")
         args = [self.interp(a, val) for a in t.args]
-        return self.apply(fun, args, f.decl.output)
-
-
-# --------------------------------------------------------------------------
-# concrete values at two fixed points
-#
-# A base value is a pair of naturals, the term's value at point A and at
-# point B, computed in one pass.  At A every variable and eta slot is 0 and
-# a functional one sums its arguments.  B is meant to be generic: the i-th
-# variable of `point_valuation` is 3 * (i + 1), and a functional variable or
-# eta slot with constant c (0 for eta slots) maps arguments summing to s to
-# c + s^3 + s, which outgrows every template (their degree is at most 2).
-# Functional values are `SFun`s over pairs.  Cubes compound with nesting, so
-# a value past `_POINT_BITS` bits gives up like a too-large normal form.
-
-Pair = tuple
-_POINT_BITS = 4096
-
-
-def _pt_guard(n: int) -> int:
-    if n.bit_length() > _POINT_BITS:
-        raise Unsupported("point value too large")
-    return n
-
-
-def _pt_zero(ty: SimpleType):
-    if ty.is_base():
-        return (0, 0)
-    return SFun(ty, lambda _arg: _pt_zero(ty.right))
-
-
-def _pt_flat(v) -> Pair:
-    while isinstance(v, SFun):
-        v = v(_pt_zero(v.type.left))
-    return v
-
-
-def _pt_max(v, y: Pair):
-    if isinstance(v, SFun):
-        return SFun(v.type, lambda arg, v=v, y=y: _pt_max(v(arg), y))
-    return (v[0] if v[0] >= y[0] else y[0], v[1] if v[1] >= y[1] else y[1])
-
-
-def _pt_join(a, b):
-    if isinstance(a, SFun):
-        return SFun(a.type, lambda arg, a=a, b=b: _pt_join(a(arg), b(arg)))
-    return (a[0] if a[0] >= b[0] else b[0], a[1] if a[1] >= b[1] else b[1])
-
-
-def point_slot(c: int, ty: SimpleType):
-    """An opaque slot at the two points: a base one is (0, c); a functional
-    one maps arguments summing to s to s at point A and to c + s^3 + s at
-    point B."""
-    if ty.is_base():
-        return (0, c)
-
-    def chain(a: int, b: int, t: SimpleType) -> SFun:
-        def fn(arg):
-            if isinstance(arg, SFun):
-                raise Unsupported("functional argument to an opaque slot")
-            if t.right.is_base():
-                s = b + arg[1]
-                return (a + arg[0], _pt_guard(c + s * s * s + s))
-            return chain(a + arg[0], b + arg[1], t.right)
-        return SFun(t, fn)
-
-    return chain(0, 0, ty)
-
-
-def _body_pt(e: Expr, env: tuple) -> Pair:
-    if isinstance(e, Const):
-        return (e.value, e.value)
-    if isinstance(e, SlotRef):
-        return env[e.index]
-    if isinstance(e, AppSlot):
-        v = env[e.index]
-        for a in e.args:
-            v = v(_body_pt(a, env))
-        return v
-    parts = [_body_pt(p, env) for p in e.parts]
-    if isinstance(e, Add):
-        return (sum([p[0] for p in parts]), sum([p[1] for p in parts]))
-    if isinstance(e, Mul):
-        a = b = 1
-        for pa, pb in parts:
-            a *= pa
-            b *= pb
-        return (_pt_guard(a), _pt_guard(b))
-    assert isinstance(e, MaxE)
-    return (max([p[0] for p in parts]), max([p[1] for p in parts]))
-
-
-def _apply_pt(fun: PolyFun, args: Sequence, out_type: SimpleType):
-    if len(args) == len(fun.slot_types):
-        return _body_pt(fun.body, tuple(args))
-    return SFun(out_type,
-                lambda a, args=tuple(args): _apply_pt(fun, args + (a,), out_type.right))
+        return domain.apply(fun, args, f.decl.output)
 
 
 class PointInterpreter(Interpreter):
-    """The integer twin of `Interpreter`: the values of terms at the two
-    points, memoized in the `SubtermMemo`'s point table.  `val` is then
+    """`Interpreter` in `POINTS`: the values of terms at the two points,
+    memoized in the `SubtermMemo`'s point table.  `val` is then
     `point_valuation` of every constraint of the search, so that a
     variable's value depends only on its name and type there too."""
 
-    zero = staticmethod(_pt_zero)
-    flat = staticmethod(_pt_flat)
-    max_with = staticmethod(_pt_max)
-    join = staticmethod(_pt_join)
-    apply = staticmethod(_apply_pt)
+    domain = POINTS
 
     def __init__(self, assign: dict[str, PolyFun],
                  memo: Optional[SubtermMemo] = None, val: Optional[dict] = None):
@@ -654,7 +580,7 @@ class SubtermMemo:
     def __init__(self, terms: Iterable[Term]):
         # id(subterm) -> (subterm, shared key, sorted symbol names)
         self.index: dict[int, tuple[Term, int, tuple[str, ...]]] = {}
-        self.table: dict[tuple, SemVal] = {}
+        self.table: dict[tuple, NF] = {}
         self.points: dict[tuple, Pair] = {}
         keys: dict[Term, int] = {}
         todo = list(terms)
@@ -682,23 +608,16 @@ def _sorted_vars(terms: Iterable[Term]) -> list[Variable]:
     return sorted(vs, key=lambda v: (v.name, type_text(v.type)))
 
 
-def valuation_for(terms: Sequence[Term]) -> dict[Variable, SemVal]:
-    return {v: slot_sem(f"v:{v.name}:{type_text(v.type)}", v.type)
+def valuation_for(terms: Sequence[Term]) -> dict:
+    return {v: _slot(f"v:{v.name}:{type_text(v.type)}", v.type)
             for v in _sorted_vars(terms)}
 
 
-def point_valuation(terms: Iterable[Term]) -> dict[Variable, object]:
+def point_valuation(terms: Iterable[Term]) -> dict:
     """The variables of `terms` at the two points: the i-th in
     `valuation_for`'s order, from 0, is `point_slot(3 * (i + 1), _)`, so
     base variables are 3, 6, 9, ... at point B."""
     return {v: point_slot(3 * (i + 1), v.type) for i, v in enumerate(_sorted_vars(terms))}
-
-
-def sides_to_nf(lhs: Term, rhs: Term, interp: Interpreter) -> tuple[NF, NF]:
-    """Interpret both sides under a shared valuation; eta-expand functional
-    comparisons with shared fresh slots."""
-    lv, rv = interp.sides(lhs, rhs)
-    return lv.nf, rv.nf
 
 
 def point_slack(lhs: Term, rhs: Term, interp: PointInterpreter) -> Optional[int]:
@@ -849,7 +768,7 @@ def nf_geq(s: NF, t: NF, strict: bool = False) -> bool:
 
 def compare_terms(lhs: Term, rhs: Term, interp: Interpreter, strict: bool) -> bool:
     try:
-        l_nf, r_nf = sides_to_nf(lhs, rhs, interp)
+        l_nf, r_nf = interp.sides(lhs, rhs)
     except Unsupported:
         return False
     return nf_geq(l_nf, r_nf, strict)

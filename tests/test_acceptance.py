@@ -15,7 +15,7 @@ from afsterm.orderings import (
 )
 from afsterm.orderings.poly import (
     PolyFun, Const, SlotRef, AppSlot, Add, Mul, MaxE, slot_types_for,
-    Interpreter, sides_to_nf, Unsupported,
+    Interpreter, Unsupported,
 )
 from afsterm.parser import SymbolTable, parse_term_text
 from afsterm.selection import formative_rules, usable_rules
@@ -346,7 +346,7 @@ def test_criterion_8d_ordering_properties():
     duties += [(c.lhs, c.rhs) for c in cs.strict_candidates]
     for lhs, rhs in duties:
         try:
-            l_nf, r_nf = sides_to_nf(lhs, rhs, interp)
+            l_nf, r_nf = interp.sides(lhs, rhs)
         except Unsupported:
             continue
         slots = sorted(nf_slots(l_nf) | nf_slots(r_nf), key=str)

@@ -14,7 +14,7 @@ from afsterm.orderings import (
 from afsterm.orderings import certcheck
 from afsterm.orderings.poly import (
     PolyFun, Const, SlotRef, AppSlot, Add, Mul, MaxE, slot_types_for,
-    Interpreter, sides_to_nf, Unsupported,
+    Interpreter, Unsupported,
 )
 from afsterm.terms import (
     Base, TypeDecl, FunctionSymbol, Variable, Var, FunApp, EXT,
@@ -180,7 +180,7 @@ def sample_validates(cs, cert, rng, rounds=25) -> bool:
                for c in cs.strict_candidates]
     for lhs, rhs, strict in duties:
         try:
-            l_nf, r_nf = sides_to_nf(lhs, rhs, interp)
+            l_nf, r_nf = interp.sides(lhs, rhs)
         except Unsupported:
             return False
         slots = sorted(nf_slots(l_nf) | nf_slots(r_nf), key=str)

@@ -23,8 +23,8 @@ from afsterm.orderings.constraints import (
 )
 from afsterm.orderings.poly import (
     Interpreter, SubtermMemo, compare_terms, PolyFun, Const, SlotRef, AppSlot,
-    Add, Mul, slot_types_for, sides_to_nf, valuation_for, Unsupported,
-    PointInterpreter, point_valuation, point_slack,
+    Add, Mul, slot_types_for, valuation_for, Unsupported,
+    PointInterpreter, point_valuation, point_slack, Domain, POINTS,
 )
 from afsterm.orderings.poly_search import candidate_templates
 from afsterm.orderings.rpo import MFun, MSym, MVar
@@ -202,7 +202,7 @@ class TestPolyComparator:
         for w in list(cs.weak) + [
                 WeakConstraint("pair", c.lhs, c.rhs) for c in cs.strict_candidates]:
             try:
-                l_nf, r_nf = sides_to_nf(w.lhs, w.rhs, interp)
+                l_nf, r_nf = interp.sides(w.lhs, w.rhs)
             except Unsupported:
                 continue
             slots = nf_slots(l_nf) | nf_slots(r_nf)
@@ -318,7 +318,7 @@ class TestTemplateStore:
 
 def sides_or_unsupported(lhs, rhs, interp):
     try:
-        return sides_to_nf(lhs, rhs, interp)
+        return interp.sides(lhs, rhs)
     except Unsupported:
         return None
 
@@ -484,7 +484,7 @@ class TestPointFilter:
         agreed = 0
         for lhs, rhs, assign, at_points, pval in sampled_comparisons(random.Random(8), 40):
             try:
-                nfs = sides_to_nf(lhs, rhs, Interpreter(assign))
+                nfs = Interpreter(assign).sides(lhs, rhs)
             except Unsupported:
                 nfs = None
             try:
@@ -498,6 +498,47 @@ class TestPointFilter:
                 assert [eval_nf(nf, at) for nf in nfs] == [p[k] for p in pairs]
             agreed += 1
         assert agreed > 5000
+
+    def test_points_are_the_normal_forms_of_every_candidate_template(self, monkeypatch):
+        # f(x1..xn) @ y1 .. ym for each symbol of each constraint set that
+        # prove builds on the corpus, under each of its candidate templates:
+        # the normal form at the two points is the point pair, and a POINTS
+        # whose max is + is caught
+        built = []
+        build = engine.build_constraints
+        monkeypatch.setattr(engine, "build_constraints",
+                            lambda *args: built.append(build(*args)) or built[-1])
+        for name in corpus_names():
+            prove(load(name))
+        cases = {}
+        for cs in built:
+            s_names = {f.display for f in cs.S}
+            for f in occurring_symbols(cs):
+                xs = [Var(Variable(f"x{i + 1}", ty)) for i, ty in enumerate(f.decl.inputs)]
+                t = FunApp(f, tuple(xs))
+                for j, ty in enumerate(f.decl.output.argument_types()):
+                    t = App(t, Var(Variable(f"y{j + 1}", ty)))
+                for fun in candidate_templates(f, f.display in s_names):
+                    cases[t, f.display, fun] = None
+
+        def agreements(points):
+            agreed = 0
+            for t, name, fun in cases:
+                try:
+                    pair = points({name: fun}).sides(t, t)[0]
+                    nf = Interpreter({name: fun}).sides(t, t)[0]
+                except Unsupported:
+                    continue
+                at = point_assignments(point_valuation([t]))
+                agreed += [eval_nf(nf, at[0]), eval_nf(nf, at[1])] == list(pair)
+            return agreed
+
+        class MaxIsAdd(PointInterpreter):
+            domain = Domain(POINTS.base_zero, POINTS.const, POINTS.add, POINTS.mul, POINTS.add)
+
+        assert len(cases) > 800
+        assert agreements(PointInterpreter) == len(cases)
+        assert agreements(MaxIsAdd) < len(cases)
 
     def test_abfun_rule_is_refuted_at_the_points(self):
         # A(B(F)) @ x >= F @ x under A = x1, B = x1(0) + 2.  Both sides are

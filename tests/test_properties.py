@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from afsterm.orderings.poly import (
     PolyFun, Const, SlotRef, AppSlot, Add, Mul, MaxE, Interpreter,
     Unsupported, nf_const, nf_slot, nf_atom, nf_add, nf_mul, nf_max, nf_geq,
-    PointInterpreter, point_slot, point_valuation, sides_to_nf,
+    PointInterpreter, point_slot, point_valuation,
 )
 from afsterm.orderings.rpo import (
     MSym, MTerm, MVar, MIdx, MBind, MFun, USER, APPK, LAMK, CONSTK,
@@ -238,7 +238,7 @@ def test_points_are_the_normal_forms_at_two_points(body, sides):
     lhs, rhs = sides
     assign = {"h": PolyFun(SLOTS, body)}
     try:
-        nfs = sides_to_nf(lhs, rhs, Interpreter(assign))
+        nfs = Interpreter(assign).sides(lhs, rhs)
     except Unsupported:
         nfs = None
     try:
