@@ -9,7 +9,7 @@ from .subterm import Projection, subterm_criterion, check_projection
 from .poly import PolyFun, PolyInterp, Interpreter, compare_terms, Expr, expr_text
 from .poly_search import search_poly
 from .rpo import ArgFunRPO, search_rpo, check_argfun_rpo, mu, rpo_greater, rpo_geq, Precedence
-from .certcheck import Certificate, Verdict, check_certificate
+from .certcheck import Certificate, check_certificate
 
 __all__ = [
     "ConstraintSet", "StrictCandidate", "WeakConstraint", "build_constraints",
@@ -20,5 +20,5 @@ __all__ = [
     "PolyInterp", "search_poly",
     "ArgFunRPO", "search_rpo", "check_argfun_rpo", "mu", "rpo_greater",
     "rpo_geq", "Precedence",
-    "Certificate", "Verdict", "check_certificate",
+    "Certificate", "check_certificate",
 ]

@@ -1,8 +1,8 @@
-"""Independent re-verification of certificates against a constraint set."""
+"""Independent re-verification of certificates.  Every check returns the
+first problem it finds, or None when the certificate holds."""
 
 from __future__ import annotations
 
-from ..record import record
 from typing import Optional, Union
 
 from .constraints import ConstraintSet
@@ -14,22 +14,10 @@ from .rpo import ArgFunRPO, check_argfun_rpo
 Certificate = Union[Projection, PolyInterp, ArgFunRPO]
 
 
-@record
-class Verdict:
-    valid: bool
-    strict: tuple[int, ...] = ()
-    reason: str = ""
-
-
-def check_poly_interp(cs: ConstraintSet, cert: PolyInterp) -> Verdict:
-    if not cert.strict:
-        return Verdict(False, (), "no pair is claimed strict")
-    cand_ids = {c.pair_index for c in cs.strict_candidates}
-    if not set(cert.strict) <= cand_ids:
-        return Verdict(False, (), "strict set mentions pairs outside the constraint set")
+def check_poly_interp(cs: ConstraintSet, cert: PolyInterp) -> Optional[str]:
     for name in cert.assign:
         if name.startswith("!c{") or name.startswith("!p{"):
-            return Verdict(False, (), f"certificate may not interpret {name}")
+            return f"certificate may not interpret {name}"
 
     # protected symbols: the argument recovery condition
     for sym in cs.S:
@@ -38,34 +26,35 @@ def check_poly_interp(cs: ConstraintSet, cert: PolyInterp) -> Verdict:
             continue
         for i in range(sym.decl.arity):
             if not recovers_argument(fun, i):
-                return Verdict(
-                    False, (),
-                    f"J({sym.display}) does not recover its argument {i + 1}")
+                return f"J({sym.display}) does not recover its argument {i + 1}"
 
     interp = Interpreter(cert.assign)
     for w in cs.weak:
         if not compare_terms(w.lhs, w.rhs, interp, strict=False):
-            return Verdict(False, (), f"weak constraint not oriented ({w.label})")
+            return f"weak constraint not oriented ({w.label})"
     for c in cs.strict_candidates:
         strict = c.pair_index in cert.strict
         if not compare_terms(c.lhs, c.rhs, interp, strict=strict):
             kind = "strictly" if strict else "weakly"
-            return Verdict(False, (), f"pair {c.pair_index} is not {kind} oriented")
-    return Verdict(True, tuple(cert.strict))
+            return f"pair {c.pair_index} is not {kind} oriented"
+    return None
 
 
-def check_certificate(cs: ConstraintSet, cert: Certificate,
+def check_certificate(cs: Optional[ConstraintSet], cert: Certificate,
                       scc: Optional[tuple[int, ...]] = None,
-                      pairs=None) -> Verdict:
-    """Re-verify a certificate; Projection certificates need the SCC and the
-    pair list, the others are checked against the constraint set."""
+                      pairs=None) -> Optional[str]:
+    """The first problem of a certificate for one SCC, or None.  A Projection
+    is checked against the SCC and the pair list, the others against the
+    SCC's constraint set, whose strict candidates are exactly its pairs.
+    Every certificate must claim a non-empty strict set inside the SCC."""
+    if cs is not None:
+        scc = tuple(c.pair_index for c in cs.strict_candidates)
+    if not cert.strict:
+        return "no pair is claimed strict"
+    if not set(cert.strict) <= set(scc):
+        return "strict set mentions pairs outside the SCC"
     if isinstance(cert, Projection):
-        assert scc is not None and pairs is not None
-        ok, reason = check_projection(scc, pairs, cert)
-        return Verdict(ok, tuple(cert.strict), reason)
+        return check_projection(scc, pairs, cert)
     if isinstance(cert, PolyInterp):
         return check_poly_interp(cs, cert)
-    if isinstance(cert, ArgFunRPO):
-        ok, reason = check_argfun_rpo(cs, cert)
-        return Verdict(ok, tuple(cert.strict), reason)
-    return Verdict(False, (), f"unknown certificate type {type(cert).__name__}")
+    return check_argfun_rpo(cs, cert)

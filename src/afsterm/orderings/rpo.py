@@ -441,40 +441,26 @@ def search_rpo(cs: ConstraintSet, deadline: Optional[float] = None) -> Optional[
             or dfs({}, 1, 0) or dfs({}, 2, 0))
 
 
-def check_argfun_rpo(cs: ConstraintSet, cert: ArgFunRPO) -> tuple[bool, str]:
-    """Re-run the ordering decisions with the certificate's frozen facts."""
+def check_argfun_rpo(cs: ConstraintSet, cert: ArgFunRPO) -> Optional[str]:
+    """Re-run the ordering decisions with the certificate's frozen facts:
+    the first problem, or None."""
     if cs.mode != MODE_NON_COLLAPSING:
         # the collapsing modes need a reduction pair that contains beta, and
         # this ordering does not: @(L(x.s), t) need not be >= s[x:=t]
-        return False, f"the path ordering does not contain beta, which mode {cs.mode} requires"
+        return f"the path ordering does not contain beta, which mode {cs.mode} requires"
     try:
         prec = Precedence(cert.precedence, frozen=True)
     except ValueError as exc:
-        return False, str(exc)
-    s_names = {f.display for f in cs.S}
-    for name, template in cert.pi.items():
-        if name in s_names:
-            sym = next((f for f in cs.S if f.display == name), None)
-            if sym is not None:
-                slots = set(template_slots(sym))
-                if free_vars(template) != slots:
-                    return False, f"pi({name}) violates the protected-argument condition"
-    if not cert.strict:
-        return False, "no pair is claimed strict"
-    claimed = set(cert.strict)
-    cand_ids = {c.pair_index for c in cs.strict_candidates}
-    if not claimed <= cand_ids:
-        return False, "strict set mentions pairs outside the constraint set"
+        return str(exc)
     for w in cs.weak:
         if not rpo_geq(mu(apply_argfun(cert.pi, w.lhs)), mu(apply_argfun(cert.pi, w.rhs)), prec):
-            return False, f"weak constraint not oriented: {w.label}"
+            return f"weak constraint not oriented: {w.label}"
     for c in cs.strict_candidates:
         lhs = mu(apply_argfun(cert.pi, c.lhs))
         rhs = mu(apply_argfun(cert.pi, c.rhs))
-        if c.pair_index in claimed:
+        if c.pair_index in cert.strict:
             if not rpo_greater(lhs, rhs, prec):
-                return False, f"pair {c.pair_index} is not strictly oriented"
-        else:
-            if not rpo_geq(lhs, rhs, prec):
-                return False, f"pair {c.pair_index} is not weakly oriented"
-    return True, ""
+                return f"pair {c.pair_index} is not strictly oriented"
+        elif not rpo_geq(lhs, rhs, prec):
+            return f"pair {c.pair_index} is not weakly oriented"
+    return None

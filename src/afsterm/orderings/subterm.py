@@ -85,24 +85,20 @@ def subterm_criterion(scc: Sequence[int], pairs: Sequence[DependencyPair]) -> Op
 
 
 def check_projection(scc: Sequence[int], pairs: Sequence[DependencyPair],
-                     cert: Projection) -> tuple[bool, str]:
-    """Independent re-derivation of the projection comparisons."""
-    if not cert.strict:
-        return False, "projection certificate orders no pair strictly"
-    if not set(cert.strict) <= set(scc):
-        return False, "strict set is not a subset of the SCC"
+                     cert: Projection) -> Optional[str]:
+    """Independent re-derivation of the projection comparisons: the first
+    problem, or None."""
     for i in scc:
         p = pairs[i]
         if p.collapsing:
-            return False, f"pair {i} is collapsing"
+            return f"pair {i} is collapsing"
         left = project(cert.nu, p.lhs)
         right = project(cert.nu, p.rhs)
         if left is None or right is None:
-            return False, f"projection undefined on pair {i}"
+            return f"projection undefined on pair {i}"
         if i in cert.strict:
             if not _is_strict_subterm(right, left):
-                return False, f"pair {i}: projected sides are not in the strict subterm relation"
-        else:
-            if left != right and not _is_strict_subterm(right, left):
-                return False, f"pair {i}: projected sides are neither equal nor subterm-related"
-    return True, ""
+                return f"pair {i}: projected sides are not in the strict subterm relation"
+        elif left != right and not _is_strict_subterm(right, left):
+            return f"pair {i}: projected sides are neither equal nor subterm-related"
+    return None

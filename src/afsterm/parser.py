@@ -31,7 +31,6 @@ class Token:
     col: int
 
 
-_PUNCT = {"(", ")", "[", "]", ",", ":", ".", "\\", "@", "*", "=>", "->", ">", ";", "="}
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789")
 _IDENT_CONT = _IDENT_START | set("'")
 
@@ -82,15 +81,14 @@ def tokenize(text: str) -> list[Token]:
             j = i
             while j < n and text[j] in _IDENT_CONT:
                 j += 1
-            name = text[i:j]
-            # marked / tagged suffixes attach only directly after the name
-            if j < n and text[j] == "#":
-                name += "#"
+            # marked / tagged suffixes attach only directly after the name;
+            # a filtered marked or tagged symbol's kept positions follow: f#'2
+            if j < n and (text[j] == "#" or text[j] == "-" and not text.startswith("->", j)):
                 j += 1
-            elif j < n and text[j] == "-" and not text.startswith("->", j):
-                name += "-"
-                j += 1
-            push("IDENT", name, start_l, start_c)
+                if j < n and text[j] == "'":
+                    while j < n and text[j] in _IDENT_CONT:
+                        j += 1
+            push("IDENT", text[i:j], start_l, start_c)
             col += j - i
             i = j
             continue

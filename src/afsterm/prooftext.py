@@ -2,12 +2,14 @@
 
 A proof file is the exact text `prove` prints.  The checker re-derives the
 dependency pairs and the graph from the AFS, so the proof only has to carry
-the step skeleton and the certificates.
+the step skeleton and the certificates.  `parse_proof` reads each block once
+and raises on a text that does not parse; the engine's `verify_proof`
+re-checks every step, each check returning its first problem or None.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional, Union
 
 from .afs import AFS, complete, classify
 from .dp import DPProblem, dependency_pairs
@@ -53,41 +55,40 @@ def render_proof(proof: Proof, verbosity: int = 0) -> str:
         elif isinstance(step, PruneStep):
             lines.append("PRUNE")
             lines.append("  removed: " + " ".join(map(str, step.removed)))
-        elif isinstance(step, SubtermStep):
-            lines.append("STEP")
-            lines.append("  scc: " + " ".join(map(str, step.scc)))
-            nus = ", ".join(f"nu({name}) = {idx}" for name, idx in sorted(step.cert.nu.items()))
-            lines.append(f"  SUBTERM CRITERION {nus}")
-            lines.append("  strict: " + " ".join(map(str, step.cert.strict)))
-            lines.append("  removed: " + " ".join(map(str, step.removed)))
-        elif isinstance(step, ReductionPairStep):
-            lines.append("STEP")
-            lines.append("  scc: " + " ".join(map(str, step.scc)))
-            lines.append(f"  mode: {step.mode}")
-            if verbosity >= 1:
-                cs = build_constraints(step.scc, problem)
-                for c in cs.strict_candidates:
-                    lines.append(f"  strict? {term_text(c.lhs)} > {term_text(c.rhs)}")
-                for w in cs.weak:
-                    lines.append(f"  weak {term_text(w.lhs)} >= {term_text(w.rhs)} ({w.label})")
-            if isinstance(step.cert, PolyInterp):
-                lines.append("  POLY")
-                for name in sorted(step.cert.assign):
-                    lines.append(f"    J({name}) = {expr_text(step.cert.assign[name].body)}")
-            else:
-                lines.append("  ARGFUN+RPO")
-                for name in sorted(step.cert.pi):
-                    lines.append(f"    pi({name}) = {term_text(step.cert.pi[name])}")
-                for a, b in step.cert.precedence:
-                    lines.append(f"    prec: {a} > {b}")
-            lines.append("  strict: " + " ".join(map(str, step.cert.strict)))
-            lines.append("  removed: " + " ".join(map(str, step.removed)))
         elif isinstance(step, GiveUp):
             lines.append("GIVEUP")
             lines.append("  scc: " + " ".join(map(str, step.scc)))
             lines.append(" ".join(("  tried:", *step.tried)))
             lines.append(f"  reason: {step.reason}")
             lines.extend(f"  loop: {term_text(t)}" for t in step.loop)
+        else:
+            lines.append("STEP")
+            lines.append("  scc: " + " ".join(map(str, step.scc)))
+            if isinstance(step, SubtermStep):
+                nus = ", ".join(f"nu({name}) = {idx}" for name, idx in sorted(step.cert.nu.items()))
+                lines.append(f"  SUBTERM CRITERION {nus}")
+            else:
+                lines.append(f"  mode: {step.mode}")
+                if verbosity >= 1:
+                    cs = build_constraints(step.scc, problem)
+                    for c in cs.strict_candidates:
+                        lines.append(f"  strict? {term_text(c.lhs)} > {term_text(c.rhs)}")
+                    for w in cs.weak:
+                        lines.append(f"  weak {term_text(w.lhs)} >= {term_text(w.rhs)} ({w.label})")
+                cert = step.cert
+                if isinstance(cert, PolyInterp):
+                    lines.append("  POLY")
+                    for name in sorted(cert.assign):
+                        lines.append(f"    J({name}) = {expr_text(cert.assign[name].body)}")
+                else:
+                    lines.append("  ARGFUN+RPO")
+                    for name in sorted(cert.pi):
+                        lines.append(f"    pi({name}) = {term_text(cert.pi[name])}")
+                    for a, b in cert.precedence:
+                        lines.append(f"    prec: {a} > {b}")
+            strict = " ".join(map(str, step.cert.strict))
+            lines.append(f"  strict: {strict}")
+            lines.append(f"  removed: {strict}")
     lines.append("END")
     return "\n".join(lines) + "\n"
 
@@ -208,45 +209,103 @@ def _entry(line: str, prefix: str) -> tuple[str, str]:
     return name, value.strip()
 
 
+def _blocks(lines: list[str]) -> Iterator[tuple[str, list[str]]]:
+    """Each header line with its block: the indented lines after it, up to
+    the first blank or unindented line, all stripped.  Blank lines and END
+    lines are skipped."""
+    i = 0
+    while i < len(lines):
+        header = lines[i].strip()
+        i += 1
+        if not header or header == "END":
+            continue
+        start = i
+        while i < len(lines) and lines[i].startswith(" ") and lines[i].strip():
+            i += 1
+        yield header, [line.strip() for line in lines[start:i]]
+
+
+def _parse_step(block: list[str], table: SymbolTable) -> Union[SubtermStep, ReductionPairStep]:
+    """A STEP block; its removed pairs must be its strict ones."""
+    ints: dict[str, tuple[int, ...]] = {}  # scc, strict and removed
+    mode = ""
+    kind = None
+    nu: dict[str, int] = {}
+    assign: dict[str, PolyFun] = {}
+    pi: dict[str, Term] = {}
+    prec: list[tuple[str, str]] = []
+    for line in block:
+        key, colon, value = line.partition(":")
+        if colon and key in ("scc", "strict", "removed"):
+            ints[key] = _int_list(value)
+        elif colon and key == "mode":
+            mode = value.strip()
+        elif line.startswith("SUBTERM CRITERION"):
+            kind = "subterm"
+            for part in line[len("SUBTERM CRITERION"):].split(","):
+                part = part.strip()
+                if not part:
+                    continue
+                if not part.startswith("nu("):
+                    raise ProofSyntaxError(f"malformed projection entry {part!r}")
+                name, number = _entry(part, "nu(")
+                nu[name] = _int(number)
+        elif line == "POLY":
+            kind = "poly"
+        elif line == "ARGFUN+RPO":
+            kind = "rpo"
+        elif line.startswith("J(") and kind == "poly":
+            name, body = _entry(line, "J(")
+            sym = table.lookup_symbol(name)
+            if sym is None:
+                raise ProofSyntaxError(f"unknown symbol in J({name})")
+            assign[name] = parse_polyfun(body, sym)
+        elif line.startswith("pi(") and kind == "rpo":
+            name, body = _entry(line, "pi(")
+            sym = table.lookup_symbol(name)
+            if sym is None:
+                raise ProofSyntaxError(f"unknown symbol in pi({name})")
+            pi[name] = parse_pi_template(body, sym, table)
+        elif colon and key == "prec" and kind == "rpo":
+            if ">" not in value:
+                raise ProofSyntaxError(f"malformed precedence line {line!r}")
+            a, b = value.split(">", 1)
+            prec.append((a.strip(), b.strip()))
+        elif not (line.startswith("strict?") or line.startswith("weak ")):
+            # (the constraint listing of `prove -v` is informational)
+            raise ProofSyntaxError(f"unexpected proof line: {line!r}")
+    scc, strict, removed = (ints.get(key, ()) for key in ("scc", "strict", "removed"))
+    if sorted(removed) != sorted(strict):
+        raise ProofSyntaxError(f"removed pairs {removed} do not match the strict pairs {strict}")
+    if kind == "subterm":
+        return SubtermStep(scc, Projection(nu, strict))
+    if kind == "poly":
+        return ReductionPairStep(scc, mode, PolyInterp(assign, strict))
+    if kind == "rpo":
+        return ReductionPairStep(scc, mode, ArgFunRPO(pi, tuple(prec), strict))
+    raise ProofSyntaxError("STEP block without a certificate")
+
+
 def parse_proof(text: str, problem: DPProblem) -> tuple[Proof, list[str]]:
     """Parse a proof; returns the proof plus textual mismatches found while
-    cross-checking the listed pairs against the recomputed ones."""
+    cross-checking the listed pairs against the recomputed ones.  Raises
+    ProofSyntaxError (or the term parser's ParseError) for a text that does
+    not parse, and for a STEP whose removed pairs are not its strict ones."""
     table = SymbolTable({f.name: f for f in problem.afs.signature}, {}, auto_symbols=True)
     mismatches: list[str] = []
     lines = text.splitlines()
     if not lines or lines[0].strip() not in (YES, MAYBE):
         raise ProofSyntaxError("first line must be YES or MAYBE")
-    verdict = lines[0].strip()
     steps: list = []
-    i = 1
-    n = len(lines)
-
-    def fields_block(start: int) -> tuple[dict, list[tuple[str, str]], int]:
-        fields: dict[str, str] = {}
-        ordered: list[tuple[str, str]] = []
-        j = start
-        while j < n:
-            raw = lines[j]
-            if not raw.startswith(" ") or not raw.strip():
-                break
-            stripped = raw.strip()
-            key, _, value = stripped.partition(":")
-            fields[key.strip()] = value.strip()
-            ordered.append((key.strip(), value.strip()))
-            j += 1
-        return fields, ordered, j
-
-    while i < n:
-        line = lines[i].strip()
-        if not line:
-            i += 1
+    for header, block in _blocks(lines[1:]):
+        if header == "STEP":
+            steps.append(_parse_step(block, table))
             continue
-        if line == "END":
-            i += 1
-            continue
-        if line == "PREPARATION":
-            fields, ordered, i = fields_block(i + 1)
-            pair_lines = [(k, v) for k, v in ordered if k.startswith("pair ")]
+        entries = [(key.strip(), value.strip())
+                   for key, _, value in (line.partition(":") for line in block)]
+        fields = dict(entries)
+        if header == "PREPARATION":
+            pair_lines = [(k, v) for k, v in entries if k.startswith("pair ")]
             for k, v in pair_lines:
                 idx = _int(k.split()[1])
                 if idx >= len(problem.pairs):
@@ -266,95 +325,19 @@ def parse_proof(text: str, problem: DPProblem) -> tuple[Proof, list[str]]:
                 ))
             except (ValueError, IndexError) as exc:
                 raise ProofSyntaxError(f"malformed PREPARATION block: {exc}")
-            continue
-        if line == "PRUNE":
-            fields, _, i = fields_block(i + 1)
+        elif header == "PRUNE":
             steps.append(PruneStep(_int_list(fields.get("removed", ""))))
-            continue
-        if line == "GIVEUP":
-            fields, ordered, i = fields_block(i + 1)
-            lines_of_loop = [v for k, v in ordered if k == "loop"]
+        elif header == "GIVEUP":
+            lines_of_loop = [v for k, v in entries if k == "loop"]
             terms = {v: parse_term_text(v, table) for v in dict.fromkeys(lines_of_loop)}
             loop = tuple(terms[v] for v in lines_of_loop)
             steps.append(GiveUp(_int_list(fields.get("scc", "")),
                                 tuple(fields.get("tried", "").split()),
                                 fields.get("reason", ""), loop))
-            continue
-        if line == "STEP":
-            j = i + 1
-            scc: tuple[int, ...] = ()
-            mode = ""
-            strict: tuple[int, ...] = ()
-            removed: tuple[int, ...] = ()
-            cert = None
-            nu: dict[str, int] = {}
-            poly_assign: dict[str, PolyFun] = {}
-            pi_map: dict[str, Term] = {}
-            prec: list[tuple[str, str]] = []
-            kind = None
-            while j < n and lines[j].startswith(" ") and lines[j].strip():
-                stripped = lines[j].strip()
-                if stripped.startswith("scc:"):
-                    scc = _int_list(stripped[4:])
-                elif stripped.startswith("mode:"):
-                    mode = stripped[5:].strip()
-                elif stripped.startswith("SUBTERM CRITERION"):
-                    kind = "subterm"
-                    for part in stripped[len("SUBTERM CRITERION"):].split(","):
-                        part = part.strip()
-                        if not part:
-                            continue
-                        if not part.startswith("nu("):
-                            raise ProofSyntaxError(f"malformed projection entry {part!r}")
-                        name, value = _entry(part, "nu(")
-                        nu[name] = _int(value)
-                elif stripped == "POLY":
-                    kind = "poly"
-                elif stripped == "ARGFUN+RPO":
-                    kind = "rpo"
-                elif stripped.startswith("J(") and kind == "poly":
-                    name, body = _entry(stripped, "J(")
-                    sym = table.lookup_symbol(name)
-                    if sym is None:
-                        raise ProofSyntaxError(f"unknown symbol in J({name})")
-                    poly_assign[name] = parse_polyfun(body, sym)
-                elif stripped.startswith("pi(") and kind == "rpo":
-                    name, body = _entry(stripped, "pi(")
-                    sym = table.lookup_symbol(name)
-                    if sym is None:
-                        raise ProofSyntaxError(f"unknown symbol in pi({name})")
-                    pi_map[name] = parse_pi_template(body, sym, table)
-                elif stripped.startswith("prec:") and kind == "rpo":
-                    rest = stripped[5:]
-                    if ">" not in rest:
-                        raise ProofSyntaxError(f"malformed precedence line {stripped!r}")
-                    a, b = rest.split(">", 1)
-                    prec.append((a.strip(), b.strip()))
-                elif stripped.startswith("strict?") or stripped.startswith("weak "):
-                    pass  # informational constraint listing
-                elif stripped.startswith("strict:"):
-                    strict = _int_list(stripped[7:])
-                elif stripped.startswith("removed:"):
-                    removed = _int_list(stripped[8:])
-                else:
-                    raise ProofSyntaxError(f"unexpected proof line: {stripped!r}")
-                j += 1
-            i = j
-            if kind == "subterm":
-                cert = Projection(nu, strict)
-                steps.append(SubtermStep(scc, cert, removed))
-            elif kind == "poly":
-                cert = PolyInterp(poly_assign, strict)
-                steps.append(ReductionPairStep(scc, mode, cert, removed))
-            elif kind == "rpo":
-                cert = ArgFunRPO(pi_map, tuple(prec), strict)
-                steps.append(ReductionPairStep(scc, mode, cert, removed))
-            else:
-                raise ProofSyntaxError("STEP block without a certificate")
-            continue
-        raise ProofSyntaxError(f"unexpected proof line: {line!r}")
+        else:
+            raise ProofSyntaxError(f"unexpected proof line: {header!r}")
 
-    return Proof(verdict, steps, problem), mismatches
+    return Proof(lines[0].strip(), steps, problem), mismatches
 
 
 def check_proof_text(text: str, afs: AFS) -> list[str]:

@@ -144,7 +144,7 @@ def test_criterion_4_paper_witnesses():
         "cons": PolyFun(st("cons"), Add((SlotRef(0), SlotRef(1), Const(1)))),
     }
     cert = PolyInterp(J, tuple(c.pair_index for c in cs.strict_candidates))
-    results.append(("map interpretation", check_certificate(cs, cert).valid,
+    results.append(("map interpretation", check_certificate(cs, cert) is None,
                     time.monotonic() - start))
 
     # twice stage one
@@ -161,7 +161,7 @@ def test_criterion_4_paper_witnesses():
           "twice": ffn, "twice#": ffn}
     cert1 = PolyInterp(J1, (0, 1))
     results.append(("twice interpretation, first stage",
-                    check_certificate(cs, cert1).valid, time.monotonic() - start))
+                    check_certificate(cs, cert1) is None, time.monotonic() - start))
 
     # twice stage two
     start = time.monotonic()
@@ -172,7 +172,7 @@ def test_criterion_4_paper_witnesses():
                                 SlotRef(1))), Const(1))))
     cert2 = PolyInterp({"twice": stage2, "twice#": stage2}, scc2)
     results.append(("twice interpretation, second stage",
-                    check_certificate(cs2, cert2).valid, time.monotonic() - start))
+                    check_certificate(cs2, cert2) is None, time.monotonic() - start))
 
     # map precedence on the non-collapsing (static-mode) SCC
     start = time.monotonic()
@@ -180,7 +180,7 @@ def test_criterion_4_paper_witnesses():
     scc = sccs(prune(approximate_graph(prob)))[0]
     cert3 = ArgFunRPO({}, (("cons", "map#"), ("map", "cons")), scc)
     results.append(("map precedence",
-                    check_certificate(build_constraints(scc, prob), cert3).valid,
+                    check_certificate(build_constraints(scc, prob), cert3) is None,
                     time.monotonic() - start))
 
     # the published eval argument function and precedence is for an ordering
@@ -198,7 +198,7 @@ def test_criterion_4_paper_witnesses():
     cert4 = ArgFunRPO({"dom": FunApp(domp, (Var(x1), Var(x2)))},
                       (("fun", "dom'"), ("dom'", "s"), ("dom'", "o")), scc)
     results.append(("eval filtering and precedence rejected on the collapsing SCC",
-                    not check_certificate(cs4, cert4).valid, time.monotonic() - start))
+                    check_certificate(cs4, cert4) is not None, time.monotonic() - start))
 
     ok = all(r[1] and r[2] < 1.0 for r in results)
     detail = "; ".join(f"{name} {'ok' if good else 'FAILED'} ({dt * 1000:.0f} ms)"
@@ -386,7 +386,7 @@ def test_criterion_8e_mutations():
         if mutant.assign == cert.assign:
             continue
         total += 1
-        if not check_certificate(cs, mutant).valid:
+        if check_certificate(cs, mutant) is not None:
             rejected += 1
         elif sample_validates(cs, mutant, rng):
             accepted_valid += 1

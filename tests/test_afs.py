@@ -4,7 +4,7 @@ import pytest
 
 from afsterm import parse_afs
 from afsterm.afs import IllegalLhs, complete, build_rplus
-from afsterm.parser import ParseError
+from afsterm.parser import ParseError, tokenize
 from afsterm.terms import IllTyped, term_text, alpha_equal, Abs
 
 from helpers import load
@@ -36,6 +36,11 @@ class TestParsing:
         src = "SIG\n  o : nat\nVARS\n  F : nat -> nat\n  y : nat\nRULES\n  F @ y => y\n"
         with pytest.raises(IllegalLhs):
             parse_afs(src)
+
+    def test_primed_positions_follow_a_mark_or_tag(self):
+        # `rpo.pi_options` names a filtered marked or tagged symbol so
+        texts = [tok.text for tok in tokenize("f#'2(x) f-'12 F->G")]
+        assert texts == ["f#'2", "(", "x", ")", "f-'12", "F", "->", "G", ""]
 
     def test_unknown_identifier(self):
         with pytest.raises(ParseError):

@@ -48,7 +48,7 @@ class TestPaperWitnesses:
             "cons": PolyFun(st("cons"), Add((SlotRef(0), SlotRef(1), Const(1)))),
         }
         cert = PolyInterp(J, tuple(c.pair_index for c in cs.strict_candidates))
-        assert check_certificate(cs, cert).valid
+        assert check_certificate(cs, cert) is None
 
     def test_twice_stage_one(self):
         afs, prob, comps = build("twice")
@@ -66,10 +66,10 @@ class TestPaperWitnesses:
         }
         # strictly removes exactly the two I# pairs (indices 0 and 1)
         cert = PolyInterp(J, (0, 1))
-        assert check_certificate(cs, cert).valid
+        assert check_certificate(cs, cert) is None
         # claiming strictness on an applied twice pair must fail
         bad = PolyInterp(J, (0, 1, 5))
-        assert not check_certificate(cs, bad).valid
+        assert check_certificate(cs, bad) is not None
 
     def test_twice_stage_two(self):
         afs, prob, comps = build("twice")
@@ -81,7 +81,7 @@ class TestPaperWitnesses:
                          Add((MaxE((AppSlot(0, (AppSlot(0, (SlotRef(1),)),)),
                                     SlotRef(1))), Const(1))))
         cert = PolyInterp({"twice": stage2, "twice#": stage2}, scc2)
-        assert check_certificate(cs2, cert).valid
+        assert check_certificate(cs2, cert) is None
 
     def test_eval_argument_function(self):
         # the published certificate belongs to an ordering that contains
@@ -98,9 +98,9 @@ class TestPaperWitnesses:
             (("fun", "dom'"), ("dom'", "s"), ("dom'", "o")),
             scc,
         )
-        verdict = check_certificate(cs, cert)
-        assert not verdict.valid
-        assert "mode local-collapsing" in verdict.reason
+        error = check_certificate(cs, cert)
+        assert error is not None
+        assert "mode local-collapsing" in error
 
     def test_eval_without_filtering_fails(self):
         # dropping the argument function loses the orientation: the third
@@ -109,7 +109,7 @@ class TestPaperWitnesses:
         scc = next(c for c in comps if any(prob.pairs[i].collapsing for i in c))
         cs = build_constraints(scc, prob)
         cert = ArgFunRPO({}, (("fun", "s"),), scc)
-        assert not check_certificate(cs, cert).valid
+        assert check_certificate(cs, cert) is not None
 
 
 def mutate_poly(rng, cert):
@@ -227,7 +227,7 @@ class TestMutations:
                 cs = build_constraints(scc, prob)
                 cert = search_poly(cs)
                 if cert is not None:
-                    assert check_certificate(cs, cert).valid
+                    assert check_certificate(cs, cert) is None
                     stock.append((cs, cert))
         assert stock
 
@@ -238,8 +238,7 @@ class TestMutations:
             if mutant.assign == cert.assign:
                 continue
             total += 1
-            verdict = check_certificate(cs, mutant)
-            if not verdict.valid:
+            if check_certificate(cs, mutant) is not None:
                 rejected += 1
             else:
                 # the checker may accept a mutant only if it is genuinely
@@ -256,10 +255,10 @@ class TestMutations:
         cs = build_constraints(comps[0], prob)
         assert cs.mode == "non-collapsing"
         good = ArgFunRPO({}, (("cons", "map#"), ("map", "cons")), comps[0])
-        assert check_certificate(cs, good).valid
+        assert check_certificate(cs, good) is None
         # map's rule needs map > cons
         flipped = ArgFunRPO({}, (("cons", "map#"), ("cons", "map")), comps[0])
-        assert not check_certificate(cs, flipped).valid
+        assert check_certificate(cs, flipped) is not None
 
     def test_rpo_certificates_rejected_on_nonterminating_systems(self):
         # abfun loops: with w = \x. A(x) @ x, A(B(w)) @ B(w) -> w @ B(w)
@@ -273,18 +272,18 @@ class TestMutations:
                     cert = search_rpo(cs)
                     if cert is not None:
                         found += 1
-                        assert not check_certificate(cs, cert).valid, (name, scc)
+                        assert check_certificate(cs, cert) is not None, (name, scc)
         assert found == 2  # abfun's one SCC, in both modes
 
     def test_projection_mutations(self):
         afs, prob, comps = build("eval")
         scc = next(c for c in comps if str(prob.pairs[c[0]]).startswith("dom#(o"))
         good = Projection({"dom#": 2}, scc)
-        assert check_certificate(None, good, scc=scc, pairs=prob.pairs).valid
+        assert check_certificate(None, good, scc=scc, pairs=prob.pairs) is None
         bad = Projection({"dom#": 1}, scc)
-        assert not check_certificate(None, bad, scc=scc, pairs=prob.pairs).valid
+        assert check_certificate(None, bad, scc=scc, pairs=prob.pairs) is not None
         empty = Projection({"dom#": 2}, ())
-        assert not check_certificate(None, empty, scc=scc, pairs=prob.pairs).valid
+        assert check_certificate(None, empty, scc=scc, pairs=prob.pairs) is not None
 
 
 def _imports(path: Path, package: str) -> list[str]:
@@ -305,7 +304,9 @@ def _imports(path: Path, package: str) -> list[str]:
 def test_checker_imports_nothing_from_the_search():
     imported = _imports(Path(certcheck.__file__), "afsterm.orderings")
     assert imported
-    assert not [name for name in imported if "poly_search" in name]
+    entry_points = {"subterm_criterion", "search_rpo", "pi_options", "orient"}
+    assert not [name for name in imported
+                if "poly_search" in name or name.rsplit(".", 1)[-1] in entry_points]
 
 
 def test_orderings_import_nothing_from_the_parser():

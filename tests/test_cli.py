@@ -113,6 +113,41 @@ class TestCheck:
         assert "invalid proof" in err
         assert "Traceback" not in err
 
+    # a SUBTERM step of eval and a POLY step of twice; pair 0 lies outside
+    # both steps' SCCs
+    @pytest.mark.parametrize("system, old, new", [
+        ("eval", "strict: 1\n  removed: 1\n", "strict: 1\n  removed: 0\n"),
+        ("eval", "strict: 1\n  removed: 1\n", "strict: 1 0\n  removed: 1 0\n"),
+        ("eval", "strict: 1\n  removed: 1\n", "strict:\n  removed:\n"),
+        ("twice", "strict: 5 6\n  removed: 5 6\n", "strict: 5 6\n  removed: 5\n"),
+        ("twice", "strict: 5 6\n  removed: 5 6\n", "strict: 5 6 0\n  removed: 5 6 0\n"),
+        ("twice", "strict: 5 6\n  removed: 5 6\n", "strict:\n  removed:\n"),
+    ], ids=["subterm-removed-not-strict", "subterm-outside-the-scc", "subterm-empty",
+            "poly-removed-not-strict", "poly-outside-the-scc", "poly-empty"])
+    def test_tampered_strict_and_removed_rejected(self, capsys, tmp_path, system, old, new):
+        text = (GOLDEN / f"{system}.proof").read_text()
+        tampered = text.replace(old, new)
+        assert tampered != text
+        proof_file = tmp_path / "bad.proof"
+        proof_file.write_text(tampered)
+        code, _, err = run_cli(capsys, "check", str(CORPUS / f"{system}.afs"), str(proof_file))
+        assert code == 1
+        assert "invalid proof" in err
+        assert "Traceback" not in err
+
+    def test_filtered_marked_symbol_round_trips(self, capsys, tmp_path):
+        # the path ordering filters f#'s first argument away: pi(f#) = f#'2(x2)
+        system = tmp_path / "f.afs"
+        system.write_text("SIG\n  o : nat\n  s : [nat] -> nat\n  f : [nat * nat] -> bool\n"
+                          "VARS\n  x : nat\n  y : nat\nRULES\n  f(x, s(y)) => f(s(x), y)\n")
+        code, out, _ = run_cli(capsys, "prove", str(system), "--engines", "rpo")
+        assert code == 0 and out.splitlines()[0] == "YES"
+        assert "pi(f#) = f#'2(x2)" in out
+        proof_file = tmp_path / "f.proof"
+        proof_file.write_text(out)
+        code, out, err = run_cli(capsys, "check", str(system), str(proof_file))
+        assert (code, out, err) == (0, "proof valid\n", "")
+
     def test_verdict_flip_rejected(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "prove", str(CORPUS / "fga.afs"))
         assert out.splitlines()[0] == "MAYBE"

@@ -445,7 +445,7 @@ class TestCorpus:
         report = json.loads(out.stdout)
         assert len(report["verdicts"]) == 12
         assert all(not errors for _verdict, errors in report["verdicts"])
-        assert report["before"]["afsterm.parser._PUNCT"] > 0
+        assert report["before"]["afsterm.parser._IDENT_START"] > 0
         assert report["after"] == report["before"]
 
     def test_import_loads_neither_dataclasses_nor_inspect(self):

@@ -136,8 +136,7 @@ class TestSubtermCriterion:
         scc = next(c for c in comps
                    if str(prob.pairs[c[0]]).startswith("dom#(o"))
         bad = Projection({"dom#": 1}, scc)  # o = o is not strict
-        verdict = check_certificate(None, bad, scc=scc, pairs=prob.pairs)
-        assert not verdict.valid
+        assert check_certificate(None, bad, scc=scc, pairs=prob.pairs) is not None
 
 
 class TestPolyComparator:
@@ -238,7 +237,7 @@ class TestPolySearch:
         cs = build_constraints(sccs(prune(approximate_graph(prob)))[0], prob)
         cert = search_poly(cs)
         assert cert is not None
-        assert check_certificate(cs, cert).valid
+        assert check_certificate(cs, cert) is None
 
     def test_unsatisfiable_strictness(self):
         afs = classify(complete(load("map")))
@@ -255,7 +254,7 @@ class TestPolySearch:
                 cs = build_constraints(scc, prob)
                 cert = search_poly(cs)
                 if cert is not None:
-                    assert check_certificate(cs, cert).valid
+                    assert check_certificate(cs, cert) is None
 
 
 def shown(templates):
@@ -807,15 +806,15 @@ class TestRpo:
         cs = build_constraints(scc, prob)
         cert = search_rpo(cs)
         assert cert is not None
-        verdict = check_certificate(cs, cert)
-        assert not verdict.valid and "mode local-collapsing" in verdict.reason
+        error = check_certificate(cs, cert)
+        assert error is not None and "mode local-collapsing" in error
 
     def test_search_on_noncollapsing_map(self):
         prob, comps = problem_and_sccs("map")
         cs = build_constraints(comps[0], prob)
         cert = search_rpo(cs)
         assert cert is not None
-        assert check_certificate(cs, cert).valid
+        assert check_certificate(cs, cert) is None
 
     def test_no_argument_function_table_is_oriented_twice(self, monkeypatch):
         # the depth-2 pass re-reaches every depth-1 table and merged table;

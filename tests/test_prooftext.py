@@ -129,11 +129,15 @@ class TestHandWrittenProof:
         assert errors
 
     def test_unknown_symbol_rejected(self):
-        afs = load("map")
-        proof = render_proof(prove(afs, Config()))
-        broken = proof.replace("PRUNE", "NONSENSE")
-        if "NONSENSE" in broken:
-            assert check_proof_text(broken, afs)
+        afs = load("eval")
+        golden = (GOLDEN / "eval.proof").read_text()
+        for old, new, error in [
+            ("PRUNE", "NONSENSE", "unexpected proof line: 'NONSENSE'"),
+            ("J(o) = 0", "J(nosuch) = 0", "unknown symbol in J(nosuch)"),
+        ]:
+            broken = golden.replace(old, new)
+            assert broken != golden
+            assert check_proof_text(broken, afs) == [f"proof does not parse: {error}"]
 
     def test_all_corpus_proofs_round_trip_verbose(self):
         # the goldens are pinned to `prove -v` output by TestGoldenProofs
