@@ -8,7 +8,7 @@ from .constraints import (
 from .subterm import Projection, subterm_criterion, check_projection
 from .poly import PolyFun, PolyInterp, Interpreter, compare_terms, Expr, expr_text
 from .poly_search import search_poly
-from .rpo import ArgFunRPO, search_rpo, check_argfun_rpo, mu, rpo_greater, rpo_geq, Precedence
+from .rpo import ArgFunRPO, search_rpo, check_argfun_rpo, rpo_greater, rpo_geq, Precedence
 from .certcheck import Certificate, check_certificate
 
 __all__ = [
@@ -18,7 +18,7 @@ __all__ = [
     "Projection", "subterm_criterion", "check_projection",
     "PolyFun", "Interpreter", "compare_terms", "Expr", "expr_text",
     "PolyInterp", "search_poly",
-    "ArgFunRPO", "search_rpo", "check_argfun_rpo", "mu", "rpo_greater",
+    "ArgFunRPO", "search_rpo", "check_argfun_rpo", "rpo_greater",
     "rpo_geq", "Precedence",
     "Certificate", "check_certificate",
 ]

@@ -38,6 +38,7 @@ to `compare_terms`.  So the filter changes no verdict.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import Optional
 
 from ..terms import Term, FunctionSymbol, SimpleType, symbols_of
@@ -207,17 +208,17 @@ def symbol_order(names: set[str], con_syms: list[frozenset[str]]) -> list[str]:
     order: list[str] = []
     remaining = set(names)
     open_cons = [set(s) & remaining for s in con_syms]
+    # the constraints that hold each name; assigning a name removes no
+    # other, so a constraint's overlap with the others (the sum over its
+    # names of their other holders) needs no recount
+    holders = Counter(name for c in open_cons for name in c)
     while remaining:
         candidates = [c for c in open_cons if c]
         if not candidates:
             order.extend(sorted(remaining))
             break
-
-        def rank(c: set) -> tuple:
-            overlap = sum(len(c & other) for other in open_cons if other is not c)
-            return (len(c), -overlap, sorted(c))
-
-        best = min(candidates, key=rank)
+        best = min(candidates, key=lambda c: (
+            len(c), -sum(holders[name] - 1 for name in c), sorted(c)))
         for name in sorted(best):
             order.append(name)
             remaining.discard(name)

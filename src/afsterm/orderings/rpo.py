@@ -1,10 +1,14 @@
-"""Argument functions plus a recursive path ordering on mu-transformed terms.
+"""Argument functions plus a recursive path ordering on AFS terms.
 
-Applications and abstractions become function symbols @{s,t} and L{s,t}; the
-mandatory precedence places user symbols above @, every @ above every L,
-and every L above the fresh constants, with @{s,t} above the @ent of strict
-subtypes.  Status is lexicographic left-to-right.  Binders are opened with
-rigid atoms that nothing else dominates.
+The ordering compares `terms.Term`s directly, as path orderings on typed
+lambda-terms do (Jouannaud and Rubio 1999, *The higher-order recursive path
+ordering*).  The root symbol of a term is read off its node: an application
+is @ at the type of its function, an abstraction is L at its own type.  The
+mandatory precedence places user symbols above @, every @ above every L, and
+every L above the fresh constants, with @ at a type above the @ at each of
+its strict subtypes.  Status is lexicographic left-to-right.  Binders are
+opened with fresh rigid variables #1, #2, ... that nothing else dominates; no
+input identifier starts with #.
 """
 
 from __future__ import annotations
@@ -15,15 +19,15 @@ from typing import Optional, Sequence
 
 from ..afs import AFS
 from ..terms import (
-    Term, Var, BVar, Abs, App, FunApp, Variable, FunctionSymbol, SimpleType,
-    Arrow, TypeDecl, type_of, free_vars, type_text, type_subterms, substitute,
+    Term, Var, Abs, App, FunApp, Variable, FunctionSymbol, SimpleType,
+    TypeDecl, IllTyped, type_of, free_vars, type_subterms, substitute, instantiate,
     PLAIN, MARKED, TAGGED, FRESH, EXT, app_spine, marked, replace_nodes,
 )
 from .constraints import ConstraintSet, occurring_symbols, MODE_NON_COLLAPSING
 
 
 # --------------------------------------------------------------------------
-# mu-terms
+# root symbols
 
 USER = "user"   # signature symbols (plain / marked / tagged / filtered)
 APPK = "app"
@@ -34,89 +38,25 @@ PAIRK = "pair"    # the pairing symbols from the usable-rules obligations
 
 @record
 class MSym:
+    """A root symbol as the precedence sees it: @ and L by their type, the
+    others by their display name."""
+
     cat: str
-    name: str                    # display name; @{s,t} / L{s,t} for app/lam
-    type: Optional[Arrow] = None  # s -> t for app/lam
-
-    def __str__(self) -> str:
-        return self.name
+    name: str = ""
+    type: Optional[SimpleType] = None
 
 
-def _typed_sym(cat: str, prefix: str, ty: SimpleType) -> MSym:
-    assert isinstance(ty, Arrow)
-    return MSym(cat, f"{prefix}{{{type_text(ty.left)},{type_text(ty.right)}}}", ty)
-
-
-@record
-class MTerm:
-    pass
-
-
-@record
-class MVar(MTerm):
-    name: str
-
-
-@record
-class MAtom(MTerm):
-    ident: int
-
-
-@record
-class MBind(MTerm):
-    body: MTerm  # contains MIdx nodes for the binder
-
-
-@record
-class MIdx(MTerm):
-    index: int
-
-
-@record
-class MFun(MTerm):
-    sym: MSym
-    args: tuple[MTerm, ...] = ()
-
-
-def mu(t: Term, binders: tuple[SimpleType, ...] = ()) -> MTerm:
-    if isinstance(t, Var):
-        return MVar(f"{t.var.name}:{type_text(t.var.type)}")
-    if isinstance(t, BVar):
-        return MIdx(t.index)
-    if isinstance(t, Abs):
-        sym = _typed_sym(LAMK, "L", type_of(t, binders))
-        return MFun(sym, (MBind(mu(t.body, binders + (t.var_type,))),))
+def _root(t: Term) -> MSym:
+    """The root symbol of a locally closed term that is not a variable."""
     if isinstance(t, App):
-        sym = _typed_sym(APPK, "@", type_of(t.fn, binders))
-        return MFun(sym, (mu(t.fn, binders), mu(t.arg, binders)))
-    assert isinstance(t, FunApp)
+        return MSym(APPK, type=type_of(t.fn))
+    if isinstance(t, Abs):
+        return MSym(LAMK, type=type_of(t))
     if t.fn.kind == FRESH:
-        return MFun(MSym(CONSTK, t.fn.display), ())
+        return MSym(CONSTK, t.fn.display)
     if t.fn.kind == EXT and t.fn.name.startswith("!p{"):
-        return MFun(MSym(PAIRK, t.fn.display), tuple(mu(a, binders) for a in t.args))
-    return MFun(MSym(USER, t.fn.display), tuple(mu(a, binders) for a in t.args))
-
-
-def _open_bind(b: MBind, atom: MAtom) -> MTerm:
-    def inst(t: MTerm, depth: int) -> MTerm:
-        if isinstance(t, MIdx):
-            return atom if t.index == depth else t
-        if isinstance(t, MBind):
-            return MBind(inst(t.body, depth + 1))
-        if isinstance(t, MFun):
-            return MFun(t.sym, tuple(inst(a, depth) for a in t.args))
-        return t
-
-    return inst(b.body, 0)
-
-
-def _occurs(leaf: MTerm, t: MTerm) -> bool:
-    """Whether the variable or atom `leaf` occurs in t."""
-    if isinstance(t, MBind):
-        return _occurs(leaf, t.body)
-    if isinstance(t, MFun):
-        return any(_occurs(leaf, a) for a in t.args)
-    return t == leaf
+        return MSym(PAIRK, t.fn.display)
+    return MSym(USER, t.fn.display)
 
 
 # --------------------------------------------------------------------------
@@ -198,73 +138,76 @@ class Precedence:
 GAS = 200_000  # the comparison steps one `rpo_greater` or `rpo_geq` call may take
 
 
-class _Gas:
-    __slots__ = ("n",)
+class _Run:
+    """One comparison: its precedence, its remaining steps and the binders
+    it has opened."""
 
-    def __init__(self, n: int):
-        self.n = n
+    __slots__ = ("prec", "gas", "opened")
+
+    def __init__(self, prec: Precedence):
+        self.prec = prec
+        self.gas = GAS
+        self.opened = 0
 
     def tick(self) -> bool:
-        self.n -= 1
-        return self.n > 0
+        self.gas -= 1
+        return self.gas > 0
+
+    def fresh(self, ty: SimpleType) -> Var:
+        self.opened += 1
+        return Var(Variable(f"#{self.opened}", ty))
 
 
-def _geq(s: MTerm, t: MTerm, prec: Precedence, counter: list[int], gas: _Gas) -> bool:
-    return s == t or _greater(s, t, prec, counter, gas)
+def _args(t: Term, run: _Run) -> tuple[Term, ...]:
+    """The arguments of t's root symbol; an abstraction's body is opened."""
+    if isinstance(t, Abs):
+        return (instantiate(t.body, run.fresh(t.var_type)),)
+    if isinstance(t, App):
+        return (t.fn, t.arg)
+    return t.args
 
 
-def _greater(s: MTerm, t: MTerm, prec: Precedence, counter: list[int], gas: _Gas) -> bool:
-    """Whether s > t; a failed comparison leaves `prec` as it found it."""
-    if not gas.tick():
+def _geq(s: Term, t: Term, run: _Run) -> bool:
+    return s == t or _greater(s, t, run)
+
+
+def _greater(s: Term, t: Term, run: _Run) -> bool:
+    """Whether s > t; a failed comparison leaves the precedence as it found it."""
+    if not run.tick() or isinstance(s, Var):
         return False
-    if isinstance(s, (MVar, MAtom, MIdx)):
-        return False
-    if isinstance(s, MBind):
-        counter[0] += 1
-        return _greater(_open_bind(s, MAtom(counter[0])), t, prec, counter, gas)
-    assert isinstance(s, MFun)
-    if isinstance(t, (MVar, MAtom)):
-        return _occurs(t, s)
-    if isinstance(t, MBind):
-        counter[0] += 1
-        return _greater(s, _open_bind(t, MAtom(counter[0])), prec, counter, gas)
-    # subterm clause
-    for arg in s.args:
-        if isinstance(arg, MBind):
-            counter[0] += 1
-            if _geq(_open_bind(arg, MAtom(counter[0])), t, prec, counter, gas):
+    if isinstance(t, Var):
+        return t.var in free_vars(s)
+    s_args = _args(s, run)
+    if any(_geq(a, t, run) for a in s_args):  # subterm clause
+        return True
+    prec = run.prec
+    mark = len(prec.added)  # the facts added from here on go if s > t fails
+    f, g = _root(s), _root(t)
+    if f == g:
+        # lexicographic status, left to right
+        if isinstance(s, Abs):  # both binders opened with one variable
+            x = run.fresh(s.var_type)
+            s_args, t_args = (instantiate(s.body, x),), (instantiate(t.body, x),)
+        else:
+            t_args = _args(t, run)
+        for i, (a, b) in enumerate(zip(s_args, t_args)):
+            if a == b:
+                continue
+            if _greater(a, b, run) and all(_greater(s, tb, run) for tb in t_args[i + 1:]):
                 return True
-        elif _geq(arg, t, prec, counter, gas):
-            return True
-    if isinstance(t, MFun):
-        mark = len(prec.added)  # the facts added from here on go if s > t fails
-        if s.sym == t.sym and len(s.args) == len(t.args):
-            # lexicographic status, left to right
-            for i, (a, b) in enumerate(zip(s.args, t.args)):
-                if a == b:
-                    continue
-                if isinstance(a, MBind) and isinstance(b, MBind):
-                    counter[0] += 1
-                    atom = MAtom(counter[0])
-                    first = _greater(_open_bind(a, atom), _open_bind(b, atom), prec, counter, gas)
-                else:
-                    first = _greater(a, b, prec, counter, gas)
-                if first and all(_greater(s, tb, prec, counter, gas) for tb in t.args[i + 1:]):
-                    return True
-                break
-        elif prec.request(s.sym, t.sym) and \
-                all(_greater(s, tb, prec, counter, gas) for tb in t.args):
-            return True
-        prec.undo(mark)
+            break
+    elif prec.request(f, g) and all(_greater(s, tb, run) for tb in _args(t, run)):
+        return True
+    prec.undo(mark)
     return False
 
 
-def rpo_greater(s: MTerm, t: MTerm, prec: Precedence) -> bool:
-    return _greater(s, t, prec, [0], _Gas(GAS))
+def rpo_greater(s: Term, t: Term, prec: Precedence) -> bool:
+    return _greater(s, t, _Run(prec))
 
 
-def rpo_geq(s: MTerm, t: MTerm, prec: Precedence) -> bool:
-    return _geq(s, t, prec, [0], _Gas(GAS))
+def rpo_geq(s: Term, t: Term, prec: Precedence) -> bool:
+    return _geq(s, t, _Run(prec))
 
 
 # --------------------------------------------------------------------------
@@ -295,30 +238,19 @@ def apply_argfun(pi: dict, t: Term) -> Term:
     return replace_nodes(t, node)
 
 
-def pi_options(f: FunctionSymbol, in_s: bool, afs: AFS) -> list[Term]:
+def pi_options(f: FunctionSymbol, afs: AFS) -> list[Term]:
     """Candidate templates for one symbol: identity, untag/unmark images,
     rule right-hand sides over variable arguments, collapses, and kept
     subsets (a fresh primed symbol)."""
     slots = template_slots(f)
     slot_terms = tuple(Var(x) for x in slots)
-    identity = FunApp(f, slot_terms)
-    out: list[Term] = [identity]
-
-    def s_ok(t: Term) -> bool:
-        return not in_s or free_vars(t) == set(slots)
+    out: list[Term] = [FunApp(f, slot_terms)]
 
     base = FunctionSymbol(f.name, f.decl, PLAIN)
-    if f.kind == TAGGED:
-        cand = FunApp(base, slot_terms)
-        if s_ok(cand):
-            out.append(cand)
-        cand2 = FunApp(marked(base), slot_terms)
-        if f.name in afs.defined_names and s_ok(cand2):
-            out.append(cand2)
-    if f.kind == MARKED:
-        cand = FunApp(base, slot_terms)
-        if s_ok(cand):
-            out.append(cand)
+    if f.kind in (TAGGED, MARKED):
+        out.append(FunApp(base, slot_terms))
+    if f.kind == TAGGED and f.name in afs.defined_names:
+        out.append(FunApp(marked(base), slot_terms))
 
     # a rule f(x1..xn) => r with distinct variable arguments suggests r
     for rule in afs.rules:
@@ -333,24 +265,16 @@ def pi_options(f: FunctionSymbol, in_s: bool, afs: AFS) -> list[Term]:
                     len({a.var for a in head.args}) == len(head.args):
                 body = substitute(rule.rhs, {a.var: Var(s) for a, s in zip(head.args, slots)})
                 if f.kind == MARKED:
-                    body2 = body
-                    h2, ap2 = app_spine(body2)
+                    h2, ap2 = app_spine(body)
                     if isinstance(h2, FunApp) and h2.fn.kind == PLAIN and not ap2:
-                        body2 = FunApp(marked(h2.fn), h2.args)
-                        if s_ok(body2):
-                            out.append(body2)
-                if s_ok(body):
-                    out.append(body)
+                        out.append(FunApp(marked(h2.fn), h2.args))
+                out.append(body)
 
     # collapse to one argument of the output type
-    for i, ty in enumerate(f.decl.inputs):
-        if ty == f.decl.output:
-            cand = Var(slots[i])
-            if s_ok(cand):
-                out.append(cand)
+    out.extend(Var(x) for x, ty in zip(slots, f.decl.inputs) if ty == f.decl.output)
 
     # keep a proper subset of arguments under a fresh primed symbol
-    if f.decl.arity > 1 and not in_s:
+    if f.decl.arity > 1:
         n = f.decl.arity
         for mask in range(2 ** n - 2, -1, -1):
             kept = [i for i in range(n) if mask & (1 << i)]
@@ -370,12 +294,11 @@ def orient(cs: ConstraintSet, pi: dict, prec: Precedence) -> Optional[tuple[int,
     """Try to orient all constraints (weak at least weakly, candidates at
     least weakly, >= 1 candidate strictly); returns the strict indices."""
     for w in cs.weak:
-        if not rpo_geq(mu(apply_argfun(pi, w.lhs)), mu(apply_argfun(pi, w.rhs)), prec):
+        if not rpo_geq(apply_argfun(pi, w.lhs), apply_argfun(pi, w.rhs), prec):
             return None
     strict = []
     for c in cs.strict_candidates:
-        lhs = mu(apply_argfun(pi, c.lhs))
-        rhs = mu(apply_argfun(pi, c.rhs))
+        lhs, rhs = apply_argfun(pi, c.lhs), apply_argfun(pi, c.rhs)
         if rpo_greater(lhs, rhs, prec):
             strict.append(c.pair_index)
         elif not rpo_geq(lhs, rhs, prec):
@@ -392,8 +315,7 @@ def search_rpo(cs: ConstraintSet, deadline: Optional[float] = None) -> Optional[
     empty precedence, so a table that failed once is not oriented again."""
     deadline = float("inf") if deadline is None else deadline
     symbols = occurring_symbols(cs)
-    s_names = {f.display for f in cs.S}
-    options = {f.display: pi_options(f, f.display in s_names, cs.afs) for f in symbols}
+    options = {f.display: pi_options(f, cs.afs) for f in symbols}
     names = [f.display for f in symbols]
 
     failed: set[frozenset] = set()  # tables already oriented in vain
@@ -448,16 +370,24 @@ def check_argfun_rpo(cs: ConstraintSet, cert: ArgFunRPO) -> Optional[str]:
         # the collapsing modes need a reduction pair that contains beta, and
         # this ordering does not: @(L(x.s), t) need not be >= s[x:=t]
         return f"the path ordering does not contain beta, which mode {cs.mode} requires"
+    # the ordering reads the types of the terms it compares
+    outputs = {f.display: f.decl.output for f in occurring_symbols(cs)}
+    for name, template in cert.pi.items():
+        try:
+            ty = type_of(template)
+        except IllTyped as exc:
+            return f"pi({name}) is ill-typed: {exc.reason}"
+        if name in outputs and ty != outputs[name]:
+            return f"pi({name}) has type {ty}, not the output type {outputs[name]} of {name}"
     try:
         prec = Precedence(cert.precedence, frozen=True)
     except ValueError as exc:
         return str(exc)
     for w in cs.weak:
-        if not rpo_geq(mu(apply_argfun(cert.pi, w.lhs)), mu(apply_argfun(cert.pi, w.rhs)), prec):
+        if not rpo_geq(apply_argfun(cert.pi, w.lhs), apply_argfun(cert.pi, w.rhs), prec):
             return f"weak constraint not oriented: {w.label}"
     for c in cs.strict_candidates:
-        lhs = mu(apply_argfun(cert.pi, c.lhs))
-        rhs = mu(apply_argfun(cert.pi, c.rhs))
+        lhs, rhs = apply_argfun(cert.pi, c.lhs), apply_argfun(cert.pi, c.rhs)
         if c.pair_index in cert.strict:
             if not rpo_greater(lhs, rhs, prec):
                 return f"pair {c.pair_index} is not strictly oriented"

@@ -226,9 +226,9 @@ def _blocks(lines: list[str]) -> Iterator[tuple[str, list[str]]]:
 
 
 def _parse_step(block: list[str], table: SymbolTable) -> Union[SubtermStep, ReductionPairStep]:
-    """A STEP block; its removed pairs must be its strict ones."""
-    ints: dict[str, tuple[int, ...]] = {}  # scc, strict and removed
-    mode = ""
+    """A STEP block: the lines `prove` prints for its kind, each once; its
+    removed pairs must be its strict ones."""
+    fields: dict[str, str] = {}  # scc, mode, strict and removed
     kind = None
     nu: dict[str, int] = {}
     assign: dict[str, PolyFun] = {}
@@ -236,13 +236,16 @@ def _parse_step(block: list[str], table: SymbolTable) -> Union[SubtermStep, Redu
     prec: list[tuple[str, str]] = []
     for line in block:
         key, colon, value = line.partition(":")
-        if colon and key in ("scc", "strict", "removed"):
-            ints[key] = _int_list(value)
-        elif colon and key == "mode":
-            mode = value.strip()
-        elif line.startswith("SUBTERM CRITERION"):
-            kind = "subterm"
-            for part in line[len("SUBTERM CRITERION"):].split(","):
+        if colon and key in ("scc", "mode", "strict", "removed"):
+            if key in fields:
+                raise ProofSyntaxError(f"repeated {key}: line in one STEP")
+            fields[key] = value
+        elif line.startswith("SUBTERM CRITERION") or line in ("POLY", "ARGFUN+RPO"):
+            if kind is not None:
+                raise ProofSyntaxError(f"second certificate in one STEP: {line!r}")
+            kind = {"POLY": "poly", "ARGFUN+RPO": "rpo"}.get(line, "subterm")
+            entries = line[len("SUBTERM CRITERION"):] if kind == "subterm" else ""
+            for part in entries.split(","):
                 part = part.strip()
                 if not part:
                     continue
@@ -250,10 +253,6 @@ def _parse_step(block: list[str], table: SymbolTable) -> Union[SubtermStep, Redu
                     raise ProofSyntaxError(f"malformed projection entry {part!r}")
                 name, number = _entry(part, "nu(")
                 nu[name] = _int(number)
-        elif line == "POLY":
-            kind = "poly"
-        elif line == "ARGFUN+RPO":
-            kind = "rpo"
         elif line.startswith("J(") and kind == "poly":
             name, body = _entry(line, "J(")
             sym = table.lookup_symbol(name)
@@ -274,9 +273,12 @@ def _parse_step(block: list[str], table: SymbolTable) -> Union[SubtermStep, Redu
         elif not (line.startswith("strict?") or line.startswith("weak ")):
             # (the constraint listing of `prove -v` is informational)
             raise ProofSyntaxError(f"unexpected proof line: {line!r}")
-    scc, strict, removed = (ints.get(key, ()) for key in ("scc", "strict", "removed"))
+    scc, strict, removed = (_int_list(fields.get(key, "")) for key in ("scc", "strict", "removed"))
     if sorted(removed) != sorted(strict):
         raise ProofSyntaxError(f"removed pairs {removed} do not match the strict pairs {strict}")
+    mode = fields.get("mode", "").strip()
+    if kind == "subterm" and "mode" in fields:
+        raise ProofSyntaxError("a SUBTERM step has no mode: line")
     if kind == "subterm":
         return SubtermStep(scc, Projection(nu, strict))
     if kind == "poly":

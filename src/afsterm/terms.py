@@ -109,7 +109,7 @@ PLAIN = "plain"
 MARKED = "marked"          # f#, used at dependency pair roots
 TAGGED = "tagged"          # f-, symbols occurring below an abstraction
 FRESH = "fresh-constant"   # !c{type}, closes candidate terms
-EXT = "extension"          # pairing, filtered symbols, mu-encoding symbols
+EXT = "extension"          # pairing symbols, filtered symbols
 
 
 @record

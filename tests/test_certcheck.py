@@ -85,7 +85,7 @@ class TestPaperWitnesses:
 
     def test_eval_argument_function(self):
         # the published certificate belongs to an ordering that contains
-        # beta; the path ordering on mu-terms does not (abfun's loop
+        # beta; the path ordering does not (abfun's loop
         # A(B(w)) @ B(w) -> w @ B(w) -> A(B(w)) @ B(w) gets such a proof)
         afs, prob, comps = build("eval")
         scc = next(c for c in comps if any(prob.pairs[i].collapsing for i in c))

@@ -135,6 +135,22 @@ class TestCheck:
         assert "invalid proof" in err
         assert "Traceback" not in err
 
+    # quot's path ordering proof collapses minus to its first argument; an
+    # argument function must give a well-typed term of its symbol's output type
+    @pytest.mark.parametrize("template", ["\\z:nat. x1", "x1 @ x2"],
+                             ids=["pi-of-an-arrow-type", "pi-ill-typed"])
+    def test_ill_typed_argument_function_rejected(self, capsys, tmp_path, template):
+        afs_file = str(CORPUS / "quot.afs")
+        _, out, _ = run_cli(capsys, "prove", afs_file, "--engines", "rpo")
+        tampered = out.replace("pi(minus) = x1\n", f"pi(minus) = {template}\n")
+        assert tampered != out
+        proof_file = tmp_path / "bad.proof"
+        proof_file.write_text(tampered)
+        code, _, err = run_cli(capsys, "check", afs_file, str(proof_file))
+        assert code == 1
+        assert "invalid proof" in err
+        assert "Traceback" not in err
+
     def test_filtered_marked_symbol_round_trips(self, capsys, tmp_path):
         # the path ordering filters f#'s first argument away: pi(f#) = f#'2(x2)
         system = tmp_path / "f.afs"

@@ -15,7 +15,7 @@ from afsterm.graph import approximate_graph, prune, sccs
 from afsterm.orderings import (
     build_constraints, subterm_criterion, search_poly, search_rpo,
     check_certificate, Projection, MODE_NON_COLLAPSING, MODE_BASIC,
-    MODE_LOCAL_COLLAPSING, mu, rpo_greater, Precedence,
+    MODE_LOCAL_COLLAPSING, rpo_greater, Precedence,
 )
 from afsterm.orderings import poly, poly_search, rpo
 from afsterm.orderings.constraints import (
@@ -27,7 +27,6 @@ from afsterm.orderings.poly import (
     PointInterpreter, point_valuation, point_slack, Domain, POINTS,
 )
 from afsterm.orderings.poly_search import candidate_templates
-from afsterm.orderings.rpo import MFun, MSym, MVar
 from afsterm.parser import SymbolTable, parse_afs, parse_term_text
 from afsterm.prooftext import parse_proof
 from afsterm.terms import (
@@ -760,7 +759,7 @@ class TestRpo:
         afs = classify(complete(load("twice")))
         prec = Precedence((("I", "s"), ("twice", "s")), frozen=True)
         for t in self.pool(rng, afs, 400):
-            assert not rpo_greater(mu(t), mu(t), prec)
+            assert not rpo_greater(t, t, prec)
 
     def test_stability_sampled(self):
         rng = random.Random(23)
@@ -772,11 +771,11 @@ class TestRpo:
         checked = 0
         for s in pool:
             for t in pool:
-                if x in free_vars(s) | free_vars(t) and rpo_greater(mu(s), mu(t), prec):
+                if x in free_vars(s) | free_vars(t) and rpo_greater(s, t, prec):
                     for img in images:
                         sg = apply_subst(s, {x: img})
                         tg = apply_subst(t, {x: img})
-                        assert rpo_greater(mu(sg), mu(tg), prec), \
+                        assert rpo_greater(sg, tg, prec), \
                             f"{term_text(s)} > {term_text(t)} unstable under {term_text(img)}"
                         checked += 1
         assert checked >= 50
@@ -785,7 +784,7 @@ class TestRpo:
         rng = random.Random(31)
         afs = classify(complete(load("twice")))
         prec = Precedence((("I", "s"), ("twice", "I")), frozen=True)
-        pool = [mu(t) for t in self.pool(rng, afs, 60)]
+        pool = self.pool(rng, afs, 60)
         checked = 0
         for a in pool:
             for b in pool:
@@ -844,9 +843,9 @@ class TestRpo:
         # h(g(x), y) requests f > g for its first arguments, then fails on
         # h(f(x), x) > y
         def fun(name, *args):
-            return MFun(MSym(rpo.USER, name), args)
+            return FunApp(FunctionSymbol(name, TypeDecl((nat,) * len(args), nat)), args)
 
-        x, y = MVar("x"), MVar("y")
+        x, y = Var(Variable("x", nat)), Var(Variable("y", nat))
         for s, t in ((fun("f", x), fun("g", y)),
                      (fun("h", fun("f", x), x), fun("h", fun("g", x), y))):
             prec = Precedence()

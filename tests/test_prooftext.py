@@ -139,6 +139,24 @@ class TestHandWrittenProof:
             assert broken != golden
             assert check_proof_text(broken, afs) == [f"proof does not parse: {error}"]
 
+    # a STEP carries each line `prove` prints for its kind once; each of
+    # these edits keeps the genuine line last
+    @pytest.mark.parametrize("old, new, error", [
+        ("  SUBTERM CRITERION nu(dom#) = 1", "  mode: basic\n  POLY\n  SUBTERM CRITERION nu(dom#) = 1",
+         "second certificate in one STEP: 'SUBTERM CRITERION nu(dom#) = 1'"),
+        ("  SUBTERM CRITERION nu(dom#) = 1", "  mode: basic\n  SUBTERM CRITERION nu(dom#) = 1",
+         "a SUBTERM step has no mode: line"),
+        ("  scc: 0\n", "  scc: 99\n  scc: 0\n", "repeated scc: line in one STEP"),
+        ("  strict: 0\n  removed: 0\n", "  strict: 99\n  removed: 99\n  strict: 0\n  removed: 0\n",
+         "repeated strict: line in one STEP"),
+    ], ids=["certificate-before-subterm", "mode-in-subterm", "repeated-scc",
+            "repeated-strict-and-removed"])
+    def test_a_line_prove_does_not_print_is_rejected(self, old, new, error):
+        golden = (GOLDEN / "eval.proof").read_text()
+        broken = golden.replace(old, new, 1)
+        assert broken != golden
+        assert check_proof_text(broken, load("eval")) == [f"proof does not parse: {error}"]
+
     def test_all_corpus_proofs_round_trip_verbose(self):
         # the goldens are pinned to `prove -v` output by TestGoldenProofs
         for name in corpus_names():

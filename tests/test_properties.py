@@ -12,13 +12,10 @@ from afsterm.orderings.poly import (
     Unsupported, nf_const, nf_slot, nf_atom, nf_add, nf_mul, nf_max, nf_geq,
     PointInterpreter, point_slot, point_valuation,
 )
-from afsterm.orderings.rpo import (
-    MSym, MTerm, MVar, MIdx, MBind, MFun, USER, APPK, LAMK, CONSTK,
-    Precedence, rpo_greater, rpo_geq,
-)
+from afsterm.orderings.rpo import Precedence, rpo_greater, rpo_geq
 from afsterm.terms import (
     Base, Arrow, arrow, App, FunApp, FunctionSymbol, TypeDecl, Var, Variable, lam,
-    fresh_const, pairing_symbol,
+    fresh_const, pairing_symbol, substitute,
 )
 
 from helpers import eval_expr, eval_nf, monotone_fun, nf_add_reference, point_assignments
@@ -266,59 +263,44 @@ def test_functional_point_values_are_weakly_monotone(c, args):
 
 
 # --------------------------------------------------------------------------
-# the recursive path ordering on mu-terms is irreflexive, its strict part is
+# the recursive path ordering on AFS terms is irreflexive, its strict part is
 # contained in its weak part, and it is stable under closed substitutions
 
-NAT, NN = Base("nat"), Arrow(Base("nat"), Base("nat"))
-F, G, C = MSym(USER, "f"), MSym(USER, "g"), MSym(USER, "c")
-CONST = MSym(CONSTK, "!c{nat}")
-APPS = [MSym(APPK, f"@{{{ty.left},{ty.right}}}", ty)
-        for ty in (NN, Arrow(NN, NAT), arrow(NAT, NAT, NAT))]
-LAM = MSym(LAMK, "L{nat,nat}", NN)
-RPO_VARS = ("x", "y", "z")
-PRECEDENCES = [(), (("f", "g"),), (("g", "f"), ("f", "c")), (("c", "g"),)]
+NN = Arrow(nat, nat)
+F2 = FunctionSymbol("f", TypeDecl((nat, nat), nat))
+G1 = FunctionSymbol("g", TypeDecl((nat,), nat))
+C0 = FunctionSymbol("c", TypeDecl((), nat))
+H2 = FunctionSymbol("h", TypeDecl((NN, nat), nat))
+APPLIED = Var(Variable("F", NN))
+BOUND = Variable("z", nat)
+RPO_VARS = tuple(Variable(v, nat) for v in "xyz")
+PRECEDENCES = [(), (("f", "g"),), (("g", "f"), ("f", "c")), (("c", "g"),),
+               (("h", "f"), ("g", "h"))]
 
 
-def _bind(body: MTerm, name: str, depth: int = 0) -> MTerm:
-    """Bind the variable `name` in body: its occurrences become indices."""
-    if isinstance(body, MVar):
-        return MIdx(depth) if body.name == name else body
-    if isinstance(body, MBind):
-        return MBind(_bind(body.body, name, depth + 1))
-    if isinstance(body, MFun):
-        return MFun(body.sym, tuple(_bind(a, name, depth) for a in body.args))
-    return body
-
-
-def _msubst(t: MTerm, sigma: dict) -> MTerm:
-    if isinstance(t, MVar):
-        return sigma.get(t.name, t)
-    if isinstance(t, MBind):
-        return MBind(_msubst(t.body, sigma))
-    if isinstance(t, MFun):
-        return MFun(t.sym, tuple(_msubst(a, sigma) for a in t.args))
-    return t
-
-
-def mu_terms(variables=RPO_VARS):
-    """Small locally closed mu-terms over f/2, g/1, c, a fresh constant,
-    three application symbols and an abstraction symbol that binds z."""
-    leaf = st.sampled_from([MFun(C), MFun(CONST)] + [MVar(v) for v in variables])
+def afs_terms(variables=RPO_VARS, applied=(APPLIED,)):
+    """Small well-typed terms of type nat over f/2, g/1, c, a fresh constant,
+    the variables, the applied variables, a beta-redex and an abstraction
+    argument of h : [nat -> nat * nat] -> nat; both binders bind z."""
+    leaf = st.sampled_from([FunApp(C0), FunApp(fresh_const(nat))] + [Var(v) for v in variables])
 
     def extend(children):
         two = st.tuples(children, children)
-        return st.one_of(
-            two.map(lambda p: MFun(F, p)),
-            children.map(lambda a: MFun(G, (a,))),
-            st.tuples(st.sampled_from(APPS), two).map(lambda p: MFun(p[0], p[1])),
-            children.map(lambda b: MFun(LAM, (MBind(_bind(b, "z")),))),
-        )
+        nodes = [
+            two.map(lambda p: FunApp(F2, p)),
+            children.map(lambda a: FunApp(G1, (a,))),
+            two.map(lambda p: App(lam(BOUND, p[0]), p[1])),
+            two.map(lambda p: FunApp(H2, (lam(BOUND, p[0]), p[1]))),
+        ]
+        if applied:
+            nodes.append(st.tuples(st.sampled_from(applied), children).map(lambda p: App(*p)))
+        return st.one_of(nodes)
 
     return st.recursive(leaf, extend, max_leaves=6)
 
 
-MU_TERMS = mu_terms()
-CLOSED_MU_TERMS = mu_terms(variables=())
+AFS_TERMS = afs_terms()
+CLOSED_AFS_TERMS = afs_terms(variables=(), applied=())
 
 
 def _precedence(facts) -> Precedence:
@@ -326,13 +308,13 @@ def _precedence(facts) -> Precedence:
 
 
 @PROPERTY
-@given(MU_TERMS, st.sampled_from(PRECEDENCES))
+@given(AFS_TERMS, st.sampled_from(PRECEDENCES))
 def test_rpo_irreflexive(s, facts):
     assert not rpo_greater(s, s, _precedence(facts))
 
 
 @PROPERTY
-@given(MU_TERMS, MU_TERMS, st.sampled_from(PRECEDENCES))
+@given(AFS_TERMS, AFS_TERMS, st.sampled_from(PRECEDENCES))
 def test_rpo_greater_implies_geq(s, t, facts):
     if rpo_greater(s, t, _precedence(facts)):
         assert rpo_geq(s, t, _precedence(facts))
@@ -341,19 +323,18 @@ def test_rpo_greater_implies_geq(s, t, facts):
 @st.composite
 def rpo_pairs(draw):
     """(s, t) with s often built on top of t, so that s > t often holds."""
-    t, u = draw(MU_TERMS), draw(MU_TERMS)
-    app = draw(st.sampled_from(APPS))
+    t, u = draw(AFS_TERMS), draw(AFS_TERMS)
     s = draw(st.sampled_from([
-        u, MFun(G, (u,)), MFun(G, (t,)), MFun(F, (t, u)), MFun(F, (u, t)),
-        MFun(app, (t, u)), MFun(LAM, (MBind(_bind(t, "z")),)),
+        u, FunApp(G1, (u,)), FunApp(G1, (t,)), FunApp(F2, (t, u)), FunApp(F2, (u, t)),
+        App(APPLIED, t), App(lam(BOUND, t), u), FunApp(H2, (lam(BOUND, t), u)),
     ]))
     return s, t
 
 
 @PROPERTY
-@given(rpo_pairs(), st.fixed_dictionaries({v: CLOSED_MU_TERMS for v in RPO_VARS}),
+@given(rpo_pairs(), st.fixed_dictionaries({v: CLOSED_AFS_TERMS for v in RPO_VARS}),
        st.sampled_from(PRECEDENCES))
 def test_rpo_stable_under_closed_substitutions(pair, sigma, facts):
     s, t = pair
     if rpo_greater(s, t, _precedence(facts)):
-        assert rpo_greater(_msubst(s, sigma), _msubst(t, sigma), _precedence(facts))
+        assert rpo_greater(substitute(s, sigma), substitute(t, sigma), _precedence(facts))
