@@ -65,28 +65,19 @@ def candidate_terms(rhs: Term, afs: AFS) -> list[Term]:
 
     def walk(t: Term, depth: int) -> None:
         spine_head, args = app_spine(t)
-        if isinstance(spine_head, FunApp) and spine_head.fn.kind == PLAIN \
-                and spine_head.fn.name in defined:
+        call = isinstance(spine_head, FunApp) and spine_head.fn.kind == PLAIN \
+            and spine_head.fn.name in defined
+        if call or isinstance(spine_head, Var) and args:  # free: bound variables are indices
+            # every application prefix, longest first; below a variable
+            # head, one argument stays
             prefix = t
-            chain = [prefix]
-            while isinstance(prefix, App):
-                prefix = prefix.fn
-                chain.append(prefix)
-            for c in chain:  # longest application prefix first
-                add(c, depth)
-            for a in spine_head.args:
-                walk(a, depth)
-            for a in args:
-                walk(a, depth)
-            return
-        if isinstance(spine_head, Var) and args:  # free: bound variables are indices
-            prefix = t
-            chain = [prefix]
-            while isinstance(prefix.fn, App):  # keep >= 1 argument
-                prefix = prefix.fn
-                chain.append(prefix)
-            for c in chain:
-                add(c, depth)
+            for _ in range(len(args) + call):
+                add(prefix, depth)
+                if isinstance(prefix, App):
+                    prefix = prefix.fn
+            if call:
+                for a in spine_head.args:
+                    walk(a, depth)
             for a in args:
                 walk(a, depth)
             return

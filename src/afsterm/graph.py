@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from .record import record
-from typing import Iterable
 
 from .terms import (
     Term, Var, BVar, Abs, FunApp, FunctionSymbol, app_spine, head,
@@ -20,9 +19,6 @@ class DPGraph:
 
     def out_edges(self, i: int) -> frozenset[int]:
         return frozenset(j for j in self.edges.get(i, frozenset()) if j in self.alive)
-
-    def without(self, removed: Iterable[int]) -> "DPGraph":
-        return DPGraph(self.pairs, self.edges, self.alive - frozenset(removed))
 
     @property
     def empty(self) -> bool:

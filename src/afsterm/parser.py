@@ -1,10 +1,15 @@
 """Parser for the plain-text AFS format (SIG / VARS / RULES blocks).
 
-The same tokenizer and term grammar are reused by the proof checker, which
-must re-read marked (f#), tagged (f-) and fresh-constant (!c{type}) symbols.
+Both text formats are line-based: `tokenize` scans one line with one regular
+expression, and `parse_afs` reads a file line by line, one declaration or
+rule per line.  The same tokenizer and term grammar are reused by the proof
+checker, which must re-read marked (f#), tagged (f-) and fresh-constant
+(!c{type}) symbols; a fresh constant may only occur in proofs.
 """
 
 from __future__ import annotations
+
+import re
 
 from .record import record
 from typing import Optional
@@ -25,90 +30,37 @@ class ParseError(Exception):
 
 @record(frozen=False)
 class Token:
-    kind: str   # IDENT, CONST, PUNCT, NEWLINE, EOF
+    kind: str   # IDENT, CONST, PUNCT, EOF
     text: str
     line: int
     col: int
 
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789")
-_IDENT_CONT = _IDENT_START | set("'")
+# whitespace and comments match no named group; a marked or tagged name may
+# carry a filtered symbol's kept positions: f#'2, f-'12
+_TOKEN = re.compile(r"""
+    [ \t\r]+ | \#.*
+  | !c\{(?P<CONST>[^{}]*)\}
+  | (?P<IDENT>[A-Za-z0-9_][A-Za-z0-9_']*(?:(?:\#|-(?!>))(?:'[A-Za-z0-9_']*)?)?)
+  | (?P<PUNCT>=>|->|[()\[\],:.\\@*>;=+])
+""", re.VERBOSE)
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(line: str, number: int = 1) -> list[Token]:
+    """The tokens of one line, then an EOF token at the line's end."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def push(kind: str, s: str, l: int, c: int) -> None:
-        tokens.append(Token(kind, s, l, c))
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            push("NEWLINE", "\n", line, col)
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch == "!" and text.startswith("!c{", i):
-            start_l, start_c = line, col
-            j = i + 3
-            depth = 1
-            while j < n and depth:
-                if text[j] == "{":
-                    depth += 1
-                elif text[j] == "}":
-                    depth -= 1
-                j += 1
-            if depth:
-                raise ParseError("unterminated !c{...} constant", line, col)
-            push("CONST", text[i + 3:j - 1], start_l, start_c)
-            col += j - i
-            i = j
-            continue
-        if ch in _IDENT_START:
-            start_l, start_c = line, col
-            j = i
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            # marked / tagged suffixes attach only directly after the name;
-            # a filtered marked or tagged symbol's kept positions follow: f#'2
-            if j < n and (text[j] == "#" or text[j] == "-" and not text.startswith("->", j)):
-                j += 1
-                if j < n and text[j] == "'":
-                    while j < n and text[j] in _IDENT_CONT:
-                        j += 1
-            push("IDENT", text[i:j], start_l, start_c)
-            col += j - i
-            i = j
-            continue
-        if text.startswith("=>", i):
-            push("PUNCT", "=>", line, col)
-            i += 2
-            col += 2
-            continue
-        if text.startswith("->", i):
-            push("PUNCT", "->", line, col)
-            i += 2
-            col += 2
-            continue
-        if ch in "()[],:.\\@*>;=+":
-            push("PUNCT", ch, line, col)
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    push("EOF", "", line, col)
+    pos, end = 0, len(line)
+    while pos < end:
+        m = _TOKEN.match(line, pos)
+        if m is None:
+            message = ("unterminated !c{...} constant" if line.startswith("!c{", pos)
+                       else f"unexpected character {line[pos]!r}")
+            raise ParseError(message, number, pos + 1)
+        kind = m.lastgroup
+        if kind:
+            tokens.append(Token(kind, m[kind], number, pos + 1))
+        pos = m.end()
+    tokens.append(Token("EOF", "", number, end + 1))
     return tokens
 
 
@@ -117,28 +69,28 @@ class TokenStream:
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self, skip_newlines: bool = False) -> Token:
-        pos = self.pos
-        while skip_newlines and self.tokens[pos].kind == "NEWLINE":
-            pos += 1
-        return self.tokens[pos]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
-    def next(self, skip_newlines: bool = False) -> Token:
-        while skip_newlines and self.tokens[self.pos].kind == "NEWLINE":
-            self.pos += 1
+    def next(self) -> Token:
         tok = self.tokens[self.pos]
         if tok.kind != "EOF":
             self.pos += 1
         return tok
 
-    def expect(self, text: str, skip_newlines: bool = False) -> Token:
-        tok = self.next(skip_newlines)
+    def expect(self, text: str) -> Token:
+        tok = self.next()
         if tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
         return tok
 
-    def at(self, text: str, skip_newlines: bool = False) -> bool:
-        return self.peek(skip_newlines).text == text
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos].text == text
+
+    def end(self, what: str) -> None:
+        tok = self.tokens[self.pos]
+        if tok.kind != "EOF":
+            raise ParseError(f"trailing input after {what}: {tok.text!r}", tok.line, tok.col)
 
 
 # type parsing ---------------------------------------------------------------
@@ -168,9 +120,7 @@ def _parse_type_atom(ts: TokenStream) -> SimpleType:
 def parse_type_text(text: str) -> SimpleType:
     ts = TokenStream(tokenize(text))
     t = parse_type(ts)
-    tok = ts.next(skip_newlines=True)
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input after type: {tok.text!r}", tok.line, tok.col)
+    ts.end("type")
     return t
 
 
@@ -191,13 +141,14 @@ def parse_type_decl(ts: TokenStream) -> TypeDecl:
 
 
 class SymbolTable:
-    """Resolution context for term parsing: symbols and declared variables."""
+    """Resolution context for term parsing: symbols and declared variables,
+    read from the given dicts, not from copies."""
 
     def __init__(self, symbols: dict[str, FunctionSymbol], variables: dict[str, Variable],
                  auto_symbols: bool = False):
-        self.symbols = dict(symbols)
-        self.variables = dict(variables)
-        self.auto_symbols = auto_symbols  # checker mode: accept f#/f- for known f
+        self.symbols = symbols
+        self.variables = variables
+        self.auto_symbols = auto_symbols  # checker mode: accept f#/f- for known f, and !c{type}
 
     def lookup_symbol(self, name: str) -> Optional[FunctionSymbol]:
         sym = self.symbols.get(name)
@@ -251,6 +202,8 @@ def _parse_term_atom(ts: TokenStream, table: SymbolTable, bound: dict[str, Varia
         body = parse_term(ts, table, inner)
         return lam(x, body)
     if tok.kind == "CONST":
+        if not table.auto_symbols:
+            raise ParseError(f"!c{{{tok.text}}} may only occur in proofs", tok.line, tok.col)
         ts.next()
         return FunApp(fresh_const(parse_type_text(tok.text)))
     if tok.kind != "IDENT":
@@ -284,9 +237,7 @@ def _parse_term_atom(ts: TokenStream, table: SymbolTable, bound: dict[str, Varia
 def parse_term_text(text: str, table: SymbolTable) -> Term:
     ts = TokenStream(tokenize(text))
     t = parse_term(ts, table)
-    tok = ts.next(skip_newlines=True)
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input after term: {tok.text!r}", tok.line, tok.col)
+    ts.end("term")
     return t
 
 
@@ -294,57 +245,48 @@ def parse_term_text(text: str, table: SymbolTable) -> Term:
 
 
 def parse_afs(text: str):
-    """Parse and validate an AFS source file; returns a classified AFS."""
+    """Parse and validate an AFS source file, one line at a time; returns a
+    classified AFS.  A rule sees the symbols and variables declared above it."""
     from .afs import AFS, Rule, validate_rule, classify
 
-    ts = TokenStream(tokenize(text))
     symbols: dict[str, FunctionSymbol] = {}
     variables: dict[str, Variable] = {}
+    table = SymbolTable(symbols, variables)
     rules: list[Rule] = []
     section: Optional[str] = None
 
-    while True:
-        tok = ts.peek(skip_newlines=True)
+    for number, line in enumerate(text.split("\n"), 1):
+        ts = TokenStream(tokenize(line, number))
+        while ts.peek().text in ("SIG", "VARS", "RULES"):
+            section = ts.next().text
+        tok = ts.peek()
         if tok.kind == "EOF":
-            break
-        if tok.text in ("SIG", "VARS", "RULES"):
-            ts.next(skip_newlines=True)
-            section = tok.text
             continue
         if section is None:
             raise ParseError("declarations must appear inside a SIG, VARS or RULES block",
                              tok.line, tok.col)
-        if section == "SIG":
-            name_tok = ts.next(skip_newlines=True)
-            if name_tok.kind != "IDENT" or name_tok.text.endswith(("#", "-")):
-                raise ParseError("expected a function symbol name", name_tok.line, name_tok.col)
-            if name_tok.text in symbols:
-                raise ParseError(f"duplicate symbol {name_tok.text}", name_tok.line, name_tok.col)
-            ts.expect(":")
-            decl = parse_type_decl(ts)
-            symbols[name_tok.text] = FunctionSymbol(name_tok.text, decl, PLAIN)
-        elif section == "VARS":
-            name_tok = ts.next(skip_newlines=True)
-            if name_tok.kind != "IDENT" or name_tok.text.endswith(("#", "-")):
-                raise ParseError("expected a variable name", name_tok.line, name_tok.col)
-            if name_tok.text in variables or name_tok.text in symbols:
-                raise ParseError(f"duplicate name {name_tok.text}", name_tok.line, name_tok.col)
-            ts.expect(":")
-            variables[name_tok.text] = Variable(name_tok.text, parse_type(ts))
-        else:  # RULES
-            while ts.peek().kind == "NEWLINE":
-                ts.next()
-            table = SymbolTable(symbols, variables)
-            line, col = tok.line, tok.col
+        if section == "RULES":
             lhs = parse_term(ts, table)
             ts.expect("=>")
-            rhs = parse_term(ts, table)
-            rule = Rule(lhs, rhs, origin="user")
-            validate_rule(rule, line, col)
+            rule = Rule(lhs, parse_term(ts, table), origin="user")
+            validate_rule(rule, tok.line, tok.col)
             rules.append(rule)
-        # each declaration or rule ends at the line break
+        else:
+            sig = section == "SIG"
+            ts.next()
+            if tok.kind != "IDENT" or tok.text.endswith(("#", "-")):
+                raise ParseError(f"expected a {'function symbol' if sig else 'variable'} name",
+                                 tok.line, tok.col)
+            if tok.text in symbols or not sig and tok.text in variables:
+                raise ParseError(f"duplicate {'symbol' if sig else 'name'} {tok.text}",
+                                 tok.line, tok.col)
+            ts.expect(":")
+            if sig:
+                symbols[tok.text] = FunctionSymbol(tok.text, parse_type_decl(ts), PLAIN)
+            else:
+                variables[tok.text] = Variable(tok.text, parse_type(ts))
         end = ts.peek()
-        if end.kind not in ("NEWLINE", "EOF"):
+        if end.kind != "EOF":
             raise ParseError(f"unexpected {end.text!r} (one declaration per line)", end.line, end.col)
 
     afs = AFS(tuple(symbols.values()), tuple(rules))

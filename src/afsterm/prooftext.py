@@ -145,7 +145,7 @@ def parse_polyfun(text: str, sym: FunctionSymbol) -> PolyFun:
     over the symbol's slots."""
     ts = TokenStream(tokenize(text))
     body = _parse_expr(ts)
-    if ts.next(skip_newlines=True).kind != "EOF":
+    if ts.peek().kind != "EOF":
         raise ProofSyntaxError(f"trailing input in interpretation of {sym.display}")
     try:
         return PolyFun(slot_types_for(sym), body)
@@ -174,14 +174,15 @@ def _register_primed(name: str, table: SymbolTable) -> Optional[FunctionSymbol]:
 
 def parse_pi_template(text: str, sym: FunctionSymbol, table: SymbolTable) -> Term:
     slots = [Variable(f"x{i + 1}", ty) for i, ty in enumerate(sym.decl.inputs)]
-    local = SymbolTable(table.symbols, {v.name: v for v in slots}, auto_symbols=True)
+    # a copy: _register_primed adds this template's primed names to it
+    local = SymbolTable(dict(table.symbols), {v.name: v for v in slots}, auto_symbols=True)
     tokens = tokenize(text)
     for tok in tokens:
         if tok.kind == "IDENT" and "'" in tok.text and local.lookup_symbol(tok.text) is None:
             _register_primed(tok.text, local)
     ts = TokenStream(tokens)
     t = parse_term(ts, local)
-    if ts.next(skip_newlines=True).kind != "EOF":
+    if ts.peek().kind != "EOF":
         raise ProofSyntaxError(f"trailing input in pi({sym.display})")
     return t
 

@@ -7,7 +7,7 @@ and `__post_init__`.
 
 Every command-line run starts a fresh interpreter.  `dataclasses` imports
 `inspect` (and with it `ast`, `dis` and `tokenize`) and compiles each
-generated method with its own `exec`; for the package's 50 record classes
+generated method with its own `exec`; for the package's record classes
 that was over a third of `import afsterm`.  `record` imports nothing and
 compiles the methods of a class with one `exec`.
 """

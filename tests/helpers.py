@@ -77,7 +77,7 @@ def rederived_steps(proof: Proof) -> list[Step]:
         steps.append(replace(step, scc=sccs(graph)[0]))
         if isinstance(step, GiveUp):
             return steps
-        graph = graph.without(step.removed)
+        graph = replace(graph, alive=graph.alive - frozenset(step.removed))
 
 
 def normal_forms(ex: Exploration, rules: Sequence) -> set[Term]:

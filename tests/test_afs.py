@@ -42,6 +42,33 @@ class TestParsing:
         texts = [tok.text for tok in tokenize("f#'2(x) f-'12 F->G")]
         assert texts == ["f#'2", "(", "x", ")", "f-'12", "F", "->", "G", ""]
 
+    @pytest.mark.parametrize("line, expected", [
+        ("f## note", [("IDENT", "f#"), ("EOF", "")]),
+        ("!c{nat -> nat} x", [("CONST", "nat -> nat"), ("IDENT", "x"), ("EOF", "")]),
+        ("a - b", "4:3: unexpected character '-'"),
+        ("f(!c{nat -> nat", "4:3: unterminated !c{...} constant"),
+    ], ids=["comment-after-a-marked-name", "fresh-constant-of-an-arrow-type",
+            "minus-alone", "unterminated-fresh-constant"])
+    def test_one_line_scans_to_its_tokens(self, line, expected):
+        try:
+            got = [(tok.kind, tok.text) for tok in tokenize(line, 4)]
+        except ParseError as exc:
+            got = str(exc)
+        assert got == expected
+
+    def test_a_rule_ends_at_its_line_end(self):
+        with pytest.raises(ParseError, match=r"^5:10: expected a term, found ''$"):
+            parse_afs("SIG\n  o : nat\n  s : [nat] -> nat\nRULES\n  s(o) =>\n  o\n")
+
+    def test_sections_interleave(self):
+        # a rule sees every symbol and variable declared on the lines above it
+        src = ("SIG\n  o : nat\n  f : [nat] -> nat\nVARS\n  x : nat\nRULES\n  f(x) => o\n"
+               "SIG\n  g : [nat] -> nat\nRULES\n  g(x) => f(x)\n")
+        afs = parse_afs(src)
+        assert [term_text(r.rhs) for r in afs.rules] == ["o", "f(x)"]
+        with pytest.raises(ParseError, match=r"^7:11: unknown identifier 'g'"):
+            parse_afs(src.replace("f(x) => o", "f(x) => g(o)"))
+
     def test_unknown_identifier(self):
         with pytest.raises(ParseError):
             parse_afs("SIG\n  o : nat\nRULES\n  mystery(o) => o\n")

@@ -30,12 +30,19 @@ class TestProve:
         assert out.splitlines()[0] == "MAYBE"
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
+        # a fresh constant !c{nat} is the prover's own device: f(!c{nat})
+        # rewrites to itself, and no input file may write it
         bad = tmp_path / "bad.afs"
-        bad.write_text("RULES\n  ???\n")
-        code, out, err = run_cli(capsys, "prove", str(bad))
-        assert code == 2
-        assert "Traceback" not in err
-        assert err.strip()
+        for text, diagnostic in [
+                ("RULES\n  ???\n", "2:3: unexpected character '?'"),
+                ("SIG\n  f : [nat] -> nat\nRULES\n  f(!c{nat}) => f(!c{nat})\n",
+                 "4:5: !c{nat} may only occur in proofs")]:
+            bad.write_text(text)
+            for argv in (["prove", str(bad)], ["check", str(bad), str(GOLDEN / "map.proof")]):
+                code, out, err = run_cli(capsys, *argv)
+                assert (code, out) == (2, "")
+                assert "Traceback" not in err
+                assert f"{bad}: {diagnostic}" in err
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "prove", "/nonexistent/x.afs")
