@@ -257,9 +257,8 @@ def parse_afs(text: str):
 
     for number, line in enumerate(text.split("\n"), 1):
         ts = TokenStream(tokenize(line, number))
-        while ts.peek().text in ("SIG", "VARS", "RULES"):
+        while (tok := ts.peek()).kind == "IDENT" and tok.text in ("SIG", "VARS", "RULES"):
             section = ts.next().text
-        tok = ts.peek()
         if tok.kind == "EOF":
             continue
         if section is None:

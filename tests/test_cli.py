@@ -36,7 +36,9 @@ class TestProve:
         for text, diagnostic in [
                 ("RULES\n  ???\n", "2:3: unexpected character '?'"),
                 ("SIG\n  f : [nat] -> nat\nRULES\n  f(!c{nat}) => f(!c{nat})\n",
-                 "4:5: !c{nat} may only occur in proofs")]:
+                 "4:5: !c{nat} may only occur in proofs"),
+                ("SIG\n  o : nat\nRULES\n  !c{RULES} o => o\n",
+                 "4:3: !c{RULES} may only occur in proofs")]:
             bad.write_text(text)
             for argv in (["prove", str(bad)], ["check", str(bad), str(GOLDEN / "map.proof")]):
                 code, out, err = run_cli(capsys, *argv)
