@@ -6,7 +6,7 @@ path ordering."""
 
 from .terms import (
     Base, Arrow, arrow, SimpleType, TypeDecl, FunctionSymbol, Variable,
-    Term, Var, Abs, App, FunApp, lam, app, typecheck, alpha_equal,
+    Term, Var, Abs, App, FunApp, lam, app,
     apply_subst, match, rewrite_step, bounded_reductions, mark, subterms,
     head, free_vars, term_text, type_of, IllTyped, TypeMismatch,
     BudgetExceeded,
@@ -14,8 +14,7 @@ from .terms import (
 from .afs import AFS, Rule, IllegalLhs, complete, classify, build_rplus
 from .parser import parse_afs, parse_term_text, ParseError
 from .dp import (
-    DependencyPair, DPProblem, candidate_terms, dependency_pairs, tag,
-    untag, build_rtag,
+    DependencyPair, DPProblem, candidate_terms, dependency_pairs, tag, untag,
 )
 from .selection import formative_rules, usable_rules, TypedSymbol, NotLocal
 from .graph import DPGraph, approximate_graph, sccs, prune, to_dot

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from .record import record
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .afs import AFS, Rule
 from .terms import (
-    SimpleType, Term, Var, Abs, App, FunApp, Variable, FunctionSymbol,
+    Term, Var, Abs, App, FunApp, Variable, FunctionSymbol,
     type_of, free_vars, dangling_bvars, app_spine, head, mark,
     strict_subterms_closed, close_dangling, fresh_arguments, term_text,
     tagged, untagged, symbols_of, replace_nodes, PLAIN, TAGGED,
@@ -25,15 +24,6 @@ class DependencyPair:
     @property
     def collapsing(self) -> bool:
         return isinstance(head(self.rhs), Var)
-
-    # the graph's edge test compares these for every candidate edge
-    @cached_property
-    def lhs_type(self) -> SimpleType:
-        return type_of(self.lhs)
-
-    @cached_property
-    def rhs_type(self) -> SimpleType:
-        return type_of(self.rhs)
 
     def __str__(self) -> str:
         return f"{term_text(self.lhs)} ~> {term_text(self.rhs)}"
@@ -172,19 +162,6 @@ def untag_rule(f: FunctionSymbol) -> Rule:
     assert f.kind == PLAIN
     xs = tuple(Var(Variable(f"x{i + 1}", ty)) for i, ty in enumerate(f.decl.inputs))
     return Rule(FunApp(tagged(f), xs), FunApp(f, xs), origin="untag")
-
-
-def build_rtag(rules: Sequence[Rule]) -> list[Rule]:
-    """Rules with tagged right-hand sides, plus the untag rules for tagged
-    symbols that actually occur in some tagged right-hand side."""
-    tagged_rules = [Rule(r.lhs, tag(r.rhs), origin=r.origin) for r in rules]
-    used: dict[str, FunctionSymbol] = {}
-    for r in tagged_rules:
-        used.update((f.name, f) for f in symbols_of(r.rhs) if f.kind == TAGGED)
-    out = list(tagged_rules)
-    for name in sorted(used):
-        out.append(untag_rule(untagged(used[name])))
-    return out
 
 
 def tagged_symbols_below_lambda(terms: Iterable[Term]) -> list[FunctionSymbol]:

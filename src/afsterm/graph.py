@@ -5,7 +5,7 @@ from __future__ import annotations
 from .record import record
 
 from .terms import (
-    Term, Var, BVar, Abs, FunApp, FunctionSymbol, app_spine, head,
+    Term, Var, BVar, Abs, FunApp, FunctionSymbol, app_spine, head, type_of,
     PLAIN, FRESH,
 )
 from .dp import DependencyPair, DPProblem
@@ -76,7 +76,7 @@ def _may_follow(p: DependencyPair, q: DependencyPair, defined: frozenset[str]) -
         return False
     if r_head.fn != l_head.fn or len(r_args) != len(l_args):
         return False
-    if p.rhs_type != q.lhs_type:
+    if type_of(p.rhs) != type_of(q.lhs):
         return False
     return all(
         _compatible(ra, la, defined)

@@ -12,7 +12,7 @@ from ..selection import formative_rules, usable_rules
 from ..terms import (
     Term, Var, App, FunApp, Variable, FunctionSymbol, SimpleType,
     type_of, app, fresh_arguments, fresh_const, pairing_symbol,
-    marked, untagged, type_text, subterms, Abs, BVar, symbols_of, IllTyped,
+    marked, untagged, type_text, subterms, Abs, symbols_of,
     PLAIN, MARKED, TAGGED,
 )
 
@@ -77,13 +77,8 @@ def _constraint_types(strict: Sequence[StrictCandidate],
     for terms in ([(c.lhs, c.rhs) for c in strict] + [(w.lhs, w.rhs) for w in weak]):
         for side in terms:
             for sub, _ in subterms(side):
-                if isinstance(sub, BVar):
-                    continue
-                try:
-                    ty = type_of(sub) if not isinstance(sub, Abs) else None
-                except IllTyped:  # a raw subterm with a dangling bound variable
-                    ty = None
-                if ty is not None:
+                if not sub.loose and not isinstance(sub, Abs):
+                    ty = type_of(sub)
                     seen.setdefault(type_text(ty), ty)
     return [seen[k] for k in sorted(seen)]
 

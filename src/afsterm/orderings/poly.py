@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from ..terms import (
     Term, Var, BVar, Abs, App, FunApp, Variable, FunctionSymbol, SimpleType,
-    IllTyped, type_of, free_vars, open_abs, symbols_of, type_text,
+    type_of, free_vars, open_abs, symbols_of, type_text,
     FRESH, EXT,
 )
 
@@ -592,10 +592,7 @@ class SubtermMemo:
                 todo += t.args
             else:  # variables are looked up, abstractions bind
                 continue
-            try:
-                if not type_of(t).is_base():
-                    continue
-            except IllTyped:
+            if t.loose or not type_of(t).is_base():
                 continue
             syms = tuple(sorted({f.display for f in symbols_of(t)}))
             self.index[id(t)] = (t, keys.setdefault(t, len(keys)), syms)

@@ -46,8 +46,9 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
-def tokenize(line: str, number: int = 1) -> list[Token]:
-    """The tokens of one line, then an EOF token at the line's end."""
+def tokenize(line: str, number: int = 1, offset: int = 0) -> list[Token]:
+    """The tokens of one line, then an EOF token at the line's end.  `line`
+    is the text of line `number` after its first `offset` columns."""
     tokens: list[Token] = []
     pos, end = 0, len(line)
     while pos < end:
@@ -55,12 +56,12 @@ def tokenize(line: str, number: int = 1) -> list[Token]:
         if m is None:
             message = ("unterminated !c{...} constant" if line.startswith("!c{", pos)
                        else f"unexpected character {line[pos]!r}")
-            raise ParseError(message, number, pos + 1)
+            raise ParseError(message, number, offset + pos + 1)
         kind = m.lastgroup
         if kind:
-            tokens.append(Token(kind, m[kind], number, pos + 1))
+            tokens.append(Token(kind, m[kind], number, offset + pos + 1))
         pos = m.end()
-    tokens.append(Token("EOF", "", number, end + 1))
+    tokens.append(Token("EOF", "", number, offset + end + 1))
     return tokens
 
 
@@ -117,8 +118,8 @@ def _parse_type_atom(ts: TokenStream) -> SimpleType:
     return Base(tok.text)
 
 
-def parse_type_text(text: str) -> SimpleType:
-    ts = TokenStream(tokenize(text))
+def parse_type_text(text: str, number: int = 1, offset: int = 0) -> SimpleType:
+    ts = TokenStream(tokenize(text, number, offset))
     t = parse_type(ts)
     ts.end("type")
     return t
@@ -205,7 +206,8 @@ def _parse_term_atom(ts: TokenStream, table: SymbolTable, bound: dict[str, Varia
         if not table.auto_symbols:
             raise ParseError(f"!c{{{tok.text}}} may only occur in proofs", tok.line, tok.col)
         ts.next()
-        return FunApp(fresh_const(parse_type_text(tok.text)))
+        # the type starts after the three characters of "!c{"
+        return FunApp(fresh_const(parse_type_text(tok.text, tok.line, tok.col + 2)))
     if tok.kind != "IDENT":
         raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
     ts.next()
@@ -234,8 +236,8 @@ def _parse_term_atom(ts: TokenStream, table: SymbolTable, bound: dict[str, Varia
     raise ParseError(f"unknown identifier {name!r} (not in SIG or VARS)", tok.line, tok.col)
 
 
-def parse_term_text(text: str, table: SymbolTable) -> Term:
-    ts = TokenStream(tokenize(text))
+def parse_term_text(text: str, table: SymbolTable, number: int = 1, offset: int = 0) -> Term:
+    ts = TokenStream(tokenize(text, number, offset))
     t = parse_term(ts, table)
     ts.end("term")
     return t
@@ -276,9 +278,9 @@ def parse_afs(text: str):
             if tok.kind != "IDENT" or tok.text.endswith(("#", "-")):
                 raise ParseError(f"expected a {'function symbol' if sig else 'variable'} name",
                                  tok.line, tok.col)
-            if tok.text in symbols or not sig and tok.text in variables:
-                raise ParseError(f"duplicate {'symbol' if sig else 'name'} {tok.text}",
-                                 tok.line, tok.col)
+            if tok.text in symbols or tok.text in variables:
+                what = "symbol" if sig and tok.text in symbols else "name"
+                raise ParseError(f"duplicate {what} {tok.text}", tok.line, tok.col)
             ts.expect(":")
             if sig:
                 symbols[tok.text] = FunctionSymbol(tok.text, parse_type_decl(ts), PLAIN)

@@ -140,10 +140,11 @@ def _parse_expr_atom(ts: TokenStream) -> Expr:
     raise ProofSyntaxError(f"cannot parse interpretation expression at {tok.text!r}")
 
 
-def parse_polyfun(text: str, sym: FunctionSymbol) -> PolyFun:
-    """Parse a template body; PolyFun rejects a body that is not well-formed
-    over the symbol's slots."""
-    ts = TokenStream(tokenize(text))
+def parse_polyfun(text: str, sym: FunctionSymbol, number: int = 1, offset: int = 0) -> PolyFun:
+    """Parse a template body, found on line `number` after `offset`
+    columns; PolyFun rejects a body that is not well-formed over the
+    symbol's slots."""
+    ts = TokenStream(tokenize(text, number, offset))
     body = _parse_expr(ts)
     if ts.peek().kind != "EOF":
         raise ProofSyntaxError(f"trailing input in interpretation of {sym.display}")
@@ -172,11 +173,12 @@ def _register_primed(name: str, table: SymbolTable) -> Optional[FunctionSymbol]:
     return sym
 
 
-def parse_pi_template(text: str, sym: FunctionSymbol, table: SymbolTable) -> Term:
+def parse_pi_template(text: str, sym: FunctionSymbol, table: SymbolTable,
+                      number: int = 1, offset: int = 0) -> Term:
     slots = [Variable(f"x{i + 1}", ty) for i, ty in enumerate(sym.decl.inputs)]
     # a copy: _register_primed adds this template's primed names to it
     local = SymbolTable(dict(table.symbols), {v.name: v for v in slots}, auto_symbols=True)
-    tokens = tokenize(text)
+    tokens = tokenize(text, number, offset)
     for tok in tokens:
         if tok.kind == "IDENT" and "'" in tok.text and local.lookup_symbol(tok.text) is None:
             _register_primed(tok.text, local)
@@ -210,11 +212,11 @@ def _entry(line: str, prefix: str) -> tuple[str, str]:
     return name, value.strip()
 
 
-def _blocks(lines: list[str]) -> Iterator[tuple[str, list[str]]]:
-    """Each header line with its block: the indented lines after it, up to
-    the first blank or unindented line, all stripped.  Blank lines and END
-    lines are skipped."""
-    i = 0
+def _blocks(lines: list[str], i: int) -> Iterator[tuple[str, list[tuple[int, str]]]]:
+    """From lines[i] on, each header line with its block: the indented
+    lines after it, up to the first blank or unindented line, each with its
+    line number and without trailing whitespace.  Blank lines and END lines
+    are skipped."""
     while i < len(lines):
         header = lines[i].strip()
         i += 1
@@ -223,10 +225,17 @@ def _blocks(lines: list[str]) -> Iterator[tuple[str, list[str]]]:
         start = i
         while i < len(lines) and lines[i].startswith(" ") and lines[i].strip():
             i += 1
-        yield header, [line.strip() for line in lines[start:i]]
+        yield header, [(n + 1, lines[n].rstrip()) for n in range(start, i)]
 
 
-def _parse_step(block: list[str], table: SymbolTable) -> Union[SubtermStep, ReductionPairStep]:
+def _at(number: int, line: str, value: str) -> tuple[int, int]:
+    """Where `value`, the end of `line`, starts: the line number and the
+    columns before it."""
+    return number, len(line) - len(value)
+
+
+def _parse_step(block: list[tuple[int, str]],
+                table: SymbolTable) -> Union[SubtermStep, ReductionPairStep]:
     """A STEP block: the lines `prove` prints for its kind, each once; its
     removed pairs must be its strict ones."""
     fields: dict[str, str] = {}  # scc, mode, strict and removed
@@ -235,7 +244,8 @@ def _parse_step(block: list[str], table: SymbolTable) -> Union[SubtermStep, Redu
     assign: dict[str, PolyFun] = {}
     pi: dict[str, Term] = {}
     prec: list[tuple[str, str]] = []
-    for line in block:
+    for number, raw in block:
+        line = raw.strip()
         key, colon, value = line.partition(":")
         if colon and key in ("scc", "mode", "strict", "removed"):
             if key in fields:
@@ -259,13 +269,13 @@ def _parse_step(block: list[str], table: SymbolTable) -> Union[SubtermStep, Redu
             sym = table.lookup_symbol(name)
             if sym is None:
                 raise ProofSyntaxError(f"unknown symbol in J({name})")
-            assign[name] = parse_polyfun(body, sym)
+            assign[name] = parse_polyfun(body, sym, *_at(number, raw, body))
         elif line.startswith("pi(") and kind == "rpo":
             name, body = _entry(line, "pi(")
             sym = table.lookup_symbol(name)
             if sym is None:
                 raise ProofSyntaxError(f"unknown symbol in pi({name})")
-            pi[name] = parse_pi_template(body, sym, table)
+            pi[name] = parse_pi_template(body, sym, table, *_at(number, raw, body))
         elif colon and key == "prec" and kind == "rpo":
             if ">" not in value:
                 raise ProofSyntaxError(f"malformed precedence line {line!r}")
@@ -300,12 +310,12 @@ def parse_proof(text: str, problem: DPProblem) -> tuple[Proof, list[str]]:
     if not lines or lines[0].strip() not in (YES, MAYBE):
         raise ProofSyntaxError("first line must be YES or MAYBE")
     steps: list = []
-    for header, block in _blocks(lines[1:]):
+    for header, block in _blocks(lines, 1):
         if header == "STEP":
             steps.append(_parse_step(block, table))
             continue
         entries = [(key.strip(), value.strip())
-                   for key, _, value in (line.partition(":") for line in block)]
+                   for key, _, value in (raw.partition(":") for _, raw in block)]
         fields = dict(entries)
         if header == "PREPARATION":
             pair_lines = [(k, v) for k, v in entries if k.startswith("pair ")]
@@ -331,12 +341,16 @@ def parse_proof(text: str, problem: DPProblem) -> tuple[Proof, list[str]]:
         elif header == "PRUNE":
             steps.append(PruneStep(_int_list(fields.get("removed", ""))))
         elif header == "GIVEUP":
-            lines_of_loop = [v for k, v in entries if k == "loop"]
-            terms = {v: parse_term_text(v, table) for v in dict.fromkeys(lines_of_loop)}
-            loop = tuple(terms[v] for v in lines_of_loop)
+            terms: dict[str, Term] = {}  # each distinct loop line is parsed once
+            loop = []
+            for (number, raw), (key, value) in zip(block, entries):
+                if key == "loop":
+                    if value not in terms:
+                        terms[value] = parse_term_text(value, table, *_at(number, raw, value))
+                    loop.append(terms[value])
             steps.append(GiveUp(_int_list(fields.get("scc", "")),
                                 tuple(fields.get("tried", "").split()),
-                                fields.get("reason", ""), loop))
+                                fields.get("reason", ""), tuple(loop)))
         else:
             raise ProofSyntaxError(f"unexpected proof line: {header!r}")
 

@@ -5,9 +5,24 @@ Terms use a locally nameless representation: free variables are named
 terms are therefore structurally equal, and terms hash consistently, which
 the dependency-pair machinery relies on for graphs and deduplication.
 
+Each term node works out two facts from its children when it is built (as
+Lean 4's expressions do; de Moura and Ullrich, CADE 2021):
+- `_type`, its type, or None when the node is ill-typed.  A bound
+  variable's type is its own, so a node's type never looks above it.
+- `loose`, its loose bound-variable range: 1 + the largest index that
+  escapes the node, and 0 when the node is locally closed (Charguéraud,
+  *The Locally Nameless Representation*, JAR 2012).
+Nodes, types, symbols and variables are slotted records that keep their
+hash after the first call (`record`).  `BVar` is built only by `lam`, with
+its binder's type, so a bound variable agrees with its binder by
+construction, and the type of a locally closed node is `type_of`'s answer:
+`type_of` reads it, and walks the term only to report where it is
+ill-typed.  Walks that act on escaping indices skip closed subterms.
+
 Two walkers serve every transformation that goes through a whole term:
 `replace_leaves` and its node-level sibling `replace_nodes` rebuild a term,
-and `subterms` visits its nodes with their binder depth.
+and `subterms` visits its nodes with their binder depth.  `replace_loose`
+rebuilds only the paths to escaping indices.
 """
 
 from __future__ import annotations
@@ -22,6 +37,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 class SimpleType:
     """Base class for simple types (base types and arrow types)."""
+
+    __slots__ = ()
 
     def is_base(self) -> bool:
         return isinstance(self, Base)
@@ -90,6 +107,7 @@ def type_subterms(t: SimpleType) -> Iterator[SimpleType]:
 class TypeDecl:
     """Type declaration [a1 x ... x an] -> out of a function symbol."""
 
+    __slots__ = ()
     inputs: tuple[SimpleType, ...]
     output: SimpleType
 
@@ -114,6 +132,7 @@ EXT = "extension"          # pairing symbols, filtered symbols
 
 @record
 class FunctionSymbol:
+    __slots__ = ()
     name: str
     decl: TypeDecl
     kind: str = PLAIN
@@ -159,6 +178,7 @@ def pairing_symbol(t: SimpleType) -> FunctionSymbol:
 
 @record
 class Variable:
+    __slots__ = ()
     name: str
     type: SimpleType
 
@@ -171,14 +191,23 @@ class Variable:
 
 
 class Term:
-    """Base class of term nodes; construct via Var/Abs/App/FunApp or lam()."""
+    """Base class of term nodes; construct via Var/Abs/App/FunApp or lam().
 
-    __slots__ = ()
+    `_type` and `loose` are the node's facts (module docstring)."""
+
+    __slots__ = ("_type", "loose")
+
+
+_setattr = object.__setattr__
 
 
 @record
 class Var(Term):
     var: Variable
+
+    def __post_init__(self):
+        _setattr(self, "_type", self.var.type)
+        _setattr(self, "loose", 0)
 
 
 @record
@@ -188,45 +217,45 @@ class BVar(Term):
     index: int
     type: SimpleType
 
-
-def _hash_once(cls):
-    """Keep each node's record hash on the node.  The generated hash
-    rehashes the whole subterm on every call, and reductions and memos hash
-    the same deep terms many times."""
-    rehash = cls.__hash__
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = rehash(self)
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    cls.__hash__ = __hash__
-    return cls
+    def __post_init__(self):
+        _setattr(self, "_type", self.type)
+        _setattr(self, "loose", self.index + 1)
 
 
-@_hash_once
 @record(uncompared=("hint",))
 class Abs(Term):
     var_type: SimpleType
     body: Term
     hint: str = "x"
 
+    def __post_init__(self):
+        body = self.body
+        _setattr(self, "_type", None if body._type is None else Arrow(self.var_type, body._type))
+        _setattr(self, "loose", body.loose - 1 if body.loose else 0)
 
-@_hash_once
+
 @record
 class App(Term):
     fn: Term
     arg: Term
 
+    def __post_init__(self):
+        fn_type, arg = self.fn._type, self.arg
+        _setattr(self, "_type", fn_type.right if isinstance(fn_type, Arrow)
+                 and fn_type.left == arg._type else None)
+        _setattr(self, "loose", max(self.fn.loose, arg.loose))
 
-@_hash_once
+
 @record
 class FunApp(Term):
     fn: FunctionSymbol
     args: tuple[Term, ...] = ()
+
+    def __post_init__(self):
+        decl, args = self.fn.decl, self.args
+        _setattr(self, "_type", decl.output if decl.inputs == tuple(a._type for a in args)
+                 else None)
+        _setattr(self, "loose", max([a.loose for a in args], default=0))
 
 
 class IllTyped(Exception):
@@ -285,11 +314,25 @@ def lam(x: Variable, body: Term) -> Abs:
         hint=x.name)
 
 
+def replace_loose(t: Term, leaf: Callable[[BVar, int], Term], depth: int = 0) -> Term:
+    """Rebuild t with every bound variable s that escapes t replaced by
+    leaf(s, d), where d is the number of binders between t's root and s
+    (plus `depth`).  A subterm from which no index escapes t is kept as is."""
+    if t.loose <= depth:
+        return t
+    if isinstance(t, BVar):
+        return leaf(t, depth)
+    if isinstance(t, Abs):
+        return Abs(t.var_type, replace_loose(t.body, leaf, depth + 1), t.hint)
+    if isinstance(t, App):
+        return App(replace_loose(t.fn, leaf, depth), replace_loose(t.arg, leaf, depth))
+    return FunApp(t.fn, tuple([replace_loose(a, leaf, depth) for a in t.args]))
+
+
 def instantiate(body: Term, value: Term) -> Term:
     """Replace the outermost binder of an abstraction body by a locally
     closed value."""
-    return replace_leaves(
-        body, lambda s, d: value if isinstance(s, BVar) and s.index == d else s)
+    return replace_loose(body, lambda s, d: value if s.index == d else s)
 
 
 def open_abs(t: Abs, avoid: Iterable[Variable] = ()) -> tuple[Variable, Term]:
@@ -345,7 +388,11 @@ def head(t: Term) -> Term:
 
 
 def type_of(t: Term, binders: tuple[SimpleType, ...] = ()) -> SimpleType:
-    """The type of a well-formed term; raises IllTyped otherwise."""
+    """The type of a well-formed term; raises IllTyped otherwise.  A locally
+    closed node knows its type; the walk types a term with escaping indices
+    under `binders`, and finds where an ill-typed term goes wrong."""
+    if not t.loose and t._type is not None:
+        return t._type
     return _type_of(t, binders, ())
 
 
@@ -380,30 +427,22 @@ def _type_of(t: Term, binders: tuple[SimpleType, ...], pos: tuple[int, ...]) -> 
     return decl.output
 
 
-def typecheck(t: Term, env: Optional[Mapping[str, SimpleType]] = None) -> SimpleType:
-    """Type of t; if env is given, free variables must be declared in it."""
-    if env is not None:
-        for v in free_vars(t):
-            if v.name not in env:
-                raise IllTyped((), f"undeclared variable {v.name}")
-            if env[v.name] != v.type:
-                raise IllTyped((), f"variable {v.name} has type {v.type}, declared {env[v.name]}")
-    return type_of(t)
-
-
-def alpha_equal(s: Term, t: Term) -> bool:
-    """Equality modulo renaming of bound variables."""
-    return s == t
-
-
 def free_vars(t: Term) -> frozenset[Variable]:
     return frozenset(s.var for s, _ in subterms(t) if isinstance(s, Var))
 
 
-def dangling_bvars(t: Term) -> frozenset[int]:
-    """Indices of bound variables escaping t (relative to t's root)."""
-    return frozenset(s.index - d for s, d in subterms(t)
-                     if isinstance(s, BVar) and s.index >= d)
+def dangling_bvars(t: Term, depth: int = 0) -> frozenset[int]:
+    """Indices of bound variables escaping t, relative to t's root.  The
+    recursion passes the binders it went below as `depth`, and skips the
+    subterms from which no index escapes t."""
+    if t.loose <= depth:
+        return frozenset()
+    if isinstance(t, BVar):
+        return frozenset((t.index - depth,))
+    if isinstance(t, Abs):
+        return dangling_bvars(t.body, depth + 1)
+    parts = (t.fn, t.arg) if isinstance(t, App) else t.args
+    return frozenset().union(*(dangling_bvars(s, depth) for s in parts))
 
 
 def subterms(t: Term, depth: int = 0) -> list[tuple[Term, int]]:
@@ -434,8 +473,7 @@ def strict_subterms_closed(t: Term) -> list[Term]:
 def close_dangling(t: Term) -> Term:
     """t with every bound variable escaping it replaced by the per-type
     constant, so that the result is locally closed."""
-    return replace_leaves(t, lambda s, d: FunApp(fresh_const(s.type))
-                          if isinstance(s, BVar) and s.index >= d else s)
+    return replace_loose(t, lambda s, d: FunApp(fresh_const(s.type)))
 
 
 def symbols_of(t: Term) -> frozenset[FunctionSymbol]:
@@ -482,12 +520,8 @@ def _match(pattern: Term, subject: Term, binding: dict[Variable, Term]) -> bool:
     if isinstance(pattern, Var):
         if pattern.var in binding:
             return binding[pattern.var] == subject
-        try:
-            ty = type_of(subject)
-        except IllTyped:
-            return False  # a bound variable would escape
-        if ty != pattern.var.type:
-            return False
+        if subject.loose or subject._type != pattern.var.type:
+            return False  # a bound variable would escape, or the types differ
         binding[pattern.var] = subject
         return True
     if isinstance(pattern, BVar):

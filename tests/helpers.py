@@ -12,7 +12,8 @@ from pathlib import Path
 from typing import Sequence
 
 from afsterm import parse_afs
-from afsterm.afs import classify, complete
+from afsterm.afs import Rule, classify, complete
+from afsterm.dp import tag, untag_rule
 from afsterm.engine import GiveUp, Preparation, PruneStep, Proof, Step
 from afsterm.graph import _may_follow, approximate_graph, prune, sccs
 from afsterm.orderings import poly_search
@@ -23,10 +24,11 @@ from afsterm.orderings.poly import (
 )
 from afsterm.record import replace
 from afsterm.selection import ABS, VAR, TypedSymbol
+from afsterm import terms
 from afsterm.terms import (
-    Term, Var, BVar, Abs, App, FunApp, Variable, SimpleType, Arrow, Base, Exploration,
-    PLAIN, app_spine, beta_reduce_root, dangling_bvars, lam, free_vars, rewrite_step,
-    substitute, symbols_of, type_of, type_text,
+    Term, Var, BVar, Abs, App, FunApp, FunctionSymbol, Variable, SimpleType, Arrow, Base, Exploration,
+    PLAIN, TAGGED, IllTyped, app_spine, beta_reduce_root, dangling_bvars, lam, free_vars,
+    rewrite_step, substitute, symbols_of, type_of, type_text, untagged,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,6 +50,21 @@ def wide_system(seed: int) -> str:
     wide = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(wide)
     return wide.generate(seed)
+
+
+def type_walks(monkeypatch) -> list[Term]:
+    """The terms of the top-level `_type_of` walks from now on, the ones
+    `type_of` starts; the walk's recursive calls are not counted."""
+    walks: list[Term] = []
+    walk = terms._type_of
+
+    def counted(t, binders, pos):
+        if not pos:
+            walks.append(t)
+        return walk(t, binders, pos)
+
+    monkeypatch.setattr(terms, "_type_of", counted)
+    return walks
 
 
 def all_pairs_edges(problem) -> dict[int, frozenset[int]]:
@@ -78,6 +95,26 @@ def rederived_steps(proof: Proof) -> list[Step]:
         if isinstance(step, GiveUp):
             return steps
         graph = replace(graph, alive=graph.alive - frozenset(step.removed))
+
+
+def typecheck(t: Term, env: dict[str, SimpleType]) -> SimpleType:
+    """Type of t, whose free variables must be declared in env."""
+    for v in free_vars(t):
+        if v.name not in env:
+            raise IllTyped((), f"undeclared variable {v.name}")
+        if env[v.name] != v.type:
+            raise IllTyped((), f"variable {v.name} has type {v.type}, declared {env[v.name]}")
+    return type_of(t)
+
+
+def build_rtag(rules: Sequence[Rule]) -> list[Rule]:
+    """Rules with tagged right-hand sides, plus the untag rules for tagged
+    symbols that actually occur in some tagged right-hand side."""
+    tagged_rules = [Rule(r.lhs, tag(r.rhs), origin=r.origin) for r in rules]
+    used: dict[str, FunctionSymbol] = {}
+    for r in tagged_rules:
+        used.update((f.name, f) for f in symbols_of(r.rhs) if f.kind == TAGGED)
+    return tagged_rules + [untag_rule(untagged(used[name])) for name in sorted(used)]
 
 
 def normal_forms(ex: Exploration, rules: Sequence) -> set[Term]:

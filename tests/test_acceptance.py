@@ -21,7 +21,7 @@ from afsterm.parser import SymbolTable, parse_term_text
 from afsterm.selection import formative_rules, usable_rules
 from afsterm.terms import (
     Base, Arrow, TypeDecl, FunctionSymbol, Variable, Var, FunApp, EXT,
-    alpha_equal, apply_subst, bounded_reductions, free_vars, term_text,
+    apply_subst, bounded_reductions, free_vars, term_text,
 )
 
 from helpers import (
@@ -225,8 +225,7 @@ def test_criterion_6_nontermination_soundness():
     f_o = parse_term_text("f(o)", tb)
     ex = bounded_reductions(f_o, afs.rules, 4)
     elapsed = time.monotonic() - start
-    loop_ok = ex.loop is not None and alpha_equal(ex.loop[0], f_o) \
-        and alpha_equal(ex.loop[-1], f_o)
+    loop_ok = ex.loop is not None and ex.loop[0] == ex.loop[-1] == f_o
     # the witness goes through g(\x. f(x), a) and the beta step
     texts = [term_text(t) for t in (ex.loop or ())]
     loop_ok = loop_ok and texts == [
@@ -260,13 +259,12 @@ def test_criterion_8a_tag_properties():
     for i in range(1000):
         ty = rng.choice([nat, Arrow(nat, nat)])
         t = random_term(rng, afs, ty, rng.randrange(1, 10))
-        if not alpha_equal(untag(tag(t)), t):
+        if untag(tag(t)) != t:
             failures += 1
         x = Variable("sx", nat)
         s = random_term(rng, afs, nat, rng.randrange(2, 8), env=(x,))
         img = random_term(rng, afs, nat, 4)
-        if not alpha_equal(apply_subst(tag(s), {x: tag(img)}),
-                           tag(apply_subst(s, {x: img}))):
+        if apply_subst(tag(s), {x: tag(img)}) != tag(apply_subst(s, {x: img})):
             failures += 1
     report(8, failures == 0,
            f"8a tag/untag identity and substitution lemma on 1000 terms, {failures} failures")
@@ -288,7 +286,7 @@ def test_criterion_8b_completion_simulation():
                 target = apply_subst(rule.rhs, gamma)
                 ex = bounded_reductions(start_term, afs.rules, 4, max_nodes=4000)
                 checked += 1
-                if not any(alpha_equal(u, target) for u in ex.reached):
+                if not any(u == target for u in ex.reached):
                     failures += 1
     report(8, failures == 0 and checked > 0,
            f"8b completion simulation on {checked} instances, {failures} failures")

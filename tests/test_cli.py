@@ -38,7 +38,9 @@ class TestProve:
                 ("SIG\n  f : [nat] -> nat\nRULES\n  f(!c{nat}) => f(!c{nat})\n",
                  "4:5: !c{nat} may only occur in proofs"),
                 ("SIG\n  o : nat\nRULES\n  !c{RULES} o => o\n",
-                 "4:3: !c{RULES} may only occur in proofs")]:
+                 "4:3: !c{RULES} may only occur in proofs"),
+                ("VARS\n  x : nat\nSIG\n  x : nat\n", "4:3: duplicate name x"),
+                ("SIG\n  x : nat\nVARS\n  x : nat\n", "4:3: duplicate name x")]:
             bad.write_text(text)
             for argv in (["prove", str(bad)], ["check", str(bad), str(GOLDEN / "map.proof")]):
                 code, out, err = run_cli(capsys, *argv)

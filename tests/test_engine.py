@@ -24,7 +24,7 @@ from afsterm.terms import Abs, bounded_reductions, rewrite_step, term_text
 
 from helpers import (
     ROOT, load, CORPUS, GOLDEN, corpus_names, random_starts, rederived_steps,
-    reference_rewrite_step, wide_system,
+    reference_rewrite_step, type_walks, wide_system,
 )
 
 # Proves, renders and checks the systems named on the command line in a
@@ -209,6 +209,26 @@ class TestGoldenProofs:
 
     def test_one_golden_per_corpus_system(self):
         assert sorted(p.stem for p in GOLDEN.glob("*.proof")) == corpus_names()
+
+
+class TestTypeWalks:
+    """A work pin: a term node knows its type from construction, so
+    parsing, proving and checking a well-typed system walk no term to type
+    it.  `type_of` walks a term only to find where it is ill-typed, or to
+    type it under binders."""
+
+    @pytest.mark.parametrize("texts", [
+        pytest.param(lambda: [(CORPUS / f"{name}.afs").read_text() for name in corpus_names()],
+                     id="corpus"),
+        pytest.param(lambda: [wide_system(2001)], id="wide-2001"),
+    ])
+    def test_no_walk(self, texts, monkeypatch):
+        texts = texts()
+        walks = type_walks(monkeypatch)
+        for text in texts:
+            afs = parse_afs(text)
+            assert check_proof_text(render_proof(prove(afs), 1), afs) == []
+        assert walks == []
 
 
 class TestDeterminism:

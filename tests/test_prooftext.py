@@ -157,6 +157,25 @@ class TestHandWrittenProof:
         assert broken != golden
         assert check_proof_text(broken, load("eval")) == [f"proof does not parse: {error}"]
 
+    # an error inside a loop term, a J body, a pi template or a !c{...}
+    # type is reported at its line and column in the proof file
+    @pytest.mark.parametrize("name, engines, old, new, column, error", [
+        ("fga", None, "  loop: f(o)\n", "  loop: f(!c{nat ->})\n", 20,
+         "expected a type, found ''"),
+        ("apeq", None, "    J(ap) = x1(x2) + x2\n", "    J(ap) = x1(x2) ? x2\n", 20,
+         "unexpected character '?'"),
+        ("quot", ("rpo",), "    pi(minus) = x1\n", "    pi(minus) = x1 @ !c{nat\n", 22,
+         "unterminated !c{...} constant"),
+    ], ids=["loop-fresh-constant", "J-body", "pi-template"])
+    def test_a_parse_error_in_a_value_has_its_file_position(self, name, engines, old, new,
+                                                            column, error):
+        afs = load(name)
+        text = (render_proof(prove(afs, Config(engines=engines)), 1) if engines
+                else (GOLDEN / f"{name}.proof").read_text())
+        line = text[:text.index(old)].count("\n") + 1
+        broken = text.replace(old, new, 1)
+        assert check_proof_text(broken, afs) == [f"proof does not parse: {line}:{column}: {error}"]
+
     def test_all_corpus_proofs_round_trip_verbose(self):
         # the goldens are pinned to `prove -v` output by TestGoldenProofs
         for name in corpus_names():
@@ -177,7 +196,7 @@ class TestHandWrittenProof:
         parsed = []
         parse = prooftext.parse_term_text
         monkeypatch.setattr(prooftext, "parse_term_text",
-                            lambda text, table: parsed.append(text) or parse(text, table))
+                            lambda text, table, *at: parsed.append(text) or parse(text, table, *at))
         proof, _ = parse_proof(golden, dependency_pairs(classify(complete(afs))))
         loop = proof.steps[-1].loop
         assert len(loop) == 3 and loop[0] is loop[2]

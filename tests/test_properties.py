@@ -1,8 +1,9 @@
 """Property tests for the code the certificate checker trusts: the normal-form
 comparator `nf_geq`, the well-formedness rules of `PolyFun`, which stand in
-for a monotonicity check of each template, and the recursive path ordering
-that `check_argfun_rpo` re-runs; and for the point evaluator, which the
-search trusts to refute only what the comparator rejects."""
+for a monotonicity check of each template, the recursive path ordering
+that `check_argfun_rpo` re-runs, and the facts a term node works out when it
+is built; and for the point evaluator, which the search trusts to refute
+only what the comparator rejects."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +15,9 @@ from afsterm.orderings.poly import (
 )
 from afsterm.orderings.rpo import Precedence, rpo_greater, rpo_geq
 from afsterm.terms import (
-    Base, Arrow, arrow, App, FunApp, FunctionSymbol, TypeDecl, Var, Variable, lam,
-    fresh_const, pairing_symbol, substitute,
+    Base, Arrow, arrow, App, BVar, FunApp, FunctionSymbol, IllTyped, TypeDecl, Var,
+    Variable, lam, dangling_bvars, fresh_const, pairing_symbol, substitute, subterms,
+    type_of, _type_of,
 )
 
 from helpers import eval_expr, eval_nf, monotone_fun, nf_add_reference, point_assignments
@@ -338,3 +340,50 @@ def test_rpo_stable_under_closed_substitutions(pair, sigma, facts):
     s, t = pair
     if rpo_greater(s, t, _precedence(facts)):
         assert rpo_greater(substitute(s, sigma), substitute(t, sigma), _precedence(facts))
+
+
+# --------------------------------------------------------------------------
+# each term node's facts: `type_of` reads the type of a locally closed node
+# and agrees with the typing walk, and the loose range is 1 + the largest
+# index escaping the node, on well-typed terms, ill-typed terms and raw
+# subterms whose bound variables escape
+
+FACT_VARS = (Variable("x", nat), Variable("y", Base("o")), Variable("F", NN),
+             Variable("G", Arrow(nat, Base("o"))))
+
+
+def fact_terms():
+    """Terms over f/2, g/1, c and x, y, F, G put together at any types, so
+    many are ill-typed; each binder binds one of the variables, which the
+    second form applies its body to, and g may miss its argument."""
+    leaf = st.sampled_from([FunApp(C0), FunApp(G1)] + [Var(v) for v in FACT_VARS])
+
+    def extend(children):
+        two = st.tuples(children, children)
+        return st.one_of(
+            two.map(lambda p: App(*p)),
+            two.map(lambda p: FunApp(F2, p)),
+            children.map(lambda a: FunApp(G1, (a,))),
+            st.tuples(st.sampled_from(FACT_VARS), children).map(lambda p: lam(*p)),
+            st.tuples(st.sampled_from(FACT_VARS), children).map(
+                lambda p: lam(p[0], App(p[1], Var(p[0])))),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=8)
+
+
+def _typing(type_fn, t):
+    try:
+        return type_fn(t)
+    except IllTyped as exc:
+        return str(exc)
+
+
+@PROPERTY
+@given(fact_terms())
+def test_node_facts_agree_with_the_walk(t):
+    for s, _ in subterms(t):
+        escaping = {b.index - d for b, d in subterms(s) if isinstance(b, BVar) and b.index >= d}
+        assert s.loose == (1 + max(escaping) if escaping else 0)
+        assert dangling_bvars(s) == escaping
+        assert _typing(type_of, s) == _typing(lambda u: _type_of(u, (), ()), s)

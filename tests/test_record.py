@@ -13,8 +13,10 @@ import pytest
 
 import afsterm
 from afsterm.orderings.poly import Const, SlotRef
-from afsterm.record import replace
-from afsterm.terms import Base
+from afsterm.record import _MISSING, replace
+from afsterm.terms import (
+    Abs, App, Arrow, Base, BVar, FunApp, FunctionSymbol, TypeDecl, Var, Variable,
+)
 
 RECORDS = sorted(
     (cls for m in pkgutil.walk_packages(afsterm.__path__, "afsterm.")
@@ -31,14 +33,30 @@ VALIDATED = {
     "PolyFun": (((Base("o"),), SlotRef(0)), ((Base("n"),), Const(1)),
                 [((), SlotRef(0)), ((Base("o"),), Const(-1))]),
 }
+# term nodes work out their type and bound-variable range from their
+# children when they are built, so they are built from well-formed ones
+_nat, _o = Base("nat"), Base("o")
+_x, _y = Variable("x", _nat), Variable("y", _o)
+NODES = {
+    "Var": ((_x,), (_y,)),
+    "BVar": ((0, _nat), (1, _o)),
+    "Abs": ((_nat, Var(_x), "x"), (_o, Var(_y), "y")),
+    "App": ((Var(Variable("F", Arrow(_nat, _o))), Var(_x)),
+            (Var(Variable("G", Arrow(_o, _nat))), Var(_y))),
+    "FunApp": ((FunctionSymbol("f", TypeDecl((_nat,), _o)), (Var(_x),)),
+               (FunctionSymbol("g", TypeDecl((_o,), _nat)), (Var(_y),))),
+}
 
 
 def twin(cls):
-    """A dataclass with `cls`'s fields, defaults and `__post_init__`."""
+    """A dataclass with `cls`'s fields, defaults and `__post_init__`.  The
+    defaults are read from the record's table of its declared fields: a
+    slotted record keeps none in its class body."""
     fields = {}  # name -> default, base classes first
     for klass in reversed(cls.__mro__):
         for name in vars(klass).get("__annotations__", {}):
-            fields[name] = vars(klass).get(name, dataclasses.MISSING)
+            default = cls.__record_fields__[name]
+            fields[name] = dataclasses.MISSING if default is _MISSING else default
     ns = {"__annotations__": dict.fromkeys(fields, object), "__qualname__": cls.__qualname__}
     for name, default in fields.items():
         if name == UNCOMPARED.get(cls.__name__):
@@ -62,6 +80,8 @@ def samples(cls) -> tuple[tuple, tuple]:
     """Two tuples of field values, differing in every field."""
     if cls.__name__ in VALIDATED:
         return VALIDATED[cls.__name__][:2]
+    if cls.__name__ in NODES:
+        return NODES[cls.__name__]
     n = len(names(cls))
     return (tuple(("a", i) for i in range(n)), tuple(("b", i) for i in range(n)))
 
@@ -116,8 +136,10 @@ def test_record_behaves_like_its_dataclass_twin(cls):
         assert hash(a) == hash(b)
     # defaults: the fields that may be left out, and their values
     required = [n for n in fields if not hasattr(ref, n)]
-    assert [n for n in fields if hasattr(cls, n)] == fields[len(required):]
     assert repr(cls(*vals[:len(required)])) == repr(ref(*vals[:len(required)]))
+    if required:
+        fewer = vals[:len(required) - 1]
+        assert outcome(lambda: cls(*fewer)) == outcome(lambda: ref(*fewer)) == ("raises", TypeError)
     # the frozen guard, on fields and on other names
     for name in ["other"] + fields[:1]:
         assert outcome(lambda: setattr(a, name, 1)) == outcome(lambda: setattr(b, name, 1)), name
@@ -128,7 +150,7 @@ def test_record_behaves_like_its_dataclass_twin(cls):
 def test_equality_across_classes_like_dataclasses():
     # records of two classes are never equal, even with the same fields:
     # Add(p) != Mul(p), where typing.NamedTuple would compare tuples
-    generic = [cls for cls in RECORDS if cls.__name__ not in VALIDATED]
+    generic = [cls for cls in RECORDS if cls.__name__ not in VALIDATED | NODES.keys()]
     pairs = 0
     for x in generic:
         for y in generic:
@@ -149,3 +171,11 @@ def test_post_init_validates_like_dataclasses(name):
     valid = VALIDATED[name][0]
     assert outcome(lambda: replace(cls(*valid), **{names(cls)[0]: VALIDATED[name][2][0][0]})) \
         == ("raises", ValueError)
+
+
+@pytest.mark.parametrize("cls", [Var, BVar, Abs, App, FunApp, Base, Arrow, TypeDecl,
+                                 FunctionSymbol, Variable], ids=lambda cls: cls.__name__)
+def test_terms_types_and_symbols_are_slotted_and_keep_their_hash(cls):
+    a = cls(*samples(cls)[0])
+    assert not hasattr(a, "__dict__")
+    assert hash(a) == a._hash == hash(TWINS[cls](*samples(cls)[0]))
