@@ -8,7 +8,7 @@ from typing import Optional
 
 from .terms import (
     Term, Var, Abs, App, FunApp, Variable, FunctionSymbol,
-    type_of, free_vars, dangling_bvars, app_spine, is_beta_normal, subterms,
+    type_of, free_vars, app_spine, is_beta_normal, subterms,
     fresh_arguments, fresh_name, term_text, PLAIN, instantiate,
 )
 
@@ -131,7 +131,7 @@ def _has_defined_call_under_binder(rhs: Term, defined: frozenset[str]) -> bool:
     variable free in the f-subterm: in the locally closed rhs, a defined
     call below a binder with an index escaping it."""
     return any(d and isinstance(u, FunApp) and u.fn.kind == PLAIN
-               and u.fn.name in defined and dangling_bvars(u)
+               and u.fn.name in defined and u.loose
                for u, d in subterms(rhs))
 
 

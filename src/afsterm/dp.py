@@ -8,7 +8,7 @@ from typing import Iterable, Optional
 from .afs import AFS, Rule
 from .terms import (
     Term, Var, Abs, App, FunApp, Variable, FunctionSymbol,
-    type_of, free_vars, dangling_bvars, app_spine, head, mark,
+    type_of, free_vars, app_spine, head, mark,
     strict_subterms_closed, close_dangling, fresh_arguments, term_text,
     tagged, untagged, symbols_of, replace_nodes, PLAIN, TAGGED,
 )
@@ -145,7 +145,7 @@ def tag(t: Term, bound: Optional[set[Variable]] = None) -> Term:
     z = frozenset(bound or ())
 
     def node(s: FunApp, args: tuple[Term, ...]) -> Term:
-        if s.fn.kind == PLAIN and (dangling_bvars(s) or (z and free_vars(s) & z)):
+        if s.fn.kind == PLAIN and (s.loose or (z and free_vars(s) & z)):
             return FunApp(tagged(s.fn), args)
         return FunApp(s.fn, args)
 

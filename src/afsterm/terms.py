@@ -431,20 +431,6 @@ def free_vars(t: Term) -> frozenset[Variable]:
     return frozenset(s.var for s, _ in subterms(t) if isinstance(s, Var))
 
 
-def dangling_bvars(t: Term, depth: int = 0) -> frozenset[int]:
-    """Indices of bound variables escaping t, relative to t's root.  The
-    recursion passes the binders it went below as `depth`, and skips the
-    subterms from which no index escapes t."""
-    if t.loose <= depth:
-        return frozenset()
-    if isinstance(t, BVar):
-        return frozenset((t.index - depth,))
-    if isinstance(t, Abs):
-        return dangling_bvars(t.body, depth + 1)
-    parts = (t.fn, t.arg) if isinstance(t, App) else t.args
-    return frozenset().union(*(dangling_bvars(s, depth) for s in parts))
-
-
 def subterms(t: Term, depth: int = 0) -> list[tuple[Term, int]]:
     """All subterm nodes in pre-order, including t itself, each with the
     number of binders between t's root and it (plus `depth`).

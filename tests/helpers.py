@@ -11,7 +11,7 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Sequence
 
-from afsterm import parse_afs
+from afsterm import parse_afs, terms
 from afsterm.afs import Rule, classify, complete
 from afsterm.dp import tag, untag_rule
 from afsterm.engine import GiveUp, Preparation, PruneStep, Proof, Step
@@ -24,11 +24,10 @@ from afsterm.orderings.poly import (
 )
 from afsterm.record import replace
 from afsterm.selection import ABS, VAR, TypedSymbol
-from afsterm import terms
 from afsterm.terms import (
-    Term, Var, BVar, Abs, App, FunApp, FunctionSymbol, Variable, SimpleType, Arrow, Base, Exploration,
-    PLAIN, TAGGED, IllTyped, app_spine, beta_reduce_root, dangling_bvars, lam, free_vars,
-    rewrite_step, substitute, symbols_of, type_of, type_text, untagged,
+    Term, Var, BVar, Abs, App, FunApp, FunctionSymbol, Variable, SimpleType, Arrow, Base,
+    Exploration, PLAIN, TAGGED, IllTyped, app_spine, beta_reduce_root, lam, subterms,
+    free_vars, rewrite_step, substitute, symbols_of, type_of, type_text, untagged,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,6 +94,13 @@ def rederived_steps(proof: Proof) -> list[Step]:
         if isinstance(step, GiveUp):
             return steps
         graph = replace(graph, alive=graph.alive - frozenset(step.removed))
+
+
+def dangling_bvars(t: Term) -> frozenset[int]:
+    """Indices of bound variables escaping t (relative to t's root), from a
+    walk over all its subterms."""
+    return frozenset(s.index - d for s, d in subterms(t)
+                     if isinstance(s, BVar) and s.index >= d)
 
 
 def typecheck(t: Term, env: dict[str, SimpleType]) -> SimpleType:

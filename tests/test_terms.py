@@ -10,10 +10,12 @@ from afsterm.terms import (
     Base, Arrow, TypeDecl, FunctionSymbol, Variable, Var, App, FunApp, lam,
     type_of, IllTyped, apply_subst, match,
     rewrite_step, bounded_reductions, mark, head, free_vars, subterms,
-    dangling_bvars, term_text, is_beta_normal, TypeMismatch,
+    term_text, is_beta_normal, TypeMismatch,
 )
 
-from helpers import load, random_term, random_closed_term, normal_forms, typecheck
+from helpers import (
+    dangling_bvars, load, random_term, random_closed_term, normal_forms, typecheck,
+)
 
 nat = Base("nat")
 natnat = Arrow(nat, nat)
