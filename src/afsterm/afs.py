@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from .record import record, replace
-from functools import cached_property
 from typing import Optional
 
 from .terms import (
@@ -59,6 +58,7 @@ def validate_rule(rule: Rule, line: int = 0, col: int = 0) -> None:
 
 @record
 class AFS:
+    __slots__ = ("defined_names",)  # the names of the rules' head symbols
     signature: tuple[FunctionSymbol, ...]
     rules: tuple[Rule, ...]
     local: bool = False
@@ -67,14 +67,10 @@ class AFS:
     spfp: bool = False
     completed: bool = False
 
-    @cached_property
-    def defined_names(self) -> frozenset[str]:
-        names = set()
-        for rule in self.rules:
-            sym = lhs_head_symbol(rule.lhs)
-            if sym is not None:
-                names.add(sym.name)
-        return frozenset(names)
+    def __post_init__(self):
+        heads = (lhs_head_symbol(rule.lhs) for rule in self.rules)
+        object.__setattr__(self, "defined_names",
+                           frozenset(f.name for f in heads if f is not None))
 
     @property
     def defined(self) -> tuple[FunctionSymbol, ...]:

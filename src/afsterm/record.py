@@ -5,11 +5,12 @@ and `record(frozen=False)` those of a plain `@dataclass`, for the field forms
 this package uses: annotated fields, plain defaults, inherited fields first
 and `__post_init__`.
 
-A record class that declares `__slots__`, or inherits a declaration, is
-rebuilt with its fields as slots, so its instances have no `__dict__`.  A
-frozen one also gets a `_hash` slot that keeps its hash after the first
-call: term nodes, types and symbols are hashed many times, and their
-generated hash would rehash every field down to the leaves on each call.
+Every record class is rebuilt with its fields as slots, beside any
+`__slots__` it declares itself, so its instances have no `__dict__` (a
+base class that is not a record declares `__slots__` for this).  A frozen
+record also gets a `_hash` slot that keeps its hash after the first call:
+term nodes, types and symbols are hashed many times, and their generated
+hash would rehash every field down to the leaves on each call.
 
 Every command-line run starts a fresh interpreter.  `dataclasses` imports
 `inspect` (and with it `ast`, `dis` and `tokenize`) and compiles each
@@ -33,9 +34,7 @@ def record(cls=None, *, frozen: bool = True, uncompared: tuple[str, ...] = ()):
     own = tuple(cls.__dict__.get("__annotations__", {}))
     for name in own:
         fields[name] = cls.__dict__.get(name, _MISSING)
-    slotted = any("__slots__" in vars(k) for k in cls.__mro__[:-1])
-    if slotted:
-        cls = _with_slots(cls, own + (("_hash",) if frozen else ()))
+    cls = _with_slots(cls, own + (("_hash",) if frozen and not hasattr(cls, "_hash") else ()))
     cls.__record_fields__ = fields
     params = ", ".join(n if d is _MISSING else f"{n}=_d_{n}" for n, d in fields.items())
     assign = "_setattr(self, {0!r}, {0})" if frozen else "self.{0} = {0}"
@@ -58,7 +57,7 @@ def __eq__(self, other):
 """
     ns = {f"_d_{n}": d for n, d in fields.items()}
     ns["_setattr"] = object.__setattr__
-    if frozen and slotted:
+    if frozen:
         src += f"""
 def __hash__(self):
     try:
@@ -67,12 +66,9 @@ def __hash__(self):
         _setattr(self, "_hash", h := hash(({mine})))
         return h
 """
-    elif frozen:
-        src += f"def __hash__(self):\n    return hash(({mine}))\n"
+        ns.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
     else:
         ns["__hash__"] = None
-    if frozen:
-        ns.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
     exec(src, ns)
     for name in ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__"):
         if name in ns:

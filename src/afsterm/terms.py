@@ -14,8 +14,10 @@ Lean 4's expressions do; de Moura and Ullrich, CADE 2021):
   *The Locally Nameless Representation*, JAR 2012).
 Nodes, types, symbols and variables are slotted records that keep their
 hash after the first call (`record`).  `BVar` is built only by `lam`, with
-its binder's type, so a bound variable agrees with its binder by
-construction, and the type of a locally closed node is `type_of`'s answer:
+its binder's type, and `instantiate` and `substitute` renumber the indices
+of what they put below binders, so that every index keeps its binder.  A
+bound variable thus agrees with its binder by construction, and the type
+of a locally closed node is `type_of`'s answer:
 `type_of` reads it, and walks the term only to report where it is
 ill-typed.  Walks that act on escaping indices skip closed subterms.
 
@@ -107,7 +109,6 @@ def type_subterms(t: SimpleType) -> Iterator[SimpleType]:
 class TypeDecl:
     """Type declaration [a1 x ... x an] -> out of a function symbol."""
 
-    __slots__ = ()
     inputs: tuple[SimpleType, ...]
     output: SimpleType
 
@@ -132,7 +133,6 @@ EXT = "extension"          # pairing symbols, filtered symbols
 
 @record
 class FunctionSymbol:
-    __slots__ = ()
     name: str
     decl: TypeDecl
     kind: str = PLAIN
@@ -178,7 +178,6 @@ def pairing_symbol(t: SimpleType) -> FunctionSymbol:
 
 @record
 class Variable:
-    __slots__ = ()
     name: str
     type: SimpleType
 
@@ -330,9 +329,18 @@ def replace_loose(t: Term, leaf: Callable[[BVar, int], Term], depth: int = 0) ->
 
 
 def instantiate(body: Term, value: Term) -> Term:
-    """Replace the outermost binder of an abstraction body by a locally
-    closed value."""
-    return replace_loose(body, lambda s, d: value if s.index == d else s)
+    """Replace the outermost binder of an abstraction body by value.  The
+    indices of value that escape it are raised past the binders it lands
+    under, and the body's indices that escape the replaced binder are
+    lowered by one, so each index keeps its binder (a beta step below an
+    abstraction meets both)."""
+    return replace_loose(
+        body, lambda s, d: shift(value, d) if s.index == d else BVar(s.index - 1, s.type))
+
+
+def shift(t: Term, by: int) -> Term:
+    """t with every index that escapes it raised by `by`."""
+    return replace_loose(t, lambda s, d: BVar(s.index + by, s.type)) if by else t
 
 
 def open_abs(t: Abs, avoid: Iterable[Variable] = ()) -> tuple[Variable, Term]:
@@ -485,9 +493,11 @@ def apply_subst(t: Term, subst: Substitution) -> Term:
 
 
 def substitute(t: Term, subst: Substitution) -> Term:
-    """apply_subst without the type check; t may contain dangling indices."""
+    """apply_subst without the type check.  t and the values may contain
+    dangling indices; a value's are raised past the binders of t it lands
+    under, so that none is captured."""
     return replace_leaves(
-        t, lambda s, d: subst.get(s.var, s) if isinstance(s, Var) else s)
+        t, lambda s, d: shift(subst[s.var], d) if isinstance(s, Var) and s.var in subst else s)
 
 
 def match(pattern: Term, subject: Term) -> Optional[dict[Variable, Term]]:

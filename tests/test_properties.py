@@ -2,7 +2,8 @@
 comparator `nf_geq`, the well-formedness rules of `PolyFun`, which stand in
 for a monotonicity check of each template, the recursive path ordering
 that `check_argfun_rpo` re-runs, and the facts a term node works out when it
-is built; and for the point evaluator, which the search trusts to refute
+is built, which trust each bound variable to stay on its binder through
+beta steps; and for the point evaluator, which the search trusts to refute
 only what the comparator rejects."""
 
 import pytest
@@ -15,8 +16,8 @@ from afsterm.orderings.poly import (
 )
 from afsterm.orderings.rpo import Precedence, rpo_greater, rpo_geq
 from afsterm.terms import (
-    Base, Arrow, arrow, App, FunApp, FunctionSymbol, IllTyped, TypeDecl, Var,
-    Variable, lam, fresh_const, pairing_symbol, substitute, subterms,
+    Abs, Base, Arrow, arrow, App, BVar, FunApp, FunctionSymbol, IllTyped, TypeDecl, Var,
+    Variable, lam, fresh_const, pairing_symbol, rewrite_step, substitute, subterms,
     type_of, _type_of,
 )
 
@@ -388,3 +389,65 @@ def test_node_facts_agree_with_the_walk(t):
         escaping = dangling_bvars(s)
         assert s.loose == (1 + max(escaping) if escaping else 0)
         assert _typing(type_of, s) == _typing(lambda u: _type_of(u, (), ()), s)
+
+
+# --------------------------------------------------------------------------
+# a beta step anywhere in a term, below binders too, keeps the term's type
+# and its value: each index stays on its binder, neither escaping nor
+# captured by a binder of the body
+
+BETA_VARS = (Variable("x", nat), Variable("y", nat))
+
+
+def beta_terms():
+    """Well-typed terms of type nat over f/2, g/1, c, x and y, with
+    beta-redexes and abstraction arguments of h : [nat -> nat * nat] -> nat
+    whose binders bind x or y, and redexes below a binder, so that a
+    redex's argument and body often name the binders around it."""
+    leaf = st.sampled_from([FunApp(C0)] + [Var(v) for v in BETA_VARS])
+
+    def extend(children):
+        two = st.tuples(children, children)
+        binder = st.sampled_from(BETA_VARS)
+        return st.one_of(
+            two.map(lambda p: FunApp(F2, p)),
+            children.map(lambda a: FunApp(G1, (a,))),
+            st.tuples(binder, two).map(lambda p: App(lam(p[0], p[1][0]), p[1][1])),
+            st.tuples(binder, two).map(lambda p: FunApp(H2, (lam(p[0], p[1][0]), p[1][1]))),
+            st.tuples(binder, binder, binder, two, leaf).map(_redex_below_a_binder),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=10)
+
+
+def _redex_below_a_binder(p):
+    """h(\\u. (\\v. h(\\w. a, v)) @ f(u, b), e): a redex below a binder,
+    whose argument names that binder and whose body binds again."""
+    u, v, w, (a, b), e = p
+    redex = App(lam(v, FunApp(H2, (lam(w, a), Var(v)))), FunApp(F2, (Var(u), b)))
+    return FunApp(H2, (lam(u, redex), e))
+
+
+def _value(t, env: dict, bound: tuple = ()):
+    """The value of a locally closed t with f(a, b) = a + 2b, g(a) = a + 1,
+    c = 0 and h(F, n) = F(n)."""
+    if isinstance(t, Var):
+        return env[t.var]
+    if isinstance(t, BVar):
+        return bound[len(bound) - 1 - t.index]
+    if isinstance(t, Abs):
+        return lambda v: _value(t.body, env, bound + (v,))
+    if isinstance(t, App):
+        return _value(t.fn, env, bound)(_value(t.arg, env, bound))
+    args = [_value(a, env, bound) for a in t.args]
+    return {"f": lambda a, b: a + 2 * b, "g": lambda a: a + 1, "c": lambda: 0,
+            "h": lambda fn, n: fn(n)}[t.fn.name](*args)
+
+
+@PROPERTY
+@given(beta_terms())
+def test_beta_steps_keep_type_and_value(t):
+    env = {BETA_VARS[0]: 3, BETA_VARS[1]: 5}
+    for r in rewrite_step(t, ()):
+        assert r.loose == 0 and _type_of(r, (), ()) == nat
+        assert _value(r, env) == _value(t, env)

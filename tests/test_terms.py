@@ -5,12 +5,13 @@ import random
 import pytest
 
 from afsterm.afs import complete
+from afsterm.orderings.rpo import apply_argfun, template_slots
 from afsterm.parser import SymbolTable, parse_term_text
 from afsterm.terms import (
-    Base, Arrow, TypeDecl, FunctionSymbol, Variable, Var, App, FunApp, lam,
+    Base, Arrow, arrow, TypeDecl, FunctionSymbol, Variable, Var, App, FunApp, lam,
     type_of, IllTyped, apply_subst, match,
     rewrite_step, bounded_reductions, mark, head, free_vars, subterms,
-    term_text, is_beta_normal, TypeMismatch,
+    term_text, is_beta_normal, TypeMismatch, _type_of,
 )
 
 from helpers import (
@@ -94,6 +95,18 @@ class TestSubstitution:
         z = Variable("z", nat)
         assert out == lam(z, Var(x))
         assert out != lam(x, Var(x))
+
+    def test_argument_function_below_a_binder_captures_nothing(self):
+        # pi(g) = \z:o. x1 applied to g(y) below \y:nat: y lands below \z
+        # and must stay on \y, not be captured by z
+        o = Base("o")
+        g = FunctionSymbol("g", TypeDecl((nat,), Arrow(o, nat)))
+        h = FunctionSymbol("h", TypeDecl((arrow(nat, o, nat),), nat))
+        y, z = Variable("y", nat), Variable("z", o)
+        [x1] = template_slots(g)
+        out = apply_argfun({"g": lam(z, Var(x1))}, FunApp(h, (lam(y, FunApp(g, (Var(y),))),)))
+        assert out == FunApp(h, (lam(y, lam(z, Var(y))),))
+        assert _type_of(out, (), ()) == nat
 
     def test_empty_substitution(self, table):
         u = t("twice(\\x:nat. I(x)) @ m", table)
@@ -190,6 +203,23 @@ class TestRewriting:
         u = t("I(s(twice(\\x:nat. I(x)) @ o))", table)
         for r in rewrite_step(u, completed.rules):
             assert type_of(r) == nat
+
+    def test_beta_below_a_binder_keeps_each_index_on_its_binder(self):
+        o = Base("o")
+        tb = SymbolTable({"h": FunctionSymbol("h", TypeDecl((natnat,), nat)),
+                          "k": FunctionSymbol("k", TypeDecl((arrow(o, nat, o),), o)),
+                          "o": FunctionSymbol("o", TypeDecl((), nat))}, {})
+        cases = [
+            # the redex's body names the binder above it: the index is lowered
+            ("h(\\x:nat. (\\y:nat. x) @ o)", "h(\\x:nat. x)"),
+            # the argument names the binder above and lands below \z:nat in
+            # the body: the index is raised, not captured by z
+            ("k(\\x:o. (\\y:o. \\z:nat. y) @ x)", "k(\\x:o. \\z:nat. x)"),
+        ]
+        for text, reduct in cases:
+            [r] = rewrite_step(parse_term_text(text, tb), [])
+            assert r == parse_term_text(reduct, tb) and term_text(r) == reduct
+            assert _type_of(r, (), ()) == r.fn.decl.output  # the walk, not the node's facts
 
     def test_fga_cycle(self):
         fga = load("fga")
