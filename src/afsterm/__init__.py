@@ -11,7 +11,7 @@ from .terms import (
     head, free_vars, term_text, type_of, IllTyped, TypeMismatch,
     BudgetExceeded,
 )
-from .afs import AFS, Rule, IllegalLhs, complete, classify, build_rplus
+from .afs import AFS, Rule, IllegalLhs, complete, build_rplus
 from .parser import parse_afs, parse_term_text, ParseError
 from .dp import (
     DependencyPair, DPProblem, candidate_terms, dependency_pairs, tag, untag,

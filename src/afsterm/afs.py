@@ -1,4 +1,11 @@
-"""AFS representation: rules, validation, completion and classification."""
+"""AFS representation: rules, validation, completion and classification.
+
+An AFS works out what it knows of its rules once, when it is built (in
+`__post_init__`): the names of the rules' head symbols and the flags of
+`classify` (local, base_output, pfp, spfp).  An AFS is never changed after
+that, so its flags cannot disagree with its rules, and `complete` returns
+its input when it adds no rule, so a completed system is not classified
+again."""
 
 from __future__ import annotations
 
@@ -10,6 +17,9 @@ from .terms import (
     type_of, free_vars, app_spine, is_beta_normal, subterms,
     fresh_arguments, fresh_name, term_text, PLAIN, instantiate,
 )
+
+
+_setattr = object.__setattr__
 
 
 class IllegalLhs(Exception):
@@ -40,8 +50,9 @@ def validate_rule(rule: Rule, line: int = 0, col: int = 0) -> None:
     rt = type_of(rule.rhs)
     if lt != rt:
         raise IllegalLhs(f"rule sides have different types ({lt} vs {rt}): {rule}")
-    if not (free_vars(rule.rhs) <= free_vars(rule.lhs)):
-        extra = ", ".join(sorted(v.name for v in free_vars(rule.rhs) - free_vars(rule.lhs)))
+    lhs_vars, rhs_vars = free_vars(rule.lhs), free_vars(rule.rhs)
+    if not rhs_vars <= lhs_vars:
+        extra = ", ".join(sorted(v.name for v in rhs_vars - lhs_vars))
         raise IllegalLhs(f"right-hand side uses variables not in the left-hand side: {extra}")
     head, _ = app_spine(rule.lhs)
     if not isinstance(head, FunApp):
@@ -58,19 +69,17 @@ def validate_rule(rule: Rule, line: int = 0, col: int = 0) -> None:
 
 @record
 class AFS:
-    __slots__ = ("defined_names",)  # the names of the rules' head symbols
+    # worked out from the rules when the AFS is built: the names of their
+    # head symbols, and the flags of `classify`
+    __slots__ = ("defined_names", "local", "base_output", "pfp", "spfp")
     signature: tuple[FunctionSymbol, ...]
     rules: tuple[Rule, ...]
-    local: bool = False
-    base_output: bool = False
-    pfp: bool = False
-    spfp: bool = False
-    completed: bool = False
 
     def __post_init__(self):
         heads = (lhs_head_symbol(rule.lhs) for rule in self.rules)
-        object.__setattr__(self, "defined_names",
-                           frozenset(f.name for f in heads if f is not None))
+        _setattr(self, "defined_names", frozenset(f.name for f in heads if f is not None))
+        for name, flag in zip(("local", "base_output", "pfp", "spfp"), classify(self)):
+            _setattr(self, name, flag)
 
     @property
     def defined(self) -> tuple[FunctionSymbol, ...]:
@@ -88,7 +97,8 @@ def complete(afs: AFS) -> AFS:
     """Add, for each rule l => \\x1..xn. r with r not an abstraction, the
     applied variants l x1 => \\x2..xn. r, ..., l x1 .. xn => r.
 
-    Idempotent; original rules are preserved."""
+    Idempotent; original rules are preserved, and an AFS to which no rule
+    is added is returned as it is."""
     existing = {(r.lhs, r.rhs) for r in afs.rules}
     new_rules = list(afs.rules)
     for rule in afs.rules:
@@ -105,7 +115,9 @@ def complete(afs: AFS) -> AFS:
             if (lhs, rhs) not in existing:
                 existing.add((lhs, rhs))
                 new_rules.append(Rule(lhs, rhs, origin="completion"))
-    return replace(afs, rules=tuple(new_rules), completed=True)
+    if len(new_rules) == len(afs.rules):
+        return afs
+    return replace(afs, rules=tuple(new_rules))
 
 
 def _left_linear(lhs: Term) -> bool:
@@ -131,8 +143,11 @@ def _has_defined_call_under_binder(rhs: Term, defined: frozenset[str]) -> bool:
                for u, d in subterms(rhs))
 
 
-def classify(afs: AFS) -> AFS:
-    """Fill the derived flags: local, base_output, pfp, spfp."""
+def classify(afs: AFS) -> tuple[bool, bool, bool, bool]:
+    """The flags an AFS works out when it is built: local (every left-hand
+    side left-linear and fully extended), base_output (every output type a
+    base type), pfp (plain function passing) and spfp (strongly plain
+    function passing)."""
     local = all(_left_linear(r.lhs) and _fully_extended(r.lhs) for r in afs.rules)
     base_output = all(f.decl.output.is_base() for f in afs.signature)
     defined = afs.defined_names
@@ -155,7 +170,7 @@ def classify(afs: AFS) -> AFS:
         and base_output
         and not any(_has_defined_call_under_binder(r.rhs, defined) for r in afs.rules)
     )
-    return replace(afs, local=local, base_output=base_output, pfp=pfp, spfp=spfp)
+    return local, base_output, pfp, spfp
 
 
 def build_rplus(afs: AFS) -> tuple[Rule, ...]:

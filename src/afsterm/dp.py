@@ -5,7 +5,7 @@ from __future__ import annotations
 from .record import record
 from typing import Iterable, Optional
 
-from .afs import AFS, Rule
+from .afs import AFS, Rule, complete
 from .terms import (
     Term, Var, Abs, App, FunApp, Variable, FunctionSymbol,
     type_of, free_vars, app_spine, head, mark,
@@ -91,12 +91,13 @@ def _mark_root(t: Term, afs: AFS) -> Term:
 
 
 def dependency_pairs(afs: AFS, spfp_drop: bool = True) -> DPProblem:
-    """All dynamic dependency pairs of a completed AFS.
+    """All dynamic dependency pairs of the completion of an AFS; the
+    problem holds the completed AFS.
 
     For SPFP systems the collapsing pairs are dropped (static mode) unless
     spfp_drop is disabled.
     """
-    assert afs.completed, "dependency pairs are taken on the completed system"
+    afs = complete(afs)
     defined = afs.defined_names
     pairs: list[DependencyPair] = []
     seen: set[tuple[Term, Term]] = set()

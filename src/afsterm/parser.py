@@ -97,45 +97,51 @@ class TokenStream:
 # type parsing ---------------------------------------------------------------
 
 
-def parse_type(ts: TokenStream) -> SimpleType:
-    left = _parse_type_atom(ts)
+def parse_type(ts: TokenStream, types: dict[str, Base]) -> SimpleType:
+    """A type; each base type name is looked up in, or added to, `types`,
+    so that one parse builds one `Base` per name."""
+    left = _parse_type_atom(ts, types)
     if ts.at("->"):
         ts.next()
-        return Arrow(left, parse_type(ts))
+        return Arrow(left, parse_type(ts, types))
     return left
 
 
-def _parse_type_atom(ts: TokenStream) -> SimpleType:
+def _parse_type_atom(ts: TokenStream, types: dict[str, Base]) -> SimpleType:
     tok = ts.peek()
     if tok.text == "(":
         ts.next()
-        t = parse_type(ts)
+        t = parse_type(ts, types)
         ts.expect(")")
         return t
     if tok.kind != "IDENT":
         raise ParseError(f"expected a type, found {tok.text!r}", tok.line, tok.col)
     ts.next()
-    return Base(tok.text)
+    base = types.get(tok.text)
+    if base is None:
+        base = types[tok.text] = Base(tok.text)
+    return base
 
 
-def parse_type_text(text: str, number: int = 1, offset: int = 0) -> SimpleType:
+def parse_type_text(text: str, types: dict[str, Base], number: int = 1,
+                    offset: int = 0) -> SimpleType:
     ts = TokenStream(tokenize(text, number, offset))
-    t = parse_type(ts)
+    t = parse_type(ts, types)
     ts.end("type")
     return t
 
 
-def parse_type_decl(ts: TokenStream) -> TypeDecl:
+def parse_type_decl(ts: TokenStream, types: dict[str, Base]) -> TypeDecl:
     if ts.at("["):
         ts.next()
-        inputs = [parse_type(ts)]
+        inputs = [parse_type(ts, types)]
         while ts.at("*"):
             ts.next()
-            inputs.append(parse_type(ts))
+            inputs.append(parse_type(ts, types))
         ts.expect("]")
         ts.expect("->")
-        return TypeDecl(tuple(inputs), parse_type(ts))
-    return TypeDecl((), parse_type(ts))
+        return TypeDecl(tuple(inputs), parse_type(ts, types))
+    return TypeDecl((), parse_type(ts, types))
 
 
 # term parsing ---------------------------------------------------------------
@@ -143,12 +149,14 @@ def parse_type_decl(ts: TokenStream) -> TypeDecl:
 
 class SymbolTable:
     """Resolution context for term parsing: symbols and declared variables,
-    read from the given dicts, not from copies."""
+    read from the given dicts, not from copies, and the base types built so
+    far, one per name."""
 
     def __init__(self, symbols: dict[str, FunctionSymbol], variables: dict[str, Variable],
                  auto_symbols: bool = False):
         self.symbols = symbols
         self.variables = variables
+        self.types: dict[str, Base] = {}
         self.auto_symbols = auto_symbols  # checker mode: accept f#/f- for known f, and !c{type}
 
     def lookup_symbol(self, name: str) -> Optional[FunctionSymbol]:
@@ -188,7 +196,7 @@ def _parse_term_atom(ts: TokenStream, table: SymbolTable, bound: dict[str, Varia
             raise ParseError("expected a bound variable name", name_tok.line, name_tok.col)
         if ts.at(":"):
             ts.next()
-            vtype = parse_type(ts)
+            vtype = parse_type(ts, table.types)
         else:
             var = table.variables.get(name_tok.text)
             if var is None:
@@ -207,7 +215,7 @@ def _parse_term_atom(ts: TokenStream, table: SymbolTable, bound: dict[str, Varia
             raise ParseError(f"!c{{{tok.text}}} may only occur in proofs", tok.line, tok.col)
         ts.next()
         # the type starts after the three characters of "!c{"
-        return FunApp(fresh_const(parse_type_text(tok.text, tok.line, tok.col + 2)))
+        return FunApp(fresh_const(parse_type_text(tok.text, table.types, tok.line, tok.col + 2)))
     if tok.kind != "IDENT":
         raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
     ts.next()
@@ -247,9 +255,10 @@ def parse_term_text(text: str, table: SymbolTable, number: int = 1, offset: int 
 
 
 def parse_afs(text: str):
-    """Parse and validate an AFS source file, one line at a time; returns a
-    classified AFS.  A rule sees the symbols and variables declared above it."""
-    from .afs import AFS, Rule, validate_rule, classify
+    """Parse and validate an AFS source file, one line at a time, into an
+    AFS.  A rule sees the symbols and variables declared above it, and all
+    of them share one `Base` per type name."""
+    from .afs import AFS, Rule, validate_rule
 
     symbols: dict[str, FunctionSymbol] = {}
     variables: dict[str, Variable] = {}
@@ -283,12 +292,12 @@ def parse_afs(text: str):
                 raise ParseError(f"duplicate {what} {tok.text}", tok.line, tok.col)
             ts.expect(":")
             if sig:
-                symbols[tok.text] = FunctionSymbol(tok.text, parse_type_decl(ts), PLAIN)
+                decl = parse_type_decl(ts, table.types)
+                symbols[tok.text] = FunctionSymbol(tok.text, decl, PLAIN)
             else:
-                variables[tok.text] = Variable(tok.text, parse_type(ts))
+                variables[tok.text] = Variable(tok.text, parse_type(ts, table.types))
         end = ts.peek()
         if end.kind != "EOF":
             raise ParseError(f"unexpected {end.text!r} (one declaration per line)", end.line, end.col)
 
-    afs = AFS(tuple(symbols.values()), tuple(rules))
-    return classify(afs)
+    return AFS(tuple(symbols.values()), tuple(rules))

@@ -8,9 +8,12 @@ and `__post_init__`.
 Every record class is rebuilt with its fields as slots, beside any
 `__slots__` it declares itself, so its instances have no `__dict__` (a
 base class that is not a record declares `__slots__` for this).  A frozen
-record also gets a `_hash` slot that keeps its hash after the first call:
-term nodes, types and symbols are hashed many times, and their generated
-hash would rehash every field down to the leaves on each call.
+record also gets a `_hash` slot, which `__init__` sets to None and the
+first `hash` fills: term nodes, types and symbols are hashed many times,
+and their generated hash would rehash every field down to the leaves on
+each call.  `==` answers True at once for the same object, before it
+compares fields; the parser builds one `Base` per type name, so most type
+comparisons stop there.
 
 Every command-line run starts a fresh interpreter.  `dataclasses` imports
 `inspect` (and with it `ast`, `dis` and `tokenize`) and compiles each
@@ -39,6 +42,8 @@ def record(cls=None, *, frozen: bool = True, uncompared: tuple[str, ...] = ()):
     params = ", ".join(n if d is _MISSING else f"{n}=_d_{n}" for n, d in fields.items())
     assign = "_setattr(self, {0!r}, {0})" if frozen else "self.{0} = {0}"
     body = [assign.format(n) for n in fields]
+    if frozen:
+        body.append('_setattr(self, "_hash", None)')
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     shown = ", ".join(f"{n}={{self.{n}!r}}" for n in fields)
@@ -51,6 +56,8 @@ def __init__(self, {params}):
 def __repr__(self):
     return self.__class__.__qualname__ + f"({shown})"
 def __eq__(self, other):
+    if other is self:
+        return True
     if other.__class__ is self.__class__:
         return ({mine}) == ({theirs})
     return NotImplemented
@@ -60,11 +67,10 @@ def __eq__(self, other):
     if frozen:
         src += f"""
 def __hash__(self):
-    try:
-        return self._hash
-    except AttributeError:
+    h = self._hash
+    if h is None:
         _setattr(self, "_hash", h := hash(({mine})))
-        return h
+    return h
 """
         ns.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
     else:

@@ -13,7 +13,10 @@ Lean 4's expressions do; de Moura and Ullrich, CADE 2021):
   escapes the node, and 0 when the node is locally closed (Charguéraud,
   *The Locally Nameless Representation*, JAR 2012).
 Nodes, types, symbols and variables are slotted records that keep their
-hash after the first call (`record`).  `BVar` is built only by `lam`, with
+hash after the first call (`record`).  One parse shares its types:
+`parse_afs` builds one `Base` per type name, so most type comparisons a
+node makes when it is built meet the same object, which `==` answers
+without comparing fields.  `BVar` is built only by `lam`, with
 its binder's type, and `instantiate` and `substitute` renumber the indices
 of what they put below binders, so that every index keeps its binder.  A
 bound variable thus agrees with its binder by construction, and the type
@@ -23,7 +26,7 @@ ill-typed.  Walks that act on escaping indices skip closed subterms.
 
 Two walkers serve every transformation that goes through a whole term:
 `replace_leaves` and its node-level sibling `replace_nodes` rebuild a term,
-and `subterms` visits its nodes with their binder depth.  `replace_loose`
+and `subterms` lists its nodes with their binder depth.  `replace_loose`
 rebuilds only the paths to escaping indices.
 """
 
@@ -445,16 +448,21 @@ def subterms(t: Term, depth: int = 0) -> list[tuple[Term, int]]:
 
     Nodes below a binder are returned raw and may contain dangling indices.
     """
-    out = [(t, depth)]
+    out: list[tuple[Term, int]] = []
+    _subterms(t, depth, out)
+    return out
+
+
+def _subterms(t: Term, depth: int, out: list[tuple[Term, int]]) -> None:
+    out.append((t, depth))
     if isinstance(t, FunApp):
         for a in t.args:
-            out += subterms(a, depth)
+            _subterms(a, depth, out)
     elif isinstance(t, App):
-        out += subterms(t.fn, depth)
-        out += subterms(t.arg, depth)
+        _subterms(t.fn, depth, out)
+        _subterms(t.arg, depth, out)
     elif isinstance(t, Abs):
-        out += subterms(t.body, depth + 1)
-    return out
+        _subterms(t.body, depth + 1, out)
 
 
 def strict_subterms_closed(t: Term) -> list[Term]:

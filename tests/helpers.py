@@ -12,9 +12,9 @@ from pathlib import Path
 from typing import Sequence
 
 from afsterm import parse_afs, terms
-from afsterm.afs import Rule, classify, complete
+from afsterm.afs import Rule, complete
 from afsterm.dp import tag, untag_rule
-from afsterm.engine import GiveUp, Preparation, PruneStep, Proof, Step
+from afsterm.engine import GiveUp, Preparation, PruneStep, Proof, Step, _ground
 from afsterm.graph import _may_follow, approximate_graph, prune, sccs
 from afsterm.orderings import poly_search
 from afsterm.orderings.constraints import USER_KINDS, occurring_symbols
@@ -145,6 +145,8 @@ def random_term(rng: random.Random, afs, ty: SimpleType, size: int,
         if leaves:
             kind, payload = rng.choice(leaves)
             return Var(payload) if kind in ("var", "free") else FunApp(payload)
+        if size <= 1 and not ty.is_arrow():  # no closed leaf of this base type
+            return _ground(ty, afs.signature)
 
     options = []
     if ty.is_arrow():
@@ -161,7 +163,7 @@ def random_term(rng: random.Random, afs, ty: SimpleType, size: int,
         if leaves:
             kind, payload = rng.choice(leaves)
             return Var(payload) if kind in ("var", "free") else FunApp(payload)
-        return Var(Variable("u0", ty))
+        return _ground(ty, afs.signature)
 
     choice = rng.choice(options)
     if choice == "abs":
@@ -183,21 +185,17 @@ def random_term(rng: random.Random, afs, ty: SimpleType, size: int,
 
 
 def random_closed_term(rng: random.Random, afs, ty: SimpleType, size: int) -> Term:
-    for _ in range(20):
-        t = random_term(rng, afs, ty, size, allow_free=False)
-        if not free_vars(t):
-            return t
-    # fall back to a nullary symbol of the type if sampling keeps failing
-    for f in afs.signature:
-        if f.decl.output == ty and f.decl.arity == 0:
-            return FunApp(f)
-    raise RuntimeError(f"cannot build a closed term of type {ty}")
+    """A random closed well-typed term of the given type.  Where no closed
+    leaf of a type is at hand, `engine._ground` closes the term: the fresh
+    constant of a base type that no nullary symbol has, as for `apeq`'s
+    `a`."""
+    return random_term(rng, afs, ty, size, allow_free=False)
 
 
 def random_starts(name: str, count: int = 50) -> list[Term]:
     """`count` random closed terms of base type over the completed corpus
     system `name`, from a generator seeded by the name."""
-    afs = classify(complete(load(name)))
+    afs = complete(load(name))
     rng = random.Random(zlib.crc32(name.encode()))
     base_types = sorted({f.decl.output.base_result().name for f in afs.signature})
     out = []

@@ -5,7 +5,7 @@ import random
 import time
 
 from afsterm import parse_afs
-from afsterm.afs import complete, classify, build_rplus
+from afsterm.afs import complete, build_rplus
 from afsterm.dp import dependency_pairs, tag, untag
 from afsterm.engine import Config, prove, run_corpus, YES, MAYBE
 from afsterm.graph import DPGraph, approximate_graph, prune, sccs
@@ -81,7 +81,7 @@ def _is_varname(tok: str) -> bool:
 
 def test_criterion_1_twice_dependency_pairs():
     start = time.monotonic()
-    afs = classify(complete(load("twice")))
+    afs = complete(load("twice"))
     prob = dependency_pairs(afs)
     elapsed = time.monotonic() - start
     got = canonical([(term_text(p.lhs), term_text(p.rhs)) for p in prob.pairs])
@@ -99,7 +99,7 @@ def test_criterion_1_twice_dependency_pairs():
 
 
 def test_criterion_2_twice_graph():
-    afs = classify(complete(load("twice")))
+    afs = complete(load("twice"))
     prob = dependency_pairs(afs)
     start = time.monotonic()
     comps = sccs(approximate_graph(prob))
@@ -113,7 +113,7 @@ def test_criterion_2_twice_graph():
 
 
 def test_criterion_3_twice_formative_rules():
-    afs = classify(complete(load("twice")))
+    afs = complete(load("twice"))
     prob = dependency_pairs(afs)
     scc = sccs(prune(approximate_graph(prob)))[0]
     start = time.monotonic()
@@ -133,7 +133,7 @@ def test_criterion_4_paper_witnesses():
 
     # map interpretation
     start = time.monotonic()
-    afs = classify(complete(load("map")))
+    afs = complete(load("map"))
     prob = dependency_pairs(afs, spfp_drop=False)
     cs = build_constraints(sccs(prune(approximate_graph(prob)))[0], prob)
     st = lambda n: slot_types_for(afs.symbol(n))
@@ -149,7 +149,7 @@ def test_criterion_4_paper_witnesses():
 
     # twice stage one
     start = time.monotonic()
-    afs = classify(complete(load("twice")))
+    afs = complete(load("twice"))
     prob = dependency_pairs(afs)
     scc = sccs(prune(approximate_graph(prob)))[0]
     cs = build_constraints(scc, prob)
@@ -176,7 +176,7 @@ def test_criterion_4_paper_witnesses():
 
     # map precedence on the non-collapsing (static-mode) SCC
     start = time.monotonic()
-    prob = dependency_pairs(classify(complete(load("map"))))
+    prob = dependency_pairs(load("map"))
     scc = sccs(prune(approximate_graph(prob)))[0]
     cert3 = ArgFunRPO({}, (("cons", "map#"), ("map", "cons")), scc)
     results.append(("map precedence",
@@ -187,7 +187,7 @@ def test_criterion_4_paper_witnesses():
     # that contains beta; the path ordering does not, so on the collapsing
     # SCC it must be rejected (abfun's A(B(w)) @ B(w) loop gets such a proof)
     start = time.monotonic()
-    afs = classify(complete(load("eval")))
+    afs = complete(load("eval"))
     prob = dependency_pairs(afs)
     comps = sccs(prune(approximate_graph(prob)))
     scc = next(c for c in comps if any(prob.pairs[i].collapsing for i in c))
@@ -237,7 +237,7 @@ def test_criterion_6_nontermination_soundness():
 
 
 def test_criterion_7_usable_rules():
-    afs = classify(complete(load("mapappend")))
+    afs = complete(load("mapappend"))
     prob = dependency_pairs(afs)
     append_pairs = [p for p in prob.pairs if str(p).startswith("append#")]
     start = time.monotonic()
@@ -254,7 +254,7 @@ def test_criterion_7_usable_rules():
 
 def test_criterion_8a_tag_properties():
     rng = random.Random(801)
-    afs = classify(complete(load("twice")))
+    afs = complete(load("twice"))
     failures = 0
     for i in range(1000):
         ty = rng.choice([nat, Arrow(nat, nat)])
@@ -308,7 +308,7 @@ def test_criterion_8c_scc_oracle():
 
 def test_criterion_8d_ordering_properties():
     rng = random.Random(804)
-    afs = classify(complete(load("twice")))
+    afs = complete(load("twice"))
     prec = Precedence((("I", "s"), ("twice", "I")), frozen=True)
     counterexamples = 0
     samples = 0
@@ -370,7 +370,7 @@ def test_criterion_8e_mutations():
     rng = random.Random(805)
     stock = []
     for name in ("twice", "map", "quot", "dupapp"):
-        afs = classify(complete(load(name)))
+        afs = complete(load(name))
         prob = dependency_pairs(afs, spfp_drop=(name != "map"))
         for scc in sccs(prune(approximate_graph(prob))):
             cs = build_constraints(scc, prob)

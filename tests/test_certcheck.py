@@ -4,7 +4,7 @@ import ast
 import random
 from pathlib import Path
 
-from afsterm.afs import complete, classify
+from afsterm.afs import complete
 from afsterm.dp import dependency_pairs
 from afsterm.graph import approximate_graph, prune, sccs
 from afsterm.orderings import (
@@ -26,7 +26,7 @@ nat = Base("nat")
 
 
 def build(name, spfp_drop=True):
-    afs = classify(complete(load(name)))
+    afs = complete(load(name))
     prob = dependency_pairs(afs, spfp_drop=spfp_drop)
     comps = sccs(prune(approximate_graph(prob)))
     return afs, prob, comps

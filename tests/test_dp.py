@@ -5,7 +5,7 @@ import random
 import pytest
 
 from afsterm import parse_afs
-from afsterm.afs import complete, classify
+from afsterm.afs import complete
 from afsterm.dp import (
     candidate_terms, dependency_pairs, tag, untag, untag_rule,
 )
@@ -22,7 +22,7 @@ nat = Base("nat")
 
 @pytest.fixture(scope="module")
 def twice():
-    return classify(complete(load("twice")))
+    return complete(load("twice"))
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +54,7 @@ class TestCandidates:
         src = ("SIG\n  a : o\n  b : o\n  c : o\n  d : o\n"
                "  f : [o] -> o -> o -> o -> o\nRULES\n"
                "  f(d) => f(a)\n")
-        afs = classify(complete(parse_afs(src)))
+        afs = complete(parse_afs(src))
         tb = SymbolTable({f.name: f for f in afs.signature}, {})
         r = parse_term_text("f(a) @ b @ c @ d", tb)
         cands = candidate_terms(r, afs)
@@ -91,25 +91,25 @@ class TestDependencyPairs:
             False, False, False, True, True, True, True]
 
     def test_applied_head_pair(self):
-        afs = classify(complete(load("abfun")))
+        afs = complete(load("abfun"))
         prob = dependency_pairs(afs)
         assert [str(p) for p in prob.pairs] == ["A(B(F)) @ y ~> F @ y"]
         assert prob.pairs[0].kind == "applied-head"
 
     def test_rule_free(self):
-        afs = classify(complete(parse_afs("SIG\n  o : nat\nRULES\n")))
+        afs = complete(parse_afs("SIG\n  o : nat\nRULES\n"))
         assert dependency_pairs(afs).pairs == ()
 
     def test_strict_subterm_filter(self):
         # the candidate g(x) is a strict subterm of the left-hand side
         src = ("SIG\n  g : [nat] -> nat\n  f : [nat] -> nat\nVARS\n  x : nat\nRULES\n"
                "  f(g(x)) => g(x)\n  g(x) => x\n")
-        afs = classify(complete(parse_afs(src)))
+        afs = complete(parse_afs(src))
         prob = dependency_pairs(afs)
         assert prob.pairs == ()
 
     def test_spfp_drop(self):
-        afs = classify(complete(load("rec")))
+        afs = complete(load("rec"))
         prob = dependency_pairs(afs)
         assert prob.static_mode
         assert [str(p) for p in prob.pairs] == ["rec#(s(x), y, F) ~> rec#(x, y, F)"]
@@ -118,7 +118,7 @@ class TestDependencyPairs:
         assert len(full.pairs) == 3
 
     def test_fga_pairs(self):
-        afs = classify(complete(load("fga")))
+        afs = complete(load("fga"))
         prob = dependency_pairs(afs)
         assert [str(p) for p in prob.pairs] == [
             "f#(o) ~> g#(\\x:nat. f(x), a)",

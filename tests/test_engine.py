@@ -10,8 +10,8 @@ import time
 
 import pytest
 
-from afsterm import engine, parse_afs
-from afsterm.afs import complete, classify
+from afsterm import afs as afs_module, engine, parse_afs
+from afsterm.afs import complete
 from afsterm.dp import dependency_pairs
 from afsterm.cli import main
 from afsterm.engine import (
@@ -20,7 +20,9 @@ from afsterm.engine import (
 )
 from afsterm.prooftext import check_proof_text, render_proof
 from afsterm.record import replace
-from afsterm.terms import Abs, bounded_reductions, rewrite_step, term_text
+from afsterm.terms import (
+    Abs, Base, BVar, Var, bounded_reductions, rewrite_step, subterms, term_text, type_subterms,
+)
 
 from helpers import (
     ROOT, load, CORPUS, GOLDEN, corpus_names, random_starts, rederived_steps,
@@ -164,7 +166,7 @@ class TestLoopCheck:
     def test_no_self_application_start_when_F_occurs_outside_s(self):
         afs = parse_afs("SIG\n  A : [o * (o -> o)] -> o -> o\n  B : [o -> o] -> o\n"
                         "VARS\n  F : o -> o\nRULES\n  A(B(F), F) => F\n")
-        problem = dependency_pairs(classify(complete(afs)))
+        problem = dependency_pairs(afs)
         collapsing = [p for p in problem.pairs if p.kind == "applied-head" and p.collapsing]
         assert [str(p) for p in collapsing] == ["A(B(F), F) @ y ~> F @ y"]
         assert list(engine._self_application_starts(collapsing[0], afs.signature)) == []
@@ -179,11 +181,11 @@ class TestLoopCheck:
                            "  f(x, y) => y\n  f(s(x), y) => f(x, s(y))\n")
         starts = []
         for afs in [*map(load, corpus_names()), choice]:
-            problem = dependency_pairs(classify(complete(afs)))
+            problem = dependency_pairs(afs)
             scc = tuple(range(len(problem.pairs)))
             starts += [(problem.afs.rules, t)
                        for t in engine._start_terms(scc, problem, set())]
-        twice = classify(complete(load("twice")))
+        twice = complete(load("twice"))
         starts += [(twice.rules, t) for t in random_starts("twice")]
         compared = ordered = 0
         for rules, start in starts:
@@ -229,6 +231,53 @@ class TestTypeWalks:
             afs = parse_afs(text)
             assert check_proof_text(render_proof(prove(afs), 1), afs) == []
         assert walks == []
+
+
+def corpus_or_wide(name: str) -> str:
+    return wide_system(2001) if name == "wide-2001" else (CORPUS / f"{name}.afs").read_text()
+
+
+class TestClassification:
+    """Work pins: an AFS works out its flags once, when it is built, and
+    `complete` returns its input when it adds no rule, so parse, prove,
+    render and check classify a system once.  Where completion adds a rule
+    (`twice`), prove and check each build the completed system, which is
+    classified when it is built.  One parse builds one `Base` per type
+    name, so the type comparisons of node construction mostly meet the
+    same object."""
+
+    @pytest.mark.parametrize("name", corpus_names() + ["wide-2001"])
+    def test_each_system_is_classified_once(self, name, monkeypatch):
+        text = corpus_or_wide(name)
+        parsed = parse_afs(text)
+        extended = complete(parsed) is not parsed
+        classified = []
+        classify = afs_module.classify
+        monkeypatch.setattr(afs_module, "classify",
+                            lambda afs: classified.append(afs) or classify(afs))
+        afs = parse_afs(text)
+        assert check_proof_text(render_proof(prove(afs), 1), afs) == []
+        assert len(classified) == (3 if extended else 1)
+        assert classified[0] is afs and len(set(map(id, classified))) == len(classified)
+        assert extended == (name == "twice")
+
+    @pytest.mark.parametrize("name", corpus_names() + ["wide-2001"])
+    def test_one_base_per_type_name(self, name):
+        afs = parse_afs(corpus_or_wide(name))
+        types = [t for f in afs.signature for t in f.decl.inputs + (f.decl.output,)]
+        for rule in afs.rules:
+            for s, _ in subterms(rule.lhs) + subterms(rule.rhs):
+                types.append(s._type)
+                if isinstance(s, Var):
+                    types.append(s.var.type)
+                elif isinstance(s, (BVar, Abs)):
+                    types.append(s.type if isinstance(s, BVar) else s.var_type)
+        bases: dict[str, set[int]] = {}
+        for t in types:
+            for u in type_subterms(t):
+                if isinstance(u, Base):
+                    bases.setdefault(u.name, set()).add(id(u))
+        assert bases and all(len(ids) == 1 for ids in bases.values())
 
 
 class TestDeterminism:
@@ -435,7 +484,7 @@ class TestIncrementalDecomposition:
 class TestSoundnessHarness:
     @pytest.mark.parametrize("name", ["twice", "map", "eval", "quot"])
     def test_no_loops_from_random_starts(self, name):
-        afs = classify(complete(load(name)))
+        afs = complete(load(name))
         assert prove(load(name)).verdict == YES
         found = 0
         for t in random_starts(name):

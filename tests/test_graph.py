@@ -5,7 +5,7 @@ import random
 import pytest
 
 from afsterm import parse_afs
-from afsterm.afs import complete, classify
+from afsterm.afs import complete
 from afsterm.dp import dependency_pairs
 from afsterm.engine import _split_first
 from afsterm.graph import DPGraph, approximate_graph, prune, sccs, to_dot
@@ -14,7 +14,7 @@ from helpers import all_pairs_edges, corpus_names, load, type_walks, wide_system
 
 
 def build(name, spfp_drop=True):
-    afs = classify(complete(load(name)))
+    afs = complete(load(name))
     prob = dependency_pairs(afs, spfp_drop=spfp_drop)
     return prob, approximate_graph(prob)
 
@@ -52,13 +52,13 @@ class TestApproximation:
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_head_buckets_give_the_all_pairs_edges_on_wide(self, seed):
-        prob = dependency_pairs(classify(complete(parse_afs(wide_system(seed)))))
+        prob = dependency_pairs(parse_afs(wide_system(seed)))
         assert approximate_graph(prob).edges == all_pairs_edges(prob)
 
     def test_each_pair_side_is_typed_once(self, monkeypatch):
         # each side is typed when it is built, so the edge test reads the
         # types and walks no term
-        prob = dependency_pairs(classify(complete(parse_afs(wide_system(0)))))
+        prob = dependency_pairs(parse_afs(wide_system(0)))
         walks = type_walks(monkeypatch)
         approximate_graph(prob)
         assert walks == []

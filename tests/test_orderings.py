@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 from afsterm import engine
-from afsterm.afs import complete, classify
+from afsterm.afs import complete
 from afsterm.dp import dependency_pairs
 from afsterm.engine import Config, ReductionPairStep, prove
 from afsterm.graph import approximate_graph, prune, sccs
@@ -43,7 +43,7 @@ nat = Base("nat")
 
 
 def problem_and_sccs(name, spfp_drop=True):
-    afs = classify(complete(load(name)))
+    afs = complete(load(name))
     prob = dependency_pairs(afs, spfp_drop=spfp_drop)
     g = prune(approximate_graph(prob))
     return prob, sccs(g)
@@ -144,7 +144,7 @@ class TestPolyComparator:
 
     def test_paper_map_inequalities(self):
         # f(n+m+1)+n+m+1 > max(f(n), n) and friends, as in the map example
-        afs = classify(complete(load("map")))
+        afs = complete(load("map"))
         prob = dependency_pairs(afs, spfp_drop=False)
         cs = build_constraints(sccs(prune(approximate_graph(prob)))[0], prob)
         sym = {f.name: f for f in afs.signature}
@@ -162,7 +162,7 @@ class TestPolyComparator:
             assert compare_terms(w.lhs, w.rhs, interp, strict=False)
 
     def test_strictness_needs_constant_slack(self):
-        afs = classify(complete(load("map")))
+        afs = complete(load("map"))
         tb = SymbolTable({f.name: f for f in afs.signature},
                          {"h": Variable("h", nat)})
         t = parse_term_text("h", tb)
@@ -173,7 +173,7 @@ class TestPolyComparator:
     def test_case_split_max_monotone(self):
         # max(F(F(m)), m) >= max(F(max(F(m), m)), max(F(m), m)) needs the
         # total-order case split
-        afs = classify(complete(load("twice")))
+        afs = complete(load("twice"))
         sym = {f.name: f for f in afs.signature}
         tb = SymbolTable(sym, {"F": Variable("F", Arrow(nat, nat)),
                                "m": Variable("m", nat)})
@@ -189,7 +189,7 @@ class TestPolyComparator:
         # whenever the comparator asserts lhs >= rhs, sampled valuations
         # never contradict it
         rng = random.Random(99)
-        afs = classify(complete(load("twice")))
+        afs = complete(load("twice"))
         prob = dependency_pairs(afs)
         comps = sccs(prune(approximate_graph(prob)))
         cs = build_constraints(comps[0], prob)
@@ -231,7 +231,7 @@ class TestPolyComparator:
 
 class TestPolySearch:
     def test_map_constraints(self):
-        afs = classify(complete(load("map")))
+        afs = complete(load("map"))
         prob = dependency_pairs(afs, spfp_drop=False)
         cs = build_constraints(sccs(prune(approximate_graph(prob)))[0], prob)
         cert = search_poly(cs)
@@ -239,7 +239,7 @@ class TestPolySearch:
         assert check_certificate(cs, cert) is None
 
     def test_unsatisfiable_strictness(self):
-        afs = classify(complete(load("map")))
+        afs = complete(load("map"))
         x = Variable("x", Base("list"))
         cs = ConstraintSet(
             (StrictCandidate(0, Var(x), Var(x)),), (), (), MODE_NON_COLLAPSING, afs)
@@ -247,7 +247,7 @@ class TestPolySearch:
 
     def test_search_results_check(self):
         for name in ("quot", "dupapp"):
-            afs = classify(complete(load(name)))
+            afs = complete(load(name))
             prob = dependency_pairs(afs)
             for scc in sccs(prune(approximate_graph(prob))):
                 cs = build_constraints(scc, prob)
@@ -584,7 +584,7 @@ class TestPointFilter:
     def test_unsupported_at_the_points_is_left_to_compare_terms(self, monkeypatch):
         # a functional argument to an opaque functional variable: neither
         # interpreter can represent F(\z. z)
-        afs = classify(complete(load("map")))
+        afs = complete(load("map"))
         F = Variable("F", Arrow(Arrow(nat, nat), nat))
         z = Variable("z", nat)
         lhs = App(Var(F), lam(z, Var(z)))
@@ -732,7 +732,7 @@ class TestBackjumping:
         # the largest corpus search, fga's exhausted 12,155 nodes.
         assert poly_search.MAX_NODES >= 10 * 12_155
         afs = load("fromchain")
-        problem = dependency_pairs(classify(complete(afs)))
+        problem = dependency_pairs(afs)
         golden, errors = parse_proof((GOLDEN / "fromchain.proof").read_text(), problem)
         assert errors == []
         step = next(s for s in golden.steps if isinstance(s, ReductionPairStep))
@@ -756,14 +756,14 @@ class TestRpo:
 
     def test_irreflexive(self):
         rng = random.Random(17)
-        afs = classify(complete(load("twice")))
+        afs = complete(load("twice"))
         prec = Precedence((("I", "s"), ("twice", "s")), frozen=True)
         for t in self.pool(rng, afs, 400):
             assert not rpo_greater(t, t, prec)
 
     def test_stability_sampled(self):
         rng = random.Random(23)
-        afs = classify(complete(load("twice")))
+        afs = complete(load("twice"))
         prec = Precedence((("I", "s"), ("twice", "I")), frozen=True)
         pool = self.pool(rng, afs, 120)
         x = Variable("u0", nat)
@@ -782,7 +782,7 @@ class TestRpo:
 
     def test_transitive_sampled(self):
         rng = random.Random(31)
-        afs = classify(complete(load("twice")))
+        afs = complete(load("twice"))
         prec = Precedence((("I", "s"), ("twice", "I")), frozen=True)
         pool = self.pool(rng, afs, 60)
         checked = 0

@@ -2,7 +2,6 @@
 
 import pytest
 
-from afsterm.afs import classify, complete
 from afsterm.dp import dependency_pairs
 from afsterm import prooftext
 from afsterm.engine import Config, prove
@@ -181,7 +180,7 @@ class TestHandWrittenProof:
         for name in corpus_names():
             afs = load(name)
             golden = (GOLDEN / f"{name}.proof").read_text()
-            problem = dependency_pairs(classify(complete(afs)))
+            problem = dependency_pairs(afs)
             proof, mismatches = parse_proof(golden, problem)
             assert mismatches == [], name
             assert render_proof(proof, 1) == golden, name
@@ -197,7 +196,7 @@ class TestHandWrittenProof:
         parse = prooftext.parse_term_text
         monkeypatch.setattr(prooftext, "parse_term_text",
                             lambda text, table, *at: parsed.append(text) or parse(text, table, *at))
-        proof, _ = parse_proof(golden, dependency_pairs(classify(complete(afs))))
+        proof, _ = parse_proof(golden, dependency_pairs(afs))
         loop = proof.steps[-1].loop
         assert len(loop) == 3 and loop[0] is loop[2]
         assert len(parsed) == 2

@@ -3,7 +3,7 @@
 import pytest
 
 from afsterm import parse_afs
-from afsterm.afs import complete, classify, build_rplus
+from afsterm.afs import complete, build_rplus
 from afsterm.dp import dependency_pairs
 from afsterm.graph import approximate_graph, prune, sccs
 from afsterm.selection import (
@@ -18,14 +18,14 @@ nat = Base("nat")
 
 
 def scc_pairs(afs):
-    prob = dependency_pairs(classify(complete(afs)))
+    prob = dependency_pairs(afs)
     g = prune(approximate_graph(prob))
     return prob, sccs(g)
 
 
 class TestFormative:
     def test_twice_scc_exactly_b_and_d(self):
-        afs = classify(complete(load("twice")))
+        afs = complete(load("twice"))
         prob = dependency_pairs(afs)
         g = prune(approximate_graph(prob))
         scc = sccs(g)[0]
@@ -36,7 +36,7 @@ class TestFormative:
         ]
 
     def test_variable_arguments_have_none(self):
-        afs = classify(complete(load("twice")))
+        afs = complete(load("twice"))
         prob = dependency_pairs(afs)
         # twice#(F) ~> ... : Symb(F) is empty, so no formative rules
         pair = next(p for p in prob.pairs if str(p).startswith("twice#"))
@@ -44,7 +44,7 @@ class TestFormative:
         assert fr == []
 
     def test_eval_collapsing_scc(self):
-        afs = classify(complete(load("eval")))
+        afs = complete(load("eval"))
         prob = dependency_pairs(afs)
         pair = next(p for p in prob.pairs if p.collapsing)
         fr = formative_rules([pair], afs, build_rplus(afs))
@@ -74,7 +74,7 @@ class TestFormative:
             "  head(cons(F, t)) => F\n"
             "  tail(cons(F, t)) => t\n"
         )
-        afs = classify(complete(parse_afs(src)))
+        afs = complete(parse_afs(src))
         prob = dependency_pairs(afs)
         pair = next(p for p in prob.pairs
                     if str(p) == "if(true, F1, F2) @ y ~> F1 @ y")
@@ -101,13 +101,13 @@ class TestFormative:
         ]
 
     def test_not_local_raises(self):
-        afs = classify(complete(load("apeq")))
+        afs = complete(load("apeq"))
         prob = dependency_pairs(afs)
         with pytest.raises(NotLocal):
             formative_rules(list(prob.pairs), afs, build_rplus(afs))
 
     def test_monotone_in_pairs(self):
-        afs = classify(complete(load("fromchain")))
+        afs = complete(load("fromchain"))
         prob = dependency_pairs(afs)
         rplus = build_rplus(afs)
         small = formative_rules([prob.pairs[0]], afs, rplus)
@@ -126,7 +126,7 @@ class TestFormative:
                             "  f(\\x:nat. x) => f(h(a))\n  h(y) => \\x:nat. x\n")
         compared = 0
         for name, source in [*((n, load(n)) for n in corpus_names()), ("absform", absform)]:
-            afs = classify(complete(source))
+            afs = complete(source)
             if not afs.local:
                 continue
             rplus = build_rplus(afs)
@@ -139,12 +139,12 @@ class TestFormative:
                     assert formative_rules(pairs, afs, rplus) == fr, name
                     compared += 1
         assert compared >= 36
-        prob = dependency_pairs(classify(complete(absform)))
+        prob = dependency_pairs(absform)
         fr = formative_rules(list(prob.pairs), absform, build_rplus(absform))
         assert "h(y) => \\x:nat. x" in map(str, fr)
 
     def test_closure_fixpoint(self):
-        afs = classify(complete(load("fromchain")))
+        afs = complete(load("fromchain"))
         prob = dependency_pairs(afs)
         rplus = build_rplus(afs)
         fs = formative_symbols(list(prob.pairs), afs, rplus)
@@ -156,7 +156,7 @@ class TestFormative:
 
 class TestUsable:
     def test_append_scc_exact(self):
-        afs = classify(complete(load("mapappend")))
+        afs = complete(load("mapappend"))
         prob = dependency_pairs(afs)
         append_pairs = [p for p in prob.pairs if str(p).startswith("append#")]
         assert len(append_pairs) == 1
@@ -167,18 +167,18 @@ class TestUsable:
         ]
 
     def test_map_scc_takes_all(self):
-        afs = classify(complete(load("mapappend")))
+        afs = complete(load("mapappend"))
         prob = dependency_pairs(afs, spfp_drop=False)
         map_pairs = [p for p in prob.pairs if str(p).startswith("map#")]
         ur = usable_rules(map_pairs, afs.rules)
         assert len(ur) == len(afs.rules)  # collapsing pair forces everything
 
     def test_empty(self):
-        afs = classify(complete(load("mapappend")))
+        afs = complete(load("mapappend"))
         assert usable_rules([], afs.rules) == []
 
     def test_risky_noncollapsing_rhs(self):
-        afs = classify(complete(load("mapappend")))
+        afs = complete(load("mapappend"))
         prob = dependency_pairs(afs)
         map_pair = next(p for p in prob.pairs if str(p).startswith("map#"))
         # map's rules contain the risky subterm F @ h, so everything is usable
@@ -186,7 +186,7 @@ class TestUsable:
         assert len(ur) == len(afs.rules)
 
     def test_monotone(self):
-        afs = classify(complete(load("fromchain")))
+        afs = complete(load("fromchain"))
         prob = dependency_pairs(afs)
         non_collapsing = [p for p in prob.pairs if not p.collapsing]
         one = usable_rules(non_collapsing[:1], afs.rules)
@@ -194,7 +194,7 @@ class TestUsable:
         assert set(map(str, one)) <= set(map(str, both))
 
     def test_subset_of_base(self):
-        afs = classify(complete(load("quot")))
+        afs = complete(load("quot"))
         prob = dependency_pairs(afs)
         base = list(afs.rules)[:2]
         ur = usable_rules(list(prob.pairs), base)

@@ -15,7 +15,8 @@ from afsterm.terms import (
 )
 
 from helpers import (
-    dangling_bvars, load, random_term, random_closed_term, normal_forms, typecheck,
+    corpus_names, dangling_bvars, load, random_term, random_closed_term, normal_forms,
+    typecheck,
 )
 
 nat = Base("nat")
@@ -288,3 +289,19 @@ class TestMisc:
         assert [d for _, d in subterms(u)] == [0, 0, 0, 1, 1, 0]
         assert [dangling_bvars(s) for s, _ in subterms(u)][2:5] == [
             frozenset(), frozenset({0}), frozenset({0})]
+
+
+class TestRandomTerms:
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_a_closed_term_of_every_base_and_argument_type(self, name):
+        # where no symbol builds a closed term of a type (apeq's `a`), the
+        # term is closed by its grounding, not by recursing without end
+        afs = load(name)
+        types = {b for f in afs.signature for b in (f.decl.output.base_result(),)
+                 + tuple(i.base_result() for i in f.decl.inputs)}
+        types |= {i for f in afs.signature for i in f.decl.inputs}
+        rng = random.Random(name)
+        for ty in sorted(types, key=str):
+            for size in range(1, 9):
+                u = random_closed_term(rng, afs, ty, size)
+                assert not free_vars(u) and not u.loose and type_of(u) == ty, (ty, size)
