@@ -69,8 +69,7 @@ def validate_rule(rule: Rule, line: int = 0, col: int = 0) -> None:
 
 @record
 class AFS:
-    # worked out from the rules when the AFS is built: the names of their
-    # head symbols, and the flags of `classify`
+    # worked out when the AFS is built (module docstring)
     __slots__ = ("defined_names", "local", "base_output", "pfp", "spfp")
     signature: tuple[FunctionSymbol, ...]
     rules: tuple[Rule, ...]

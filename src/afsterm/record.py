@@ -11,9 +11,11 @@ base class that is not a record declares `__slots__` for this).  A frozen
 record also gets a `_hash` slot, which `__init__` sets to None and the
 first `hash` fills: term nodes, types and symbols are hashed many times,
 and their generated hash would rehash every field down to the leaves on
-each call.  `==` answers True at once for the same object, before it
-compares fields; the parser builds one `Base` per type name, so most type
-comparisons stop there.
+each call.  A frozen record's `__init__` sets each slot through the slot's
+own setter, which its refusing `__setattr__` does not guard and which is
+faster than `object.__setattr__`.  `==` answers True at once for the same
+object, before it compares fields; the parser builds one `Base` per type
+name, so most type comparisons stop there.
 
 Every command-line run starts a fresh interpreter.  `dataclasses` imports
 `inspect` (and with it `ast`, `dis` and `tokenize`) and compiles each
@@ -40,10 +42,10 @@ def record(cls=None, *, frozen: bool = True, uncompared: tuple[str, ...] = ()):
     cls = _with_slots(cls, own + (("_hash",) if frozen and not hasattr(cls, "_hash") else ()))
     cls.__record_fields__ = fields
     params = ", ".join(n if d is _MISSING else f"{n}=_d_{n}" for n, d in fields.items())
-    assign = "_setattr(self, {0!r}, {0})" if frozen else "self.{0} = {0}"
-    body = [assign.format(n) for n in fields]
     if frozen:
-        body.append('_setattr(self, "_hash", None)')
+        body = [f"_set_{n}(self, {n})" for n in fields] + ["_set__hash(self, None)"]
+    else:
+        body = [f"self.{n} = {n}" for n in fields]
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     shown = ", ".join(f"{n}={{self.{n}!r}}" for n in fields)
@@ -63,13 +65,13 @@ def __eq__(self, other):
     return NotImplemented
 """
     ns = {f"_d_{n}": d for n, d in fields.items()}
-    ns["_setattr"] = object.__setattr__
     if frozen:
+        ns.update({f"_set_{n}": getattr(cls, n).__set__ for n in (*fields, "_hash")})
         src += f"""
 def __hash__(self):
     h = self._hash
     if h is None:
-        _setattr(self, "_hash", h := hash(({mine})))
+        _set__hash(self, h := hash(({mine})))
     return h
 """
         ns.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)

@@ -200,7 +200,9 @@ class Term:
     __slots__ = ("_type", "loose")
 
 
-_setattr = object.__setattr__
+# the facts' slot setters: a frozen record refuses assignment, and these
+# are faster than `object.__setattr__`
+_set_type, _set_loose = Term._type.__set__, Term.loose.__set__
 
 
 @record
@@ -208,8 +210,8 @@ class Var(Term):
     var: Variable
 
     def __post_init__(self):
-        _setattr(self, "_type", self.var.type)
-        _setattr(self, "loose", 0)
+        _set_type(self, self.var.type)
+        _set_loose(self, 0)
 
 
 @record
@@ -220,8 +222,8 @@ class BVar(Term):
     type: SimpleType
 
     def __post_init__(self):
-        _setattr(self, "_type", self.type)
-        _setattr(self, "loose", self.index + 1)
+        _set_type(self, self.type)
+        _set_loose(self, self.index + 1)
 
 
 @record(uncompared=("hint",))
@@ -232,8 +234,8 @@ class Abs(Term):
 
     def __post_init__(self):
         body = self.body
-        _setattr(self, "_type", None if body._type is None else Arrow(self.var_type, body._type))
-        _setattr(self, "loose", body.loose - 1 if body.loose else 0)
+        _set_type(self, None if body._type is None else Arrow(self.var_type, body._type))
+        _set_loose(self, body.loose - 1 if body.loose else 0)
 
 
 @record
@@ -243,9 +245,9 @@ class App(Term):
 
     def __post_init__(self):
         fn_type, arg = self.fn._type, self.arg
-        _setattr(self, "_type", fn_type.right if isinstance(fn_type, Arrow)
-                 and fn_type.left == arg._type else None)
-        _setattr(self, "loose", max(self.fn.loose, arg.loose))
+        _set_type(self, fn_type.right if isinstance(fn_type, Arrow)
+                  and fn_type.left == arg._type else None)
+        _set_loose(self, max(self.fn.loose, arg.loose))
 
 
 @record
@@ -255,9 +257,8 @@ class FunApp(Term):
 
     def __post_init__(self):
         decl, args = self.fn.decl, self.args
-        _setattr(self, "_type", decl.output if decl.inputs == tuple(a._type for a in args)
-                 else None)
-        _setattr(self, "loose", max([a.loose for a in args], default=0))
+        _set_type(self, decl.output if decl.inputs == tuple([a._type for a in args]) else None)
+        _set_loose(self, max([a.loose for a in args], default=0))
 
 
 class IllTyped(Exception):

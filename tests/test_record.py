@@ -80,9 +80,10 @@ def written_defaults(cls) -> dict[str, object]:
 
 
 def twin(cls):
-    """A dataclass with `cls`'s fields, the defaults its source writes and
-    its `__post_init__`.  The twin of a mutable record has slots, like the
-    record: neither takes an attribute outside its fields."""
+    """A dataclass with `cls`'s fields, the defaults its source writes, its
+    `__post_init__` and its bases that are not records (a term node's
+    `__post_init__` sets `Term`'s slots).  The twin of a mutable record has
+    slots, like the record: neither takes an attribute outside its fields."""
     fields = {}  # name -> default, base classes first
     for klass in reversed(cls.__mro__):
         if "__record_fields__" in vars(klass):
@@ -97,7 +98,8 @@ def twin(cls):
             ns[name] = default
     if hasattr(cls, "__post_init__"):
         ns["__post_init__"] = cls.__post_init__
-    shell = type(cls.__name__, (), ns)
+    bases = tuple(b for b in cls.__bases__ if b is not object and "__record_fields__" not in vars(b))
+    shell = type(cls.__name__, bases, ns)
     frozen = cls.__name__ not in MUTABLE
     return dataclasses.dataclass(frozen=frozen, slots=not frozen)(shell)
 
