@@ -86,10 +86,6 @@ def candidate_terms(rhs: Term, afs: AFS) -> list[Term]:
     return out
 
 
-def _mark_root(t: Term, afs: AFS) -> Term:
-    return mark(t, afs.defined_names)
-
-
 def dependency_pairs(afs: AFS, spfp_drop: bool = True) -> DPProblem:
     """All dynamic dependency pairs of the completion of an AFS; the
     problem holds the completed AFS.
@@ -103,14 +99,14 @@ def dependency_pairs(afs: AFS, spfp_drop: bool = True) -> DPProblem:
     seen: set[tuple[Term, Term]] = set()
 
     for idx, rule in enumerate(afs.rules):
-        marked_lhs = _mark_root(rule.lhs, afs)
+        marked_lhs = mark(rule.lhs, defined)
         strict_subs = None
         for cand in candidate_terms(rule.rhs, afs):
             if strict_subs is None:
                 strict_subs = strict_subterms_closed(rule.lhs)
             if any(cand == s for s in strict_subs):
                 continue  # candidate is a strict subterm of the left-hand side
-            pair = (marked_lhs, _mark_root(cand, afs))
+            pair = (marked_lhs, mark(cand, defined))
             if pair not in seen:
                 seen.add(pair)
                 pairs.append(DependencyPair(pair[0], pair[1], "candidate", idx))

@@ -10,6 +10,8 @@ orients strictly.  Also the corpus runner."""
 from __future__ import annotations
 
 import time
+from bisect import insort
+from operator import itemgetter
 from .record import record
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Union
@@ -137,13 +139,18 @@ def _split_first(graph: DPGraph, components: list[tuple[int, ...]],
     """The first component loses `removed`. No other component changes, so
     only the rest of the first is decomposed again. Returns the nodes of the
     first that now lie on no cycle (the next prune step) and the new
-    component list, ordered by smallest member as `sccs` orders it.  `_walk`
-    starts from the whole graph as one component."""
+    component list, ordered by smallest member as `sccs` orders it: the
+    parts are inserted into the remainder, which is ordered already, so a
+    step costs nothing per component it leaves alone.  `_walk` starts from
+    the whole graph as one component."""
     rest = DPGraph(graph.pairs, graph.edges, frozenset(components[0]) - frozenset(removed))
     parts = sccs(rest)
     on_cycle = {i for part in parts for i in part}
     dropped = tuple(sorted(rest.alive - on_cycle))
-    return dropped, sorted(components[1:] + parts, key=lambda c: c[0])
+    remainder = components[1:]
+    for part in parts:
+        insort(remainder, part, key=itemgetter(0))
+    return dropped, remainder
 
 
 def _discharge(scc: tuple[int, ...], problem: DPProblem, cfg: Config, deadline: float,

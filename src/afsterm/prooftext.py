@@ -216,12 +216,12 @@ def _entry(line: str, prefix: str) -> tuple[str, str]:
 def _blocks(lines: list[str], i: int) -> Iterator[tuple[str, list[tuple[int, str]]]]:
     """From lines[i] on, each header line with its block: the indented
     lines after it, up to the first blank or unindented line, each with its
-    line number and without trailing whitespace.  Blank lines and END lines
-    are skipped."""
+    line number and without trailing whitespace.  Blank lines are
+    skipped."""
     while i < len(lines):
         header = lines[i].strip()
         i += 1
-        if not header or header == "END":
+        if not header:
             continue
         start = i
         while i < len(lines) and lines[i].startswith(" ") and lines[i].strip():
@@ -304,14 +304,21 @@ def parse_proof(text: str, problem: DPProblem) -> tuple[Proof, list[str]]:
     """Parse a proof; returns the proof plus textual mismatches found while
     cross-checking the listed pairs against the recomputed ones.  Raises
     ProofSyntaxError (or the term parser's ParseError) for a text that does
-    not parse, and for a STEP whose removed pairs are not its strict ones."""
+    not parse, for a STEP whose removed pairs are not its strict ones, and
+    unless END is the last non-blank line and on no other line."""
     table = SymbolTable({f.name: f for f in problem.afs.signature}, {}, auto_symbols=True)
     mismatches: list[str] = []
     lines = text.splitlines()
     if not lines or lines[0].strip() not in (YES, MAYBE):
         raise ProofSyntaxError("first line must be YES or MAYBE")
+    filled = [n for n, line in enumerate(lines) if line.strip()]
+    ends = [n for n in filled if lines[n].strip() == "END"]
+    if not ends or ends[-1] != filled[-1]:
+        raise ProofSyntaxError("last line must be END")
+    if len(ends) > 1:
+        raise ProofSyntaxError(f"END before the last line, at line {ends[0] + 1}")
     steps: list = []
-    for header, block in _blocks(lines, 1):
+    for header, block in _blocks(lines[:filled[-1]], 1):
         if header == "STEP":
             steps.append(_parse_step(block, table))
             continue

@@ -33,7 +33,7 @@ rebuilds only the paths to escaping indices.
 from __future__ import annotations
 
 from .record import record
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Optional, Sequence
 
 
 # --------------------------------------------------------------------------
@@ -657,11 +657,12 @@ def bounded_reductions(t: Term, rules: Sequence, max_steps: int,
 # marking -------------------------------------------------------------------
 
 
-def mark(t: Term, defined: Iterable[str]) -> Term:
+def mark(t: Term, defined: Container[str]) -> Term:
     """Marked counterpart: the root symbol f becomes f# when t = f(...) with
-    f a defined symbol; applications and other forms are unchanged."""
-    names = set(defined)
-    if isinstance(t, FunApp) and t.fn.kind == PLAIN and t.fn.name in names:
+    f a defined symbol; applications and other forms are unchanged.  Only
+    the root's name is looked up in `defined` (the caller's
+    `AFS.defined_names`), so a call costs the same on any system."""
+    if isinstance(t, FunApp) and t.fn.kind == PLAIN and t.fn.name in defined:
         return FunApp(marked(t.fn), t.args)
     return t
 
@@ -678,33 +679,39 @@ def fresh_name(base: str, avoid: set[str]) -> str:
     return f"{base}{i}"
 
 
-def term_text(t: Term, scope: Optional[set[str]] = None) -> str:
-    """Render a term in the input grammar (infix @, \\x:type. bodies)."""
-    if scope is None:
-        scope = {v.name for v in free_vars(t)}
-    return _text(t, [], scope)
+def term_text(t: Term) -> str:
+    """Render a term in the input grammar (infix @, \\x:type. bodies).  A
+    binder is printed with its hint, or with the first numbered variant of
+    it that names no free variable of t and no enclosing binder."""
+    return _text(t, (), t, [])
 
 
-def _text(t: Term, binders: list[Variable], scope: set[str]) -> str:
+def _text(t: Term, binders: tuple[str, ...], root: Term, free: list[set[str]]) -> str:
+    """`binders` names the enclosing binders, innermost last, and `free`
+    holds the names of `root`'s free variables once the first binder is
+    reached: a term without binders collects none."""
     if isinstance(t, Var):
         return t.var.name
     if isinstance(t, BVar):
-        return binders[len(binders) - 1 - t.index].name
+        if t.index >= len(binders):
+            raise IndexError(f"dangling bound variable {t.index}")
+        return binders[len(binders) - 1 - t.index]
     if isinstance(t, Abs):
-        name = fresh_name(t.hint or "x", scope | {b.name for b in binders})
-        x = Variable(name, t.var_type)
-        body = _text(instantiate(t.body, Var(x)), binders, scope | {name})
+        if not free:
+            free.append({v.name for v in free_vars(root)})
+        name = fresh_name(t.hint or "x", free[0].union(binders))
+        body = _text(t.body, binders + (name,), root, free)
         return f"\\{name}:{type_text(t.var_type)}. {body}"
     if isinstance(t, App):
-        fn = _text(t.fn, binders, scope)
+        fn = _text(t.fn, binders, root, free)
         if isinstance(t.fn, Abs):
             fn = f"({fn})"
-        arg = _text(t.arg, binders, scope)
+        arg = _text(t.arg, binders, root, free)
         if isinstance(t.arg, (App, Abs)):
             arg = f"({arg})"
         return f"{fn} @ {arg}"
     assert isinstance(t, FunApp)
     if not t.args:
         return t.fn.display
-    args = ", ".join(_text(a, binders, scope) for a in t.args)
+    args = ", ".join(_text(a, binders, root, free) for a in t.args)
     return f"{t.fn.display}({args})"

@@ -43,12 +43,13 @@ def corpus_names() -> list[str]:
     return sorted(p.stem for p in CORPUS.glob("*.afs"))
 
 
-def wide_system(seed: int) -> str:
-    """The source text of the benchmark's generated `wide` system."""
+def wide_system(seed: int, copies: int = 50) -> str:
+    """The source text of the benchmark's generated `wide` system, with
+    `copies` copies of each of its systems (50, as the benchmark runs it)."""
     spec = importlib.util.spec_from_file_location("wide", ROOT / "perfbench" / "wide.py")
     wide = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(wide)
-    return wide.generate(seed)
+    return wide.generate(seed, copies)
 
 
 def type_walks(monkeypatch) -> list[Term]:

@@ -233,6 +233,32 @@ class TestTypeWalks:
         assert walks == []
 
 
+class TestLinearWork:
+    """A work pin: marking a pair, stepping the SCC walk and printing a term
+    cost the same on a system of any size, so prove, render and check make
+    as many Python-level calls per rule on 25, 50 and 100 copies of the
+    `wide` systems (within 1 %).  It counts calls, not time."""
+
+    def test_calls_per_rule_do_not_grow_with_the_system(self):
+        per_rule = []
+        for copies in (25, 50, 100):
+            afs = parse_afs(wide_system(2001, copies))
+            calls = 0
+
+            def count(frame, event, arg):
+                nonlocal calls
+                calls += event == "call"
+
+            sys.setprofile(count)
+            try:
+                errors = check_proof_text(render_proof(prove(afs), 1), afs)
+            finally:
+                sys.setprofile(None)
+            assert errors == []
+            per_rule.append(calls / len(afs.rules))
+        assert max(per_rule) <= 1.01 * min(per_rule), per_rule
+
+
 def corpus_or_wide(name: str) -> str:
     return wide_system(2001) if name == "wide-2001" else (CORPUS / f"{name}.afs").read_text()
 

@@ -138,6 +138,24 @@ class TestHandWrittenProof:
             assert broken != golden
             assert check_proof_text(broken, afs) == [f"proof does not parse: {error}"]
 
+    # END closes the proof: it is the last non-blank line and no other line
+    @pytest.mark.parametrize("tamper, error", [
+        (lambda t: t.replace("END\n", ""), "last line must be END"),
+        (lambda t: t.replace("END\n", "END\nPRUNE\n  removed:\n"), "last line must be END"),
+        (lambda t: t.replace("\nSTEP\n", "\nEND\nSTEP\n", 1),
+         "END before the last line, at line 11"),
+        (lambda t: t.replace("\nSTEP\n", "\n  END\nSTEP\n", 1),
+         "END before the last line, at line 11"),
+        (lambda t: t + "END\n", "END before the last line, at line 21"),
+    ], ids=["deleted", "a-block-after-it", "between-blocks", "indented-in-a-block", "twice"])
+    def test_one_end_line_closes_the_proof(self, tamper, error):
+        golden = (GOLDEN / "ack.proof").read_text()
+        broken = tamper(golden)
+        assert broken != golden
+        assert check_proof_text(broken, load("ack")) == [f"proof does not parse: {error}"]
+        # blank lines after END are no lines of the proof
+        assert check_proof_text(golden + "\n \n", load("ack")) == []
+
     # a STEP carries each line `prove` prints for its kind once; each of
     # these edits keeps the genuine line last
     @pytest.mark.parametrize("old, new, error", [

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from afsterm import terms
 from afsterm.afs import complete
 from afsterm.orderings.rpo import apply_argfun, template_slots
 from afsterm.parser import SymbolTable, parse_term_text
@@ -264,14 +265,49 @@ class TestBoundedReductions:
         assert normal_forms(ex, completed.rules) == {t("s(o)", table)}
 
 
+class NoIteration:
+    """Names that may only be tested for membership."""
+
+    def __init__(self, names):
+        self.names = names
+
+    def __contains__(self, name):
+        return name in self.names
+
+    def __iter__(self):
+        raise AssertionError("mark iterated over the defined names")
+
+
 class TestMisc:
     def test_mark(self, twice, table):
-        defined = twice.defined_names
+        defined = NoIteration(twice.defined_names)
         u = t("twice(F)", table)
         assert term_text(mark(u, defined)) == "twice#(F)"
         v = t("twice(F) @ m", table)
         assert mark(v, defined) == v  # applications are not marked
         assert mark(t("o", table), defined) == t("o", table)  # constructor
+
+    def test_term_text_collects_free_variables_only_below_a_binder(self, table, monkeypatch):
+        collected = []
+        monkeypatch.setattr(terms, "free_vars", lambda u: collected.append(u) or free_vars(u))
+        u = t("twice(F) @ I(n)", table)
+        assert type_of(u) == nat
+        assert term_text(u) == "twice(F) @ I(n)"
+        assert collected == []
+        w = t("twice(\\x:nat. I(x)) @ (twice(\\y:nat. y) @ m)", table)
+        assert type_of(w) == nat
+        assert term_text(w) == "twice(\\x:nat. I(x)) @ (twice(\\y:nat. y) @ m)"
+        assert collected == [w]  # once for the whole term, at the first binder
+
+    def test_a_binder_named_like_a_free_variable_is_renamed(self, table):
+        u = t("twice(\\m:nat. I(m)) @ m", table)
+        assert type_of(u) == nat
+        assert term_text(u) == "twice(\\m1:nat. I(m1)) @ m"
+        # enclosing binders are avoided too, and a sibling binder reuses a name
+        w = t("twice(\\m:nat. twice(\\m:nat. m) @ m) @ (twice(\\m:nat. m) @ m)", table)
+        assert type_of(w) == nat
+        assert term_text(w) == (
+            "twice(\\m1:nat. twice(\\m2:nat. m2) @ m1) @ (twice(\\m1:nat. m1) @ m)")
 
     def test_head(self, table):
         u = t("twice(F) @ m @ m", SymbolTable(
