@@ -13,9 +13,9 @@ from .record import record, replace
 from typing import Optional
 
 from .terms import (
-    Term, Var, Abs, App, FunApp, Variable, FunctionSymbol,
-    type_of, free_vars, app_spine, is_beta_normal, subterms,
-    fresh_arguments, fresh_name, term_text, PLAIN, instantiate,
+    Term, Var, Abs, App, Arrow, Base, FunApp, Variable, FunctionSymbol,
+    type_of, free_vars, app_spine, head, fresh_arguments, fresh_name, term_text,
+    PLAIN, instantiate,
 )
 
 
@@ -37,10 +37,40 @@ class Rule:
 
 
 def lhs_head_symbol(lhs: Term) -> Optional[FunctionSymbol]:
-    head, _ = app_spine(lhs)
-    if isinstance(head, FunApp):
-        return head.fn
+    lhs_head = head(lhs)
+    if isinstance(lhs_head, FunApp):
+        return lhs_head.fn
     return None
+
+
+def _side_facts(t: Term) -> tuple[list[Variable], bool, bool, set[str]]:
+    """What `validate_rule` and `classify` check of a rule side, from one
+    walk with an explicit stack: its free variable occurrences, whether it
+    has a beta-redex, whether a free variable occurs below a binder, and
+    the names of the plain symbols of calls below a binder from which an
+    index escapes."""
+    occurrences: list[Variable] = []
+    redex = free_below = False
+    escaping: set[str] = set()
+    stack = [(t, False)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        s, below = pop()
+        if isinstance(s, FunApp):
+            if below and s.loose and s.fn.kind == PLAIN:
+                escaping.add(s.fn.name)
+            for a in s.args:
+                push((a, below))
+        elif isinstance(s, Var):
+            occurrences.append(s.var)
+            free_below = free_below or below
+        elif isinstance(s, App):
+            redex = redex or isinstance(s.fn, Abs)
+            push((s.fn, below))
+            push((s.arg, below))
+        elif isinstance(s, Abs):
+            push((s.body, True))
+    return occurrences, redex, free_below, escaping
 
 
 def validate_rule(rule: Rule, line: int = 0, col: int = 0) -> None:
@@ -50,18 +80,20 @@ def validate_rule(rule: Rule, line: int = 0, col: int = 0) -> None:
     rt = type_of(rule.rhs)
     if lt != rt:
         raise IllegalLhs(f"rule sides have different types ({lt} vs {rt}): {rule}")
-    lhs_vars, rhs_vars = free_vars(rule.lhs), free_vars(rule.rhs)
-    if not rhs_vars <= lhs_vars:
-        extra = ", ".join(sorted(v.name for v in rhs_vars - lhs_vars))
-        raise IllegalLhs(f"right-hand side uses variables not in the left-hand side: {extra}")
-    head, _ = app_spine(rule.lhs)
-    if not isinstance(head, FunApp):
+    lhs_vars, lhs_redex, _, _ = _side_facts(rule.lhs)
+    rhs_vars, rhs_redex, _, _ = _side_facts(rule.rhs)
+    extra = set(rhs_vars).difference(lhs_vars)
+    if extra:
+        names = ", ".join(sorted(v.name for v in extra))
+        raise IllegalLhs(f"right-hand side uses variables not in the left-hand side: {names}")
+    lhs_head = head(rule.lhs)
+    if not isinstance(lhs_head, FunApp):
         raise IllegalLhs(f"left-hand side must be headed by a function symbol: {term_text(rule.lhs)}")
-    if head.fn.kind != PLAIN:
+    if lhs_head.fn.kind != PLAIN:
         raise IllegalLhs("left-hand sides may only use signature symbols")
-    if not is_beta_normal(rule.lhs):
+    if lhs_redex:
         raise IllegalLhs(f"left-hand side contains a beta-redex: {term_text(rule.lhs)}")
-    if not is_beta_normal(rule.rhs):
+    if rhs_redex:
         # the dependency pair analysis assumes beta-normal right-hand sides;
         # nonconforming input is rejected rather than transformed
         raise IllegalLhs(f"right-hand side contains a beta-redex: {term_text(rule.rhs)}")
@@ -75,8 +107,12 @@ class AFS:
     rules: tuple[Rule, ...]
 
     def __post_init__(self):
-        heads = (lhs_head_symbol(rule.lhs) for rule in self.rules)
-        _setattr(self, "defined_names", frozenset(f.name for f in heads if f is not None))
+        names = set()
+        for rule in self.rules:
+            f = lhs_head_symbol(rule.lhs)
+            if f is not None:
+                names.add(f.name)
+        _setattr(self, "defined_names", frozenset(names))
         for name, flag in zip(("local", "base_output", "pfp", "spfp"), classify(self)):
             _setattr(self, name, flag)
 
@@ -119,56 +155,36 @@ def complete(afs: AFS) -> AFS:
     return replace(afs, rules=tuple(new_rules))
 
 
-def _left_linear(lhs: Term) -> bool:
-    occurrences = [s.var for s, _ in subterms(lhs) if isinstance(s, Var)]
-    return len(occurrences) == len(set(occurrences))
-
-
-def _fully_extended(lhs: Term) -> bool:
-    """No free variable of the left-hand side occurs below an abstraction."""
-    return not any(free_vars(s.body) for s, _ in subterms(lhs) if isinstance(s, Abs))
-
-
-def _functional_vars(t: Term) -> frozenset[Variable]:
-    return frozenset(v for v in free_vars(t) if v.type.is_arrow())
-
-
-def _has_defined_call_under_binder(rhs: Term, defined: frozenset[str]) -> bool:
-    """True if rhs has a subterm \\x. C[f(...)] with f defined and the bound
-    variable free in the f-subterm: in the locally closed rhs, a defined
-    call below a binder with an index escaping it."""
-    return any(d and isinstance(u, FunApp) and u.fn.kind == PLAIN
-               and u.fn.name in defined and u.loose
-               for u, d in subterms(rhs))
-
-
 def classify(afs: AFS) -> tuple[bool, bool, bool, bool]:
     """The flags an AFS works out when it is built: local (every left-hand
     side left-linear and fully extended), base_output (every output type a
-    base type), pfp (plain function passing) and spfp (strongly plain
-    function passing)."""
-    local = all(_left_linear(r.lhs) and _fully_extended(r.lhs) for r in afs.rules)
-    base_output = all(f.decl.output.is_base() for f in afs.signature)
+    base type), pfp (plain function passing: every functional free variable
+    of a right-hand side is a direct argument of its left-hand side) and
+    spfp (strongly plain function passing: pfp, base_output, and no
+    right-hand side has a subterm \\x. C[f(...)] with f defined and x free
+    in the f-subterm).  Each rule side is walked once (`_side_facts`)."""
     defined = afs.defined_names
-
-    pfp = True
+    local = pfp = True
+    defined_call_under_binder = False
     for rule in afs.rules:
-        head, applied = app_spine(rule.lhs)
-        assert isinstance(head, FunApp)
-        direct_args = list(head.args) + applied
-        direct_var_args = {a.var for a in direct_args if isinstance(a, Var)}
-        for fv in _functional_vars(rule.rhs):
-            if fv not in direct_var_args:
-                pfp = False
-                break
-        if not pfp:
-            break
-
-    spfp = (
-        pfp
-        and base_output
-        and not any(_has_defined_call_under_binder(r.rhs, defined) for r in afs.rules)
-    )
+        lhs_vars, _, lhs_free_below, _ = _side_facts(rule.lhs)
+        rhs_vars, _, _, rhs_calls = _side_facts(rule.rhs)
+        if lhs_free_below or len(lhs_vars) != len(set(lhs_vars)):
+            local = False
+        if pfp:
+            lhs_head, applied = app_spine(rule.lhs)
+            assert isinstance(lhs_head, FunApp)
+            direct = {a.var for a in (*lhs_head.args, *applied) if isinstance(a, Var)}
+            for v in rhs_vars:
+                if isinstance(v.type, Arrow) and v not in direct:
+                    pfp = False
+        if not rhs_calls.isdisjoint(defined):
+            defined_call_under_binder = True
+    base_output = True
+    for f in afs.signature:
+        if not isinstance(f.decl.output, Base):
+            base_output = False
+    spfp = pfp and base_output and not defined_call_under_binder
     return local, base_output, pfp, spfp
 
 

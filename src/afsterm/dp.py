@@ -8,7 +8,7 @@ from typing import Iterable, Optional
 from .afs import AFS, Rule, complete
 from .terms import (
     Term, Var, Abs, App, FunApp, Variable, FunctionSymbol,
-    type_of, free_vars, app_spine, head, mark,
+    type_of, free_vars, app_spine, head, mark, marked,
     strict_subterms_closed, close_dangling, fresh_arguments, term_text,
     tagged, untagged, symbols_of, replace_nodes, PLAIN, TAGGED,
 )
@@ -95,18 +95,19 @@ def dependency_pairs(afs: AFS, spfp_drop: bool = True) -> DPProblem:
     """
     afs = complete(afs)
     defined = afs.defined_names
+    marks = {f.name: marked(f) for f in afs.defined}  # one f# per defined f
     pairs: list[DependencyPair] = []
     seen: set[tuple[Term, Term]] = set()
 
     for idx, rule in enumerate(afs.rules):
-        marked_lhs = mark(rule.lhs, defined)
+        marked_lhs = mark(rule.lhs, marks)
         strict_subs = None
         for cand in candidate_terms(rule.rhs, afs):
             if strict_subs is None:
-                strict_subs = strict_subterms_closed(rule.lhs)
-            if any(cand == s for s in strict_subs):
+                strict_subs = set(strict_subterms_closed(rule.lhs))
+            if cand in strict_subs:
                 continue  # candidate is a strict subterm of the left-hand side
-            pair = (marked_lhs, mark(cand, defined))
+            pair = (marked_lhs, mark(cand, marks))
             if pair not in seen:
                 seen.add(pair)
                 pairs.append(DependencyPair(pair[0], pair[1], "candidate", idx))

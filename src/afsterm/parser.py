@@ -1,18 +1,23 @@
 """Parser for the plain-text AFS format (SIG / VARS / RULES blocks).
 
-Both text formats are line-based: `tokenize` scans one line with one regular
-expression, and `parse_afs` reads a file line by line, one declaration or
-rule per line.  The same tokenizer and term grammar are reused by the proof
-checker, which must re-read marked (f#), tagged (f-) and fresh-constant
-(!c{type}) symbols; a fresh constant may only occur in proofs.
+Both text formats are line-based: `tokenize` scans one line with one
+`findall` pass of one regular expression into plain `(kind, text, col)`
+tuples, and `parse_afs` reads a file line by line, one declaration or rule
+per line.  The grammar reads a line's token list by index: each function
+takes the index of its first token and returns what it read with the index
+after it.  A token carries no line number: the grammar raises its errors
+at line 0, and the reader of the line, which knows the number, raises them
+again at that line (`at_line`).  The same tokenizer and term grammar are
+reused by the proof checker, which must re-read marked (f#), tagged (f-)
+and fresh-constant (!c{type}) symbols; a fresh constant may only occur in
+proofs.
 """
 
 from __future__ import annotations
 
 import re
 
-from .record import record
-from typing import Optional
+from typing import Callable, Optional
 
 from .terms import (
     Arrow, Base, SimpleType, TypeDecl, FunctionSymbol, Variable,
@@ -23,125 +28,126 @@ from .terms import (
 
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
+        self.message = message
         self.line = line
         self.col = col
         super().__init__(f"{line}:{col}: {message}")
 
 
-@record(frozen=False)
-class Token:
-    kind: str   # IDENT, CONST, PUNCT, EOF
-    text: str
-    line: int
-    col: int
+# A token is a (kind, text, col) tuple; kind is IDENT, CONST, PUNCT or EOF.
+Token = tuple[str, str, int]
 
-
-# whitespace and comments match no named group; a marked or tagged name may
-# carry a filtered symbol's kept positions: f#'2, f-'12
+# One match per token, run of spaces or comment; its groups are, in order,
+# SKIP (spaces and a comment), CONST, IDENT, PUNCT and ERROR, any other
+# character, so the matches cover the line and each token's column is the
+# sum of the lengths before it.  A marked or tagged name may carry a
+# filtered symbol's kept positions: f#'2, f-'12.
 _TOKEN = re.compile(r"""
-    [ \t\r]+ | \#.*
-  | !c\{(?P<CONST>[^{}]*)\}
-  | (?P<IDENT>[A-Za-z0-9_][A-Za-z0-9_']*(?:(?:\#|-(?!>))(?:'[A-Za-z0-9_']*)?)?)
-  | (?P<PUNCT>=>|->|[()\[\],:.\\@*>;=+])
+    ([ \t\r]+ | \#.*)
+  | !c\{([^{}]*)\}
+  | ([A-Za-z0-9_][A-Za-z0-9_']*(?:(?:\#|-(?!>))(?:'[A-Za-z0-9_']*)?)?)
+  | (=>|->|[()\[\],:.\\@*>;=+])
+  | ((?s:.))
 """, re.VERBOSE)
 
 
 def tokenize(line: str, number: int = 1, offset: int = 0) -> list[Token]:
     """The tokens of one line, then an EOF token at the line's end.  `line`
-    is the text of line `number` after its first `offset` columns."""
+    is the text of line `number` after its first `offset` columns; a
+    column counts from 1 at the start of the line.  `findall` builds no
+    match object per token."""
     tokens: list[Token] = []
-    pos, end = 0, len(line)
-    while pos < end:
-        m = _TOKEN.match(line, pos)
-        if m is None:
-            message = ("unterminated !c{...} constant" if line.startswith("!c{", pos)
-                       else f"unexpected character {line[pos]!r}")
-            raise ParseError(message, number, offset + pos + 1)
-        kind = m.lastgroup
-        if kind:
-            tokens.append(Token(kind, m[kind], number, offset + pos + 1))
-        pos = m.end()
-    tokens.append(Token("EOF", "", number, offset + end + 1))
+    col = offset + 1
+    for skip, const, ident, punct, error in _TOKEN.findall(line):
+        if ident:
+            tokens.append(("IDENT", ident, col))
+            col += len(ident)
+        elif punct:
+            tokens.append(("PUNCT", punct, col))
+            col += len(punct)
+        elif skip:
+            col += len(skip)
+        elif error:
+            message = ("unterminated !c{...} constant" if line.startswith("!c{", col - offset - 1)
+                       else f"unexpected character {error!r}")
+            raise ParseError(message, number, col)
+        else:  # a fresh constant !c{...}, the one match left; its type may be empty
+            tokens.append(("CONST", const, col))
+            col += len(const) + 4
+    tokens.append(("EOF", "", offset + len(line) + 1))
     return tokens
 
 
-class TokenStream:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+def expect(tokens: list[Token], i: int, text: str) -> int:
+    """The index after tokens[i], which must read `text`."""
+    found = tokens[i]
+    if found[1] != text:
+        raise ParseError(f"expected {text!r}, found {found[1]!r}", 0, found[2])
+    return i + 1
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+def at_line(parse: Callable, tokens: list[Token], number: int, *args):
+    """`parse(tokens, 0, *args)` on the tokens of line `number`: what it
+    read and the index after it.  A grammar error is raised at that line."""
+    try:
+        return parse(tokens, 0, *args)
+    except ParseError as exc:
+        raise ParseError(exc.message, number, exc.col) from None
 
-    def expect(self, text: str) -> Token:
-        tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
-        return tok
 
-    def at(self, text: str) -> bool:
-        return self.tokens[self.pos].text == text
-
-    def end(self, what: str) -> None:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            raise ParseError(f"trailing input after {what}: {tok.text!r}", tok.line, tok.col)
+def _end(tokens: list[Token], i: int, number: int, what: str) -> None:
+    kind, text, col = tokens[i]
+    if kind != "EOF":
+        raise ParseError(f"trailing input after {what}: {text!r}", number, col)
 
 
 # type parsing ---------------------------------------------------------------
 
 
-def parse_type(ts: TokenStream, types: dict[str, Base]) -> SimpleType:
+def parse_type(tokens: list[Token], i: int, types: dict[str, Base]) -> tuple[SimpleType, int]:
     """A type; each base type name is looked up in, or added to, `types`,
     so that one parse builds one `Base` per name."""
-    left = _parse_type_atom(ts, types)
-    if ts.at("->"):
-        ts.next()
-        return Arrow(left, parse_type(ts, types))
-    return left
+    left, i = _parse_type_atom(tokens, i, types)
+    if tokens[i][1] == "->":
+        right, i = parse_type(tokens, i + 1, types)
+        return Arrow(left, right), i
+    return left, i
 
 
-def _parse_type_atom(ts: TokenStream, types: dict[str, Base]) -> SimpleType:
-    tok = ts.peek()
-    if tok.text == "(":
-        ts.next()
-        t = parse_type(ts, types)
-        ts.expect(")")
-        return t
-    if tok.kind != "IDENT":
-        raise ParseError(f"expected a type, found {tok.text!r}", tok.line, tok.col)
-    ts.next()
-    base = types.get(tok.text)
+def _parse_type_atom(tokens: list[Token], i: int,
+                     types: dict[str, Base]) -> tuple[SimpleType, int]:
+    kind, text, col = tokens[i]
+    if text == "(":
+        t, i = parse_type(tokens, i + 1, types)
+        return t, expect(tokens, i, ")")
+    if kind != "IDENT":
+        raise ParseError(f"expected a type, found {text!r}", 0, col)
+    base = types.get(text)
     if base is None:
-        base = types[tok.text] = Base(tok.text)
-    return base
+        base = types[text] = Base(text)
+    return base, i + 1
 
 
 def parse_type_text(text: str, types: dict[str, Base], number: int = 1,
                     offset: int = 0) -> SimpleType:
-    ts = TokenStream(tokenize(text, number, offset))
-    t = parse_type(ts, types)
-    ts.end("type")
+    tokens = tokenize(text, number, offset)
+    t, i = at_line(parse_type, tokens, number, types)
+    _end(tokens, i, number, "type")
     return t
 
 
-def parse_type_decl(ts: TokenStream, types: dict[str, Base]) -> TypeDecl:
-    if ts.at("["):
-        ts.next()
-        inputs = [parse_type(ts, types)]
-        while ts.at("*"):
-            ts.next()
-            inputs.append(parse_type(ts, types))
-        ts.expect("]")
-        ts.expect("->")
-        return TypeDecl(tuple(inputs), parse_type(ts, types))
-    return TypeDecl((), parse_type(ts, types))
+def parse_type_decl(tokens: list[Token], i: int,
+                    types: dict[str, Base]) -> tuple[TypeDecl, int]:
+    if tokens[i][1] == "[":
+        t, i = parse_type(tokens, i + 1, types)
+        inputs = [t]
+        while tokens[i][1] == "*":
+            t, i = parse_type(tokens, i + 1, types)
+            inputs.append(t)
+        output, i = parse_type(tokens, expect(tokens, expect(tokens, i, "]"), "->"), types)
+        return TypeDecl(tuple(inputs), output), i
+    output, i = parse_type(tokens, i, types)
+    return TypeDecl((), output), i
 
 
 # term parsing ---------------------------------------------------------------
@@ -172,82 +178,77 @@ class SymbolTable:
         return None
 
 
-def parse_term(ts: TokenStream, table: SymbolTable,
-               bound: Optional[dict[str, Variable]] = None) -> Term:
+def parse_term(tokens: list[Token], i: int, table: SymbolTable,
+               bound: Optional[dict[str, Variable]] = None) -> tuple[Term, int]:
     bound = bound or {}
-    term = _parse_term_atom(ts, table, bound)
-    while ts.at("@"):
-        ts.next()
-        term = App(term, _parse_term_atom(ts, table, bound))
-    return term
+    term, i = _parse_term_atom(tokens, i, table, bound)
+    while tokens[i][1] == "@":
+        arg, i = _parse_term_atom(tokens, i + 1, table, bound)
+        term = App(term, arg)
+    return term, i
 
 
-def _parse_term_atom(ts: TokenStream, table: SymbolTable, bound: dict[str, Variable]) -> Term:
-    tok = ts.peek()
-    if tok.text == "(":
-        ts.next()
-        t = parse_term(ts, table, bound)
-        ts.expect(")")
-        return t
-    if tok.text == "\\":
-        ts.next()
-        name_tok = ts.next()
-        if name_tok.kind != "IDENT":
-            raise ParseError("expected a bound variable name", name_tok.line, name_tok.col)
-        if ts.at(":"):
-            ts.next()
-            vtype = parse_type(ts, table.types)
+def _parse_term_atom(tokens: list[Token], i: int, table: SymbolTable,
+                     bound: dict[str, Variable]) -> tuple[Term, int]:
+    kind, name, col = tokens[i]
+    if kind == "IDENT":
+        i += 1
+        if name in bound:
+            return Var(bound[name]), i
+        sym = table.symbols.get(name)
+        if sym is None and table.auto_symbols:
+            sym = table.lookup_symbol(name)
+        if sym is not None:
+            arity = len(sym.decl.inputs)
+            if not arity:
+                if tokens[i][1] == "(":
+                    raise ParseError(f"symbol {name} takes no arguments", 0, col)
+                return FunApp(sym), i
+            arg, i = parse_term(tokens, expect(tokens, i, "("), table, bound)
+            args = [arg]
+            while tokens[i][1] == ",":
+                arg, i = parse_term(tokens, i + 1, table, bound)
+                args.append(arg)
+            i = expect(tokens, i, ")")
+            if len(args) != arity:
+                raise ParseError(f"symbol {name} expects {arity} arguments, got {len(args)}",
+                                 0, col)
+            return FunApp(sym, tuple(args)), i
+        var = table.variables.get(name)
+        if var is not None:
+            return Var(var), i
+        raise ParseError(f"unknown identifier {name!r} (not in SIG or VARS)", 0, col)
+    if name == "(":
+        t, i = parse_term(tokens, i + 1, table, bound)
+        return t, expect(tokens, i, ")")
+    if name == "\\":
+        kind, x, x_col = tokens[i + 1]
+        if kind != "IDENT":
+            raise ParseError("expected a bound variable name", 0, x_col)
+        i += 2
+        if tokens[i][1] == ":":
+            vtype, i = parse_type(tokens, i + 1, table.types)
         else:
-            var = table.variables.get(name_tok.text)
+            var = table.variables.get(x)
             if var is None:
-                raise ParseError(
-                    f"bound variable {name_tok.text} needs a type annotation or a VARS entry",
-                    name_tok.line, name_tok.col)
+                raise ParseError(f"bound variable {x} needs a type annotation or a VARS entry",
+                                 0, x_col)
             vtype = var.type
-        ts.expect(".")
-        x = Variable(name_tok.text, vtype)
-        inner = dict(bound)
-        inner[x.name] = x
-        body = parse_term(ts, table, inner)
-        return lam(x, body)
-    if tok.kind == "CONST":
+        v = Variable(x, vtype)
+        body, i = parse_term(tokens, expect(tokens, i, "."), table, {**bound, x: v})
+        return lam(v, body), i
+    if kind == "CONST":
         if not table.auto_symbols:
-            raise ParseError(f"!c{{{tok.text}}} may only occur in proofs", tok.line, tok.col)
-        ts.next()
+            raise ParseError(f"!c{{{name}}} may only occur in proofs", 0, col)
         # the type starts after the three characters of "!c{"
-        return FunApp(fresh_const(parse_type_text(tok.text, table.types, tok.line, tok.col + 2)))
-    if tok.kind != "IDENT":
-        raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
-    ts.next()
-    name = tok.text
-    if name in bound:
-        return Var(bound[name])
-    sym = table.lookup_symbol(name)
-    if sym is not None:
-        if sym.decl.arity == 0:
-            if ts.at("("):
-                raise ParseError(f"symbol {name} takes no arguments", tok.line, tok.col)
-            return FunApp(sym)
-        ts.expect("(")
-        args = [parse_term(ts, table, bound)]
-        while ts.at(","):
-            ts.next()
-            args.append(parse_term(ts, table, bound))
-        ts.expect(")")
-        if len(args) != sym.decl.arity:
-            raise ParseError(
-                f"symbol {name} expects {sym.decl.arity} arguments, got {len(args)}",
-                tok.line, tok.col)
-        return FunApp(sym, tuple(args))
-    if name in table.variables:
-        return Var(table.variables[name])
-    raise ParseError(f"unknown identifier {name!r} (not in SIG or VARS)", tok.line, tok.col)
+        return FunApp(fresh_const(parse_type_text(name, table.types, 0, col + 2))), i + 1
+    raise ParseError(f"expected a term, found {name!r}", 0, col)
 
 
 def parse_term_text(text: str, table: SymbolTable, number: int = 1, offset: int = 0) -> Term:
-    ts = TokenStream(tokenize(text, number, offset))
-    t = parse_term(ts, table)
-    ts.end("term")
+    tokens = tokenize(text, number, offset)
+    t, i = at_line(parse_term, tokens, number, table)
+    _end(tokens, i, number, "term")
     return t
 
 
@@ -263,41 +264,49 @@ def parse_afs(text: str):
     symbols: dict[str, FunctionSymbol] = {}
     variables: dict[str, Variable] = {}
     table = SymbolTable(symbols, variables)
+    types = table.types
     rules: list[Rule] = []
     section: Optional[str] = None
 
-    for number, line in enumerate(text.split("\n"), 1):
-        ts = TokenStream(tokenize(line, number))
-        while (tok := ts.peek()).kind == "IDENT" and tok.text in ("SIG", "VARS", "RULES"):
-            section = ts.next().text
-        if tok.kind == "EOF":
-            continue
-        if section is None:
-            raise ParseError("declarations must appear inside a SIG, VARS or RULES block",
-                             tok.line, tok.col)
-        if section == "RULES":
-            lhs = parse_term(ts, table)
-            ts.expect("=>")
-            rule = Rule(lhs, parse_term(ts, table), origin="user")
-            validate_rule(rule, tok.line, tok.col)
-            rules.append(rule)
-        else:
-            sig = section == "SIG"
-            ts.next()
-            if tok.kind != "IDENT" or tok.text.endswith(("#", "-")):
-                raise ParseError(f"expected a {'function symbol' if sig else 'variable'} name",
-                                 tok.line, tok.col)
-            if tok.text in symbols or tok.text in variables:
-                what = "symbol" if sig and tok.text in symbols else "name"
-                raise ParseError(f"duplicate {what} {tok.text}", tok.line, tok.col)
-            ts.expect(":")
-            if sig:
-                decl = parse_type_decl(ts, table.types)
-                symbols[tok.text] = FunctionSymbol(tok.text, decl, PLAIN)
+    number = 0
+    try:
+        for number, line in enumerate(text.split("\n"), 1):
+            tokens = tokenize(line, number)
+            i = 0
+            while tokens[i][0] == "IDENT" and tokens[i][1] in ("SIG", "VARS", "RULES"):
+                section = tokens[i][1]
+                i += 1
+            kind, name, col = tokens[i]
+            if kind == "EOF":
+                continue
+            if section is None:
+                raise ParseError("declarations must appear inside a SIG, VARS or RULES block",
+                                 number, col)
+            if section == "RULES":
+                lhs, i = parse_term(tokens, i, table)
+                rhs, i = parse_term(tokens, expect(tokens, i, "=>"), table)
+                rule = Rule(lhs, rhs, origin="user")
+                validate_rule(rule, number, col)
+                rules.append(rule)
             else:
-                variables[tok.text] = Variable(tok.text, parse_type(ts, table.types))
-        end = ts.peek()
-        if end.kind != "EOF":
-            raise ParseError(f"unexpected {end.text!r} (one declaration per line)", end.line, end.col)
+                sig = section == "SIG"
+                if kind != "IDENT" or name.endswith(("#", "-")):
+                    raise ParseError(
+                        f"expected a {'function symbol' if sig else 'variable'} name", number, col)
+                if name in symbols or name in variables:
+                    what = "symbol" if sig and name in symbols else "name"
+                    raise ParseError(f"duplicate {what} {name}", number, col)
+                i = expect(tokens, i + 1, ":")
+                if sig:
+                    decl, i = parse_type_decl(tokens, i, types)
+                    symbols[name] = FunctionSymbol(name, decl, PLAIN)
+                else:
+                    vtype, i = parse_type(tokens, i, types)
+                    variables[name] = Variable(name, vtype)
+            kind, rest, col = tokens[i]
+            if kind != "EOF":
+                raise ParseError(f"unexpected {rest!r} (one declaration per line)", number, col)
+    except ParseError as exc:
+        raise ParseError(exc.message, number, exc.col) from None
 
     return AFS(tuple(symbols.values()), tuple(rules))

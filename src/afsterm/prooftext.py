@@ -26,7 +26,7 @@ from .orderings.poly import (
     slot_types_for,
 )
 from .parser import (
-    ParseError, SymbolTable, TokenStream, tokenize, parse_term, parse_term_text,
+    ParseError, SymbolTable, Token, at_line, expect, tokenize, parse_term, parse_term_text,
 )
 from .terms import (
     FunctionSymbol, Variable, Term, term_text, TypeDecl, EXT,
@@ -97,57 +97,60 @@ def render_proof(proof: Proof, verbosity: int = 0) -> str:
 # expression parsing ----------------------------------------------------------
 
 
-def _parse_expr(ts: TokenStream) -> Expr:
-    parts = [_parse_expr_mul(ts)]
-    while ts.at("+"):
-        ts.next()
-        parts.append(_parse_expr_mul(ts))
-    return parts[0] if len(parts) == 1 else Add(tuple(parts))
+def _parse_expr(tokens: list[Token], i: int) -> tuple[Expr, int]:
+    part, i = _parse_expr_mul(tokens, i)
+    parts = [part]
+    while tokens[i][1] == "+":
+        part, i = _parse_expr_mul(tokens, i + 1)
+        parts.append(part)
+    return parts[0] if len(parts) == 1 else Add(tuple(parts)), i
 
 
-def _parse_expr_mul(ts: TokenStream) -> Expr:
-    parts = [_parse_expr_atom(ts)]
-    while ts.at("*"):
-        ts.next()
-        parts.append(_parse_expr_atom(ts))
-    return parts[0] if len(parts) == 1 else Mul(tuple(parts))
+def _parse_expr_mul(tokens: list[Token], i: int) -> tuple[Expr, int]:
+    part, i = _parse_expr_atom(tokens, i)
+    parts = [part]
+    while tokens[i][1] == "*":
+        part, i = _parse_expr_atom(tokens, i + 1)
+        parts.append(part)
+    return parts[0] if len(parts) == 1 else Mul(tuple(parts)), i
 
 
-def _parse_expr_args(ts: TokenStream) -> tuple[Expr, ...]:
-    ts.expect("(")
-    args = [_parse_expr(ts)]
-    while ts.at(","):
-        ts.next()
-        args.append(_parse_expr(ts))
-    ts.expect(")")
-    return tuple(args)
+def _parse_expr_args(tokens: list[Token], i: int) -> tuple[tuple[Expr, ...], int]:
+    arg, i = _parse_expr(tokens, expect(tokens, i, "("))
+    args = [arg]
+    while tokens[i][1] == ",":
+        arg, i = _parse_expr(tokens, i + 1)
+        args.append(arg)
+    return tuple(args), expect(tokens, i, ")")
 
 
-def _parse_expr_atom(ts: TokenStream) -> Expr:
-    tok = ts.next()
-    if tok.text == "(":
-        e = _parse_expr(ts)
-        ts.expect(")")
-        return e
-    if tok.kind == "IDENT" and tok.text.isdigit():
-        return Const(int(tok.text))
-    if tok.kind == "IDENT" and tok.text == "max":
-        return MaxE(_parse_expr_args(ts))
-    if tok.kind == "IDENT" and tok.text.startswith("x") and tok.text[1:].isdigit():
-        index = int(tok.text[1:]) - 1
-        if ts.at("("):
-            return AppSlot(index, _parse_expr_args(ts))
-        return SlotRef(index)
-    raise ProofSyntaxError(f"cannot parse interpretation expression at {tok.text!r}")
+def _parse_expr_atom(tokens: list[Token], i: int) -> tuple[Expr, int]:
+    kind, text, _ = tokens[i]
+    i += 1
+    if text == "(":
+        e, i = _parse_expr(tokens, i)
+        return e, expect(tokens, i, ")")
+    if kind == "IDENT" and text.isdigit():
+        return Const(int(text)), i
+    if kind == "IDENT" and text == "max":
+        args, i = _parse_expr_args(tokens, i)
+        return MaxE(args), i
+    if kind == "IDENT" and text.startswith("x") and text[1:].isdigit():
+        index = int(text[1:]) - 1
+        if tokens[i][1] == "(":
+            args, i = _parse_expr_args(tokens, i)
+            return AppSlot(index, args), i
+        return SlotRef(index), i
+    raise ProofSyntaxError(f"cannot parse interpretation expression at {text!r}")
 
 
 def parse_polyfun(text: str, sym: FunctionSymbol, number: int = 1, offset: int = 0) -> PolyFun:
     """Parse a template body, found on line `number` after `offset`
     columns; PolyFun rejects a body that is not well-formed over the
     symbol's slots."""
-    ts = TokenStream(tokenize(text, number, offset))
-    body = _parse_expr(ts)
-    if ts.peek().kind != "EOF":
+    tokens = tokenize(text, number, offset)
+    body, i = at_line(_parse_expr, tokens, number)
+    if tokens[i][0] != "EOF":
         raise ProofSyntaxError(f"trailing input in interpretation of {sym.display}")
     try:
         return PolyFun(slot_types_for(sym), body)
@@ -180,12 +183,11 @@ def parse_pi_template(text: str, sym: FunctionSymbol, table: SymbolTable,
     # a copy: _register_primed adds this template's primed names to it
     local = SymbolTable(dict(table.symbols), {v.name: v for v in slots}, auto_symbols=True)
     tokens = tokenize(text, number, offset)
-    for tok in tokens:
-        if tok.kind == "IDENT" and "'" in tok.text and local.lookup_symbol(tok.text) is None:
-            _register_primed(tok.text, local)
-    ts = TokenStream(tokens)
-    t = parse_term(ts, local)
-    if ts.peek().kind != "EOF":
+    for kind, name, _ in tokens:
+        if kind == "IDENT" and "'" in name and local.lookup_symbol(name) is None:
+            _register_primed(name, local)
+    t, i = at_line(parse_term, tokens, number, local)
+    if tokens[i][0] != "EOF":
         raise ProofSyntaxError(f"trailing input in pi({sym.display})")
     return t
 
@@ -233,6 +235,31 @@ def _at(number: int, line: str, value: str) -> tuple[int, int]:
     """Where `value`, the end of `line`, starts: the line number and the
     columns before it."""
     return number, len(line) - len(value)
+
+
+# the `key:` lines `prove` prints in each block other than STEP; PREPARATION
+# also prints one `pair N:` line per pair, and GIVEUP a `loop:` line per term
+_KEYS = {"PREPARATION": ("local", "static-mode", "rules", "pairs", "graph"),
+         "PRUNE": ("removed",), "GIVEUP": ("scc", "tried", "reason", "loop")}
+
+
+def _entries(header: str, block: list[tuple[int, str]]) -> list[tuple[int, str, str, str]]:
+    """The lines of a PREPARATION, PRUNE or GIVEUP block as (line number,
+    line, key, value): only the keys `prove` prints there, each once except
+    `loop`."""
+    out = []
+    seen = set()
+    for number, raw in block:
+        key, colon, value = raw.partition(":")
+        key = key.strip()
+        if not colon or key not in _KEYS[header] and not (
+                header == "PREPARATION" and key.startswith("pair ")):
+            raise ProofSyntaxError(f"unexpected proof line: {raw.strip()!r}")
+        if key in seen and key != "loop":
+            raise ProofSyntaxError(f"repeated {key}: line in one {header}")
+        seen.add(key)
+        out.append((number, raw, key, value.strip()))
+    return out
 
 
 def _parse_step(block: list[tuple[int, str]],
@@ -304,8 +331,9 @@ def parse_proof(text: str, problem: DPProblem) -> tuple[Proof, list[str]]:
     """Parse a proof; returns the proof plus textual mismatches found while
     cross-checking the listed pairs against the recomputed ones.  Raises
     ProofSyntaxError (or the term parser's ParseError) for a text that does
-    not parse, for a STEP whose removed pairs are not its strict ones, and
-    unless END is the last non-blank line and on no other line."""
+    not parse, for a block line `prove` never prints there or prints once
+    and the text repeats, for a STEP whose removed pairs are not its strict
+    ones, and unless END is the last non-blank line and on no other line."""
     table = SymbolTable({f.name: f for f in problem.afs.signature}, {}, auto_symbols=True)
     mismatches: list[str] = []
     lines = text.splitlines()
@@ -322,11 +350,12 @@ def parse_proof(text: str, problem: DPProblem) -> tuple[Proof, list[str]]:
         if header == "STEP":
             steps.append(_parse_step(block, table))
             continue
-        entries = [(key.strip(), value.strip())
-                   for key, _, value in (raw.partition(":") for _, raw in block)]
-        fields = dict(entries)
+        if header not in _KEYS:
+            raise ProofSyntaxError(f"unexpected proof line: {header!r}")
+        entries = _entries(header, block)
+        fields = {key: value for _, _, key, value in entries}
         if header == "PREPARATION":
-            pair_lines = [(k, v) for k, v in entries if k.startswith("pair ")]
+            pair_lines = [(k, v) for _, _, k, v in entries if k.startswith("pair ")]
             for k, v in pair_lines:
                 idx = _int(k.split()[1])
                 if idx >= len(problem.pairs):
@@ -348,10 +377,10 @@ def parse_proof(text: str, problem: DPProblem) -> tuple[Proof, list[str]]:
                 raise ProofSyntaxError(f"malformed PREPARATION block: {exc}")
         elif header == "PRUNE":
             steps.append(PruneStep(_int_list(fields.get("removed", ""))))
-        elif header == "GIVEUP":
+        else:
             terms: dict[str, Term] = {}  # each distinct loop line is parsed once
             loop = []
-            for (number, raw), (key, value) in zip(block, entries):
+            for number, raw, key, value in entries:
                 if key == "loop":
                     if value not in terms:
                         terms[value] = parse_term_text(value, table, *_at(number, raw, value))
@@ -359,8 +388,6 @@ def parse_proof(text: str, problem: DPProblem) -> tuple[Proof, list[str]]:
             steps.append(GiveUp(_int_list(fields.get("scc", "")),
                                 tuple(fields.get("tried", "").split()),
                                 fields.get("reason", ""), tuple(loop)))
-        else:
-            raise ProofSyntaxError(f"unexpected proof line: {header!r}")
 
     return Proof(lines[0].strip(), steps, problem), mismatches
 

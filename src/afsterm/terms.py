@@ -33,7 +33,7 @@ rebuilds only the paths to escaping indices.
 from __future__ import annotations
 
 from .record import record
-from typing import Callable, Container, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
 # --------------------------------------------------------------------------
@@ -256,9 +256,15 @@ class FunApp(Term):
     args: tuple[Term, ...] = ()
 
     def __post_init__(self):
-        decl, args = self.fn.decl, self.args
-        _set_type(self, decl.output if decl.inputs == tuple([a._type for a in args]) else None)
-        _set_loose(self, max([a.loose for a in args], default=0))
+        # one plain loop: a comprehension would cost a call of its own
+        types, loose = [], 0
+        for a in self.args:
+            types.append(a._type)
+            if a.loose > loose:
+                loose = a.loose
+        decl = self.fn.decl
+        _set_type(self, decl.output if decl.inputs == tuple(types) else None)
+        _set_loose(self, loose)
 
 
 class IllTyped(Exception):
@@ -560,10 +566,6 @@ def beta_reduce_root(t: Term) -> Optional[Term]:
     return None
 
 
-def is_beta_normal(t: Term) -> bool:
-    return not any(isinstance(s, App) and isinstance(s.fn, Abs) for s, _ in subterms(t))
-
-
 def rewrite_step(t: Term, rules: Sequence) -> list[Term]:
     """All one-step reducts of t, deduplicated modulo alpha (structural
     equality): at each position in pre-order the beta step, then the rules
@@ -657,13 +659,17 @@ def bounded_reductions(t: Term, rules: Sequence, max_steps: int,
 # marking -------------------------------------------------------------------
 
 
-def mark(t: Term, defined: Container[str]) -> Term:
+def mark(t: Term, marks: Mapping[str, FunctionSymbol]) -> Term:
     """Marked counterpart: the root symbol f becomes f# when t = f(...) with
-    f a defined symbol; applications and other forms are unchanged.  Only
-    the root's name is looked up in `defined` (the caller's
-    `AFS.defined_names`), so a call costs the same on any system."""
-    if isinstance(t, FunApp) and t.fn.kind == PLAIN and t.fn.name in defined:
-        return FunApp(marked(t.fn), t.args)
+    f a defined symbol; applications and other forms are unchanged.
+    `marks` maps each defined symbol's name to its f#, which the caller
+    builds once, so the marked roots of one system are one object per
+    symbol; only the root's name is looked up, so a call costs the same on
+    any system."""
+    if isinstance(t, FunApp) and t.fn.kind == PLAIN:
+        f_marked = marks.get(t.fn.name)
+        if f_marked is not None:
+            return FunApp(f_marked, t.args)
     return t
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import importlib.util
 import random
+import sys
 import zlib
 from collections import defaultdict
 from pathlib import Path
@@ -50,6 +51,23 @@ def wide_system(seed: int, copies: int = 50) -> str:
     wide = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(wide)
     return wide.generate(seed, copies)
+
+
+def count_calls(fn):
+    """The number of Python-level calls (`sys.setprofile` call events) made
+    while fn() runs, and what it returned."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return calls, result
 
 
 def type_walks(monkeypatch) -> list[Term]:
@@ -102,6 +120,11 @@ def dangling_bvars(t: Term) -> frozenset[int]:
     walk over all its subterms."""
     return frozenset(s.index - d for s, d in subterms(t)
                      if isinstance(s, BVar) and s.index >= d)
+
+
+def is_beta_normal(t: Term) -> bool:
+    """No subterm of t is a beta-redex."""
+    return not any(isinstance(s, App) and isinstance(s.fn, Abs) for s, _ in subterms(t))
 
 
 def typecheck(t: Term, env: dict[str, SimpleType]) -> SimpleType:

@@ -4,10 +4,10 @@ import pytest
 
 from afsterm import parse_afs
 from afsterm.afs import IllegalLhs, complete, build_rplus
-from afsterm.parser import ParseError, tokenize
-from afsterm.terms import IllTyped, term_text, Abs
+from afsterm.parser import ParseError, SymbolTable, parse_term_text, tokenize
+from afsterm.terms import IllTyped, term_text, free_vars, Abs
 
-from helpers import load
+from helpers import CORPUS, corpus_names, load, wide_system
 
 
 class TestParsing:
@@ -39,7 +39,7 @@ class TestParsing:
 
     def test_primed_positions_follow_a_mark_or_tag(self):
         # `rpo.pi_options` names a filtered marked or tagged symbol so
-        texts = [tok.text for tok in tokenize("f#'2(x) f-'12 F->G")]
+        texts = [text for _, text, _ in tokenize("f#'2(x) f-'12 F->G")]
         assert texts == ["f#'2", "(", "x", ")", "f-'12", "F", "->", "G", ""]
 
     @pytest.mark.parametrize("line, expected", [
@@ -51,7 +51,7 @@ class TestParsing:
             "minus-alone", "unterminated-fresh-constant"])
     def test_one_line_scans_to_its_tokens(self, line, expected):
         try:
-            got = [(tok.kind, tok.text) for tok in tokenize(line, 4)]
+            got = [(kind, text) for kind, text, _ in tokenize(line, 4)]
         except ParseError as exc:
             got = str(exc)
         assert got == expected
@@ -99,6 +99,85 @@ class TestParsing:
                "  g(x) => o\n")
         with pytest.raises((IllTyped, ParseError)):
             parse_afs(src)
+
+
+# every ParseError of the AFS reader, each at the line and column it names:
+# (what in MALFORMED_BASE is replaced, by what, the error)
+MALFORMED_BASE = """SIG
+  o : nat
+  s : [nat] -> nat
+  f : [nat * nat] -> nat
+  g : [nat -> nat] -> nat
+VARS
+  x : nat
+  F : nat -> nat
+RULES
+  f(x, o) => s(x)
+"""
+RULE = "f(x, o) => s(x)"
+
+
+@pytest.mark.parametrize("old, new, error", [
+    ("SIG\n  o : nat\n", "  o : nat\nSIG\n",
+     "1:3: declarations must appear inside a SIG, VARS or RULES block"),
+    ("  o : nat", "  ( : nat", "2:3: expected a function symbol name"),
+    ("  x : nat", "  x# : nat", "7:3: expected a variable name"),
+    ("  o : nat", "  o : nat\n  o : nat", "3:3: duplicate symbol o"),
+    ("  x : nat", "  x : nat\n  x : list", "8:3: duplicate name x"),
+    ("RULES", "SIG\n  x : nat\nRULES", "10:3: duplicate name x"),
+    ("  o : nat", "  o nat", "2:5: expected ':', found 'nat'"),
+    ("  o : nat", "  o : ->", "2:7: expected a type, found '->'"),
+    ("  f : [nat * nat] -> nat", "  f : [nat * nat -> nat", "4:24: expected ']', found ''"),
+    ("  s : [nat] -> nat", "  s : [nat] nat", "3:13: expected '->', found 'nat'"),
+    ("  F : nat -> nat", "  F : (nat -> nat", "8:18: expected ')', found ''"),
+    ("  o : nat", "  o : nat nat", "2:11: unexpected 'nat' (one declaration per line)"),
+    (RULE, "f(x, o) s(x)", "10:11: expected '=>', found 's'"),
+    (RULE, "f(x, o) =>", "10:13: expected a term, found ''"),
+    (RULE, "f(x) => s(x)", "10:3: symbol f expects 2 arguments, got 1"),
+    (RULE, "f(x, o, o) => s(x)", "10:3: symbol f expects 2 arguments, got 3"),
+    (RULE, "f(x, o()) => s(x)", "10:8: symbol o takes no arguments"),
+    (RULE, "f(x, o) => s", "10:15: expected '(', found ''"),
+    (RULE, "f(y, o) => s(x)", "10:5: unknown identifier 'y' (not in SIG or VARS)"),
+    (RULE, "f(x, ) => s(x)", "10:8: expected a term, found ')'"),
+    (RULE, "(f(x, o) => s(x)", "10:12: expected ')', found '=>'"),
+    (RULE, "f(x, o) => s(x) o", "10:19: unexpected 'o' (one declaration per line)"),
+    (RULE, "f(x, o)$ => s(x)", "10:10: unexpected character '$'"),
+    (RULE, "f(x, o) => s(x)$", "10:18: unexpected character '$'"),
+    (RULE, "f(x, o) => g(\\y. s(y))",
+     "10:17: bound variable y needs a type annotation or a VARS entry"),
+    (RULE, "f(x, o) => g(\\(:nat. s(x)))", "10:17: expected a bound variable name"),
+    (RULE, "f(x, o) => g(\\y:nat s(y))", "10:23: expected '.', found 's'"),
+    (RULE, "f(x, o) => f(x, !c{nat})", "10:19: !c{nat} may only occur in proofs"),
+    (RULE, "f(x, o) => f(x, !c{nat)", "10:19: unterminated !c{...} constant"),
+], ids=[
+    "outside-a-block", "symbol-name", "marked-variable-name", "duplicate-symbol",
+    "duplicate-variable", "symbol-named-like-a-variable", "declaration-without-colon",
+    "not-a-type", "unclosed-input-list", "input-list-without-arrow",
+    "unclosed-type-parenthesis", "two-declarations-on-a-line", "rule-without-arrow",
+    "rule-without-right-hand-side", "too-few-arguments", "too-many-arguments",
+    "arguments-of-a-constant", "symbol-without-arguments", "unknown-identifier",
+    "missing-argument", "unclosed-parenthesis", "trailing-input-after-a-rule",
+    "stray-character-after-a-token", "stray-character-at-the-line-end",
+    "binder-without-a-type", "binder-without-a-name", "binder-without-a-dot",
+    "fresh-constant-in-a-system", "unterminated-fresh-constant"])
+def test_a_malformed_system_is_reported_at_its_line_and_column(old, new, error):
+    parse_afs(MALFORMED_BASE)
+    assert old in MALFORMED_BASE
+    with pytest.raises(ParseError) as exc:
+        parse_afs(MALFORMED_BASE.replace(old, new, 1))
+    assert str(exc.value) == error
+    assert (exc.value.line, exc.value.col) == tuple(map(int, error.split(":")[:2]))
+
+
+@pytest.mark.parametrize("name", corpus_names() + ["wide-2001"])
+def test_every_rule_side_prints_as_text_that_parses_back_to_it(name):
+    text = wide_system(2001) if name == "wide-2001" else (CORPUS / f"{name}.afs").read_text()
+    afs = parse_afs(text)
+    symbols = {f.name: f for f in afs.signature}
+    for rule in afs.rules:
+        for side in (rule.lhs, rule.rhs):
+            table = SymbolTable(symbols, {v.name: v for v in free_vars(side)})
+            assert parse_term_text(term_text(side), table) == side, term_text(side)
 
 
 class TestCompletion:

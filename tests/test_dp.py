@@ -12,10 +12,10 @@ from afsterm.dp import (
 from afsterm.parser import SymbolTable, parse_term_text
 from afsterm.terms import (
     Base, Arrow, Variable, Var, App, FunApp, lam, term_text,
-    apply_subst, bounded_reductions,
+    apply_subst, bounded_reductions, MARKED,
 )
 
-from helpers import build_rtag, load, random_term
+from helpers import build_rtag, load, random_term, wide_system
 
 nat = Base("nat")
 
@@ -126,6 +126,19 @@ class TestDependencyPairs:
             "f#(o) ~> a#",
             "g#(F, b) ~> F @ o",
         ]
+
+    @pytest.mark.parametrize("name", ["ack", "fga", "twice", "wide-2001"])
+    def test_one_marked_symbol_per_defined_symbol(self, name):
+        # the graph's head comparisons then meet the same object
+        afs = parse_afs(wide_system(2001)) if name == "wide-2001" else load(name)
+        marked_roots: dict[str, list] = {}
+        for pair in dependency_pairs(afs).pairs:
+            for side in (pair.lhs, pair.rhs):
+                if isinstance(side, FunApp) and side.fn.kind == MARKED:
+                    marked_roots.setdefault(side.fn.name, []).append(side.fn)
+        assert marked_roots
+        for name, symbols in marked_roots.items():
+            assert all(f is symbols[0] for f in symbols), name
 
 
 class TestTagging:

@@ -174,6 +174,73 @@ class TestHandWrittenProof:
         assert broken != golden
         assert check_proof_text(broken, load("eval")) == [f"proof does not parse: {error}"]
 
+    # PREPARATION, PRUNE and GIVEUP carry only the lines `prove` prints
+    # there, each once except `loop:`
+    @pytest.mark.parametrize("name, after, extra, error", [
+        ("fga", "PREPARATION\n", "  bogus: 1\n", "unexpected proof line: 'bogus: 1'"),
+        ("fga", "  rules: 3\n", "  rules: 99\n", "repeated rules: line in one PREPARATION"),
+        ("ack", "PREPARATION\n", "  bogus: 1\n", "unexpected proof line: 'bogus: 1'"),
+        ("fga", "  pair 1: f#(o) ~> f#(!c{nat})\n", "  pair 1: f#(o) ~> f#(!c{nat})\n",
+         "repeated pair 1: line in one PREPARATION"),
+        ("fga", "PRUNE\n", "  nonsense here\n", "unexpected proof line: 'nonsense here'"),
+        ("fga", "PRUNE\n", "  removed: 1 2\n", "repeated removed: line in one PRUNE"),
+        ("fga", "GIVEUP\n", "  whatever: 3\n", "unexpected proof line: 'whatever: 3'"),
+        ("fga", "GIVEUP\n", "  reason: none\n", "repeated reason: line in one GIVEUP"),
+    ], ids=["unknown-preparation-key", "repeated-rules", "unknown-key-in-ack",
+            "repeated-pair", "prune-line-without-key", "repeated-removed",
+            "unknown-giveup-key", "repeated-reason"])
+    def test_a_block_line_prove_does_not_print_is_rejected(self, name, after, extra, error):
+        golden = (GOLDEN / f"{name}.proof").read_text()
+        assert after in golden
+        broken = golden.replace(after, after + extra, 1)
+        assert check_proof_text(broken, load(name)) == [f"proof does not parse: {error}"]
+
+    # every diagnostic of the value readers, as the proof's line and column
+    # (where the error has one) and message
+    @pytest.mark.parametrize("name, engines, old, new, error", [
+        ("apeq", None, "    J(ap) = x1(x2) + x2\n", "    J(ap) = max x2\n",
+         "27:17: expected '(', found 'x2'"),
+        ("apeq", None, "    J(ap) = x1(x2) + x2\n", "    J(ap) = x1(x2 + x2\n",
+         "27:23: expected ')', found ''"),
+        ("apeq", None, "    J(dbl) = x1 + x1 + 1\n", "    J(dbl) = (x1 + x1 + 1\n",
+         "29:26: expected ')', found ''"),
+        ("apeq", None, "    J(ap) = x1(x2) + x2\n", "    J(ap) = x1(x2) x2\n",
+         "trailing input in interpretation of ap"),
+        ("apeq", None, "    J(ap) = x1(x2) + x2\n", "    J(ap) = + x2\n",
+         "cannot parse interpretation expression at '+'"),
+        ("apeq", None, "    J(ap) = x1(x2) + x2\n", "    J(ap) = x1(x2) + x2 $\n",
+         "27:25: unexpected character '$'"),
+        ("quot", ("rpo",), "    pi(minus) = x1\n", "    pi(minus) = x1 x1\n",
+         "trailing input in pi(minus)"),
+        ("quot", ("rpo",), "    pi(minus) = x1\n", "    pi(minus) = minus(x1, x2\n",
+         "35:29: expected ')', found ''"),
+        ("quot", ("rpo",), "    pi(minus) = x1\n", "    pi(minus) = x3\n",
+         "35:17: unknown identifier 'x3' (not in SIG or VARS)"),
+        ("fga", None, "  loop: f(o)\n", "  loop: f(o) o\n",
+         "18:14: trailing input after term: 'o'"),
+        ("fga", None, "  loop: f(o)\n", "  loop: f(!c{nat nat})\n",
+         "18:18: trailing input after type: 'nat'"),
+        ("fga", None, "  loop: f(o)\n", "  loop: f(!c{nat $})\n",
+         "18:18: unexpected character '$'"),
+        ("fga", None, "  loop: f(o)\n", "  loop: f(zz)\n",
+         "18:11: unknown identifier 'zz' (not in SIG or VARS)"),
+        ("fga", None, "  loop: g(\\x:nat. f(x), a)\n", "  loop: g(\\x. f(x), a)\n",
+         "19:12: bound variable x needs a type annotation or a VARS entry"),
+        ("fga", None, "  loop: f(o)\n", "  loop: (f(o)\n", "18:14: expected ')', found ''"),
+    ], ids=["J-max-without-arguments", "J-unclosed-application", "J-unclosed-parenthesis",
+            "J-trailing-input", "J-not-an-expression", "J-stray-character",
+            "pi-trailing-input", "pi-unclosed-arguments", "pi-unknown-identifier",
+            "loop-trailing-input", "loop-trailing-type", "loop-stray-character-in-a-type",
+            "loop-unknown-identifier", "loop-binder-without-a-type",
+            "loop-unclosed-parenthesis"])
+    def test_a_malformed_value_line_is_reported(self, name, engines, old, new, error):
+        afs = load(name)
+        text = (render_proof(prove(afs, Config(engines=engines)), 1) if engines
+                else (GOLDEN / f"{name}.proof").read_text())
+        assert old in text
+        broken = text.replace(old, new, 1)
+        assert check_proof_text(broken, afs) == [f"proof does not parse: {error}"]
+
     # an error inside a loop term, a J body, a pi template or a !c{...}
     # type is reported at its line and column in the proof file
     @pytest.mark.parametrize("name, engines, old, new, column, error", [

@@ -22,7 +22,7 @@ RECORDS = sorted(
      for cls in vars(importlib.import_module(m.name)).values()
      if isinstance(cls, type) and cls.__module__ == m.name and "__record_fields__" in vars(cls)),
     key=lambda cls: cls.__name__)
-MUTABLE = {"Config", "Proof", "CorpusEntry", "Token", "Exploration", "SFun"}
+MUTABLE = {"Config", "Proof", "CorpusEntry", "Exploration", "SFun"}
 UNCOMPARED = {"Abs": "hint"}
 # field values for the records whose __post_init__ validates them: a valid
 # instance, one more valid value for each field, and invalid instances

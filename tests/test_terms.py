@@ -11,13 +11,13 @@ from afsterm.parser import SymbolTable, parse_term_text
 from afsterm.terms import (
     Base, Arrow, arrow, TypeDecl, FunctionSymbol, Variable, Var, App, FunApp, lam,
     type_of, IllTyped, apply_subst, match,
-    rewrite_step, bounded_reductions, mark, head, free_vars, subterms,
-    term_text, is_beta_normal, TypeMismatch, _type_of,
+    rewrite_step, bounded_reductions, mark, marked, head, free_vars, subterms,
+    term_text, TypeMismatch, _type_of,
 )
 
 from helpers import (
-    corpus_names, dangling_bvars, load, random_term, random_closed_term, normal_forms,
-    typecheck,
+    corpus_names, dangling_bvars, is_beta_normal, load, random_term, random_closed_term,
+    normal_forms, typecheck,
 )
 
 nat = Base("nat")
@@ -266,26 +266,28 @@ class TestBoundedReductions:
 
 
 class NoIteration:
-    """Names that may only be tested for membership."""
+    """A mapping that may only be looked up by key."""
 
-    def __init__(self, names):
-        self.names = names
+    def __init__(self, entries):
+        self.entries = entries
 
-    def __contains__(self, name):
-        return name in self.names
+    def get(self, name, default=None):
+        return self.entries.get(name, default)
 
     def __iter__(self):
-        raise AssertionError("mark iterated over the defined names")
+        raise AssertionError("mark iterated over the marked symbols")
 
 
 class TestMisc:
     def test_mark(self, twice, table):
-        defined = NoIteration(twice.defined_names)
+        marks = {f.name: marked(f) for f in twice.defined}
+        lookup = NoIteration(marks)
         u = t("twice(F)", table)
-        assert term_text(mark(u, defined)) == "twice#(F)"
+        assert term_text(mark(u, lookup)) == "twice#(F)"
+        assert mark(u, lookup).fn is marks["twice"]  # the caller's f#, not a copy
         v = t("twice(F) @ m", table)
-        assert mark(v, defined) == v  # applications are not marked
-        assert mark(t("o", table), defined) == t("o", table)  # constructor
+        assert mark(v, lookup) == v  # applications are not marked
+        assert mark(t("o", table), lookup) == t("o", table)  # constructor
 
     def test_term_text_collects_free_variables_only_below_a_binder(self, table, monkeypatch):
         collected = []
