@@ -73,7 +73,7 @@ def _side_facts(t: Term) -> tuple[list[Variable], bool, bool, set[str]]:
     return occurrences, redex, free_below, escaping
 
 
-def validate_rule(rule: Rule, line: int = 0, col: int = 0) -> None:
+def validate_rule(rule: Rule) -> None:
     """Checks the rule shape contract; raises IllegalLhs or lets IllTyped
     propagate from typing."""
     lt = type_of(rule.lhs)

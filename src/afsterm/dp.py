@@ -16,14 +16,16 @@ from .terms import (
 
 @record
 class DependencyPair:
+    # whether the right-hand side has a variable head, set when the pair is
+    # built: the graph and every SCC step ask it of each pair
+    __slots__ = ("collapsing",)
     lhs: Term
     rhs: Term
     kind: str  # "candidate" | "applied-head"
     rule_index: int
 
-    @property
-    def collapsing(self) -> bool:
-        return isinstance(head(self.rhs), Var)
+    def __post_init__(self):
+        object.__setattr__(self, "collapsing", isinstance(head(self.rhs), Var))
 
     def __str__(self) -> str:
         return f"{term_text(self.lhs)} ~> {term_text(self.rhs)}"
@@ -47,42 +49,36 @@ def candidate_terms(rhs: Term, afs: AFS) -> list[Term]:
     out: list[Term] = []
     seen: set[Term] = set()
 
-    def add(t: Term, depth: int) -> None:
-        closed = close_dangling(t) if depth else t
+    def add(t: Term) -> None:
+        closed = close_dangling(t) if t.loose else t
         if closed not in seen:
             seen.add(closed)
             out.append(closed)
 
-    def walk(t: Term, depth: int) -> None:
-        spine_head, args = app_spine(t)
-        call = isinstance(spine_head, FunApp) and spine_head.fn.kind == PLAIN \
-            and spine_head.fn.name in defined
-        if call or isinstance(spine_head, Var) and args:  # free: bound variables are indices
-            # every application prefix, longest first; below a variable
-            # head, one argument stays
-            prefix = t
-            for _ in range(len(args) + call):
-                add(prefix, depth)
-                if isinstance(prefix, App):
-                    prefix = prefix.fn
-            if call:
-                for a in spine_head.args:
-                    walk(a, depth)
-            for a in args:
-                walk(a, depth)
-            return
-        if isinstance(t, Abs):
-            walk(t.body, depth + 1)
-            return
-        if isinstance(t, App):
-            walk(t.fn, depth)
-            walk(t.arg, depth)
-            return
-        if isinstance(t, FunApp):
-            for a in t.args:
-                walk(a, depth)
+    def call(t: Term) -> bool:
+        return isinstance(t, FunApp) and t.fn.kind == PLAIN and t.fn.name in defined
 
-    walk(rhs, 0)
+    def walk(t: Term) -> None:
+        if isinstance(t, App):
+            spine_head, args = app_spine(t)
+            if isinstance(spine_head, Var) or call(spine_head):
+                # every application prefix, longest first; below a variable
+                # head one argument stays, and a call's walk adds its head
+                for _ in args:
+                    add(t)
+                    t = t.fn
+            walk(spine_head)
+            for a in args:
+                walk(a)
+        elif isinstance(t, FunApp):
+            if call(t):
+                add(t)
+            for a in t.args:
+                walk(a)
+        elif isinstance(t, Abs):
+            walk(t.body)
+
+    walk(rhs)
     return out
 
 
@@ -100,19 +96,18 @@ def dependency_pairs(afs: AFS, spfp_drop: bool = True) -> DPProblem:
     seen: set[tuple[Term, Term]] = set()
 
     for idx, rule in enumerate(afs.rules):
-        marked_lhs = mark(rule.lhs, marks)
-        strict_subs = None
-        for cand in candidate_terms(rule.rhs, afs):
-            if strict_subs is None:
-                strict_subs = set(strict_subterms_closed(rule.lhs))
-            if cand in strict_subs:
-                continue  # candidate is a strict subterm of the left-hand side
-            pair = (marked_lhs, mark(cand, marks))
-            if pair not in seen:
-                seen.add(pair)
-                pairs.append(DependencyPair(pair[0], pair[1], "candidate", idx))
-        lhs_type = type_of(rule.lhs)
-        if lhs_type.is_arrow():
+        candidates = candidate_terms(rule.rhs, afs)
+        if candidates:
+            marked_lhs = mark(rule.lhs, marks)
+            strict_subs = set(strict_subterms_closed(rule.lhs))
+            for cand in candidates:
+                if cand in strict_subs:
+                    continue  # candidate is a strict subterm of the left-hand side
+                pair = (marked_lhs, mark(cand, marks))
+                if pair not in seen:
+                    seen.add(pair)
+                    pairs.append(DependencyPair(pair[0], pair[1], "candidate", idx))
+        if type_of(rule.lhs).is_arrow():
             rhead = head(rule.rhs)
             applies = isinstance(rhead, Var) or (
                 isinstance(rhead, FunApp) and rhead.fn.kind == PLAIN

@@ -14,7 +14,7 @@ from bisect import insort
 from operator import itemgetter
 from .record import record
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Union
 
 from .afs import AFS
 from .afs import complete, classify  # noqa: F401  (perfbench's layer tracer looks them up here)
@@ -23,13 +23,16 @@ from .graph import DPGraph, approximate_graph, sccs
 from .graph import prune  # noqa: F401  (perfbench's layer tracer wraps it here)
 from .orderings import (
     ConstraintSet, build_constraints, subterm_criterion, Projection,
-    search_poly, search_rpo, PolyInterp, ArgFunRPO, check_certificate,
+    search_poly, PolyInterp, check_certificate,
 )
 from .terms import (
     Abs, App, Arrow, FunApp, FunctionSymbol, IllTyped, SimpleType, Term, Var, Variable,
     bounded_reductions, free_vars, fresh_const, lam, replace_nodes, rewrite_step,
     substitute, subterms, type_of,
 )
+
+if TYPE_CHECKING:
+    from .orderings.rpo import ArgFunRPO
 
 YES = "YES"
 MAYBE = "MAYBE"
@@ -188,6 +191,18 @@ def _discharge(scc: tuple[int, ...], problem: DPProblem, cfg: Config, deadline: 
         if cert is not None:
             return ReductionPairStep(scc, cs.mode, cert), cs
     return GiveUp(scc, tuple(tried), "no engine oriented a pair strictly"), cs
+
+
+def search_rpo(cs: ConstraintSet, deadline: float) -> Optional[ArgFunRPO]:
+    """`orderings.rpo.search_rpo`, which loads the path ordering on the
+    first call: with the default engines no proof of the corpus runs it."""
+    from .orderings.rpo import search_rpo as search
+    return search(cs, deadline=deadline)
+
+
+# perfbench's layer tracer names a span by its function's module: these
+# calls count as the path ordering's (`orderings.rpo.calls`)
+search_rpo.__module__ = "afsterm.orderings.rpo"
 
 
 def _ground(ty: SimpleType, signature: tuple[FunctionSymbol, ...]) -> Term:

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from .record import record
+from typing import Optional
 
 from .terms import (
-    Term, Var, BVar, Abs, FunApp, FunctionSymbol, app_spine, head, type_of,
+    Term, Var, BVar, Abs, FunApp, FunctionSymbol, SimpleType, app_spine, type_of,
     PLAIN, FRESH,
 )
 from .dp import DependencyPair, DPProblem
@@ -66,46 +67,53 @@ def _compatible(rhs_part: Term, lhs_part: Term, defined: frozenset[str]) -> bool
     )
 
 
-def _may_follow(p: DependencyPair, q: DependencyPair, defined: frozenset[str]) -> bool:
-    """Edge test: p's right-hand side may lead to q's left-hand side."""
-    if p.collapsing:
-        return True
-    r_head, r_args = app_spine(p.rhs)
-    l_head, l_args = app_spine(q.lhs)
-    if not (isinstance(r_head, FunApp) and isinstance(l_head, FunApp)):
+def _root(t: Term) -> Optional[tuple[FunctionSymbol, int, SimpleType, list[Term]]]:
+    """For t = f(s1..sn) u1..um: f, m, the type of t and [s1..sn, u1..um],
+    the parts an edge test compares; None when no function symbol heads t."""
+    t_head, args = app_spine(t)
+    if not isinstance(t_head, FunApp):
+        return None
+    return t_head.fn, len(args), type_of(t), [*t_head.args, *args]
+
+
+def _follows(r, l, defined: frozenset[str]) -> bool:
+    """Edge test on the `_root`s of a non-collapsing pair's right-hand side
+    and of the next pair's left-hand side."""
+    if r is None or l is None:
         return False
-    if r_head.fn != l_head.fn or len(r_args) != len(l_args):
+    r_fn, r_extra, r_type, r_parts = r
+    l_fn, l_extra, l_type, l_parts = l
+    if r_fn != l_fn or r_extra != l_extra or r_type != l_type:
         return False
-    if type_of(p.rhs) != type_of(q.lhs):
-        return False
-    return all(
-        _compatible(ra, la, defined)
-        for ra, la in zip(list(r_head.args) + r_args, list(l_head.args) + l_args)
-    )
+    for ra, la in zip(r_parts, l_parts):
+        if not _compatible(ra, la, defined):
+            return False
+    return True
 
 
 def approximate_graph(problem: DPProblem) -> DPGraph:
-    """Edges by `_may_follow`. A non-collapsing pair can only be followed by
+    """An edge p -> q where p's right-hand side may lead to q's left-hand
+    side: p is collapsing, or `_follows` holds of their `_root`s, which are
+    taken once per side.  A non-collapsing pair can only be followed by
     pairs whose left-hand side has its right-hand side's head symbol, so it
-    is tested against that bucket alone; a collapsing pair against all."""
+    is tested against that bucket alone."""
     defined = problem.afs.defined_names
     pairs = problem.pairs
+    lhs_roots = [_root(q.lhs) for q in pairs]
     by_head: dict[FunctionSymbol, list[int]] = {}
-    for j, q in enumerate(pairs):
-        l_head = head(q.lhs)
-        if isinstance(l_head, FunApp):
-            by_head.setdefault(l_head.fn, []).append(j)
+    for j, l in enumerate(lhs_roots):
+        if l is not None:
+            by_head.setdefault(l[0], []).append(j)
+    everything = frozenset(range(len(pairs)))
     edges: dict[int, frozenset[int]] = {}
     for i, p in enumerate(pairs):
-        r_head = head(p.rhs)
         if p.collapsing:
-            candidates = range(len(pairs))
-        elif isinstance(r_head, FunApp):
-            candidates = by_head.get(r_head.fn, ())
-        else:
-            candidates = ()
-        edges[i] = frozenset(j for j in candidates if _may_follow(p, pairs[j], defined))
-    return DPGraph(pairs, edges, frozenset(range(len(pairs))))
+            edges[i] = everything
+            continue
+        r = _root(p.rhs)
+        candidates = by_head.get(r[0], ()) if r is not None else ()
+        edges[i] = frozenset(j for j in candidates if _follows(r, lhs_roots[j], defined))
+    return DPGraph(pairs, edges, everything)
 
 
 def sccs(g: DPGraph) -> list[tuple[int, ...]]:

@@ -7,7 +7,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from ..dp import DependencyPair
-from ..terms import Term, FunApp, app_spine, subterms
+from ..terms import Term, App, Abs, FunApp, head
 
 
 @record
@@ -19,17 +19,33 @@ class Projection:
     strict: tuple[int, ...]
 
 
-def _head_symbol_and_args(t: Term) -> Optional[tuple[str, list[Term]]]:
-    spine_head, _extra = app_spine(t)
+def _head_symbol_and_args(t: Term) -> Optional[tuple[str, tuple[Term, ...]]]:
+    spine_head = head(t)
     if isinstance(spine_head, FunApp) and spine_head.args:
-        return spine_head.fn.display, list(spine_head.args)
+        return spine_head.fn.display, spine_head.args
     return None
 
 
 def _is_strict_subterm(small: Term, big: Term) -> bool:
-    # subterm modulo alpha; small is locally closed, so no subterm with an
-    # escaping bound variable equals it
-    return any(sub == small for sub, _ in subterms(big)[1:])
+    """small occurs in big below its root, modulo alpha; the walk stops at
+    the first occurrence.  small is locally closed, so no subterm with an
+    escaping bound variable equals it."""
+    stack = [big]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, FunApp):
+            below = t.args
+        elif isinstance(t, App):
+            below = (t.fn, t.arg)
+        elif isinstance(t, Abs):
+            below = (t.body,)
+        else:
+            continue
+        for s in below:
+            if s == small:
+                return True
+            stack.append(s)
+    return False
 
 
 def project(nu: dict[str, int], t: Term) -> Optional[Term]:
@@ -45,42 +61,46 @@ def project(nu: dict[str, int], t: Term) -> Optional[Term]:
 
 def subterm_criterion(scc: Sequence[int], pairs: Sequence[DependencyPair]) -> Optional[Projection]:
     """Search for a projection with proj(lhs) |> proj(rhs) (or equal) on all
-    pairs and strictly on a maximal nonempty subset."""
-    selected = [(i, pairs[i]) for i in scc]
-    if any(p.collapsing for _, p in selected):
-        return None
-
+    pairs and strictly on a maximal nonempty subset.  Each pair is split
+    into head symbols and arguments once, and each comparison of two
+    arguments is made once: projections that pick the same arguments of a
+    pair look its relation up."""
+    sides = []
     heads: dict[str, int] = {}
-    for _, p in selected:
-        for side in (p.lhs, p.rhs):
-            ha = _head_symbol_and_args(side)
-            if ha is None:
-                return None
-            name, args = ha
-            n = len(args)
-            heads[name] = min(heads.get(name, n), n)
+    for i in scc:
+        p = pairs[i]
+        if p.collapsing:
+            return None
+        lhs, rhs = _head_symbol_and_args(p.lhs), _head_symbol_and_args(p.rhs)
+        if lhs is None or rhs is None:
+            return None
+        for name, args in (lhs, rhs):
+            heads[name] = min(heads.get(name, len(args)), len(args))
+        sides.append((i, lhs, rhs))
     names = sorted(heads)
 
+    # (pair, lhs argument, rhs argument) -> True: strict, False: equal,
+    # None: neither
+    relation: dict[tuple[int, int, int], Optional[bool]] = {}
     best: Optional[Projection] = None
     for choice in product(*(range(1, heads[n] + 1) for n in names)):
         nu = dict(zip(names, choice))
         strict: list[int] = []
-        ok = True
-        for i, p in selected:
-            left = project(nu, p.lhs)
-            right = project(nu, p.rhs)
-            if left is None or right is None:
-                ok = False
+        for i, (l_name, l_args), (r_name, r_args) in sides:
+            key = (i, nu[l_name], nu[r_name])
+            if key in relation:
+                strictly = relation[key]
+            else:
+                left, right = l_args[key[1] - 1], r_args[key[2] - 1]
+                strictly = relation[key] = (True if _is_strict_subterm(right, left)
+                                            else False if left == right else None)
+            if strictly is None:
                 break
-            if _is_strict_subterm(right, left):
+            if strictly:
                 strict.append(i)
-            elif left != right:
-                ok = False
-                break
-        if ok and strict:
-            cand = Projection(nu, tuple(strict))
-            if best is None or len(cand.strict) > len(best.strict):
-                best = cand
+        else:
+            if strict and (best is None or len(strict) > len(best.strict)):
+                best = Projection(nu, tuple(strict))
     return best
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 from .terms import (
     Arrow, Base, SimpleType, TypeDecl, FunctionSymbol, Variable,
-    Term, Var, FunApp, App, lam,
+    Term, Var, FunApp, App, IllTyped, lam,
     PLAIN, MARKED, TAGGED, fresh_const,
 )
 
@@ -259,7 +259,7 @@ def parse_afs(text: str):
     """Parse and validate an AFS source file, one line at a time, into an
     AFS.  A rule sees the symbols and variables declared above it, and all
     of them share one `Base` per type name."""
-    from .afs import AFS, Rule, validate_rule
+    from .afs import AFS, IllegalLhs, Rule, validate_rule
 
     symbols: dict[str, FunctionSymbol] = {}
     variables: dict[str, Variable] = {}
@@ -286,7 +286,11 @@ def parse_afs(text: str):
                 lhs, i = parse_term(tokens, i, table)
                 rhs, i = parse_term(tokens, expect(tokens, i, "=>"), table)
                 rule = Rule(lhs, rhs, origin="user")
-                validate_rule(rule, number, col)
+                try:
+                    validate_rule(rule)
+                except (IllegalLhs, IllTyped) as exc:
+                    exc.args = (f"{number}:{col}: {exc}",)  # the rule's position, as in a ParseError
+                    raise
                 rules.append(rule)
             else:
                 sig = section == "SIG"

@@ -18,9 +18,7 @@ from .engine import (
     Proof, Preparation, PruneStep, SubtermStep, ReductionPairStep, GiveUp,
     verify_proof, YES, MAYBE,
 )
-from .orderings import (
-    Projection, PolyInterp, ArgFunRPO, build_constraints,
-)
+from .orderings import Projection, PolyInterp, build_constraints
 from .orderings.poly import (
     PolyFun, Expr, Const, SlotRef, AppSlot, Add, Mul, MaxE, expr_text,
     slot_types_for,
@@ -323,6 +321,7 @@ def _parse_step(block: list[tuple[int, str]],
     if kind == "poly":
         return ReductionPairStep(scc, mode, PolyInterp(assign, strict))
     if kind == "rpo":
+        from .orderings.rpo import ArgFunRPO
         return ReductionPairStep(scc, mode, ArgFunRPO(pi, tuple(prec), strict))
     raise ProofSyntaxError("STEP block without a certificate")
 

@@ -446,7 +446,21 @@ def _type_of(t: Term, binders: tuple[SimpleType, ...], pos: tuple[int, ...]) -> 
 
 
 def free_vars(t: Term) -> frozenset[Variable]:
-    return frozenset(s.var for s, _ in subterms(t) if isinstance(s, Var))
+    """The variables of t, by a walk that collects nothing else."""
+    out: set[Variable] = set()
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, FunApp):
+            stack.extend(s.args)
+        elif isinstance(s, App):
+            stack.append(s.fn)
+            stack.append(s.arg)
+        elif isinstance(s, Abs):
+            stack.append(s.body)
+        elif isinstance(s, Var):
+            out.add(s.var)
+    return frozenset(out)
 
 
 def subterms(t: Term, depth: int = 0) -> list[tuple[Term, int]]:
@@ -476,7 +490,7 @@ def strict_subterms_closed(t: Term) -> list[Term]:
     """Strict subterms of a locally closed t, in pre-order, with escaping
     bound variables replaced by the per-type constants (so every result is
     closed)."""
-    return [close_dangling(s) for s, _ in subterms(t)[1:]]
+    return [close_dangling(s) if s.loose else s for s, _ in subterms(t)[1:]]
 
 
 def close_dangling(t: Term) -> Term:

@@ -5,20 +5,22 @@ versions of the normal-form sum and of the polynomial search."""
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import random
 import sys
 import zlib
 from collections import defaultdict
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 from afsterm import parse_afs, terms
 from afsterm.afs import Rule, complete
 from afsterm.dp import tag, untag_rule
 from afsterm.engine import GiveUp, Preparation, PruneStep, Proof, Step, _ground
-from afsterm.graph import _may_follow, approximate_graph, prune, sccs
+from afsterm.graph import _follows, _root, approximate_graph, prune, sccs
 from afsterm.orderings import poly_search
 from afsterm.orderings.constraints import USER_KINDS, occurring_symbols
+from afsterm.orderings.subterm import Projection
 from afsterm.orderings.poly import (
     Expr, Const, SlotRef, AppSlot, Add, Mul, MaxE, Interpreter, PolyInterp,
     SubtermMemo, compare_terms, valuation_for, _canon_branch, _canon_nf, _guard,
@@ -27,7 +29,7 @@ from afsterm.record import replace
 from afsterm.selection import ABS, VAR, TypedSymbol
 from afsterm.terms import (
     Term, Var, BVar, Abs, App, FunApp, FunctionSymbol, Variable, SimpleType, Arrow, Base,
-    Exploration, PLAIN, TAGGED, IllTyped, app_spine, beta_reduce_root, lam, subterms,
+    Exploration, PLAIN, TAGGED, IllTyped, app_spine, beta_reduce_root, head, lam, subterms,
     free_vars, rewrite_step, substitute, symbols_of, type_of, type_text, untagged,
 )
 
@@ -86,9 +88,11 @@ def type_walks(monkeypatch) -> list[Term]:
 
 
 def all_pairs_edges(problem) -> dict[int, frozenset[int]]:
-    """The dependency graph's edges by `_may_follow` on every pair of pairs."""
+    """The dependency graph's edges by the edge test on every pair of pairs:
+    p -> q where p is collapsing or `_follows` holds of their sides' roots."""
     defined = problem.afs.defined_names
-    return {i: frozenset(j for j, q in enumerate(problem.pairs) if _may_follow(p, q, defined))
+    return {i: frozenset(j for j, q in enumerate(problem.pairs)
+                         if p.collapsing or _follows(_root(p.rhs), _root(q.lhs), defined))
             for i, p in enumerate(problem.pairs)}
 
 
@@ -548,3 +552,66 @@ def reference_rewrite_step(t: Term, rules: Sequence) -> list[Term]:
 
     walk(t, lambda r: r)
     return list(seen)
+
+
+def _reference_project(nu: dict, t: Term):
+    spine_head, _ = app_spine(t)
+    if not (isinstance(spine_head, FunApp) and spine_head.args):
+        return None
+    idx = nu.get(spine_head.fn.display)
+    if idx is None or not 1 <= idx <= len(spine_head.args):
+        return None
+    return spine_head.args[idx - 1]
+
+
+def _reference_strict_subterm(small: Term, big: Term) -> bool:
+    return any(sub == small for sub, _ in subterms(big)[1:])
+
+
+def reference_subterm_criterion(scc, pairs) -> Optional[Projection]:
+    """The subterm criterion by plain enumeration: every projection of the
+    head symbols is applied to every pair, and each comparison made again."""
+    selected = [(i, pairs[i]) for i in scc]
+    if any(isinstance(head(p.rhs), Var) for _, p in selected):
+        return None
+    heads: dict[str, int] = {}
+    for _, p in selected:
+        for side in (p.lhs, p.rhs):
+            spine_head, _ = app_spine(side)
+            if not (isinstance(spine_head, FunApp) and spine_head.args):
+                return None
+            name, n = spine_head.fn.display, len(spine_head.args)
+            heads[name] = min(heads.get(name, n), n)
+    names = sorted(heads)
+    best = None
+    for choice in itertools.product(*(range(1, heads[n] + 1) for n in names)):
+        nu = dict(zip(names, choice))
+        strict = []
+        for i, p in selected:
+            left, right = _reference_project(nu, p.lhs), _reference_project(nu, p.rhs)
+            if _reference_strict_subterm(right, left):
+                strict.append(i)
+            elif left != right:
+                break
+        else:
+            if strict and (best is None or len(strict) > len(best.strict)):
+                best = Projection(nu, tuple(strict))
+    return best
+
+
+def reference_check_projection(scc, pairs, cert: Projection) -> Optional[str]:
+    """`check_projection` by the plain definitions of projection and of the
+    strict subterm relation."""
+    for i in scc:
+        p = pairs[i]
+        if isinstance(head(p.rhs), Var):
+            return f"pair {i} is collapsing"
+        left, right = _reference_project(cert.nu, p.lhs), _reference_project(cert.nu, p.rhs)
+        if left is None or right is None:
+            return f"projection undefined on pair {i}"
+        if i in cert.strict:
+            if not _reference_strict_subterm(right, left):
+                return f"pair {i}: projected sides are not in the strict subterm relation"
+        elif left != right and not _reference_strict_subterm(right, left):
+            return f"pair {i}: projected sides are neither equal nor subterm-related"
+    return None

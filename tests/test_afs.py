@@ -10,6 +10,21 @@ from afsterm.terms import IllTyped, term_text, free_vars, Abs
 from helpers import CORPUS, corpus_names, load, wide_system
 
 
+# two good rules on lines 10 and 11; a test appends the third
+REJECTED_THIRD_RULE = """SIG
+  o : nat
+  s : [nat] -> nat
+  f : [nat] -> nat
+  g : [nat -> nat] -> nat
+VARS
+  x : nat
+  y : nat
+RULES
+  f(o) => o
+  f(s(x)) => f(x)
+"""
+
+
 class TestParsing:
     def test_twice_counts(self):
         afs = load("twice")
@@ -93,6 +108,17 @@ class TestParsing:
             assert False
         except ParseError as exc:
             assert exc.line == 5
+
+    @pytest.mark.parametrize("third, error, message", [
+        ("  f(x) => y", IllegalLhs,
+         "12:3: right-hand side uses variables not in the left-hand side: y"),
+        ("    g(x) => o", IllTyped,
+         "12:5: ill-typed term at position [0]: argument 1 of g has type nat, expected nat -> nat"),
+    ], ids=["illegal", "ill-typed"])
+    def test_a_rejected_rule_names_its_line(self, third, error, message):
+        with pytest.raises(error) as rejected:
+            parse_afs(REJECTED_THIRD_RULE + third + "\n")
+        assert str(rejected.value) == message
 
     def test_ill_typed_rule(self):
         src = ("SIG\n  o : nat\n  g : [nat -> nat] -> nat\nVARS\n  x : nat\nRULES\n"

@@ -48,6 +48,17 @@ class TestProve:
                 assert "Traceback" not in err
                 assert f"{bad}: {diagnostic}" in err
 
+    def test_rejected_rule_exit_2(self, capsys, tmp_path):
+        # the third rule is rejected after parsing, at its own line
+        bad = tmp_path / "bad.afs"
+        bad.write_text("SIG\n  o : nat\n  f : [nat] -> nat\nVARS\n  x : nat\n  y : nat\n"
+                       "RULES\n  f(o) => o\n  f(f(x)) => f(x)\n  f(x) => y\n")
+        for argv in (["prove", str(bad)], ["check", str(bad), str(GOLDEN / "map.proof")]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == (f"{bad}: 10:3: right-hand side uses variables not in the "
+                           "left-hand side: y\n")
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "prove", "/nonexistent/x.afs")
         assert code == 2

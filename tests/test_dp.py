@@ -7,15 +7,15 @@ import pytest
 from afsterm import parse_afs
 from afsterm.afs import complete
 from afsterm.dp import (
-    candidate_terms, dependency_pairs, tag, untag, untag_rule,
+    DependencyPair, candidate_terms, dependency_pairs, tag, untag, untag_rule,
 )
 from afsterm.parser import SymbolTable, parse_term_text
 from afsterm.terms import (
-    Base, Arrow, Variable, Var, App, FunApp, lam, term_text,
+    Base, Arrow, Variable, Var, App, FunApp, lam, term_text, head,
     apply_subst, bounded_reductions, MARKED,
 )
 
-from helpers import build_rtag, load, random_term, wide_system
+from helpers import build_rtag, corpus_names, load, random_term, wide_system
 
 nat = Base("nat")
 
@@ -126,6 +126,19 @@ class TestDependencyPairs:
             "f#(o) ~> a#",
             "g#(F, b) ~> F @ o",
         ]
+
+    @pytest.mark.parametrize("name", corpus_names() + ["wide-2001"])
+    def test_collapsing_is_a_variable_head(self, name):
+        # `collapsing` is set once, when the pair is built
+        afs = parse_afs(wide_system(2001)) if name == "wide-2001" else load(name)
+        pairs = dependency_pairs(afs, spfp_drop=False).pairs
+        assert pairs
+        for pair in pairs:
+            assert pair.collapsing == isinstance(head(pair.rhs), Var), str(pair)
+        built = DependencyPair(pairs[0].lhs, pairs[0].rhs, "candidate", 0)
+        assert built.collapsing == pairs[0].collapsing
+        with pytest.raises(AttributeError):
+            built.collapsing = not built.collapsing
 
     @pytest.mark.parametrize("name", ["ack", "fga", "twice", "wide-2001"])
     def test_one_marked_symbol_per_defined_symbol(self, name):

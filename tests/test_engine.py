@@ -63,6 +63,29 @@ for path in sys.argv[1:]:
 print(json.dumps({"before": before, "after": sizes(), "verdicts": verdicts}))
 """
 
+# Proves, renders and checks the systems named on the command line in a
+# fresh interpreter, first with the default engines and then with the path
+# ordering alone, and prints whether `afsterm.orderings.rpo` was loaded
+# after each round and which systems the second round proved.
+RPO_ON_FIRST_USE = """
+import json, sys
+import afsterm
+from afsterm.engine import Config, prove
+from afsterm.parser import parse_afs
+from afsterm.prooftext import check_proof_text, render_proof
+
+systems = [parse_afs(open(path).read()) for path in sys.argv[1:]]
+loaded, proved = [], []
+for cfg in (Config(), Config(engines=("rpo",))):
+    for path, afs in zip(sys.argv[1:], systems):
+        proof = prove(afs, cfg)
+        assert check_proof_text(render_proof(proof), afs) == []
+        if cfg.engines == ("rpo",) and proof.verdict == "YES":
+            proved.append(path.rsplit("/", 1)[-1])
+    loaded.append("afsterm.orderings.rpo" in sys.modules)
+print(json.dumps({"loaded": loaded, "proved": proved}))
+"""
+
 
 class TestVerdicts:
     @pytest.mark.parametrize("name", ["twice", "map", "eval", "mapappend",
@@ -248,6 +271,21 @@ class TestLinearWork:
             assert errors == []
             per_rule.append(calls / len(afs.rules))
         assert max(per_rule) <= 1.01 * min(per_rule), per_rule
+
+
+class TestPairWork:
+    """A work pin: the dependency pairs, the graph and the subterm criterion
+    walk each rule, pair and projected side once, so prove, render and
+    check of the `wide` system of seed 2001 make at most 140,000
+    Python-level calls; walks repeated per rule, per edge test and per
+    projection made 164,359."""
+
+    def test_calls_of_prove_render_and_check(self):
+        afs = parse_afs(wide_system(2001))
+        calls, errors = count_calls(
+            lambda: check_proof_text(render_proof(prove(afs), 1), afs))
+        assert errors == []
+        assert calls <= 140_000, calls
 
 
 class TestReaderWork:
@@ -568,6 +606,18 @@ class TestCorpus:
         assert "afsterm.record" in added
         assert not added & {"dataclasses", "inspect"}
 
+    def test_the_path_ordering_is_loaded_on_first_use(self):
+        # no default proof of the corpus runs the path ordering, so neither
+        # importing the package nor proving and checking loads its module
+        paths = [str(CORPUS / f"{name}.afs") for name in corpus_names()]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", RPO_ON_FIRST_USE, *paths],
+                             capture_output=True, text=True, timeout=300, env=env)
+        assert out.returncode == 0, out.stderr
+        report = json.loads(out.stdout)
+        assert report["loaded"] == [False, True]
+        assert report["proved"] == ["ack.afs", "map.afs", "mapappend.afs", "quot.afs", "rec.afs"]
+
     def test_every_module_level_definition_has_a_user(self):
         # no helpers that nothing calls: each module-level function or class
         # of the package is referenced somewhere in the package outside its
@@ -587,6 +637,7 @@ class TestCorpus:
                     if isinstance(node, (ast.Name, ast.Attribute)):
                         name = node.id if isinstance(node, ast.Name) else node.attr
                         users.setdefault(name, set()).add((path, owner))
+        exported.add("__getattr__")  # the import system calls a module's own (PEP 562)
         unused = [f"{path.relative_to(src)}:{name}" for path, name in defined
                   if name not in exported and not users.get(name, set()) - {(path, name)}]
         assert unused == []

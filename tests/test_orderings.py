@@ -2,6 +2,7 @@
 engines with their property guarantees."""
 
 import gc
+import itertools
 import random
 import weakref
 
@@ -9,12 +10,12 @@ import pytest
 
 from afsterm import engine
 from afsterm.afs import complete
-from afsterm.dp import dependency_pairs
+from afsterm.dp import DependencyPair, dependency_pairs
 from afsterm.engine import Config, ReductionPairStep, prove
 from afsterm.graph import approximate_graph, prune, sccs
 from afsterm.orderings import (
     build_constraints, subterm_criterion, search_poly, search_rpo,
-    check_certificate, Projection, MODE_NON_COLLAPSING, MODE_BASIC,
+    check_certificate, check_projection, Projection, MODE_NON_COLLAPSING, MODE_BASIC,
     MODE_LOCAL_COLLAPSING, rpo_greater, Precedence,
 )
 from afsterm.orderings import poly, poly_search, rpo
@@ -31,12 +32,13 @@ from afsterm.parser import SymbolTable, parse_afs, parse_term_text
 from afsterm.prooftext import parse_proof
 from afsterm.terms import (
     Base, Arrow, Variable, Var, App, FunApp, FunctionSymbol, TypeDecl, lam, term_text,
-    type_of, apply_subst, free_vars,
+    type_of, apply_subst, free_vars, head, mark, marked,
 )
 
 from helpers import (
     GOLDEN, load, corpus_names, random_term, eval_nf, nf_slots, chronological_search_poly,
-    point_assignments, MONOTONE_SAMPLES,
+    point_assignments, MONOTONE_SAMPLES, reference_check_projection,
+    reference_subterm_criterion, wide_system,
 )
 
 nat = Base("nat")
@@ -136,6 +138,73 @@ class TestSubtermCriterion:
                    if str(prob.pairs[c[0]]).startswith("dom#(o"))
         bad = Projection({"dom#": 1}, scc)  # o = o is not strict
         assert check_certificate(None, bad, scc=scc, pairs=prob.pairs) is not None
+
+    @staticmethod
+    def same_as_the_reference(scc, pairs):
+        """The criterion finds the reference enumeration's certificate, and
+        the checker gives the reference's verdict on it and on every
+        projection of the SCC's head symbols, claiming all pairs strict or
+        only the first."""
+        cert = subterm_criterion(scc, pairs)
+        assert cert == reference_subterm_criterion(scc, pairs)
+        heads = {}
+        for i in scc:
+            for side in (pairs[i].lhs, pairs[i].rhs):
+                spine_head = head(side)
+                if isinstance(spine_head, FunApp):
+                    n = max(len(spine_head.args), 1)
+                    heads[spine_head.fn.display] = min(heads.get(spine_head.fn.display, n), n)
+        names = sorted(heads)
+        claims = [] if cert is None else [cert]
+        for choice in itertools.product(*(range(1, heads[n] + 1) for n in names)):
+            nu = dict(zip(names, choice))
+            claims += [Projection(nu, tuple(scc)), Projection(nu, tuple(scc[:1]))]
+        for claim in claims:
+            assert check_projection(scc, pairs, claim) == \
+                reference_check_projection(scc, pairs, claim), (scc, claim)
+        return cert
+
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_same_as_the_reference_on_every_corpus_scc(self, name):
+        # the top-level SCCs of both modes, and every SCC a proof steps on
+        for spfp_drop in (True, False):
+            prob, comps = problem_and_sccs(name, spfp_drop)
+            for scc in comps:
+                self.same_as_the_reference(scc, prob.pairs)
+        proof = prove(load(name))
+        for step in proof.steps:
+            if hasattr(step, "scc"):
+                self.same_as_the_reference(step.scc, proof.problem.pairs)
+
+    @pytest.mark.parametrize("seed", [2001, 2002])
+    def test_same_as_the_reference_on_wide(self, seed):
+        proof = prove(parse_afs(wide_system(seed, 10)))
+        found = [self.same_as_the_reference(step.scc, proof.problem.pairs)
+                 for step in proof.steps if hasattr(step, "scc")]
+        assert found and all(found)
+
+    def test_same_as_the_reference_below_a_binder(self):
+        # F occurs below the binder of h#'s argument, x only as an index,
+        # so the first pair is strict on nu(h#) = 1 and the second is not;
+        # k# has two arguments to choose from
+        h = FunctionSymbol("h", TypeDecl((Arrow(nat, nat),), nat))
+        g = FunctionSymbol("g", TypeDecl((nat, nat), nat))
+        k = FunctionSymbol("k", TypeDecl((nat, nat), nat))
+        table = SymbolTable({f.name: f for f in (h, g, k)},
+                            {"F": Variable("F", Arrow(nat, nat)), "y": Variable("y", nat)})
+        marks = {f.name: marked(f) for f in (h, k)}
+
+        def pair(lhs, rhs):
+            return DependencyPair(mark(parse_term_text(lhs, table), marks),
+                                  mark(parse_term_text(rhs, table), marks), "candidate", 0)
+
+        pairs = (pair("h(\\x:nat. F @ g(x, y))", "h(F)"),
+                 pair("h(\\x:nat. g(x, y))", "h(\\x:nat. x)"),
+                 pair("k(g(y, y), y)", "k(y, g(y, y))"))
+        assert self.same_as_the_reference((0,), pairs) == Projection({"h#": 1}, (0,))
+        assert self.same_as_the_reference((0, 1), pairs) is None
+        assert self.same_as_the_reference((2,), pairs) == Projection({"k#": 1}, (2,))
+        assert self.same_as_the_reference((0, 2), pairs) == Projection({"h#": 1, "k#": 1}, (0, 2))
 
 
 class TestPolyComparator:

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from afsterm import terms
+from afsterm import parse_afs, terms
 from afsterm.afs import complete
+from afsterm.dp import dependency_pairs
 from afsterm.orderings.rpo import apply_argfun, template_slots
 from afsterm.parser import SymbolTable, parse_term_text
 from afsterm.terms import (
@@ -17,7 +18,7 @@ from afsterm.terms import (
 
 from helpers import (
     corpus_names, dangling_bvars, is_beta_normal, load, random_term, random_closed_term,
-    normal_forms, typecheck,
+    normal_forms, typecheck, wide_system,
 )
 
 nat = Base("nat")
@@ -279,6 +280,21 @@ class NoIteration:
 
 
 class TestMisc:
+    @pytest.mark.parametrize("name", corpus_names() + ["wide-2001"])
+    def test_free_vars_are_the_variables_among_the_subterms(self, name):
+        # every subterm of every rule side and of every pair side, also the
+        # raw ones below a binder
+        afs = parse_afs(wide_system(2001)) if name == "wide-2001" else load(name)
+        sides = [u for r in complete(afs).rules for u in (r.lhs, r.rhs)]
+        sides += [u for p in dependency_pairs(afs, spfp_drop=False).pairs for u in (p.lhs, p.rhs)]
+        checked = 0
+        for side in sides:
+            for s, _ in subterms(side):
+                assert free_vars(s) == frozenset(
+                    v.var for v, _ in subterms(s) if isinstance(v, Var)), s
+                checked += 1
+        assert checked > len(sides)
+
     def test_mark(self, twice, table):
         marks = {f.name: marked(f) for f in twice.defined}
         lookup = NoIteration(marks)
