@@ -1,14 +1,17 @@
 """Stable textual proof format: rendering, parsing, and re-validation.
 
-A proof file is the exact text `prove` prints.  The checker re-derives the
-dependency pairs and the graph from the AFS, so the proof only has to carry
-the step skeleton and the certificates.  `parse_proof` reads each block once
-and raises on a text that does not parse; the engine's `verify_proof`
-re-checks every step, each check returning its first problem or None.
+A proof file is the exact text `prove` prints.  `parse_proof` reads the step
+skeleton and the certificates from it and raises on a text that does not
+parse; the engine's `verify_proof` re-derives the dependency pairs and the
+graph from the AFS and re-checks every step.  `check_proof_text` then
+renders the parsed proof again and requires the same lines, so the pair
+listing, the `-v` constraint lines and any repeated or missing line are
+held to what `prove` prints without a check of their own.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Iterator, Optional, Union
 
 from .afs import AFS
@@ -243,27 +246,22 @@ _KEYS = {"PREPARATION": ("local", "static-mode", "rules", "pairs", "graph"),
 
 def _entries(header: str, block: list[tuple[int, str]]) -> list[tuple[int, str, str, str]]:
     """The lines of a PREPARATION, PRUNE or GIVEUP block as (line number,
-    line, key, value): only the keys `prove` prints there, each once except
-    `loop`."""
+    line, key, value): only the keys `prove` prints there."""
     out = []
-    seen = set()
     for number, raw in block:
         key, colon, value = raw.partition(":")
         key = key.strip()
         if not colon or key not in _KEYS[header] and not (
                 header == "PREPARATION" and key.startswith("pair ")):
             raise ProofSyntaxError(f"unexpected proof line: {raw.strip()!r}")
-        if key in seen and key != "loop":
-            raise ProofSyntaxError(f"repeated {key}: line in one {header}")
-        seen.add(key)
         out.append((number, raw, key, value.strip()))
     return out
 
 
 def _parse_step(block: list[tuple[int, str]],
                 table: SymbolTable) -> Union[SubtermStep, ReductionPairStep]:
-    """A STEP block: the lines `prove` prints for its kind, each once; its
-    removed pairs must be its strict ones."""
+    """A STEP block, read from the lines `prove` prints there; the
+    `removed:`, `strict?` and `weak` lines add nothing to the step."""
     fields: dict[str, str] = {}  # scc, mode, strict and removed
     kind = None
     nu: dict[str, int] = {}
@@ -274,12 +272,8 @@ def _parse_step(block: list[tuple[int, str]],
         line = raw.strip()
         key, colon, value = line.partition(":")
         if colon and key in ("scc", "mode", "strict", "removed"):
-            if key in fields:
-                raise ProofSyntaxError(f"repeated {key}: line in one STEP")
             fields[key] = value
         elif line.startswith("SUBTERM CRITERION") or line in ("POLY", "ARGFUN+RPO"):
-            if kind is not None:
-                raise ProofSyntaxError(f"second certificate in one STEP: {line!r}")
             kind = {"POLY": "poly", "ARGFUN+RPO": "rpo"}.get(line, "subterm")
             entries = line[len("SUBTERM CRITERION"):] if kind == "subterm" else ""
             for part in entries.split(","):
@@ -308,14 +302,9 @@ def _parse_step(block: list[tuple[int, str]],
             a, b = value.split(">", 1)
             prec.append((a.strip(), b.strip()))
         elif not (line.startswith("strict?") or line.startswith("weak ")):
-            # (the constraint listing of `prove -v` is informational)
             raise ProofSyntaxError(f"unexpected proof line: {line!r}")
-    scc, strict, removed = (_int_list(fields.get(key, "")) for key in ("scc", "strict", "removed"))
-    if sorted(removed) != sorted(strict):
-        raise ProofSyntaxError(f"removed pairs {removed} do not match the strict pairs {strict}")
+    scc, strict = _int_list(fields.get("scc", "")), _int_list(fields.get("strict", ""))
     mode = fields.get("mode", "").strip()
-    if kind == "subterm" and "mode" in fields:
-        raise ProofSyntaxError("a SUBTERM step has no mode: line")
     if kind == "subterm":
         return SubtermStep(scc, Projection(nu, strict))
     if kind == "poly":
@@ -326,26 +315,21 @@ def _parse_step(block: list[tuple[int, str]],
     raise ProofSyntaxError("STEP block without a certificate")
 
 
-def parse_proof(text: str, problem: DPProblem) -> tuple[Proof, list[str]]:
-    """Parse a proof; returns the proof plus textual mismatches found while
-    cross-checking the listed pairs against the recomputed ones.  Raises
-    ProofSyntaxError (or the term parser's ParseError) for a text that does
-    not parse, for a block line `prove` never prints there or prints once
-    and the text repeats, for a STEP whose removed pairs are not its strict
-    ones, and unless END is the last non-blank line and on no other line."""
+def parse_proof(text: str, problem: DPProblem) -> Proof:
+    """Parse a proof of `problem`.  Raises ProofSyntaxError (or the term
+    parser's ParseError) for a text that does not parse, for a block line
+    `prove` never prints there, and unless END is the last non-blank line.
+    Where a line repeats, the last one wins; the lines that carry nothing
+    the proof is built from are left to `check_proof_text`."""
     table = SymbolTable({f.name: f for f in problem.afs.signature}, {}, auto_symbols=True)
-    mismatches: list[str] = []
     lines = text.splitlines()
     if not lines or lines[0].strip() not in (YES, MAYBE):
         raise ProofSyntaxError("first line must be YES or MAYBE")
-    filled = [n for n, line in enumerate(lines) if line.strip()]
-    ends = [n for n in filled if lines[n].strip() == "END"]
-    if not ends or ends[-1] != filled[-1]:
+    last = max(n for n, line in enumerate(lines) if line.strip())
+    if lines[last].strip() != "END":
         raise ProofSyntaxError("last line must be END")
-    if len(ends) > 1:
-        raise ProofSyntaxError(f"END before the last line, at line {ends[0] + 1}")
     steps: list = []
-    for header, block in _blocks(lines[:filled[-1]], 1):
+    for header, block in _blocks(lines[:last], 1):
         if header == "STEP":
             steps.append(_parse_step(block, table))
             continue
@@ -354,15 +338,6 @@ def parse_proof(text: str, problem: DPProblem) -> tuple[Proof, list[str]]:
         entries = _entries(header, block)
         fields = {key: value for _, _, key, value in entries}
         if header == "PREPARATION":
-            pair_lines = [(k, v) for _, _, k, v in entries if k.startswith("pair ")]
-            for k, v in pair_lines:
-                idx = _int(k.split()[1])
-                if idx >= len(problem.pairs):
-                    mismatches.append(f"pair {idx} out of range")
-                elif v != str(problem.pairs[idx]):
-                    mismatches.append(f"pair {idx} differs from recomputed: {v!r}")
-            if len(pair_lines) != len(problem.pairs):
-                mismatches.append("pair listing is incomplete")
             try:
                 steps.append(Preparation(
                     local=fields.get("local") == "yes",
@@ -388,17 +363,30 @@ def parse_proof(text: str, problem: DPProblem) -> tuple[Proof, list[str]]:
                                 tuple(fields.get("tried", "").split()),
                                 fields.get("reason", ""), tuple(loop)))
 
-    return Proof(lines[0].strip(), steps, problem), mismatches
+    return Proof(lines[0].strip(), steps, problem)
 
 
 def check_proof_text(text: str, afs: AFS) -> list[str]:
-    """Re-derive the problem from the AFS, parse the proof, and re-validate
-    every step and certificate.  Returns the list of problems (empty = ok)."""
+    """Re-derive the problem from the AFS, parse the proof, re-validate
+    every step and certificate, and require the text to be the one `prove`
+    prints for the proof: at verbosity 1 if it lists constraints, else at
+    0.  Blank lines after END are ignored.  Returns the list of problems
+    (empty = ok)."""
     problem = dependency_pairs(afs)
     try:
-        proof, mismatches = parse_proof(text, problem)
+        proof = parse_proof(text, problem)
     except (ProofSyntaxError, ParseError) as exc:
         return [f"proof does not parse: {exc}"]
-    errors = list(mismatches)
-    errors.extend(verify_proof(proof))
-    return errors
+    errors = verify_proof(proof)
+    if errors:
+        return errors
+    given = text.splitlines()
+    while not given[-1].strip():
+        given.pop()
+    verbosity = 1 if any(line.startswith("  strict? ") for line in given) else 0
+    expected = render_proof(proof, verbosity).splitlines()
+    for number, (want, found) in enumerate(zip_longest(expected, given, fillvalue=""), 1):
+        if want != found:
+            return [f"line {number} is not the text prove prints: "
+                    f"expected {want!r}, found {found!r}"]
+    return []

@@ -157,6 +157,25 @@ class TestCheck:
         assert "invalid proof" in err
         assert "Traceback" not in err
 
+    # lines that add nothing to the parsed proof: the re-rendered text
+    # differs from the given one at the first such line
+    @pytest.mark.parametrize("old, new, number, expected, found", [
+        ("    J(I) = x1\n", "    J(I) = x1\n    J(I) = x1\n", 32, "    J(I#) = x1", "    J(I) = x1"),
+        ("  weak I-(x1) >= I(x1) (untag)\n", "", 28,
+         "  weak I-(x1) >= I(x1) (untag)", "  weak I-(x1) >= I#(x1) (mark)"),
+        ("  static-mode: no\n", "", 4, "  static-mode: no", "  rules: 4"),
+    ], ids=["duplicated-interpretation", "deleted-weak-line", "deleted-static-mode"])
+    def test_a_line_prove_does_not_print_is_rejected(self, capsys, tmp_path, old, new,
+                                                     number, expected, found):
+        text = (GOLDEN / "twice.proof").read_text()
+        assert text.count(old) == 1
+        proof_file = tmp_path / "bad.proof"
+        proof_file.write_text(text.replace(old, new))
+        code, _, err = run_cli(capsys, "check", str(CORPUS / "twice.afs"), str(proof_file))
+        assert code == 1
+        assert err == (f"invalid proof: line {number} is not the text prove prints: "
+                       f"expected {expected!r}, found {found!r}\n")
+
     # quot's path ordering proof collapses minus to its first argument; an
     # argument function must give a well-typed term of its symbol's output type
     @pytest.mark.parametrize("template", ["\\z:nat. x1", "x1 @ x2"],

@@ -802,8 +802,7 @@ class TestBackjumping:
         assert poly_search.MAX_NODES >= 10 * 12_155
         afs = load("fromchain")
         problem = dependency_pairs(afs)
-        golden, errors = parse_proof((GOLDEN / "fromchain.proof").read_text(), problem)
-        assert errors == []
+        golden = parse_proof((GOLDEN / "fromchain.proof").read_text(), problem)
         step = next(s for s in golden.steps if isinstance(s, ReductionPairStep))
         cs = build_constraints(step.scc, problem)
         monkeypatch.setattr(poly_search, "MAX_NODES", 104)
