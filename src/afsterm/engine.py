@@ -1,8 +1,10 @@
 """The proof skeleton, walked once by `prove` and by `verify_proof`: prepare,
 prune, discharge the first SCC with the subterm criterion or a reduction
-pair, repeat.  `prove` checks each certificate against the constraint set it
-was found for before keeping it; `check` replays the whole proof through
-`verify_proof`.  Each check (`_step_error`, `_replay_loop` and the
+pair, repeat.  The walk derives the preparation, every prune step and the
+SCC each step works on from the problem; only the SCC steps come from
+outside it.  `prove` finds each one with an engine and checks its
+certificate before keeping it; `verify_proof` replays given steps, each on
+the SCC that is due.  Each check (`_step_error`, `_replay_loop` and the
 certificate checker's `check_certificate`) returns its first problem as a
 string, or None.  An SCC step removes exactly the pairs its certificate
 orients strictly.  Also the corpus runner."""
@@ -12,9 +14,9 @@ from __future__ import annotations
 import time
 from bisect import insort
 from operator import itemgetter
-from .record import record
+from .record import record, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 
 from .afs import AFS
 from .afs import complete, classify  # noqa: F401  (perfbench's layer tracer looks them up here)
@@ -102,8 +104,6 @@ class GiveUp:
 
 
 Step = Union[Preparation, PruneStep, SubtermStep, ReductionPairStep, GiveUp]
-# what `_walk` expects next: this Preparation or PruneStep, a step on this SCC, or none
-Due = Union[Preparation, PruneStep, tuple[int, ...], None]
 
 
 @record(frozen=False)
@@ -125,13 +125,8 @@ def prove(afs: AFS, cfg: Optional[Config] = None) -> Proof:
     problem = dependency_pairs(afs)
     templates: dict = {}  # the poly search's candidate lists, built once per proof
     explored: set[Union[int, Term]] = set()  # the loop check's rules and start terms
-
-    def take(due: Due) -> tuple[Optional[Step], Optional[ConstraintSet]]:
-        if isinstance(due, tuple):
-            return _discharge(due, problem, cfg, deadline, templates, explored)
-        return due, None  # the preparation, a prune step, or the end
-
-    steps, error, verdict = _walk(problem, take)
+    steps, error, verdict = _walk(
+        problem, lambda scc: _discharge(scc, problem, cfg, deadline, templates, explored))
     if error:
         raise InternalError(error)
     return Proof(verdict, steps, problem)
@@ -299,36 +294,34 @@ def _replay_loop(loop: tuple[Term, ...], rules) -> Optional[str]:
 
 
 def _walk(problem: DPProblem,
-          take: Callable[[Due], tuple[Optional[Step], Optional[ConstraintSet]]]
+          take: Callable[[tuple[int, ...]], tuple[Optional[Step], Optional[ConstraintSet]]]
           ) -> tuple[list[Step], Optional[str], Optional[str]]:
-    """Walk the skeleton of `problem`.  `take(due)` returns the next step (None:
-    no more) and the constraint set its certificate was found for (None:
-    build it).  Returns the steps taken, the first problem `_step_error`
-    finds, and the verdict the steps prove (None if they stop early)."""
+    """Walk the skeleton of `problem`: the preparation, then a prune step
+    wherever pairs lie on no cycle, and `take(scc)` for each SCC that is
+    due.  `take` returns the step on that SCC (None: it has none) and the
+    constraint set of a reduction-pair step's certificate.  Returns the
+    steps, the first problem (`_step_error`'s, or an SCC without a step),
+    and the verdict the steps prove (None after a problem)."""
     graph = approximate_graph(problem)
+    steps: list[Step] = [Preparation(problem.afs.local, problem.static_mode,
+                                     len(problem.afs.rules), len(problem.pairs),
+                                     len(graph.alive), graph.edge_count())]
     pending, components = _split_first(graph, [tuple(graph.alive)], ())
-    due: Due = Preparation(problem.afs.local, problem.static_mode, len(problem.afs.rules),
-                           len(problem.pairs), len(graph.alive), graph.edge_count())
-    steps: list[Step] = []
     while True:
-        step, cs = take(due)
-        if step is None:
+        if pending:
+            steps.append(PruneStep(pending))
+        if not components:
             break
-        error = _step_error(step, cs, due, problem)
+        step, cs = take(components[0])
+        if step is None:
+            return steps, f"no step for SCC {components[0]}", None
+        error = _step_error(step, cs, problem)
         if error:
             return steps, error, None
         steps.append(step)
-        if isinstance(step, PruneStep):
-            pending = ()
-        elif isinstance(step, GiveUp):
-            components = []  # nothing is due after a give-up
-        elif not isinstance(step, Preparation):
-            pending, components = _split_first(graph, components, step.removed)
-        due = PruneStep(pending) if pending else components[0] if components else None
-    if due is not None:
-        return steps, None if steps else f"proof must start with {due}", None
-    if isinstance(steps[-1], GiveUp):
-        return steps, None, MAYBE
+        if isinstance(step, GiveUp):
+            return steps, None, MAYBE
+        pending, components = _split_first(graph, components, step.removed)
     # after the preparation, every step is a prune or an SCC step here
     removed = sorted(i for s in steps[1:] for i in s.removed)
     if removed != list(range(len(problem.pairs))):
@@ -336,52 +329,41 @@ def _walk(problem: DPProblem,
     return steps, None, YES
 
 
-def _step_error(step: Step, cs: Optional[ConstraintSet], due: Due,
-                problem: DPProblem) -> Optional[str]:
-    """The first problem of `step` where `due` is due, or None.  An SCC
-    step removes the pairs its certificate orients strictly, so the
-    certificate's problem from `check_certificate` is the step's."""
-    if step == due:
-        return None
-    if isinstance(due, Preparation):
-        return f"proof must start with {due}"
-    if isinstance(step, Preparation):
-        return "duplicate preparation step"
-    if isinstance(step, PruneStep):
-        expected = due.removed if isinstance(due, PruneStep) else "no prune step"
-        return f"prune step removed {step.removed}, expected {expected}"
-    if isinstance(due, PruneStep):
-        return "missing prune step before an SCC step"
-    if due is None:
-        return "step after the end of the proof"
-    if step.scc != due:
-        return f"step works on {step.scc}, expected SCC {due}"
+def _step_error(step: Union[SubtermStep, ReductionPairStep, GiveUp],
+                cs: Optional[ConstraintSet], problem: DPProblem) -> Optional[str]:
+    """The first problem of an SCC step, or None: a give-up's loop must
+    replay, and a certificate must orient its SCC (a reduction pair's, its
+    constraint set `cs`) with the pairs the step removes strictly."""
     if isinstance(step, GiveUp):
         return _replay_loop(step.loop, problem.afs.rules) if step.loop else None
     if isinstance(step, SubtermStep):
         error = check_certificate(None, step.cert, scc=step.scc, pairs=problem.pairs)
     else:
-        if cs is None:
-            cs = build_constraints(step.scc, problem)
-        if cs.mode != step.mode:
-            return f"step mode {step.mode} does not match {cs.mode}"
         error = check_certificate(cs, step.cert)
     return f"certificate rejected: {error}" if error else None
 
 
-def verify_proof(proof: Proof) -> list[str]:
-    """Walk the proof's steps along the skeleton of its problem (`_walk`)
-    and re-check every certificate; returns the list of problems found
-    (empty for a valid proof)."""
-    given = iter(proof.steps)
-    _, error, verdict = _walk(proof.problem, lambda due: (next(given, None), None))
-    if error:
-        return [error]
-    if verdict == proof.verdict:
-        return []
-    if proof.verdict == YES:
-        return ["verdict YES but pairs remain"]
-    return ["verdict MAYBE without a give-up step"]
+def verify_proof(problem: DPProblem,
+                 given: Iterable[Union[SubtermStep, ReductionPairStep, GiveUp]]
+                 ) -> Union[Proof, str]:
+    """Replay the given SCC steps in order along the skeleton of `problem`
+    (`_walk`).  Each step is placed on the SCC that is due, whatever SCC it
+    names, and a reduction-pair step takes its mode from the constraint set
+    built for that SCC; steps left over after the proof ends are not read.
+    Returns the replayed proof, or its first problem."""
+    given = iter(given)
+
+    def take(scc: tuple[int, ...]) -> tuple[Optional[Step], Optional[ConstraintSet]]:
+        step = next(given, None)
+        if step is None:
+            return None, None
+        if isinstance(step, ReductionPairStep):
+            cs = build_constraints(scc, problem)
+            return replace(step, scc=scc, mode=cs.mode), cs
+        return replace(step, scc=scc), None
+
+    steps, error, verdict = _walk(problem, take)
+    return error or Proof(verdict, steps, problem)
 
 
 # corpus ----------------------------------------------------------------------

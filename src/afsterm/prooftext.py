@@ -1,12 +1,15 @@
 """Stable textual proof format: rendering, parsing, and re-validation.
 
-A proof file is the exact text `prove` prints.  `parse_proof` reads the step
-skeleton and the certificates from it and raises on a text that does not
-parse; the engine's `verify_proof` re-derives the dependency pairs and the
-graph from the AFS and re-checks every step.  `check_proof_text` then
-renders the parsed proof again and requires the same lines, so the pair
-listing, the `-v` constraint lines and any repeated or missing line are
-held to what `prove` prints without a check of their own.
+A proof file is the exact text `prove` prints.  Most of it follows from the
+AFS: the preparation, the pair listing, the prune steps, each step's SCC
+and mode, the `-v` constraint lines and the verdict.  `parse_proof` reads
+only what does not: each STEP's certificate and `strict:` set, and each
+GIVEUP's `tried:`, `reason:` and `loop:` lines.  The engine's
+`verify_proof` re-derives the dependency pairs and the graph from the AFS
+and replays those steps along the skeleton `prove` walks, re-checking
+every certificate.  `check_proof_text` then renders the replayed proof and
+requires the same lines, so every other line is held to what `prove`
+prints without a check of its own.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ from .afs import AFS
 from .afs import complete, classify  # noqa: F401  (perfbench's layer tracer looks them up here)
 from .dp import DPProblem, dependency_pairs
 from .engine import (
-    Proof, Preparation, PruneStep, SubtermStep, ReductionPairStep, GiveUp,
-    verify_proof, YES, MAYBE,
+    Proof, Preparation, PruneStep, SubtermStep, ReductionPairStep, GiveUp, verify_proof,
 )
 from .orderings import Projection, PolyInterp, build_constraints
 from .orderings.poly import (
@@ -203,10 +205,6 @@ def _int(text: str) -> int:
         raise ProofSyntaxError(f"not a number: {text.strip()!r}") from None
 
 
-def _int_list(rest: str) -> tuple[int, ...]:
-    return tuple(_int(x) for x in rest.split())
-
-
 def _entry(line: str, prefix: str) -> tuple[str, str]:
     """Split `prefix(name) = value` into the name and the value."""
     name, close, rest = line[len(prefix):].partition(")")
@@ -216,11 +214,11 @@ def _entry(line: str, prefix: str) -> tuple[str, str]:
     return name, value.strip()
 
 
-def _blocks(lines: list[str], i: int) -> Iterator[tuple[str, list[tuple[int, str]]]]:
-    """From lines[i] on, each header line with its block: the indented
-    lines after it, up to the first blank or unindented line, each with its
-    line number and without trailing whitespace.  Blank lines are
-    skipped."""
+def _blocks(lines: list[str]) -> Iterator[tuple[str, list[tuple[int, str]]]]:
+    """Each header line with its block: the indented lines after it, up to
+    the first blank or unindented line, each with its line number and
+    without trailing whitespace.  Blank lines are skipped."""
+    i = 0
     while i < len(lines):
         header = lines[i].strip()
         i += 1
@@ -238,31 +236,11 @@ def _at(number: int, line: str, value: str) -> tuple[int, int]:
     return number, len(line) - len(value)
 
 
-# the `key:` lines `prove` prints in each block other than STEP; PREPARATION
-# also prints one `pair N:` line per pair, and GIVEUP a `loop:` line per term
-_KEYS = {"PREPARATION": ("local", "static-mode", "rules", "pairs", "graph"),
-         "PRUNE": ("removed",), "GIVEUP": ("scc", "tried", "reason", "loop")}
-
-
-def _entries(header: str, block: list[tuple[int, str]]) -> list[tuple[int, str, str, str]]:
-    """The lines of a PREPARATION, PRUNE or GIVEUP block as (line number,
-    line, key, value): only the keys `prove` prints there."""
-    out = []
-    for number, raw in block:
-        key, colon, value = raw.partition(":")
-        key = key.strip()
-        if not colon or key not in _KEYS[header] and not (
-                header == "PREPARATION" and key.startswith("pair ")):
-            raise ProofSyntaxError(f"unexpected proof line: {raw.strip()!r}")
-        out.append((number, raw, key, value.strip()))
-    return out
-
-
 def _parse_step(block: list[tuple[int, str]],
                 table: SymbolTable) -> Union[SubtermStep, ReductionPairStep]:
-    """A STEP block, read from the lines `prove` prints there; the
-    `removed:`, `strict?` and `weak` lines add nothing to the step."""
-    fields: dict[str, str] = {}  # scc, mode, strict and removed
+    """A STEP block's certificate and `strict:` set, as a step on no SCC
+    yet; a reduction-pair step's mode is left empty too."""
+    strict = ""
     kind = None
     nu: dict[str, int] = {}
     assign: dict[str, PolyFun] = {}
@@ -271,8 +249,8 @@ def _parse_step(block: list[tuple[int, str]],
     for number, raw in block:
         line = raw.strip()
         key, colon, value = line.partition(":")
-        if colon and key in ("scc", "mode", "strict", "removed"):
-            fields[key] = value
+        if colon and key == "strict":
+            strict = value
         elif line.startswith("SUBTERM CRITERION") or line in ("POLY", "ARGFUN+RPO"):
             kind = {"POLY": "poly", "ARGFUN+RPO": "rpo"}.get(line, "subterm")
             entries = line[len("SUBTERM CRITERION"):] if kind == "subterm" else ""
@@ -301,87 +279,71 @@ def _parse_step(block: list[tuple[int, str]],
                 raise ProofSyntaxError(f"malformed precedence line {line!r}")
             a, b = value.split(">", 1)
             prec.append((a.strip(), b.strip()))
-        elif not (line.startswith("strict?") or line.startswith("weak ")):
-            raise ProofSyntaxError(f"unexpected proof line: {line!r}")
-    scc, strict = _int_list(fields.get("scc", "")), _int_list(fields.get("strict", ""))
-    mode = fields.get("mode", "").strip()
+    strict = tuple(_int(x) for x in strict.split())
     if kind == "subterm":
-        return SubtermStep(scc, Projection(nu, strict))
+        return SubtermStep((), Projection(nu, strict))
     if kind == "poly":
-        return ReductionPairStep(scc, mode, PolyInterp(assign, strict))
+        return ReductionPairStep((), "", PolyInterp(assign, strict))
     if kind == "rpo":
         from .orderings.rpo import ArgFunRPO
-        return ReductionPairStep(scc, mode, ArgFunRPO(pi, tuple(prec), strict))
+        return ReductionPairStep((), "", ArgFunRPO(pi, tuple(prec), strict))
     raise ProofSyntaxError("STEP block without a certificate")
 
 
+def _parse_give_up(block: list[tuple[int, str]], table: SymbolTable) -> GiveUp:
+    """A GIVEUP block's `tried:`, `reason:` and `loop:` lines, as a give-up
+    on no SCC yet; each distinct loop line is parsed once."""
+    tried, reason = "", ""
+    terms: dict[str, Term] = {}
+    loop = []
+    for number, raw in block:
+        key, _, value = raw.partition(":")
+        key, value = key.strip(), value.strip()
+        if key == "tried":
+            tried = value
+        elif key == "reason":
+            reason = value
+        elif key == "loop":
+            if value not in terms:
+                terms[value] = parse_term_text(value, table, *_at(number, raw, value))
+            loop.append(terms[value])
+    return GiveUp((), tuple(tried.split()), reason, tuple(loop))
+
+
 def parse_proof(text: str, problem: DPProblem) -> Proof:
-    """Parse a proof of `problem`.  Raises ProofSyntaxError (or the term
-    parser's ParseError) for a text that does not parse, for a block line
-    `prove` never prints there, and unless END is the last non-blank line.
-    Where a line repeats, the last one wins; the lines that carry nothing
-    the proof is built from are left to `check_proof_text`."""
+    """The SCC steps of a proof text of `problem`, in order: one per STEP
+    or GIVEUP block, read from the lines the walk cannot derive.  Every
+    other line is left to `check_proof_text`, and a repeated line's last
+    copy is read.  The steps name no SCC and a reduction-pair step no mode,
+    and the proof has no verdict: `verify_proof` derives them.  Raises
+    ProofSyntaxError (or the term parser's ParseError) for a value that
+    does not parse and for a STEP without a certificate."""
     table = SymbolTable({f.name: f for f in problem.afs.signature}, {}, auto_symbols=True)
-    lines = text.splitlines()
-    if not lines or lines[0].strip() not in (YES, MAYBE):
-        raise ProofSyntaxError("first line must be YES or MAYBE")
-    last = max(n for n, line in enumerate(lines) if line.strip())
-    if lines[last].strip() != "END":
-        raise ProofSyntaxError("last line must be END")
     steps: list = []
-    for header, block in _blocks(lines[:last], 1):
+    for header, block in _blocks(text.splitlines()):
         if header == "STEP":
             steps.append(_parse_step(block, table))
-            continue
-        if header not in _KEYS:
-            raise ProofSyntaxError(f"unexpected proof line: {header!r}")
-        entries = _entries(header, block)
-        fields = {key: value for _, _, key, value in entries}
-        if header == "PREPARATION":
-            try:
-                steps.append(Preparation(
-                    local=fields.get("local") == "yes",
-                    static_mode=fields.get("static-mode") == "yes",
-                    rule_count=int(fields.get("rules", "0")),
-                    pair_count=int(fields.get("pairs", "0")),
-                    node_count=int(fields.get("graph", "0 nodes").split()[0]),
-                    edge_count=int(fields.get("graph", "0 nodes, 0 edges").split(",")[1].split()[0]),
-                ))
-            except (ValueError, IndexError) as exc:
-                raise ProofSyntaxError(f"malformed PREPARATION block: {exc}")
-        elif header == "PRUNE":
-            steps.append(PruneStep(_int_list(fields.get("removed", ""))))
-        else:
-            terms: dict[str, Term] = {}  # each distinct loop line is parsed once
-            loop = []
-            for number, raw, key, value in entries:
-                if key == "loop":
-                    if value not in terms:
-                        terms[value] = parse_term_text(value, table, *_at(number, raw, value))
-                    loop.append(terms[value])
-            steps.append(GiveUp(_int_list(fields.get("scc", "")),
-                                tuple(fields.get("tried", "").split()),
-                                fields.get("reason", ""), tuple(loop)))
-
-    return Proof(lines[0].strip(), steps, problem)
+        elif header == "GIVEUP":
+            steps.append(_parse_give_up(block, table))
+    return Proof(None, steps, problem)
 
 
 def check_proof_text(text: str, afs: AFS) -> list[str]:
-    """Re-derive the problem from the AFS, parse the proof, re-validate
-    every step and certificate, and require the text to be the one `prove`
-    prints for the proof: at verbosity 1 if it lists constraints, else at
-    0.  Blank lines after END are ignored.  Returns the list of problems
-    (empty = ok)."""
+    """Re-derive the problem from the AFS, read the proof's certificates,
+    replay them along the skeleton `prove` walks, and require the text to
+    be the one `prove` prints for the replayed proof: at verbosity 1 if it
+    lists constraints, else at 0.  Blank lines after END are ignored.
+    Returns the list of problems (empty = ok)."""
     problem = dependency_pairs(afs)
     try:
-        proof = parse_proof(text, problem)
+        parsed = parse_proof(text, problem)
     except (ProofSyntaxError, ParseError) as exc:
         return [f"proof does not parse: {exc}"]
-    errors = verify_proof(proof)
-    if errors:
-        return errors
+    proof = verify_proof(problem, parsed.steps)
+    if isinstance(proof, str):
+        return [proof]
     given = text.splitlines()
-    while not given[-1].strip():
+    while given and not given[-1].strip():
         given.pop()
     verbosity = 1 if any(line.startswith("  strict? ") for line in given) else 0
     expected = render_proof(proof, verbosity).splitlines()

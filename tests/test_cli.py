@@ -176,6 +176,23 @@ class TestCheck:
         assert err == (f"invalid proof: line {number} is not the text prove prints: "
                        f"expected {expected!r}, found {found!r}\n")
 
+    # `check` reads no first line and no END of its own, so a text without
+    # steps stops at eval's first SCC and a bare give-up differs from the
+    # rendered replay
+    @pytest.mark.parametrize("text, error", [
+        ("", "no step for SCC (0,)"),
+        ("\n \n", "no step for SCC (0,)"),
+        ("YES\n", "no step for SCC (0,)"),
+        ("YES\nEND\n", "no step for SCC (0,)"),
+        ("MAYBE\nGIVEUP\nEND\n",
+         "line 2 is not the text prove prints: expected 'PREPARATION', found 'GIVEUP'"),
+    ], ids=["empty", "blank", "verdict-only", "verdict-and-end", "bare-give-up"])
+    def test_a_degenerate_text_is_rejected(self, capsys, tmp_path, text, error):
+        proof_file = tmp_path / "bad.proof"
+        proof_file.write_text(text)
+        code, _, err = run_cli(capsys, "check", str(CORPUS / "eval.afs"), str(proof_file))
+        assert (code, err) == (1, f"invalid proof: {error}\n")
+
     # quot's path ordering proof collapses minus to its first argument; an
     # argument function must give a well-typed term of its symbol's output type
     @pytest.mark.parametrize("template", ["\\z:nat. x1", "x1 @ x2"],

@@ -15,7 +15,7 @@ from afsterm.afs import complete
 from afsterm.dp import dependency_pairs
 from afsterm.cli import main
 from afsterm.engine import (
-    Config, prove, run_corpus, verify_proof, YES, MAYBE, Preparation, GiveUp,
+    Config, prove, run_corpus, YES, MAYBE, Preparation, GiveUp,
     ReductionPairStep, SubtermStep,
 )
 from afsterm.prooftext import check_proof_text, render_proof
@@ -87,14 +87,41 @@ print(json.dumps({"loaded": loaded, "proved": proved}))
 """
 
 
+# Imports afsterm in a fresh interpreter with `exec` counted, and prints the
+# AST nodes of the source of every afsterm module the import loaded and the
+# characters of the source text the import passed to `exec` (the methods
+# `record` generates).
+COMPILE_WORK = """
+import ast, builtins, json, sys
+real_exec = builtins.exec
+chars = []
+
+def counted(source, *args, **kwargs):
+    if isinstance(source, str):
+        chars.append(len(source))
+    return real_exec(source, *args, **kwargs)
+
+builtins.exec = counted
+import afsterm
+builtins.exec = real_exec
+nodes = 0
+for name, module in sorted(sys.modules.items()):
+    if name.split(".")[0] == "afsterm":
+        with open(module.__file__) as f:
+            nodes += sum(1 for _ in ast.walk(ast.parse(f.read())))
+print(json.dumps({"nodes": nodes, "chars": sum(chars)}))
+"""
+
+
 class TestVerdicts:
     @pytest.mark.parametrize("name", ["twice", "map", "eval", "mapappend",
                                       "quot", "ack", "rec", "dupapp", "apeq",
                                       "fromchain"])
     def test_yes(self, name):
-        proof = prove(load(name))
+        afs = load(name)
+        proof = prove(afs)
         assert proof.verdict == YES
-        assert not verify_proof(proof)
+        assert check_proof_text(render_proof(proof), afs) == []
 
     @pytest.mark.parametrize("name", ["fga", "abfun"])
     def test_maybe(self, name):
@@ -415,23 +442,44 @@ class TestConfig:
         assert proof.verdict == MAYBE
 
 
+def count_engine_calls(monkeypatch) -> dict[str, int]:
+    """The calls of `approximate_graph` and `build_constraints` through the
+    engine's namespace from now on, counted in the returned dict."""
+    calls = {"approximate_graph": 0, "build_constraints": 0}
+
+    def counted(fn_name):
+        fn = getattr(engine, fn_name)
+
+        def wrapper(*args, **kwargs):
+            calls[fn_name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn_name in calls:
+        monkeypatch.setattr(engine, fn_name, counted(fn_name))
+    return calls
+
+
 class TestSelfVerification:
     def test_tampered_proof_detected(self):
-        proof = prove(load("eval"))
-        # remove a step: bookkeeping no longer covers all pairs
+        afs = load("eval")
+        proof = prove(afs)
+        # remove the last step: the replay has none for the last SCC
         broken = type(proof)(proof.verdict, proof.steps[:-1], proof.problem)
-        assert verify_proof(broken)
+        assert check_proof_text(render_proof(broken), afs) == ["no step for SCC (2,)"]
 
     def test_wrong_verdict_detected(self):
-        proof = prove(load("fga"))
+        afs = load("fga")
+        proof = prove(afs)
         broken = type(proof)(YES, proof.steps, proof.problem)
-        assert verify_proof(broken)
+        assert check_proof_text(render_proof(broken), afs) == [
+            "line 1 is not the text prove prints: expected 'MAYBE', found 'YES'"]
 
     def test_missing_prune_step_detected(self):
         afs = load("eval")
         text = (GOLDEN / "eval.proof").read_text()
         assert check_proof_text(text.replace("PRUNE\n  removed: 3\n", ""), afs) == [
-            "missing prune step before an SCC step"]
+            "line 12 is not the text prove prints: expected 'PRUNE', found 'STEP'"]
 
     def test_scc_out_of_order_detected(self):
         afs = load("eval")
@@ -439,7 +487,8 @@ class TestSelfVerification:
         swapped = text.replace("scc: 0\n", "scc: X\n").replace("scc: 1\n", "scc: 0\n") \
             .replace("scc: X\n", "scc: 1\n")
         assert swapped != text
-        assert check_proof_text(swapped, afs) == ["step works on (1,), expected SCC (0,)"]
+        assert check_proof_text(swapped, afs) == [
+            "line 15 is not the text prove prints: expected '  scc: 0', found '  scc: 1'"]
 
     def test_strict_bookkeeping(self):
         proof = prove(load("eval"))
@@ -448,21 +497,23 @@ class TestSelfVerification:
                 assert set(step.removed) <= set(step.scc)
                 assert step.removed
 
+    # the replay places a step on the SCC that is due and stops after a
+    # give-up, so each of these texts differs from the rendered replay
     @pytest.mark.parametrize("name, tamper, error", [
         ("fga", lambda t: t.replace("  scc: 0 3\n", "  scc: 99\n"),
-         "step works on (99,), expected SCC (0, 3)"),
+         "line 15 is not the text prove prints: expected '  scc: 0 3', found '  scc: 99'"),
         ("fga", lambda t: t.replace("  scc: 0 3\n", "  scc:\n"),
-         "step works on (), expected SCC (0, 3)"),
+         "line 15 is not the text prove prints: expected '  scc: 0 3', found '  scc:'"),
         ("abfun", lambda t: t.replace("  scc: 0\n", "  scc: 99\n"),
-         "step works on (99,), expected SCC (0,)"),
+         "line 10 is not the text prove prints: expected '  scc: 0', found '  scc: 99'"),
         ("abfun", lambda t: t.replace("  scc: 0\n", "  scc:\n"),
-         "step works on (), expected SCC (0,)"),
+         "line 10 is not the text prove prints: expected '  scc: 0', found '  scc:'"),
         ("fga", lambda t: t.replace("PRUNE\n  removed: 1 2\n", ""),
-         "missing prune step before an SCC step"),
+         "line 12 is not the text prove prints: expected 'PRUNE', found 'GIVEUP'"),
         ("fga", lambda t: t.replace("END\n", t[t.index("GIVEUP"):]),
-         "step after the end of the proof"),
+         "line 23 is not the text prove prints: expected 'END', found 'GIVEUP'"),
         ("abfun", lambda t: t.replace("END\n", t[t.index("GIVEUP"):]),
-         "step after the end of the proof"),
+         "line 16 is not the text prove prints: expected 'END', found 'GIVEUP'"),
     ], ids=["fga-scc-99", "fga-scc-empty", "abfun-scc-99", "abfun-scc-empty",
             "fga-no-prune", "fga-second-giveup", "abfun-second-giveup"])
     def test_tampered_give_up_detected(self, name, tamper, error):
@@ -471,18 +522,18 @@ class TestSelfVerification:
         assert tampered != text
         assert check_proof_text(tampered, load(name)) == [error]
 
-    @pytest.mark.parametrize("old, new", [
-        ("  local: yes\n", "  local: no\n"),
-        ("  static-mode: no\n", "  static-mode: yes\n"),
-        ("  rules: 5\n", "  rules: 6\n"),
-        ("  graph: 4 nodes,", "  graph: 5 nodes,"),
-        (" 9 edges\n", " 8 edges\n"),
+    @pytest.mark.parametrize("old, new, number", [
+        ("  local: yes", "  local: no", 3),
+        ("  static-mode: no", "  static-mode: yes", 4),
+        ("  rules: 5", "  rules: 6", 5),
+        ("  graph: 4 nodes, 9 edges", "  graph: 5 nodes, 9 edges", 11),
+        ("  graph: 4 nodes, 9 edges", "  graph: 4 nodes, 8 edges", 11),
     ], ids=["local", "static-mode", "rules", "nodes", "edges"])
-    def test_tampered_preparation_detected(self, old, new):
+    def test_tampered_preparation_detected(self, old, new, number):
         text = (GOLDEN / "eval.proof").read_text()
-        assert text.count(old) == 1
-        errors = check_proof_text(text.replace(old, new), load("eval"))
-        assert len(errors) == 1 and errors[0].startswith("proof must start with Preparation(")
+        assert text.count(old + "\n") == 1
+        assert check_proof_text(text.replace(old + "\n", new + "\n"), load("eval")) == [
+            f"line {number} is not the text prove prints: expected {old!r}, found {new!r}"]
 
     # each certificate claims every pair it may orient strictly; on these
     # systems the first one found orients one of them only weakly
@@ -508,22 +559,22 @@ class TestSelfVerification:
 
     @pytest.mark.parametrize("name", corpus_names())
     def test_prove_builds_the_graph_and_each_constraint_set_once(self, name, monkeypatch):
-        calls = {"approximate_graph": 0, "build_constraints": 0}
-
-        def counted(fn_name):
-            fn = getattr(engine, fn_name)
-
-            def wrapper(*args, **kwargs):
-                calls[fn_name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for fn_name in calls:
-            monkeypatch.setattr(engine, fn_name, counted(fn_name))
+        calls = count_engine_calls(monkeypatch)
         proof = prove(load(name))
         searched = [s for s in proof.steps if isinstance(s, ReductionPairStep)
                     or isinstance(s, GiveUp) and {"poly", "rpo"} & set(s.tried)]
         assert calls == {"approximate_graph": 1, "build_constraints": len(searched)}
+
+    # the replay builds a constraint set only for a reduction-pair step,
+    # and rendering at verbosity 0 builds none
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_check_builds_the_graph_once_and_each_constraint_set_once(self, name, monkeypatch):
+        afs = load(name)
+        proof = prove(afs)
+        calls = count_engine_calls(monkeypatch)
+        assert check_proof_text(render_proof(proof), afs) == []
+        steps = [s for s in proof.steps if isinstance(s, ReductionPairStep)]
+        assert calls == {"approximate_graph": 1, "build_constraints": len(steps)}
 
 
 class TestIncrementalDecomposition:
@@ -540,11 +591,11 @@ class TestIncrementalDecomposition:
                              "  strict: 0\n  removed: 0\n" + self.PRUNE_1 + "END\n")
         assert check_proof_text(text, afs) == []
         assert check_proof_text(text.replace(self.PRUNE_1, ""), afs) == [
-            "verdict YES but pairs remain"]
+            "line 15 is not the text prove prints: expected 'PRUNE', found 'END'"]
         assert check_proof_text(text.replace(self.PRUNE_1, "PRUNE\n  removed: 0\n"), afs) == [
-            "prune step removed (0,), expected (1,)"]
+            "line 16 is not the text prove prints: expected '  removed: 1', found '  removed: 0'"]
         assert check_proof_text(text.replace("END\n", "PRUNE\n  removed:\nEND\n"), afs) == [
-            "prune step removed (), expected no prune step"]
+            "line 17 is not the text prove prints: expected 'END', found 'PRUNE'"]
 
     @pytest.mark.parametrize("name", corpus_names() + ["wide-0", "wide-3"])
     def test_same_steps_as_a_from_scratch_replay(self, name):
@@ -605,6 +656,20 @@ class TestCorpus:
         added = set(out.stdout.split())
         assert "afsterm.record" in added
         assert not added & {"dataclasses", "inspect"}
+
+    def test_import_compiles_within_its_budget(self):
+        # every command compiles the modules `import afsterm` loads and the
+        # methods `record` generates (bytecode is not cached), so their
+        # size is a budget: a change that raises either sum says why in
+        # CHANGES.md and raises the bound.  Counted on Python 3.11, whose
+        # `ast` node set the node count depends on.
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", COMPILE_WORK],
+                             capture_output=True, text=True, timeout=60, env=env)
+        assert out.returncode == 0, out.stderr
+        work = json.loads(out.stdout)
+        assert work["nodes"] <= 30_286, work
+        assert work["chars"] <= 22_678, work
 
     def test_the_path_ordering_is_loaded_on_first_use(self):
         # no default proof of the corpus runs the path ordering, so neither

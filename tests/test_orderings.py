@@ -11,7 +11,7 @@ import pytest
 from afsterm import engine
 from afsterm.afs import complete
 from afsterm.dp import DependencyPair, dependency_pairs
-from afsterm.engine import Config, ReductionPairStep, prove
+from afsterm.engine import Config, ReductionPairStep, prove, verify_proof
 from afsterm.graph import approximate_graph, prune, sccs
 from afsterm.orderings import (
     build_constraints, subterm_criterion, search_poly, search_rpo,
@@ -802,7 +802,8 @@ class TestBackjumping:
         assert poly_search.MAX_NODES >= 10 * 12_155
         afs = load("fromchain")
         problem = dependency_pairs(afs)
-        golden = parse_proof((GOLDEN / "fromchain.proof").read_text(), problem)
+        given = parse_proof((GOLDEN / "fromchain.proof").read_text(), problem)
+        golden = verify_proof(problem, given.steps)
         step = next(s for s in golden.steps if isinstance(s, ReductionPairStep))
         cs = build_constraints(step.scc, problem)
         monkeypatch.setattr(poly_search, "MAX_NODES", 104)

@@ -5,8 +5,8 @@ import re
 import pytest
 
 from afsterm.dp import dependency_pairs
-from afsterm import prooftext
-from afsterm.engine import Config, prove
+from afsterm import parse_afs, prooftext
+from afsterm.engine import Config, prove, verify_proof
 from afsterm.orderings.poly import expr_text
 from afsterm.parser import SymbolTable
 from afsterm.prooftext import (
@@ -133,29 +133,55 @@ class TestHandWrittenProof:
         afs = load("eval")
         golden = (GOLDEN / "eval.proof").read_text()
         for old, new, error in [
-            ("PRUNE", "NONSENSE", "unexpected proof line: 'NONSENSE'"),
-            ("J(o) = 0", "J(nosuch) = 0", "unknown symbol in J(nosuch)"),
+            ("PRUNE", "NONSENSE",
+             "line 12 is not the text prove prints: expected 'PRUNE', found 'NONSENSE'"),
+            ("J(o) = 0", "J(nosuch) = 0", "proof does not parse: unknown symbol in J(nosuch)"),
         ]:
             broken = golden.replace(old, new)
             assert broken != golden
-            assert check_proof_text(broken, afs) == [f"proof does not parse: {error}"]
+            assert check_proof_text(broken, afs) == [error]
 
     # END closes the proof: it is the last non-blank line, and on any other
     # line it is a line `prove` does not print there
     @pytest.mark.parametrize("tamper, error", [
-        (lambda t: t.replace("END\n", ""), "last line must be END"),
-        (lambda t: t.replace("END\n", "END\nPRUNE\n  removed:\n"), "last line must be END"),
-        (lambda t: t.replace("\nSTEP\n", "\nEND\nSTEP\n", 1), "unexpected proof line: 'END'"),
-        (lambda t: t.replace("\nSTEP\n", "\n  END\nSTEP\n", 1), "unexpected proof line: 'END'"),
-        (lambda t: t + "END\n", "unexpected proof line: 'END'"),
+        (lambda t: t.replace("END\n", ""),
+         "line 21 is not the text prove prints: expected 'END', found ''"),
+        (lambda t: t.replace("END\n", "END\nPRUNE\n  removed:\n"),
+         "line 22 is not the text prove prints: expected '', found 'PRUNE'"),
+        (lambda t: t.replace("\nSTEP\n", "\nEND\nSTEP\n", 1),
+         "line 11 is not the text prove prints: expected 'STEP', found 'END'"),
+        (lambda t: t.replace("\nSTEP\n", "\n  END\nSTEP\n", 1),
+         "line 11 is not the text prove prints: expected 'STEP', found '  END'"),
+        (lambda t: t + "END\n", "line 22 is not the text prove prints: expected '', found 'END'"),
     ], ids=["deleted", "a-block-after-it", "between-blocks", "indented-in-a-block", "twice"])
     def test_one_end_line_closes_the_proof(self, tamper, error):
         golden = (GOLDEN / "ack.proof").read_text()
         broken = tamper(golden)
         assert broken != golden
-        assert check_proof_text(broken, load("ack")) == [f"proof does not parse: {error}"]
+        assert check_proof_text(broken, load("ack")) == [error]
         # blank lines after END are no lines of the proof
         assert check_proof_text(golden + "\n \n", load("ack")) == []
+
+    # the reader demands no first line and no END: a text without steps
+    # replays up to the first SCC that is due (eval's), and on a system
+    # without pairs the replay is one preparation, so each such text gets
+    # one problem
+    @pytest.mark.parametrize("text, eval_error, no_pairs_error", [
+        ("", "no step for SCC (0,)",
+         "line 1 is not the text prove prints: expected 'YES', found ''"),
+        ("\n \n", "no step for SCC (0,)",
+         "line 1 is not the text prove prints: expected 'YES', found ''"),
+        ("YES\n", "no step for SCC (0,)",
+         "line 2 is not the text prove prints: expected 'PREPARATION', found ''"),
+        ("YES\nEND\n", "no step for SCC (0,)",
+         "line 2 is not the text prove prints: expected 'PREPARATION', found 'END'"),
+        ("MAYBE\nGIVEUP\nEND\n",
+         "line 2 is not the text prove prints: expected 'PREPARATION', found 'GIVEUP'",
+         "line 1 is not the text prove prints: expected 'YES', found 'MAYBE'"),
+    ], ids=["empty", "blank", "verdict-only", "verdict-and-end", "bare-give-up"])
+    def test_a_degenerate_text_gets_one_problem(self, text, eval_error, no_pairs_error):
+        assert check_proof_text(text, load("eval")) == [eval_error]
+        assert check_proof_text(text, parse_afs("SIG\n  o : nat\nRULES\n")) == [no_pairs_error]
 
     # a STEP carries each line `prove` prints for its kind once; each of
     # these edits keeps the genuine line last, so the parsed proof is the
@@ -180,25 +206,25 @@ class TestHandWrittenProof:
         assert check_proof_text(broken, load("eval")) == [error]
 
     # PREPARATION, PRUNE and GIVEUP carry only the lines `prove` prints
-    # there, each once except `loop:`; of a repeated line the last one is
-    # read, so a repeated `rules:` line counts 99 rules
+    # there, each once except `loop:`; the reader skips the lines the walk
+    # derives, and the rendered replay has none of these
     @pytest.mark.parametrize("name, after, extra, error", [
         ("fga", "PREPARATION\n", "  bogus: 1\n",
-         "proof does not parse: unexpected proof line: 'bogus: 1'"),
+         "line 3 is not the text prove prints: expected '  local: yes', found '  bogus: 1'"),
         ("fga", "  rules: 3\n", "  rules: 99\n",
-         "proof must start with Preparation(local=True, static_mode=False, rule_count=3, "
-         "pair_count=4, node_count=4, edge_count=5)"),
+         "line 6 is not the text prove prints: expected '  pairs: 4', found '  rules: 99'"),
         ("ack", "PREPARATION\n", "  bogus: 1\n",
-         "proof does not parse: unexpected proof line: 'bogus: 1'"),
+         "line 3 is not the text prove prints: expected '  local: yes', found '  bogus: 1'"),
         ("fga", "  pair 1: f#(o) ~> f#(!c{nat})\n", "  pair 1: f#(o) ~> f#(!c{nat})\n",
          "line 9 is not the text prove prints: "
          "expected '  pair 2: f#(o) ~> a#', found '  pair 1: f#(o) ~> f#(!c{nat})'"),
         ("fga", "PRUNE\n", "  nonsense here\n",
-         "proof does not parse: unexpected proof line: 'nonsense here'"),
+         "line 13 is not the text prove prints: "
+         "expected '  removed: 1 2', found '  nonsense here'"),
         ("fga", "PRUNE\n", "  removed: 1 2\n",
          "line 14 is not the text prove prints: expected 'GIVEUP', found '  removed: 1 2'"),
         ("fga", "GIVEUP\n", "  whatever: 3\n",
-         "proof does not parse: unexpected proof line: 'whatever: 3'"),
+         "line 15 is not the text prove prints: expected '  scc: 0 3', found '  whatever: 3'"),
         ("fga", "GIVEUP\n", "  reason: none\n",
          "line 15 is not the text prove prints: expected '  scc: 0 3', found '  reason: none'"),
     ], ids=["unknown-preparation-key", "repeated-rules", "unknown-key-in-ack",
@@ -281,7 +307,7 @@ class TestHandWrittenProof:
             afs = load(name)
             golden = (GOLDEN / f"{name}.proof").read_text()
             problem = dependency_pairs(afs)
-            proof = parse_proof(golden, problem)
+            proof = verify_proof(problem, parse_proof(golden, problem).steps)
             assert render_proof(proof, 1) == golden, name
             for verbosity in (0, 1):
                 text = render_proof(proof, verbosity)
