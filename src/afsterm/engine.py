@@ -41,6 +41,12 @@ MAYBE = "MAYBE"
 
 ENGINE_ORDER = ("subterm", "poly", "rpo")
 
+# the reasons a give-up step names, each with the engines that may run before it
+TIMEOUT = "timeout"
+LOOPING = "a term reduces to itself, so the system does not terminate"
+UNORIENTED = "no engine oriented a pair strictly"
+RUN_BEFORE = {TIMEOUT: (), LOOPING: ("subterm",), UNORIENTED: ENGINE_ORDER}
+
 # the loop check's bounds: reduction steps and explored terms per start term
 LOOP_STEPS = 4
 LOOP_NODES = 16
@@ -141,10 +147,12 @@ def _split_first(graph: DPGraph, components: list[tuple[int, ...]],
     parts are inserted into the remainder, which is ordered already, so a
     step costs nothing per component it leaves alone.  `_walk` starts from
     the whole graph as one component."""
-    rest = DPGraph(graph.pairs, graph.edges, frozenset(components[0]) - frozenset(removed))
-    parts = sccs(rest)
+    rest = frozenset(components[0]).difference(removed)
+    # a single node lies on a cycle exactly when it has a self-loop
+    parts = sccs(DPGraph(graph.pairs, graph.edges, rest)) if len(rest) > 1 \
+        else [(i,) for i in rest if i in graph.edges[i]]
     on_cycle = {i for part in parts for i in part}
-    dropped = tuple(sorted(rest.alive - on_cycle))
+    dropped = tuple(sorted(rest - on_cycle))
     remainder = components[1:]
     for part in parts:
         insort(remainder, part, key=itemgetter(0))
@@ -160,7 +168,7 @@ def _discharge(scc: tuple[int, ...], problem: DPProblem, cfg: Config, deadline: 
     A reduction loop found before the ordering searches ends the proof: no
     reduction pair can orient the SCC then."""
     if time.monotonic() >= deadline:
-        return GiveUp(scc, (), "timeout"), None
+        return GiveUp(scc, (), TIMEOUT), None
     collapsing = any(problem.pairs[i].collapsing for i in scc)
     tried: list[str] = []
     if "subterm" in cfg.engines and not collapsing:
@@ -170,8 +178,7 @@ def _discharge(scc: tuple[int, ...], problem: DPProblem, cfg: Config, deadline: 
             return SubtermStep(scc, cert), None
     loop = _find_loop(scc, problem, explored)
     if loop:
-        return GiveUp(scc, tuple(tried),
-                      "a term reduces to itself, so the system does not terminate", loop), None
+        return GiveUp(scc, tuple(tried), LOOPING, loop), None
     cs = build_constraints(scc, problem)
     if "poly" in cfg.engines:
         tried.append("poly")
@@ -185,7 +192,7 @@ def _discharge(scc: tuple[int, ...], problem: DPProblem, cfg: Config, deadline: 
         cert = search_rpo(cs, deadline=deadline)
         if cert is not None:
             return ReductionPairStep(scc, cs.mode, cert), cs
-    return GiveUp(scc, tuple(tried), "no engine oriented a pair strictly"), cs
+    return GiveUp(scc, tuple(tried), UNORIENTED), cs
 
 
 def search_rpo(cs: ConstraintSet, deadline: float) -> Optional[ArgFunRPO]:
@@ -331,10 +338,20 @@ def _walk(problem: DPProblem,
 
 def _step_error(step: Union[SubtermStep, ReductionPairStep, GiveUp],
                 cs: Optional[ConstraintSet], problem: DPProblem) -> Optional[str]:
-    """The first problem of an SCC step, or None: a give-up's loop must
-    replay, and a certificate must orient its SCC (a reduction pair's, its
-    constraint set `cs`) with the pairs the step removes strictly."""
+    """The first problem of an SCC step, or None: a give-up must be one
+    `_discharge` could take, its loop must replay, and a certificate must
+    orient its SCC (a reduction pair's, its constraint set `cs`) with the
+    pairs the step removes strictly."""
     if isinstance(step, GiveUp):
+        # engines run in their order, on a collapsing SCC only poly, and
+        # the reason bounds them; the loop reason comes with the loop
+        collapsing = any(problem.pairs[i].collapsing for i in step.scc)
+        ran = tuple(e for e in RUN_BEFORE.get(step.reason, ())
+                    if e in step.tried and (e == "poly" or not collapsing))
+        if step.reason not in RUN_BEFORE or ran != step.tried \
+                or bool(step.loop) != (step.reason == LOOPING):
+            return (f"no give-up after {' '.join(step.tried) or 'no engine'} names the reason "
+                    f"{step.reason!r} with {len(step.loop)} loop terms")
         return _replay_loop(step.loop, problem.afs.rules) if step.loop else None
     if isinstance(step, SubtermStep):
         error = check_certificate(None, step.cert, scc=step.scc, pairs=problem.pairs)

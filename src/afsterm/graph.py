@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .record import record
-from typing import Optional
+from typing import Iterator, Optional
 
 from .terms import (
     Term, Var, BVar, Abs, FunApp, FunctionSymbol, SimpleType, app_spine, type_of,
@@ -26,7 +26,7 @@ class DPGraph:
         return not self.alive
 
     def edge_count(self) -> int:
-        return sum(len(self.out_edges(i)) for i in sorted(self.alive))
+        return sum(j in self.alive for i in self.alive for j in self.edges.get(i, ()))
 
 
 def _compatible(rhs_part: Term, lhs_part: Term, defined: frozenset[str]) -> bool:
@@ -119,7 +119,8 @@ def approximate_graph(problem: DPProblem) -> DPGraph:
 def sccs(g: DPGraph) -> list[tuple[int, ...]]:
     """Strongly connected components that lie on a cycle (singletons only
     with a self-loop), ordered by smallest member index."""
-    order = sorted(g.alive)
+    alive = g.alive
+    order = sorted(alive)
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
@@ -127,9 +128,12 @@ def sccs(g: DPGraph) -> list[tuple[int, ...]]:
     counter = [0]
     out: list[tuple[int, ...]] = []
 
+    def successors(v: int) -> Iterator[int]:
+        return iter(sorted(w for w in g.edges.get(v, ()) if w in alive))
+
     def strongconnect(v: int) -> None:
         # iterative Tarjan to avoid recursion limits
-        work = [(v, iter(sorted(g.out_edges(v))))]
+        work = [(v, successors(v))]
         index[v] = low[v] = counter[0]
         counter[0] += 1
         stack.append(v)
@@ -143,7 +147,7 @@ def sccs(g: DPGraph) -> list[tuple[int, ...]]:
                     counter[0] += 1
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(sorted(g.out_edges(w)))))
+                    work.append((w, successors(w)))
                     advanced = True
                     break
                 if w in on_stack:
@@ -163,7 +167,7 @@ def sccs(g: DPGraph) -> list[tuple[int, ...]]:
                     if w == node:
                         break
                 comp.sort()
-                if len(comp) > 1 or comp[0] in g.out_edges(comp[0]):
+                if len(comp) > 1 or comp[0] in g.edges.get(comp[0], ()):
                     out.append(tuple(comp))
 
     for v in order:

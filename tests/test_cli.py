@@ -177,15 +177,15 @@ class TestCheck:
                        f"expected {expected!r}, found {found!r}\n")
 
     # `check` reads no first line and no END of its own, so a text without
-    # steps stops at eval's first SCC and a bare give-up differs from the
-    # rendered replay
+    # steps stops at eval's first SCC, and a bare give-up names no reason
+    # `prove` gives
     @pytest.mark.parametrize("text, error", [
         ("", "no step for SCC (0,)"),
         ("\n \n", "no step for SCC (0,)"),
         ("YES\n", "no step for SCC (0,)"),
         ("YES\nEND\n", "no step for SCC (0,)"),
         ("MAYBE\nGIVEUP\nEND\n",
-         "line 2 is not the text prove prints: expected 'PREPARATION', found 'GIVEUP'"),
+         "no give-up after no engine names the reason '' with 0 loop terms"),
     ], ids=["empty", "blank", "verdict-only", "verdict-and-end", "bare-give-up"])
     def test_a_degenerate_text_is_rejected(self, capsys, tmp_path, text, error):
         proof_file = tmp_path / "bad.proof"
@@ -277,14 +277,20 @@ class TestCheck:
         assert f"cannot read {proof_file}: " in err
 
     def test_give_up_without_a_loop_checks(self, capsys, tmp_path):
-        # the loop lines are optional: a MAYBE proof claims nothing
+        # a MAYBE proof claims nothing, so a give-up needs no loop lines;
+        # but `prove` names the loop reason only with the loop it found
+        looping = "  reason: a term reduces to itself, so the system does not terminate\n"
+        unoriented = "  reason: no engine oriented a pair strictly\n"
         for name in ("fga", "abfun"):
             text = (GOLDEN / f"{name}.proof").read_text()
             bare = "".join(line for line in text.splitlines(keepends=True)
                            if not line.startswith("  loop: "))
-            assert bare != text and "GIVEUP" in bare
+            assert bare != text and "GIVEUP" in bare and looping in bare
             proof_file = tmp_path / "bare.proof"
             proof_file.write_text(bare)
+            code, _, err = run_cli(capsys, "check", str(CORPUS / f"{name}.afs"), str(proof_file))
+            assert code == 1 and "with 0 loop terms" in err, name
+            proof_file.write_text(bare.replace(looping, unoriented))
             assert run_cli(capsys, "check", str(CORPUS / f"{name}.afs"),
                            str(proof_file))[0] == 0, name
 

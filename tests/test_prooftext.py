@@ -165,7 +165,7 @@ class TestHandWrittenProof:
     # the reader demands no first line and no END: a text without steps
     # replays up to the first SCC that is due (eval's), and on a system
     # without pairs the replay is one preparation, so each such text gets
-    # one problem
+    # one problem; a bare GIVEUP names no reason `_discharge` prints
     @pytest.mark.parametrize("text, eval_error, no_pairs_error", [
         ("", "no step for SCC (0,)",
          "line 1 is not the text prove prints: expected 'YES', found ''"),
@@ -176,7 +176,7 @@ class TestHandWrittenProof:
         ("YES\nEND\n", "no step for SCC (0,)",
          "line 2 is not the text prove prints: expected 'PREPARATION', found 'END'"),
         ("MAYBE\nGIVEUP\nEND\n",
-         "line 2 is not the text prove prints: expected 'PREPARATION', found 'GIVEUP'",
+         "no give-up after no engine names the reason '' with 0 loop terms",
          "line 1 is not the text prove prints: expected 'YES', found 'MAYBE'"),
     ], ids=["empty", "blank", "verdict-only", "verdict-and-end", "bare-give-up"])
     def test_a_degenerate_text_gets_one_problem(self, text, eval_error, no_pairs_error):
@@ -325,6 +325,69 @@ class TestHandWrittenProof:
         loop = proof.steps[-1].loop
         assert len(loop) == 3 and loop[0] is loop[2]
         assert len(parsed) == 2
+
+
+class TestGiveUpLines:
+    # `check` accepts a GIVEUP's `tried:` and `reason:` lines only as
+    # `_discharge` prints them: engines the SCC runs (a collapsing one only
+    # poly) in their order, no engine before a timeout, at most the subterm
+    # criterion before a loop, and loop lines exactly after the loop reason.
+    # fga's SCC is collapsing and ends at a loop of 5 terms; quot's is not
+    # and, with the subterm criterion alone, ends unoriented.
+    LOOPING = "a term reduces to itself, so the system does not terminate"
+    UNORIENTED = "no engine oriented a pair strictly"
+
+    @pytest.mark.parametrize("name, tried, reason, loops", [
+        ("fga", "rpo poly", LOOPING, 5),
+        ("fga", "", "timeout", 5),
+        ("fga", "rpo poly", "timeout", 5),
+        ("fga", "subterm", LOOPING, 5),
+        ("fga", "poly", LOOPING, 5),
+        ("fga", "", UNORIENTED, 5),
+        ("fga", "", "tired", 5),
+        ("quot", "poly subterm", UNORIENTED, 0),
+        ("quot", "subterm subterm", UNORIENTED, 0),
+        ("quot", "subterm magic", UNORIENTED, 0),
+        ("quot", "subterm", "timeout", 0),
+        ("quot", "subterm", LOOPING, 0),
+    ], ids=["fga-rpo-poly", "fga-timeout-with-a-loop", "fga-both", "fga-subterm-on-collapsing",
+            "fga-poly-before-a-loop", "fga-unoriented-with-a-loop", "fga-unknown-reason",
+            "quot-out-of-order", "quot-repeated", "quot-unknown-engine",
+            "quot-timeout-after-subterm", "quot-loop-reason-without-loop"])
+    def test_a_give_up_discharge_cannot_print_is_rejected(self, name, tried, reason, loops):
+        afs = load(name)
+        if name == "fga":
+            text = (GOLDEN / "fga.proof").read_text()
+            old_tried, old_reason = "  tried:\n", f"  reason: {self.LOOPING}\n"
+        else:
+            text = render_proof(prove(afs, Config(engines=("subterm",))))
+            old_tried, old_reason = "  tried: subterm\n", f"  reason: {self.UNORIENTED}\n"
+        assert old_tried in text and old_reason in text
+        text = text.replace(old_tried, " ".join(("  tried:", *tried.split())) + "\n")
+        text = text.replace(old_reason, f"  reason: {reason}\n")
+        assert check_proof_text(text, afs) == [
+            f"no give-up after {tried or 'no engine'} names the reason {reason!r} "
+            f"with {loops} loop terms"]
+
+    @pytest.mark.parametrize("engines", [("subterm",), ("subterm", "rpo")])
+    def test_every_give_up_prove_prints_is_accepted(self, engines):
+        # the corpus's give-ups under engine sets that skip the long poly
+        # searches: loops, unoriented SCCs after one or two engines
+        reasons = set()
+        for name in corpus_names():
+            afs = load(name)
+            proof = prove(afs, Config(engines=engines))
+            assert check_proof_text(render_proof(proof), afs) == [], name
+            if proof.verdict == "MAYBE":
+                reasons.add((proof.steps[-1].tried, proof.steps[-1].reason[:8]))
+        assert len(reasons) >= 3, reasons
+
+    def test_a_timeout_before_any_engine_is_accepted(self):
+        afs = load("quot")
+        text = render_proof(prove(afs, Config(engines=("subterm",))))
+        text = text.replace("  tried: subterm\n", "  tried:\n").replace(
+            f"  reason: {self.UNORIENTED}\n", "  reason: timeout\n")
+        assert check_proof_text(text, afs) == []
 
 
 def one_line_edits(text):

@@ -14,7 +14,7 @@ import pytest
 import afsterm
 from afsterm.orderings.poly import Const, SlotRef
 from afsterm.afs import Rule
-from afsterm.record import _MISSING, replace
+from afsterm.record import _MISSING, _TEMPLATES, record, replace
 from afsterm.terms import Arrow, Base, FunApp, FunctionSymbol, TypeDecl, Var, Variable
 
 RECORDS = sorted(
@@ -213,3 +213,127 @@ def test_records_are_slotted_and_keep_their_hash(cls):
         # `__init__` sets `_hash` to None, and the first call fills it
         assert a._hash is None
         assert hash(a) == a._hash == hash(TWINS[cls](*samples(cls)[0]))
+
+
+def per_class_methods(cls) -> dict[str, object]:
+    """The methods the per-class generator that `record` used before its
+    templates emitted for `cls`: the source of all of them, written out
+    with the class's own field names and compiled with one `exec`.  Kept
+    as the reference for the templates' bytecode."""
+    fields = cls.__record_fields__
+    frozen = cls.__name__ not in MUTABLE
+    params = ", ".join(n if d is _MISSING else f"{n}=_d_{n}" for n, d in fields.items())
+    if frozen:
+        body = [f"_set_{n}(self, {n})" for n in fields] + ["_set__hash(self, None)"]
+    else:
+        body = [f"self.{n} = {n}" for n in fields]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in fields)
+    compared = [n for n in fields if n != UNCOMPARED.get(cls.__name__)]
+    mine = "".join(f"self.{n}," for n in compared)
+    theirs = "".join(f"other.{n}," for n in compared)
+    src = f"""
+def __init__(self, {params}):
+    {"; ".join(body) or "pass"}
+def __repr__(self):
+    return self.__class__.__qualname__ + f"({shown})"
+def __eq__(self, other):
+    if other is self:
+        return True
+    if other.__class__ is self.__class__:
+        return ({mine}) == ({theirs})
+    return NotImplemented
+"""
+    if frozen:
+        src += f"""
+def __hash__(self):
+    h = self._hash
+    if h is None:
+        _set__hash(self, h := hash(({mine})))
+    return h
+"""
+    ns = {f"_d_{n}": d for n, d in fields.items()}
+    exec(src, ns)
+    return {name: ns[name] for name in METHODS if name in ns}
+
+
+METHODS = ("__init__", "__repr__", "__eq__", "__hash__")
+
+
+def shapes(cls) -> dict[str, tuple]:
+    """The template shape of each method `record` gave `cls`."""
+    n = len(cls.__record_fields__)
+    m = n - (cls.__name__ in UNCOMPARED)
+    out = {"__init__": ("__init__", n, cls.__name__ not in MUTABLE, hasattr(cls, "__post_init__")),
+           "__repr__": ("__repr__", n), "__eq__": ("__eq__", m)}
+    if cls.__name__ not in MUTABLE:
+        out["__hash__"] = ("__hash__", m)
+    return out
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_methods_run_the_per_class_generators_bytecode(cls):
+    # construction, ==, hash and repr keep their speed: each method is the
+    # code a method compiled for the class alone would be, names and
+    # constants included, with the same defaults
+    reference = per_class_methods(cls)
+    assert reference.keys() == shapes(cls).keys()
+    for name, ref in reference.items():
+        got = vars(cls)[name]
+        for attr in ("co_code", "co_consts", "co_names", "co_varnames", "co_argcount"):
+            assert getattr(got.__code__, attr) == getattr(ref.__code__, attr), (name, attr)
+        assert got.__defaults__ == ref.__defaults__, name
+        assert got.__qualname__ == f"{cls.__qualname__}.{name}"
+
+
+def test_classes_of_one_shape_share_one_template():
+    # one template per shape, and each method's code is its shape's
+    # template's code (only names and constants differ)
+    methods = [(shape, vars(cls)[name].__code__)
+               for cls in RECORDS for name, shape in shapes(cls).items()]
+    assert set(_TEMPLATES) == {shape for shape, _ in methods}
+    assert len(_TEMPLATES) < len(methods)
+    for shape, code in methods:
+        assert code.co_code == _TEMPLATES[shape].co_code, shape
+
+
+def test_keywords_defaults_uncompared_and_qualname():
+    # a record built in a function: fields by keyword, a default, an
+    # uncompared field, and the class's qualified name in its repr; both
+    # classes have shapes the package's own records have
+    @record(uncompared=("note",))
+    class Point:
+        x: int
+        y: int = 0
+        note: str = ""
+
+    p = Point(y=2, x=1, note="a")
+    assert (p.x, p.y, p.note) == (1, 2, "a")
+    assert Point(5).y == 0
+    assert p == Point(1, 2, "b") and hash(p) == hash(Point(1, 2, "b"))
+    assert p != Point(1, 3, "a")
+    assert repr(p) == ("test_keywords_defaults_uncompared_and_qualname.<locals>."
+                       "Point(x=1, y=2, note='a')")
+    assert Point.__init__.__qualname__.endswith("<locals>.Point.__init__")
+    with pytest.raises(TypeError):
+        Point(1, z=3)
+
+    @record(frozen=False)
+    class Box:
+        items: list
+        label: str = "box"
+
+    b = Box(items=[1])
+    b.items = [2]
+    assert b == Box([2], "box") != Box([2], "bag")
+    assert Box.__hash__ is None
+
+
+def test_a_required_field_after_a_default_is_refused():
+    class Base_:
+        a: int = 0
+        b: int
+
+    with pytest.raises(TypeError):
+        record(Base_)
