@@ -1,16 +1,18 @@
 """Parser for the plain-text AFS format (SIG / VARS / RULES blocks).
 
-Both text formats are line-based: `tokenize` scans one line with one
-`findall` pass of one regular expression into plain `(kind, text, col)`
-tuples, and `parse_afs` reads a file line by line, one declaration or rule
-per line.  The grammar reads a line's token list by index: each function
-takes the index of its first token and returns what it read with the index
-after it.  A token carries no line number: the grammar raises its errors
-at line 0, and the reader of the line, which knows the number, raises them
-again at that line (`at_line`).  The same tokenizer and term grammar are
-reused by the proof checker, which must re-read marked (f#), tagged (f-)
-and fresh-constant (!c{type}) symbols; a fresh constant may only occur in
-proofs.
+Both text formats are line-based: `tokenize` splits one line into its
+tokens, plain strings, with one `findall` of one regular expression, and
+`parse_afs` reads a file line by line, one declaration or rule per line.
+The grammar reads a line's token list by index: each function takes the
+index of its first token and returns what it read with the index after
+it.  A token knows neither its line nor its column, and a line that reads
+works out neither: the grammar raises its errors at a token's index, and
+`at_line`, which runs the grammar on a line, maps the index to a column
+(`column`) only when the line fails.  That second scan also finds the
+line's first bad character, which is the error of any line that has one.
+The same tokenizer and term grammar are reused by the proof checker, which
+must re-read marked (f#), tagged (f-) and fresh-constant (!c{type})
+symbols; a fresh constant may only occur in proofs.
 """
 
 from __future__ import annotations
@@ -27,6 +29,13 @@ from .terms import (
 
 
 class ParseError(Exception):
+    """An error at column `col` of line `line`.  The grammar, which knows no
+    line, raises its errors at line 0 and at a token's index instead of a
+    column, `shift` columns into that token, and `at_line` raises them again
+    at the line and column."""
+
+    shift = 0
+
     def __init__(self, message: str, line: int, col: int):
         self.message = message
         self.line = line
@@ -34,120 +43,131 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: {message}")
 
 
-# A token is a (kind, text, col) tuple; kind is IDENT, CONST, PUNCT or EOF.
-Token = tuple[str, str, int]
-
-# One match per token, run of spaces or comment; its groups are, in order,
-# SKIP (spaces and a comment), CONST, IDENT, PUNCT and ERROR, any other
-# character, so the matches cover the line and each token's column is the
-# sum of the lengths before it.  A marked or tagged name may carry a
-# filtered symbol's kept positions: f#'2, f-'12.
+# One match per token: a fresh constant, a name, a punctuation mark, a
+# comment, or any other single character but a space, tab or carriage
+# return, which is a bad one.  A marked or tagged name may carry a filtered
+# symbol's kept positions: f#'2, f-'12.
 _TOKEN = re.compile(r"""
-    ([ \t\r]+ | \#.*)
-  | !c\{([^{}]*)\}
-  | ([A-Za-z0-9_][A-Za-z0-9_']*(?:(?:\#|-(?!>))(?:'[A-Za-z0-9_']*)?)?)
-  | (=>|->|[()\[\],:.\\@*>;=+])
-  | ((?s:.))
+    !c\{[^{}]*\}
+  | [A-Za-z0-9_][A-Za-z0-9_']*(?:(?:\#|-(?!>))(?:'[A-Za-z0-9_']*)?)?
+  | => | -> | [()\[\],:.\\@*>;=+]
+  | \#.*
+  | [^ \t\r]
 """, re.VERBOSE)
 
+# A token is a name if its first character is one of these: not
+# `str.isalnum`, which accepts letters outside ASCII.
+NAME_CHARS = frozenset("_0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+# the one-character tokens that are not bad characters
+_SOLO = NAME_CHARS | frozenset("()[],:.\\@*>;=+#")
 
-def tokenize(line: str, number: int = 1, offset: int = 0) -> list[Token]:
-    """The tokens of one line, then an EOF token at the line's end.  `line`
-    is the text of line `number` after its first `offset` columns; a
-    column counts from 1 at the start of the line.  `findall` builds no
-    match object per token."""
-    tokens: list[Token] = []
-    col = offset + 1
-    for skip, const, ident, punct, error in _TOKEN.findall(line):
-        if ident:
-            tokens.append(("IDENT", ident, col))
-            col += len(ident)
-        elif punct:
-            tokens.append(("PUNCT", punct, col))
-            col += len(punct)
-        elif skip:
-            col += len(skip)
-        elif error:
-            message = ("unterminated !c{...} constant" if line.startswith("!c{", col - offset - 1)
-                       else f"unexpected character {error!r}")
-            raise ParseError(message, number, col)
-        else:  # a fresh constant !c{...}, the one match left; its type may be empty
-            tokens.append(("CONST", const, col))
-            col += len(const) + 4
-    tokens.append(("EOF", "", offset + len(line) + 1))
+
+def tokenize(line: str) -> list[str]:
+    """The tokens of one line, then "" for its end, which a comment at the
+    end becomes.  Spaces, tabs and carriage returns are no token."""
+    tokens = _TOKEN.findall(line)
+    if tokens and tokens[-1][0] == "#":
+        tokens[-1] = ""
+    else:
+        tokens.append("")
     return tokens
 
 
-def expect(tokens: list[Token], i: int, text: str) -> int:
+def column(line: str, number: int, offset: int, index: int) -> int:
+    """The column of token `index` of `line`, the text of line `number`
+    after its first `offset` columns; a column counts from 1 at the start
+    of the line, and the end of the line is one past its last character.
+    Scanning the line once more, it raises the line's first bad character
+    instead if it has one: that is the error of any line that fails."""
+    starts = []
+    for match in _TOKEN.finditer(line):
+        text, start = match.group(), match.start()
+        if len(text) == 1 and text not in _SOLO:
+            message = ("unterminated !c{...} constant" if line.startswith("!c{", start)
+                       else f"unexpected character {text!r}")
+            raise ParseError(message, number, offset + start + 1)
+        starts.append(len(line) if text[0] == "#" else start)
+    starts.append(len(line))
+    return offset + starts[index] + 1
+
+
+def expect(tokens: list[str], i: int, text: str) -> int:
     """The index after tokens[i], which must read `text`."""
-    found = tokens[i]
-    if found[1] != text:
-        raise ParseError(f"expected {text!r}, found {found[1]!r}", 0, found[2])
+    if tokens[i] != text:
+        raise ParseError(f"expected {text!r}, found {tokens[i]!r}", 0, i)
     return i + 1
 
 
-def at_line(parse: Callable, tokens: list[Token], number: int, *args):
-    """`parse(tokens, 0, *args)` on the tokens of line `number`: what it
-    read and the index after it.  A grammar error is raised at that line."""
+def at_line(parse: Callable, tokens: list[str], i: int, line: str, number: int,
+            offset: int, *args):
+    """`parse(tokens, i, *args)` on the tokens of `line`, the text of line
+    `number` after its first `offset` columns: what it read.  If the line
+    fails, a grammar error is raised at its token's column, a term nested
+    too deeply for the interpreter's stack at token i's, and any other
+    exception as it is, but a bad character on the line comes first."""
     try:
-        return parse(tokens, 0, *args)
+        return parse(tokens, i, *args)
     except ParseError as exc:
-        raise ParseError(exc.message, number, exc.col) from None
+        col = column(line, number, offset, exc.col) + exc.shift
+        raise ParseError(exc.message, number, col) from None
+    except RecursionError:
+        raise ParseError("term nested too deeply", number,
+                         column(line, number, offset, i)) from None
+    except Exception:
+        column(line, number, offset, i)
+        raise
 
 
-def _end(tokens: list[Token], i: int, number: int, what: str) -> None:
-    kind, text, col = tokens[i]
-    if kind != "EOF":
-        raise ParseError(f"trailing input after {what}: {text!r}", number, col)
+def _read(parse: Callable, what: str, text: str, number: int, offset: int, *args):
+    """What `parse` reads from all of `text`, the text of line `number`
+    after its first `offset` columns."""
+    tokens = tokenize(text)
+    value, i = at_line(parse, tokens, 0, text, number, offset, *args)
+    if tokens[i]:
+        raise ParseError(f"trailing input after {what}: {tokens[i]!r}", number,
+                         column(text, number, offset, i))
+    return value
 
 
 # type parsing ---------------------------------------------------------------
 
 
-def parse_type(tokens: list[Token], i: int, types: dict[str, Base]) -> tuple[SimpleType, int]:
+def parse_type(tokens: list[str], i: int, types: dict[str, Base]) -> tuple[SimpleType, int]:
     """A type; each base type name is looked up in, or added to, `types`,
     so that one parse builds one `Base` per name."""
     left, i = _parse_type_atom(tokens, i, types)
-    if tokens[i][1] == "->":
+    if tokens[i] == "->":
         right, i = parse_type(tokens, i + 1, types)
         return Arrow(left, right), i
     return left, i
 
 
-def _parse_type_atom(tokens: list[Token], i: int,
+def _parse_type_atom(tokens: list[str], i: int,
                      types: dict[str, Base]) -> tuple[SimpleType, int]:
-    kind, text, col = tokens[i]
+    text = tokens[i]
     if text == "(":
         t, i = parse_type(tokens, i + 1, types)
         return t, expect(tokens, i, ")")
-    if kind != "IDENT":
-        raise ParseError(f"expected a type, found {text!r}", 0, col)
+    if text[:1] not in NAME_CHARS:
+        raise ParseError(f"expected a type, found {text!r}", 0, i)
     base = types.get(text)
     if base is None:
         base = types[text] = Base(text)
     return base, i + 1
 
 
-def parse_type_text(text: str, types: dict[str, Base], number: int = 1,
-                    offset: int = 0) -> SimpleType:
-    tokens = tokenize(text, number, offset)
-    t, i = at_line(parse_type, tokens, number, types)
-    _end(tokens, i, number, "type")
-    return t
-
-
-def parse_type_decl(tokens: list[Token], i: int,
+def parse_type_decl(tokens: list[str], i: int,
                     types: dict[str, Base]) -> tuple[TypeDecl, int]:
-    if tokens[i][1] == "[":
+    inputs = []
+    if tokens[i] == "[":
         t, i = parse_type(tokens, i + 1, types)
-        inputs = [t]
-        while tokens[i][1] == "*":
+        inputs.append(t)
+        while tokens[i] == "*":
             t, i = parse_type(tokens, i + 1, types)
             inputs.append(t)
-        output, i = parse_type(tokens, expect(tokens, expect(tokens, i, "]"), "->"), types)
-        return TypeDecl(tuple(inputs), output), i
+        i = expect(tokens, expect(tokens, i, "]"), "->")
     output, i = parse_type(tokens, i, types)
-    return TypeDecl((), output), i
+    return TypeDecl(tuple(inputs), output), i
 
 
 # term parsing ---------------------------------------------------------------
@@ -178,20 +198,21 @@ class SymbolTable:
         return None
 
 
-def parse_term(tokens: list[Token], i: int, table: SymbolTable,
+def parse_term(tokens: list[str], i: int, table: SymbolTable,
                bound: Optional[dict[str, Variable]] = None) -> tuple[Term, int]:
     bound = bound or {}
     term, i = _parse_term_atom(tokens, i, table, bound)
-    while tokens[i][1] == "@":
+    while tokens[i] == "@":
         arg, i = _parse_term_atom(tokens, i + 1, table, bound)
         term = App(term, arg)
     return term, i
 
 
-def _parse_term_atom(tokens: list[Token], i: int, table: SymbolTable,
+def _parse_term_atom(tokens: list[str], i: int, table: SymbolTable,
                      bound: dict[str, Variable]) -> tuple[Term, int]:
-    kind, name, col = tokens[i]
-    if kind == "IDENT":
+    name = tokens[i]
+    if name[:1] in NAME_CHARS:
+        at = i
         i += 1
         if name in bound:
             return Var(bound[name]), i
@@ -201,55 +222,57 @@ def _parse_term_atom(tokens: list[Token], i: int, table: SymbolTable,
         if sym is not None:
             arity = len(sym.decl.inputs)
             if not arity:
-                if tokens[i][1] == "(":
-                    raise ParseError(f"symbol {name} takes no arguments", 0, col)
+                if tokens[i] == "(":
+                    raise ParseError(f"symbol {name} takes no arguments", 0, at)
                 return FunApp(sym), i
             arg, i = parse_term(tokens, expect(tokens, i, "("), table, bound)
             args = [arg]
-            while tokens[i][1] == ",":
+            while tokens[i] == ",":
                 arg, i = parse_term(tokens, i + 1, table, bound)
                 args.append(arg)
             i = expect(tokens, i, ")")
             if len(args) != arity:
                 raise ParseError(f"symbol {name} expects {arity} arguments, got {len(args)}",
-                                 0, col)
+                                 0, at)
             return FunApp(sym, tuple(args)), i
         var = table.variables.get(name)
         if var is not None:
             return Var(var), i
-        raise ParseError(f"unknown identifier {name!r} (not in SIG or VARS)", 0, col)
+        raise ParseError(f"unknown identifier {name!r} (not in SIG or VARS)", 0, at)
     if name == "(":
         t, i = parse_term(tokens, i + 1, table, bound)
         return t, expect(tokens, i, ")")
     if name == "\\":
-        kind, x, x_col = tokens[i + 1]
-        if kind != "IDENT":
-            raise ParseError("expected a bound variable name", 0, x_col)
-        i += 2
-        if tokens[i][1] == ":":
-            vtype, i = parse_type(tokens, i + 1, table.types)
+        x = tokens[i + 1]
+        if x[:1] not in NAME_CHARS:
+            raise ParseError("expected a bound variable name", 0, i + 1)
+        if tokens[i + 2] == ":":
+            vtype, i = parse_type(tokens, i + 3, table.types)
         else:
             var = table.variables.get(x)
             if var is None:
                 raise ParseError(f"bound variable {x} needs a type annotation or a VARS entry",
-                                 0, x_col)
+                                 0, i + 1)
             vtype = var.type
+            i += 2
         v = Variable(x, vtype)
         body, i = parse_term(tokens, expect(tokens, i, "."), table, {**bound, x: v})
         return lam(v, body), i
-    if kind == "CONST":
+    if name.startswith("!c{"):
         if not table.auto_symbols:
-            raise ParseError(f"!c{{{name}}} may only occur in proofs", 0, col)
-        # the type starts after the three characters of "!c{"
-        return FunApp(fresh_const(parse_type_text(name, table.types, 0, col + 2))), i + 1
-    raise ParseError(f"expected a term, found {name!r}", 0, col)
+            raise ParseError(f"{name} may only occur in proofs", 0, i)
+        try:
+            ctype = _read(parse_type, "type", name[3:-1], 1, 0, table.types)
+        except ParseError as exc:
+            error = ParseError(exc.message, 0, i)
+            error.shift = exc.col + 2  # the type starts after the three characters of "!c{"
+            raise error from None
+        return FunApp(fresh_const(ctype)), i + 1
+    raise ParseError(f"expected a term, found {name!r}", 0, i)
 
 
 def parse_term_text(text: str, table: SymbolTable, number: int = 1, offset: int = 0) -> Term:
-    tokens = tokenize(text, number, offset)
-    t, i = at_line(parse_term, tokens, number, table)
-    _end(tokens, i, number, "term")
-    return t
+    return _read(parse_term, "term", text, number, offset, table)
 
 
 # AFS files ------------------------------------------------------------------
@@ -268,49 +291,47 @@ def parse_afs(text: str):
     rules: list[Rule] = []
     section: Optional[str] = None
 
-    number = 0
-    try:
-        for number, line in enumerate(text.split("\n"), 1):
-            tokens = tokenize(line, number)
-            i = 0
-            while tokens[i][0] == "IDENT" and tokens[i][1] in ("SIG", "VARS", "RULES"):
-                section = tokens[i][1]
-                i += 1
-            kind, name, col = tokens[i]
-            if kind == "EOF":
-                continue
-            if section is None:
-                raise ParseError("declarations must appear inside a SIG, VARS or RULES block",
-                                 number, col)
-            if section == "RULES":
-                lhs, i = parse_term(tokens, i, table)
-                rhs, i = parse_term(tokens, expect(tokens, i, "=>"), table)
-                rule = Rule(lhs, rhs, origin="user")
-                try:
-                    validate_rule(rule)
-                except (IllegalLhs, IllTyped) as exc:
-                    exc.args = (f"{number}:{col}: {exc}",)  # the rule's position, as in a ParseError
-                    raise
-                rules.append(rule)
+    def declaration(tokens: list[str], i: int) -> None:
+        if section is None:
+            raise ParseError("declarations must appear inside a SIG, VARS or RULES block", 0, i)
+        if section == "RULES":
+            lhs, i = parse_term(tokens, i, table)
+            rhs, i = parse_term(tokens, expect(tokens, i, "=>"), table)
+            rule = Rule(lhs, rhs, origin="user")
+            validate_rule(rule)
+            rules.append(rule)
+        else:
+            name = tokens[i]
+            sig = section == "SIG"
+            if name[:1] not in NAME_CHARS or name.endswith(("#", "-")):
+                raise ParseError(f"expected a {'function symbol' if sig else 'variable'} name",
+                                 0, i)
+            if name in symbols or name in variables:
+                what = "symbol" if sig and name in symbols else "name"
+                raise ParseError(f"duplicate {what} {name}", 0, i)
+            i = expect(tokens, i + 1, ":")
+            if sig:
+                decl, i = parse_type_decl(tokens, i, types)
+                symbols[name] = FunctionSymbol(name, decl, PLAIN)
             else:
-                sig = section == "SIG"
-                if kind != "IDENT" or name.endswith(("#", "-")):
-                    raise ParseError(
-                        f"expected a {'function symbol' if sig else 'variable'} name", number, col)
-                if name in symbols or name in variables:
-                    what = "symbol" if sig and name in symbols else "name"
-                    raise ParseError(f"duplicate {what} {name}", number, col)
-                i = expect(tokens, i + 1, ":")
-                if sig:
-                    decl, i = parse_type_decl(tokens, i, types)
-                    symbols[name] = FunctionSymbol(name, decl, PLAIN)
-                else:
-                    vtype, i = parse_type(tokens, i, types)
-                    variables[name] = Variable(name, vtype)
-            kind, rest, col = tokens[i]
-            if kind != "EOF":
-                raise ParseError(f"unexpected {rest!r} (one declaration per line)", number, col)
-    except ParseError as exc:
-        raise ParseError(exc.message, number, exc.col) from None
+                vtype, i = parse_type(tokens, i, types)
+                variables[name] = Variable(name, vtype)
+        if tokens[i]:
+            raise ParseError(f"unexpected {tokens[i]!r} (one declaration per line)", 0, i)
+
+    for number, line in enumerate(text.split("\n"), 1):
+        tokens = tokenize(line)
+        i = 0
+        while tokens[i] in ("SIG", "VARS", "RULES"):
+            section = tokens[i]
+            i += 1
+        if not tokens[i]:
+            continue
+        try:
+            at_line(declaration, tokens, i, line, number, 0)
+        except (IllegalLhs, IllTyped) as exc:
+            # the rule's position, as in a ParseError
+            exc.args = (f"{number}:{column(line, number, 0, i)}: {exc}",)
+            raise
 
     return AFS(tuple(symbols.values()), tuple(rules))

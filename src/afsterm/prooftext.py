@@ -29,7 +29,8 @@ from .orderings.poly import (
     slot_types_for,
 )
 from .parser import (
-    ParseError, SymbolTable, Token, at_line, expect, tokenize, parse_term, parse_term_text,
+    NAME_CHARS, ParseError, SymbolTable, at_line, column, expect, tokenize, parse_term,
+    parse_term_text,
 )
 from .terms import (
     FunctionSymbol, Variable, Term, term_text, TypeDecl, EXT,
@@ -100,47 +101,47 @@ def render_proof(proof: Proof, verbosity: int = 0) -> str:
 # expression parsing ----------------------------------------------------------
 
 
-def _parse_expr(tokens: list[Token], i: int) -> tuple[Expr, int]:
+def _parse_expr(tokens: list[str], i: int) -> tuple[Expr, int]:
     part, i = _parse_expr_mul(tokens, i)
     parts = [part]
-    while tokens[i][1] == "+":
+    while tokens[i] == "+":
         part, i = _parse_expr_mul(tokens, i + 1)
         parts.append(part)
     return parts[0] if len(parts) == 1 else Add(tuple(parts)), i
 
 
-def _parse_expr_mul(tokens: list[Token], i: int) -> tuple[Expr, int]:
+def _parse_expr_mul(tokens: list[str], i: int) -> tuple[Expr, int]:
     part, i = _parse_expr_atom(tokens, i)
     parts = [part]
-    while tokens[i][1] == "*":
+    while tokens[i] == "*":
         part, i = _parse_expr_atom(tokens, i + 1)
         parts.append(part)
     return parts[0] if len(parts) == 1 else Mul(tuple(parts)), i
 
 
-def _parse_expr_args(tokens: list[Token], i: int) -> tuple[tuple[Expr, ...], int]:
+def _parse_expr_args(tokens: list[str], i: int) -> tuple[tuple[Expr, ...], int]:
     arg, i = _parse_expr(tokens, expect(tokens, i, "("))
     args = [arg]
-    while tokens[i][1] == ",":
+    while tokens[i] == ",":
         arg, i = _parse_expr(tokens, i + 1)
         args.append(arg)
     return tuple(args), expect(tokens, i, ")")
 
 
-def _parse_expr_atom(tokens: list[Token], i: int) -> tuple[Expr, int]:
-    kind, text, _ = tokens[i]
+def _parse_expr_atom(tokens: list[str], i: int) -> tuple[Expr, int]:
+    text = tokens[i]
     i += 1
     if text == "(":
         e, i = _parse_expr(tokens, i)
         return e, expect(tokens, i, ")")
-    if kind == "IDENT" and text.isdigit():
+    if text.isdigit() and text[:1] in NAME_CHARS:
         return Const(int(text)), i
-    if kind == "IDENT" and text == "max":
+    if text == "max":
         args, i = _parse_expr_args(tokens, i)
         return MaxE(args), i
-    if kind == "IDENT" and text.startswith("x") and text[1:].isdigit():
+    if text.startswith("x") and text[1:].isdigit():
         index = int(text[1:]) - 1
-        if tokens[i][1] == "(":
+        if tokens[i] == "(":
             args, i = _parse_expr_args(tokens, i)
             return AppSlot(index, args), i
         return SlotRef(index), i
@@ -151,9 +152,10 @@ def parse_polyfun(text: str, sym: FunctionSymbol, number: int = 1, offset: int =
     """Parse a template body, found on line `number` after `offset`
     columns; PolyFun rejects a body that is not well-formed over the
     symbol's slots."""
-    tokens = tokenize(text, number, offset)
-    body, i = at_line(_parse_expr, tokens, number)
-    if tokens[i][0] != "EOF":
+    tokens = tokenize(text)
+    body, i = at_line(_parse_expr, tokens, 0, text, number, offset)
+    if tokens[i]:
+        column(text, number, offset, i)  # a bad character on the line comes first
         raise ProofSyntaxError(f"trailing input in interpretation of {sym.display}")
     try:
         return PolyFun(slot_types_for(sym), body)
@@ -185,12 +187,13 @@ def parse_pi_template(text: str, sym: FunctionSymbol, table: SymbolTable,
     slots = [Variable(f"x{i + 1}", ty) for i, ty in enumerate(sym.decl.inputs)]
     # a copy: _register_primed adds this template's primed names to it
     local = SymbolTable(dict(table.symbols), {v.name: v for v in slots}, auto_symbols=True)
-    tokens = tokenize(text, number, offset)
-    for kind, name, _ in tokens:
-        if kind == "IDENT" and "'" in name and local.lookup_symbol(name) is None:
+    tokens = tokenize(text)
+    for name in tokens:
+        if "'" in name and name[:1] in NAME_CHARS and local.lookup_symbol(name) is None:
             _register_primed(name, local)
-    t, i = at_line(parse_term, tokens, number, local)
-    if tokens[i][0] != "EOF":
+    t, i = at_line(parse_term, tokens, 0, text, number, offset, local)
+    if tokens[i]:
+        column(text, number, offset, i)  # a bad character on the line comes first
         raise ProofSyntaxError(f"trailing input in pi({sym.display})")
     return t
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import random
+import re
 import sys
 import zlib
 from collections import defaultdict
@@ -21,6 +22,7 @@ from afsterm.graph import _follows, _root, approximate_graph, prune, sccs
 from afsterm.orderings import poly_search
 from afsterm.orderings.constraints import USER_KINDS, occurring_symbols
 from afsterm.orderings.subterm import Projection
+from afsterm.parser import ParseError
 from afsterm.orderings.poly import (
     Expr, Const, SlotRef, AppSlot, Add, Mul, MaxE, Interpreter, PolyInterp,
     SubtermMemo, compare_terms, valuation_for, _canon_branch, _canon_nf, _guard,
@@ -615,3 +617,43 @@ def reference_check_projection(scc, pairs, cert: Projection) -> Optional[str]:
         elif left != right and not _reference_strict_subterm(right, left):
             return f"pair {i}: projected sides are neither equal nor subterm-related"
     return None
+
+
+# The line scanner the readers had before they kept tokens as plain strings:
+# one match per token, run of spaces or comment, whose groups are, in order,
+# SKIP (spaces and a comment), CONST, IDENT, PUNCT and ERROR, any other
+# character, so that each token's column is the sum of the lengths before it.
+_REFERENCE_TOKEN = re.compile(r"""
+    ([ \t\r]+ | \#.*)
+  | !c\{([^{}]*)\}
+  | ([A-Za-z0-9_][A-Za-z0-9_']*(?:(?:\#|-(?!>))(?:'[A-Za-z0-9_']*)?)?)
+  | (=>|->|[()\[\],:.\\@*>;=+])
+  | ((?s:.))
+""", re.VERBOSE)
+
+
+def reference_tokenize(line: str, number: int = 1, offset: int = 0) -> list[tuple[str, str, int]]:
+    """The `(kind, text, col)` tokens of one line, then an EOF token at the
+    line's end, or a ParseError at its first bad character.  `line` is the
+    text of line `number` after its first `offset` columns; a fresh
+    constant's text is its type."""
+    tokens = []
+    col = offset + 1
+    for skip, const, ident, punct, error in _REFERENCE_TOKEN.findall(line):
+        if ident:
+            tokens.append(("IDENT", ident, col))
+            col += len(ident)
+        elif punct:
+            tokens.append(("PUNCT", punct, col))
+            col += len(punct)
+        elif skip:
+            col += len(skip)
+        elif error:
+            message = ("unterminated !c{...} constant" if line.startswith("!c{", col - offset - 1)
+                       else f"unexpected character {error!r}")
+            raise ParseError(message, number, col)
+        else:
+            tokens.append(("CONST", const, col))
+            col += len(const) + 4
+    tokens.append(("EOF", "", offset + len(line) + 1))
+    return tokens

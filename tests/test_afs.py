@@ -1,13 +1,19 @@
 """Parsing, rule validation, completion, classification, and R+."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from afsterm import parse_afs
 from afsterm.afs import IllegalLhs, complete, build_rplus
-from afsterm.parser import ParseError, SymbolTable, parse_term_text, tokenize
-from afsterm.terms import IllTyped, term_text, free_vars, Abs
+from afsterm.parser import ParseError, SymbolTable, column, parse_term_text, tokenize
+from afsterm.prooftext import (
+    ProofSyntaxError, check_proof_text, parse_pi_template, parse_polyfun,
+)
+from afsterm.terms import (
+    Base, FunctionSymbol, IllTyped, PLAIN, TypeDecl, term_text, free_vars, Abs,
+)
 
-from helpers import CORPUS, corpus_names, load, wide_system
+from helpers import CORPUS, GOLDEN, corpus_names, load, reference_tokenize, wide_system
 
 
 # two good rules on lines 10 and 11; a test appends the third
@@ -54,19 +60,22 @@ class TestParsing:
 
     def test_primed_positions_follow_a_mark_or_tag(self):
         # `rpo.pi_options` names a filtered marked or tagged symbol so
-        texts = [text for _, text, _ in tokenize("f#'2(x) f-'12 F->G")]
-        assert texts == ["f#'2", "(", "x", ")", "f-'12", "F", "->", "G", ""]
+        tokens = tokenize("f#'2(x) f-'12 F->G")
+        assert tokens == ["f#'2", "(", "x", ")", "f-'12", "F", "->", "G", ""]
 
     @pytest.mark.parametrize("line, expected", [
-        ("f## note", [("IDENT", "f#"), ("EOF", "")]),
-        ("!c{nat -> nat} x", [("CONST", "nat -> nat"), ("IDENT", "x"), ("EOF", "")]),
+        ("f## note", ["f#", ""]),
+        ("!c{nat -> nat} x", ["!c{nat -> nat}", "x", ""]),
         ("a - b", "4:3: unexpected character '-'"),
         ("f(!c{nat -> nat", "4:3: unterminated !c{...} constant"),
     ], ids=["comment-after-a-marked-name", "fresh-constant-of-an-arrow-type",
             "minus-alone", "unterminated-fresh-constant"])
     def test_one_line_scans_to_its_tokens(self, line, expected):
+        # a line's tokens, or, from the second scan a failing line gets, the
+        # error of its first bad character
         try:
-            got = [(kind, text) for kind, text, _ in tokenize(line, 4)]
+            column(line, 4, 0, 0)
+            got = tokenize(line)
         except ParseError as exc:
             got = str(exc)
         assert got == expected
@@ -193,6 +202,42 @@ def test_a_malformed_system_is_reported_at_its_line_and_column(old, new, error):
         parse_afs(MALFORMED_BASE.replace(old, new, 1))
     assert str(exc.value) == error
     assert (exc.value.line, exc.value.col) == tuple(map(int, error.split(":")[:2]))
+
+
+# a bad character is the error of its line, whatever else fails there:
+# (a system's or a proof's, what is replaced, by what, the error)
+@pytest.mark.parametrize("name, old, new, error", [
+    (None, RULE, "o => o $", "10:10: unexpected character '$'"),
+    (None, RULE, "f(x, o) => s(x) o $", "10:21: unexpected character '$'"),
+    (None, RULE, "x => o $", "10:10: unexpected character '$'"),
+    (None, RULE, "f(é) => o", "10:5: unexpected character 'é'"),
+    (None, "  o : nat", "  o : nat # $ ok", None),
+    (None, "  x : nat", "  x : nat\t'", "7:11: unexpected character \"'\""),
+    (None, RULE, "f(x, o) =>\ts(x) o", "10:19: unexpected 'o' (one declaration per line)"),
+    ("apeq", "    J(ap) = x1(x2) + x2\n", "    J(ap) = x1 + $\n",
+     "27:18: unexpected character '$'"),
+    ("apeq", "    J(ap) = x1(x2) + x2\n", "    J(ap) =\tx1(x2) x2 $\n",
+     "27:23: unexpected character '$'"),
+    ("fga", "  loop: f(o)\n", "  loop: f(o) - o\n", "18:14: unexpected character '-'"),
+    ("fga", "  loop: f(o)\n", "  loop:\tf(o) o\n", "18:14: trailing input after term: 'o'"),
+], ids=["after-a-complete-rule", "after-trailing-input", "after-a-rejected-rule",
+        "non-ascii-letter", "in-a-comment", "after-a-tab", "tab-before-trailing-input",
+        "J-after-a-plus", "J-after-a-tab-and-trailing-input", "loop-lone-minus",
+        "loop-tab-before-trailing-input"])
+def test_a_bad_character_takes_precedence(name, old, new, error):
+    if name is None:
+        assert old in MALFORMED_BASE
+        try:
+            parse_afs(MALFORMED_BASE.replace(old, new, 1))
+            got = None
+        except (ParseError, IllegalLhs, IllTyped) as exc:
+            got = str(exc)
+    else:
+        text = (GOLDEN / f"{name}.proof").read_text()
+        assert old in text
+        [got] = check_proof_text(text.replace(old, new, 1), load(name))
+        error = f"proof does not parse: {error}"
+    assert got == error
 
 
 @pytest.mark.parametrize("name", corpus_names() + ["wide-2001"])
@@ -360,3 +405,69 @@ class TestCompletionSimulation:
                     assert any(u == target for u in ex.reached)
                     checked += 1
         assert checked > 0
+
+
+# the readers against the tuple scanner they replaced: each line reads as
+# the same tokens at the same columns, and a line that scanner rejects is
+# rejected by every reader with the same message at the same column
+_F = FunctionSymbol("f", TypeDecl((Base("nat"), Base("nat")), Base("nat")), PLAIN)
+_PROOF_TABLE = SymbolTable({"f": _F}, {}, auto_symbols=True)
+
+
+def _errors(line: str, number: int, offset: int) -> set:
+    """What each reader raises on `line`, the text of line `number` after
+    its first `offset` columns, or None for one that reads it."""
+    readers = [
+        lambda: column(line, number, offset, 0),
+        lambda: parse_term_text(line, _PROOF_TABLE, number, offset),
+        lambda: parse_polyfun(line, _F, number, offset),
+        lambda: parse_pi_template(line, _F, _PROOF_TABLE, number, offset),
+    ]
+    if not offset:
+        readers.append(lambda: parse_afs("SIG\n" * (number - 1) + line))
+    errors = set()
+    for read in readers:
+        try:
+            read()
+            errors.add(None)
+        except (ParseError, ProofSyntaxError) as exc:
+            errors.add(str(exc))
+    return errors
+
+
+def assert_reads_as_the_reference(line: str, number: int = 1, offset: int = 0) -> None:
+    try:
+        reference = reference_tokenize(line, number, offset)
+    except ParseError as exc:
+        assert _errors(line, number, offset) == {str(exc)}, line
+        return
+    assert tokenize(line) == [f"!c{{{text}}}" if kind == "CONST" else text
+                              for kind, text, _ in reference], line
+    assert [column(line, number, offset, i) for i in range(len(reference))] == \
+        [col for _, _, col in reference], line
+
+
+@pytest.mark.parametrize("source", ["corpus", "golden", "wide-2001", "wide-7"])
+def test_every_line_reads_as_the_reference_scanner_reads_it(source):
+    if source == "corpus":
+        texts = [path.read_text() for path in sorted(CORPUS.glob("*.afs"))]
+    elif source == "golden":
+        texts = [path.read_text() for path in sorted(GOLDEN.glob("*.proof"))]
+    else:
+        texts = [wide_system(int(source.split("-")[1]))]
+    for text in texts:
+        for number, line in enumerate(text.split("\n"), 1):
+            assert_reads_as_the_reference(line, number)
+
+
+LINE_PIECES = ["f", "x", "x1", "nat", "max", "12", "f#", "f-", "f#'2", "f-'", "!c{nat}",
+               "!c{nat -> nat}", "!c{", "!c", "=>", "->", "(", ")", "[", "]", ",", ":", ".",
+               "\\", "@", "*", ">", ";", "=", "+", "#", " ", "  ", "\t",
+               "$", "é", "-", "'", "!", "{", "}", "\f"]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(LINE_PIECES), max_size=10).map("".join),
+       st.integers(1, 4), st.integers(0, 6))
+def test_a_short_line_reads_as_the_reference_scanner_reads_it(line, number, offset):
+    assert_reads_as_the_reference(line, number, offset)

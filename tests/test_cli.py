@@ -1,5 +1,6 @@
 """Command-line contract: first-line verdicts, exit codes, check round-trip."""
 
+import os
 import re
 import subprocess
 import sys
@@ -58,6 +59,30 @@ class TestProve:
             assert (code, out) == (2, "")
             assert err == (f"{bad}: 10:3: right-hand side uses variables not in the "
                            "left-hand side: y\n")
+
+    @pytest.mark.parametrize("depth", [400, 600, 2000])
+    def test_a_deeply_nested_term_proves_or_is_reported(self, tmp_path, depth):
+        # the reader recurses once per nesting level; a term too deep for
+        # the interpreter's stack is a diagnostic at the rule, not a crash
+        system = tmp_path / "deep.afs"
+        system.write_text("SIG\n  o : nat\n  s : [nat] -> nat\n  f : [nat] -> nat\nRULES\n"
+                          f"  f(o) => {'s(' * depth}o{')' * depth}\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+        def cli(*argv):
+            return subprocess.run([sys.executable, "-m", "afsterm.cli", *argv],
+                                  capture_output=True, text=True, timeout=120, env=env)
+
+        proved = cli("prove", str(system))
+        if proved.returncode == 2:
+            assert proved.stdout == ""
+            assert proved.stderr == f"{system}: 6:3: term nested too deeply\n"
+            return
+        assert (proved.returncode, proved.stdout.splitlines()[0]) == (0, "YES"), proved.stderr
+        proof = tmp_path / "deep.proof"
+        proof.write_text(proved.stdout)
+        checked = cli("check", str(system), str(proof))
+        assert (checked.returncode, checked.stdout, checked.stderr) == (0, "proof valid\n", "")
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "prove", "/nonexistent/x.afs")

@@ -687,7 +687,7 @@ class TestCorpus:
                              capture_output=True, text=True, timeout=60, env=env)
         assert out.returncode == 0, out.stderr
         work = json.loads(out.stdout)
-        assert work["nodes"] <= 30_944, work
+        assert work["nodes"] <= 30_934, work
         assert work["chars"] <= 4_885, work
 
     def test_the_path_ordering_is_loaded_on_first_use(self):
