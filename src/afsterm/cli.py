@@ -41,19 +41,24 @@ def _config(args) -> Config:
 def cmd_prove(args) -> int:
     afs = _load(args.file)
     cfg = _config(args)
-    try:
+    try:  # a term the reader accepts can still be too deep for the walks
         proof = prove(afs, cfg)
+        text = render_proof(proof, args.verbose)
+        dot = args.dot and to_dot(approximate_graph(proof.problem))
     except InternalError as exc:
         print(f"internal error: search produced an invalid certificate: {exc}",
               file=sys.stderr)
         return 1
-    if args.dot:
+    except RecursionError:
+        print(f"{args.file}: term nested too deeply", file=sys.stderr)
+        return 2
+    if dot:
         try:
-            Path(args.dot).write_text(to_dot(approximate_graph(proof.problem)))
+            Path(args.dot).write_text(dot)
         except OSError as exc:
             print(f"cannot write {args.dot}: {exc}", file=sys.stderr)
             return 2
-    sys.stdout.write(render_proof(proof, args.verbose))
+    sys.stdout.write(text)
     return 0
 
 

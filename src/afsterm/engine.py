@@ -1,10 +1,11 @@
 """The proof skeleton, walked once by `prove` and by `verify_proof`: prepare,
 prune, discharge the first SCC with the subterm criterion or a reduction
 pair, repeat.  The walk derives the preparation, every prune step and the
-SCC each step works on from the problem; only the SCC steps come from
-outside it.  `prove` finds each one with an engine and checks its
-certificate before keeping it; `verify_proof` replays given steps, each on
-the SCC that is due.  Each check (`_step_error`, `_replay_loop` and the
+SCC each step works on from the problem; only the certificates and
+give-ups come from outside it.  `prove` finds each one with an engine and
+checks it before keeping it; `verify_proof` replays given ones, each on
+the SCC that is due.  A reduction-pair step keeps the constraint set its
+certificate orients.  Each check (`_step_error`, `_replay_loop` and the
 certificate checker's `check_certificate`) returns its first problem as a
 string, or None.  An SCC step removes exactly the pairs its certificate
 orients strictly.  Also the corpus runner."""
@@ -67,12 +68,7 @@ class Config:
 
 @record
 class Preparation:
-    local: bool
-    static_mode: bool
-    rule_count: int
-    pair_count: int
-    node_count: int
-    edge_count: int
+    edge_count: int  # the rest of the preparation is read off the problem
 
 
 @record
@@ -93,7 +89,7 @@ class SubtermStep:
 @record
 class ReductionPairStep:
     scc: tuple[int, ...]
-    mode: str
+    cs: ConstraintSet  # the ordering problem the certificate solves
     cert: Union[PolyInterp, ArgFunRPO]
 
     @property
@@ -110,6 +106,7 @@ class GiveUp:
 
 
 Step = Union[Preparation, PruneStep, SubtermStep, ReductionPairStep, GiveUp]
+Certificate = Union[Projection, PolyInterp, "ArgFunRPO"]
 
 
 @record(frozen=False)
@@ -161,38 +158,37 @@ def _split_first(graph: DPGraph, components: list[tuple[int, ...]],
 
 def _discharge(scc: tuple[int, ...], problem: DPProblem, cfg: Config, deadline: float,
                templates: dict, explored: set[Union[int, Term]]
-               ) -> tuple[Union[SubtermStep, ReductionPairStep, GiveUp], Optional[ConstraintSet]]:
+               ) -> Union[SubtermStep, ReductionPairStep, GiveUp]:
     """The first step an engine finds for the SCC before the proof's
     `time.monotonic()` deadline, or a give-up step that names the engines
-    that ran, with the constraint set of the ordering search when it ran.
-    A reduction loop found before the ordering searches ends the proof: no
-    reduction pair can orient the SCC then."""
+    that ran.  A reduction loop found before the ordering searches ends
+    the proof: no reduction pair can orient the SCC then."""
     if time.monotonic() >= deadline:
-        return GiveUp(scc, (), TIMEOUT), None
+        return GiveUp(scc, (), TIMEOUT)
     collapsing = any(problem.pairs[i].collapsing for i in scc)
     tried: list[str] = []
     if "subterm" in cfg.engines and not collapsing:
         tried.append("subterm")
         cert = subterm_criterion(scc, problem.pairs)
         if cert is not None:
-            return SubtermStep(scc, cert), None
+            return SubtermStep(scc, cert)
     loop = _find_loop(scc, problem, explored)
     if loop:
-        return GiveUp(scc, tuple(tried), LOOPING, loop), None
+        return GiveUp(scc, tuple(tried), LOOPING, loop)
     cs = build_constraints(scc, problem)
     if "poly" in cfg.engines:
         tried.append("poly")
         cert = search_poly(cs, store=templates, deadline=deadline)
         if cert is not None:
-            return ReductionPairStep(scc, cs.mode, cert), cs
+            return ReductionPairStep(scc, cs, cert)
     # the path ordering engine does not contain beta, which the collapsing
     # modes require; it is only offered on non-collapsing problems
     if "rpo" in cfg.engines and not collapsing:
         tried.append("rpo")
         cert = search_rpo(cs, deadline=deadline)
         if cert is not None:
-            return ReductionPairStep(scc, cs.mode, cert), cs
-    return GiveUp(scc, tuple(tried), UNORIENTED), cs
+            return ReductionPairStep(scc, cs, cert)
+    return GiveUp(scc, tuple(tried), UNORIENTED)
 
 
 def search_rpo(cs: ConstraintSet, deadline: float) -> Optional[ArgFunRPO]:
@@ -301,28 +297,25 @@ def _replay_loop(loop: tuple[Term, ...], rules) -> Optional[str]:
 
 
 def _walk(problem: DPProblem,
-          take: Callable[[tuple[int, ...]], tuple[Optional[Step], Optional[ConstraintSet]]]
+          take: Callable[[tuple[int, ...]], Optional[Step]]
           ) -> tuple[list[Step], Optional[str], Optional[str]]:
     """Walk the skeleton of `problem`: the preparation, then a prune step
     wherever pairs lie on no cycle, and `take(scc)` for each SCC that is
-    due.  `take` returns the step on that SCC (None: it has none) and the
-    constraint set of a reduction-pair step's certificate.  Returns the
-    steps, the first problem (`_step_error`'s, or an SCC without a step),
+    due, which returns the step on that SCC (None: it has none).  Returns
+    the steps, the first problem (`_step_error`'s, or an SCC without a step),
     and the verdict the steps prove (None after a problem)."""
     graph = approximate_graph(problem)
-    steps: list[Step] = [Preparation(problem.afs.local, problem.static_mode,
-                                     len(problem.afs.rules), len(problem.pairs),
-                                     len(graph.alive), graph.edge_count())]
+    steps: list[Step] = [Preparation(graph.edge_count())]
     pending, components = _split_first(graph, [tuple(graph.alive)], ())
     while True:
         if pending:
             steps.append(PruneStep(pending))
         if not components:
             break
-        step, cs = take(components[0])
+        step = take(components[0])
         if step is None:
             return steps, f"no step for SCC {components[0]}", None
-        error = _step_error(step, cs, problem)
+        error = _step_error(step, problem)
         if error:
             return steps, error, None
         steps.append(step)
@@ -337,10 +330,10 @@ def _walk(problem: DPProblem,
 
 
 def _step_error(step: Union[SubtermStep, ReductionPairStep, GiveUp],
-                cs: Optional[ConstraintSet], problem: DPProblem) -> Optional[str]:
+                problem: DPProblem) -> Optional[str]:
     """The first problem of an SCC step, or None: a give-up must be one
     `_discharge` could take, its loop must replay, and a certificate must
-    orient its SCC (a reduction pair's, its constraint set `cs`) with the
+    orient its SCC (a reduction pair's, the step's constraint set) with the
     pairs the step removes strictly."""
     if isinstance(step, GiveUp):
         # engines run in their order, on a collapsing SCC only poly, and
@@ -356,28 +349,28 @@ def _step_error(step: Union[SubtermStep, ReductionPairStep, GiveUp],
     if isinstance(step, SubtermStep):
         error = check_certificate(None, step.cert, scc=step.scc, pairs=problem.pairs)
     else:
-        error = check_certificate(cs, step.cert)
+        error = check_certificate(step.cs, step.cert)
     return f"certificate rejected: {error}" if error else None
 
 
 def verify_proof(problem: DPProblem,
-                 given: Iterable[Union[SubtermStep, ReductionPairStep, GiveUp]]
-                 ) -> Union[Proof, str]:
-    """Replay the given SCC steps in order along the skeleton of `problem`
-    (`_walk`).  Each step is placed on the SCC that is due, whatever SCC it
-    names, and a reduction-pair step takes its mode from the constraint set
-    built for that SCC; steps left over after the proof ends are not read.
-    Returns the replayed proof, or its first problem."""
+                 given: Iterable[Union[Certificate, GiveUp]]) -> Union[Proof, str]:
+    """Replay the given certificates and give-ups in order along the
+    skeleton of `problem` (`_walk`), each on the SCC that is due, whatever
+    SCC a give-up names; a certificate other than a projection gets the
+    constraint set built for that SCC.  What is left over after the proof
+    ends is not read.  Returns the replayed proof, or its first problem."""
     given = iter(given)
 
-    def take(scc: tuple[int, ...]) -> tuple[Optional[Step], Optional[ConstraintSet]]:
-        step = next(given, None)
-        if step is None:
-            return None, None
-        if isinstance(step, ReductionPairStep):
-            cs = build_constraints(scc, problem)
-            return replace(step, scc=scc, mode=cs.mode), cs
-        return replace(step, scc=scc), None
+    def take(scc: tuple[int, ...]) -> Optional[Step]:
+        item = next(given, None)
+        if item is None:
+            return None
+        if isinstance(item, GiveUp):
+            return replace(item, scc=scc)
+        if isinstance(item, Projection):
+            return SubtermStep(scc, item)
+        return ReductionPairStep(scc, build_constraints(scc, problem), item)
 
     steps, error, verdict = _walk(problem, take)
     return error or Proof(verdict, steps, problem)

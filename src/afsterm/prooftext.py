@@ -6,8 +6,8 @@ and mode, the `-v` constraint lines and the verdict.  `parse_proof` reads
 only what does not: each STEP's certificate and `strict:` set, and each
 GIVEUP's `tried:`, `reason:` and `loop:` lines.  The engine's
 `verify_proof` re-derives the dependency pairs and the graph from the AFS
-and replays those steps along the skeleton `prove` walks, re-checking
-every certificate.  `check_proof_text` then renders the replayed proof and
+and replays them along the skeleton `prove` walks, re-checking every
+certificate.  `check_proof_text` then renders the replayed proof and
 requires the same lines, so every other line is held to what `prove`
 prints without a check of its own.
 """
@@ -20,10 +20,9 @@ from typing import Iterator, Optional, Union
 from .afs import AFS
 from .afs import complete, classify  # noqa: F401  (perfbench's layer tracer looks them up here)
 from .dp import DPProblem, dependency_pairs
-from .engine import (
-    Proof, Preparation, PruneStep, SubtermStep, ReductionPairStep, GiveUp, verify_proof,
-)
-from .orderings import Projection, PolyInterp, build_constraints
+from .engine import Certificate, Proof, Preparation, PruneStep, SubtermStep, GiveUp, verify_proof
+from .orderings import Projection, PolyInterp
+from .orderings import build_constraints  # noqa: F401  (perfbench's layer tracer wraps it here)
 from .orderings.poly import (
     PolyFun, Expr, Const, SlotRef, AppSlot, Add, Mul, MaxE, expr_text,
     slot_types_for,
@@ -50,13 +49,14 @@ def render_proof(proof: Proof, verbosity: int = 0) -> str:
     for step in proof.steps:
         if isinstance(step, Preparation):
             lines.append("PREPARATION")
-            lines.append(f"  local: {'yes' if step.local else 'no'}")
-            lines.append(f"  static-mode: {'yes' if step.static_mode else 'no'}")
-            lines.append(f"  rules: {step.rule_count}")
-            lines.append(f"  pairs: {step.pair_count}")
+            lines.append(f"  local: {'yes' if problem.afs.local else 'no'}")
+            lines.append(f"  static-mode: {'yes' if problem.static_mode else 'no'}")
+            lines.append(f"  rules: {len(problem.afs.rules)}")
+            lines.append(f"  pairs: {len(problem.pairs)}")
             for i, p in enumerate(problem.pairs):
                 lines.append(f"  pair {i}: {p}")
-            lines.append(f"  graph: {step.node_count} nodes, {step.edge_count} edges")
+            # the walk builds the graph with every pair alive
+            lines.append(f"  graph: {len(problem.pairs)} nodes, {step.edge_count} edges")
         elif isinstance(step, PruneStep):
             lines.append("PRUNE")
             lines.append("  removed: " + " ".join(map(str, step.removed)))
@@ -73,12 +73,11 @@ def render_proof(proof: Proof, verbosity: int = 0) -> str:
                 nus = ", ".join(f"nu({name}) = {idx}" for name, idx in sorted(step.cert.nu.items()))
                 lines.append(f"  SUBTERM CRITERION {nus}")
             else:
-                lines.append(f"  mode: {step.mode}")
+                lines.append(f"  mode: {step.cs.mode}")
                 if verbosity >= 1:
-                    cs = build_constraints(step.scc, problem)
-                    for c in cs.strict_candidates:
+                    for c in step.cs.strict_candidates:
                         lines.append(f"  strict? {term_text(c.lhs)} > {term_text(c.rhs)}")
-                    for w in cs.weak:
+                    for w in step.cs.weak:
                         lines.append(f"  weak {term_text(w.lhs)} >= {term_text(w.rhs)} ({w.label})")
                 cert = step.cert
                 if isinstance(cert, PolyInterp):
@@ -240,9 +239,8 @@ def _at(number: int, line: str, value: str) -> tuple[int, int]:
 
 
 def _parse_step(block: list[tuple[int, str]],
-                table: SymbolTable) -> Union[SubtermStep, ReductionPairStep]:
-    """A STEP block's certificate and `strict:` set, as a step on no SCC
-    yet; a reduction-pair step's mode is left empty too."""
+                table: SymbolTable) -> Certificate:
+    """A STEP block's certificate, with its `strict:` set."""
     strict = ""
     kind = None
     nu: dict[str, int] = {}
@@ -263,8 +261,8 @@ def _parse_step(block: list[tuple[int, str]],
                     continue
                 if not part.startswith("nu("):
                     raise ProofSyntaxError(f"malformed projection entry {part!r}")
-                name, number = _entry(part, "nu(")
-                nu[name] = _int(number)
+                name, index = _entry(part, "nu(")
+                nu[name] = _int(index)
         elif line.startswith("J(") and kind == "poly":
             name, body = _entry(line, "J(")
             sym = table.lookup_symbol(name)
@@ -284,12 +282,12 @@ def _parse_step(block: list[tuple[int, str]],
             prec.append((a.strip(), b.strip()))
     strict = tuple(_int(x) for x in strict.split())
     if kind == "subterm":
-        return SubtermStep((), Projection(nu, strict))
+        return Projection(nu, strict)
     if kind == "poly":
-        return ReductionPairStep((), "", PolyInterp(assign, strict))
+        return PolyInterp(assign, strict)
     if kind == "rpo":
         from .orderings.rpo import ArgFunRPO
-        return ReductionPairStep((), "", ArgFunRPO(pi, tuple(prec), strict))
+        return ArgFunRPO(pi, tuple(prec), strict)
     raise ProofSyntaxError("STEP block without a certificate")
 
 
@@ -313,22 +311,21 @@ def _parse_give_up(block: list[tuple[int, str]], table: SymbolTable) -> GiveUp:
     return GiveUp((), tuple(tried.split()), reason, tuple(loop))
 
 
-def parse_proof(text: str, problem: DPProblem) -> Proof:
-    """The SCC steps of a proof text of `problem`, in order: one per STEP
-    or GIVEUP block, read from the lines the walk cannot derive.  Every
-    other line is left to `check_proof_text`, and a repeated line's last
-    copy is read.  The steps name no SCC and a reduction-pair step no mode,
-    and the proof has no verdict: `verify_proof` derives them.  Raises
-    ProofSyntaxError (or the term parser's ParseError) for a value that
-    does not parse and for a STEP without a certificate."""
+def parse_proof(text: str, problem: DPProblem) -> list[Union[Certificate, GiveUp]]:
+    """What a proof text of `problem` holds that the walk cannot derive, in
+    order: each STEP block's certificate and each GIVEUP block's give-up
+    (on no SCC yet).  `verify_proof` places them on their SCCs; every other
+    line is left to `check_proof_text`, and a repeated line's last copy is
+    read.  Raises ProofSyntaxError (or the term parser's ParseError) for a
+    value that does not parse and for a STEP without a certificate."""
     table = SymbolTable({f.name: f for f in problem.afs.signature}, {}, auto_symbols=True)
-    steps: list = []
+    given: list = []
     for header, block in _blocks(text.splitlines()):
         if header == "STEP":
-            steps.append(_parse_step(block, table))
+            given.append(_parse_step(block, table))
         elif header == "GIVEUP":
-            steps.append(_parse_give_up(block, table))
-    return Proof(None, steps, problem)
+            given.append(_parse_give_up(block, table))
+    return given
 
 
 def check_proof_text(text: str, afs: AFS) -> list[str]:
@@ -337,20 +334,23 @@ def check_proof_text(text: str, afs: AFS) -> list[str]:
     be the one `prove` prints for the replayed proof: at verbosity 1 if it
     lists constraints, else at 0.  Blank lines after END are ignored.
     Returns the list of problems (empty = ok)."""
-    problem = dependency_pairs(afs)
-    try:
-        parsed = parse_proof(text, problem)
-    except (ProofSyntaxError, ParseError) as exc:
-        return [f"proof does not parse: {exc}"]
-    proof = verify_proof(problem, parsed.steps)
-    if isinstance(proof, str):
-        return [proof]
-    given = text.splitlines()
-    while given and not given[-1].strip():
-        given.pop()
-    verbosity = 1 if any(line.startswith("  strict? ") for line in given) else 0
-    expected = render_proof(proof, verbosity).splitlines()
-    for number, (want, found) in enumerate(zip_longest(expected, given, fillvalue=""), 1):
+    lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    verbosity = 1 if any(line.startswith("  strict? ") for line in lines) else 0
+    try:  # a term the reader accepts can still be too deep for the walks
+        problem = dependency_pairs(afs)
+        try:
+            given = parse_proof(text, problem)
+        except (ProofSyntaxError, ParseError) as exc:
+            return [f"proof does not parse: {exc}"]
+        proof = verify_proof(problem, given)
+        if isinstance(proof, str):
+            return [proof]
+        expected = render_proof(proof, verbosity).splitlines()
+    except RecursionError:
+        return ["term nested too deeply"]
+    for number, (want, found) in enumerate(zip_longest(expected, lines, fillvalue=""), 1):
         if want != found:
             return [f"line {number} is not the text prove prints: "
                     f"expected {want!r}, found {found!r}"]

@@ -17,9 +17,9 @@ from typing import Optional, Sequence
 from afsterm import parse_afs, terms
 from afsterm.afs import Rule, complete
 from afsterm.dp import tag, untag_rule
-from afsterm.engine import GiveUp, Preparation, PruneStep, Proof, Step, _ground
+from afsterm.engine import GiveUp, Preparation, PruneStep, Proof, ReductionPairStep, Step, _ground
 from afsterm.graph import _follows, _root, approximate_graph, prune, sccs
-from afsterm.orderings import poly_search
+from afsterm.orderings import build_constraints, poly_search
 from afsterm.orderings.constraints import USER_KINDS, occurring_symbols
 from afsterm.orderings.subterm import Projection
 from afsterm.parser import ParseError
@@ -101,7 +101,8 @@ def all_pairs_edges(problem) -> dict[int, frozenset[int]]:
 def rederived_steps(proof: Proof) -> list[Step]:
     """The steps of `proof` with the graph work redone from scratch after
     every step: prune the whole graph, then put the first SCC of the whole
-    graph into the next SCC step (or give-up) of the proof."""
+    graph into the next SCC step (or give-up) of the proof, and a
+    reduction-pair step's constraint set built anew for that SCC."""
     graph = approximate_graph(proof.problem)
     steps: list[Step] = [proof.steps[0]]
     assert isinstance(steps[0], Preparation)
@@ -115,7 +116,10 @@ def rederived_steps(proof: Proof) -> list[Step]:
         step = next(discharges, None)
         if step is None:
             return steps
-        steps.append(replace(step, scc=sccs(graph)[0]))
+        scc = sccs(graph)[0]
+        if isinstance(step, ReductionPairStep):
+            step = replace(step, cs=build_constraints(scc, proof.problem))
+        steps.append(replace(step, scc=scc))
         if isinstance(step, GiveUp):
             return steps
         graph = replace(graph, alive=graph.alive - frozenset(step.removed))

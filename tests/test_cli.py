@@ -18,6 +18,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv):
+    """`python -m afsterm.cli` in a fresh interpreter, whose stack depth
+    does not depend on pytest's."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "afsterm.cli", *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
+
+
 class TestProve:
     def test_first_line_yes(self, capsys):
         code, out, _ = run_cli(capsys, "prove", str(CORPUS / "twice.afs"))
@@ -67,13 +75,7 @@ class TestProve:
         system = tmp_path / "deep.afs"
         system.write_text("SIG\n  o : nat\n  s : [nat] -> nat\n  f : [nat] -> nat\nRULES\n"
                           f"  f(o) => {'s(' * depth}o{')' * depth}\n")
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-
-        def cli(*argv):
-            return subprocess.run([sys.executable, "-m", "afsterm.cli", *argv],
-                                  capture_output=True, text=True, timeout=120, env=env)
-
-        proved = cli("prove", str(system))
+        proved = run_module("prove", str(system))
         if proved.returncode == 2:
             assert proved.stdout == ""
             assert proved.stderr == f"{system}: 6:3: term nested too deeply\n"
@@ -81,8 +83,30 @@ class TestProve:
         assert (proved.returncode, proved.stdout.splitlines()[0]) == (0, "YES"), proved.stderr
         proof = tmp_path / "deep.proof"
         proof.write_text(proved.stdout)
-        checked = cli("check", str(system), str(proof))
+        checked = run_module("check", str(system), str(proof))
         assert (checked.returncode, checked.stdout, checked.stderr) == (0, "proof valid\n", "")
+
+    def test_a_term_too_deep_to_render_is_reported(self, tmp_path):
+        # the rule reads, but printing it in the pair listing needs more
+        # stack than reading it did
+        system = tmp_path / "deep.afs"
+        system.write_text("SIG\n  s : [nat] -> nat\n  f : [nat] -> nat\nVARS\n  x : nat\n"
+                          f"RULES\n  f({'s(' * 350}x{')' * 350}) => f(x)\n")
+        proved = run_module("prove", str(system))
+        assert (proved.returncode, proved.stdout) == (2, "")
+        assert proved.stderr == f"{system}: term nested too deeply\n"
+
+    @pytest.mark.parametrize("depth", [250, 450])
+    def test_a_loop_term_too_deep_to_replay_is_reported(self, tmp_path, depth):
+        # the loop lines read, but comparing (250) or rewriting (450) them
+        # needs more stack than reading them did
+        text = (GOLDEN / "fga.proof").read_text()
+        deep = f"  loop: {'f(' * depth}o{')' * depth}\n"
+        proof = tmp_path / "deep.proof"
+        proof.write_text(re.sub(r"(  loop: .*\n)+", deep * 2, text))
+        checked = run_module("check", str(CORPUS / "fga.afs"), str(proof))
+        assert (checked.returncode, checked.stdout) == (1, "")
+        assert checked.stderr == "invalid proof: term nested too deeply\n"
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "prove", "/nonexistent/x.afs")
@@ -371,9 +395,7 @@ class TestCorpusCmd:
         assert rows[2] == "2 systems, 1 unexpected"
 
     def test_module_entry_point(self):
-        out = subprocess.run(
-            [sys.executable, "-m", "afsterm.cli", "prove", str(CORPUS / "map.afs")],
-            capture_output=True, text=True, timeout=120)
+        out = run_module("prove", str(CORPUS / "map.afs"))
         assert out.returncode == 0
         assert out.stdout.splitlines()[0] == "YES"
 

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from afsterm import afs as afs_module, engine, parse_afs
+from afsterm import afs as afs_module, engine, parse_afs, prooftext
 from afsterm.afs import complete
 from afsterm.dp import dependency_pairs
 from afsterm.cli import main
@@ -462,20 +462,22 @@ class TestConfig:
 
 
 def count_engine_calls(monkeypatch) -> dict[str, int]:
-    """The calls of `approximate_graph` and `build_constraints` through the
-    engine's namespace from now on, counted in the returned dict."""
+    """The calls of `approximate_graph` through the engine's namespace and
+    of `build_constraints` through the engine's and the proof text's from
+    now on, counted in the returned dict."""
     calls = {"approximate_graph": 0, "build_constraints": 0}
 
-    def counted(fn_name):
-        fn = getattr(engine, fn_name)
+    def counted(module, fn_name):
+        fn = getattr(module, fn_name)
 
         def wrapper(*args, **kwargs):
             calls[fn_name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    for fn_name in calls:
-        monkeypatch.setattr(engine, fn_name, counted(fn_name))
+    for module, fn_name in ((engine, "approximate_graph"), (engine, "build_constraints"),
+                            (prooftext, "build_constraints")):
+        monkeypatch.setattr(module, fn_name, counted(module, fn_name))
     return calls
 
 
@@ -585,15 +587,20 @@ class TestSelfVerification:
         assert calls == {"approximate_graph": 1, "build_constraints": len(searched)}
 
     # the replay builds a constraint set only for a reduction-pair step,
-    # and rendering at verbosity 0 builds none
-    @pytest.mark.parametrize("name", corpus_names())
+    # and rendering builds none: the `-v` constraint lines are the step's
+    # (`NAME-v`: the `-v` golden of NAME)
+    @pytest.mark.parametrize("name", corpus_names() + [f"{n}-v" for n in corpus_names()])
     def test_check_builds_the_graph_once_and_each_constraint_set_once(self, name, monkeypatch):
-        afs = load(name)
+        system = name.removesuffix("-v")
+        afs = load(system)
         proof = prove(afs)
+        text = (GOLDEN / f"{system}.proof").read_text() if system != name else render_proof(proof)
         calls = count_engine_calls(monkeypatch)
-        assert check_proof_text(render_proof(proof), afs) == []
+        assert check_proof_text(text, afs) == []
         steps = [s for s in proof.steps if isinstance(s, ReductionPairStep)]
         assert calls == {"approximate_graph": 1, "build_constraints": len(steps)}
+        render_proof(proof, 1)
+        assert calls["build_constraints"] == len(steps)
 
 
 class TestIncrementalDecomposition:
@@ -687,8 +694,8 @@ class TestCorpus:
                              capture_output=True, text=True, timeout=60, env=env)
         assert out.returncode == 0, out.stderr
         work = json.loads(out.stdout)
-        assert work["nodes"] <= 30_934, work
-        assert work["chars"] <= 4_885, work
+        assert work["nodes"] <= 30_808, work
+        assert work["chars"] <= 4_537, work
 
     def test_the_path_ordering_is_loaded_on_first_use(self):
         # no default proof of the corpus runs the path ordering, so neither
@@ -699,11 +706,11 @@ class TestCorpus:
 
     def test_proving_and_checking_it_compiles_no_record_method(self):
         # `import afsterm` compiles every method template its record classes
-        # need (37 shapes for 39 classes); neither round of proofs, nor the
+        # need (35 shapes for 39 classes); neither round of proofs, nor the
         # path ordering's records, adds one, and no round loads `dataclasses`
         # or `inspect`
         report = corpus_in_two_rounds()
-        assert report["templates"] == [37, 37, 37]
+        assert report["templates"] == [35, 35, 35]
         assert report["unwanted"] == []
 
     def test_every_module_level_definition_has_a_user(self):

@@ -803,13 +803,12 @@ class TestBackjumping:
         afs = load("fromchain")
         problem = dependency_pairs(afs)
         given = parse_proof((GOLDEN / "fromchain.proof").read_text(), problem)
-        golden = verify_proof(problem, given.steps)
+        golden = verify_proof(problem, given)
         step = next(s for s in golden.steps if isinstance(s, ReductionPairStep))
-        cs = build_constraints(step.scc, problem)
         monkeypatch.setattr(poly_search, "MAX_NODES", 104)
-        assert search_poly(cs) == step.cert
+        assert search_poly(step.cs) == step.cert
         monkeypatch.setattr(poly_search, "MAX_NODES", 103)
-        assert search_poly(cs) is None
+        assert search_poly(step.cs) is None
 
 
 class TestRpo:
