@@ -1,19 +1,18 @@
 """AFS representation: rules, validation, completion and classification.
 
-An AFS works out what it knows of its rules once, when it is built (in
-`__post_init__`): the names of the rules' head symbols and the flags of
-`classify` (local, base_output, pfp, spfp).  An AFS is never changed after
-that, so its flags cannot disagree with its rules, and `complete` returns
-its input when it adds no rule, so a completed system is not classified
-again."""
+An AFS checks its rules (`validate_rule`) and works out what it knows of
+them (`classify`: the names of their head symbols, and flags) once, when
+it is built, from one walk of each rule side.  An AFS is never changed
+after that, so its flags cannot disagree with its rules, and `complete`
+returns its input when it adds no rule, so a completed system is not
+classified again."""
 
 from __future__ import annotations
 
 from .record import record, replace
-from typing import Optional
 
 from .terms import (
-    Term, Var, Abs, App, Arrow, Base, FunApp, Variable, FunctionSymbol,
+    Term, Var, Abs, App, Arrow, Base, FunApp, Variable, FunctionSymbol, IllTyped,
     type_of, free_vars, app_spine, head, fresh_arguments, fresh_name, term_text,
     PLAIN, instantiate,
 )
@@ -36,19 +35,12 @@ class Rule:
         return f"{term_text(self.lhs)} => {term_text(self.rhs)}"
 
 
-def lhs_head_symbol(lhs: Term) -> Optional[FunctionSymbol]:
-    lhs_head = head(lhs)
-    if isinstance(lhs_head, FunApp):
-        return lhs_head.fn
-    return None
-
-
 def _side_facts(t: Term) -> tuple[list[Variable], bool, bool, set[str]]:
-    """What `validate_rule` and `classify` check of a rule side, from one
-    walk with an explicit stack: its free variable occurrences, whether it
-    has a beta-redex, whether a free variable occurs below a binder, and
-    the names of the plain symbols of calls below a binder from which an
-    index escapes."""
+    """What `validate_rule` checks and `classify` reads of a rule side,
+    from one walk with an explicit stack: its free variable occurrences,
+    whether it has a beta-redex, whether a free variable occurs below a
+    binder, and the names of the plain symbols of calls below a binder
+    from which an index escapes."""
     occurrences: list[Variable] = []
     redex = free_below = False
     escaping: set[str] = set()
@@ -73,15 +65,16 @@ def _side_facts(t: Term) -> tuple[list[Variable], bool, bool, set[str]]:
     return occurrences, redex, free_below, escaping
 
 
-def validate_rule(rule: Rule) -> None:
+def validate_rule(rule: Rule) -> tuple[tuple, tuple]:
     """Checks the rule shape contract; raises IllegalLhs or lets IllTyped
-    propagate from typing."""
+    propagate from typing.  Returns the facts of the left- and right-hand
+    side (`_side_facts`), from one walk of each."""
     lt = type_of(rule.lhs)
     rt = type_of(rule.rhs)
     if lt != rt:
         raise IllegalLhs(f"rule sides have different types ({lt} vs {rt}): {rule}")
-    lhs_vars, lhs_redex, _, _ = _side_facts(rule.lhs)
-    rhs_vars, rhs_redex, _, _ = _side_facts(rule.rhs)
+    lhs_facts = lhs_vars, lhs_redex, _, _ = _side_facts(rule.lhs)
+    rhs_facts = rhs_vars, rhs_redex, _, _ = _side_facts(rule.rhs)
     extra = set(rhs_vars).difference(lhs_vars)
     if extra:
         names = ", ".join(sorted(v.name for v in extra))
@@ -97,6 +90,7 @@ def validate_rule(rule: Rule) -> None:
         # the dependency pair analysis assumes beta-normal right-hand sides;
         # nonconforming input is rejected rather than transformed
         raise IllegalLhs(f"right-hand side contains a beta-redex: {term_text(rule.rhs)}")
+    return lhs_facts, rhs_facts
 
 
 @record
@@ -107,14 +101,9 @@ class AFS:
     rules: tuple[Rule, ...]
 
     def __post_init__(self):
-        names = set()
-        for rule in self.rules:
-            f = lhs_head_symbol(rule.lhs)
-            if f is not None:
-                names.add(f.name)
-        _setattr(self, "defined_names", frozenset(names))
-        for name, flag in zip(("local", "base_output", "pfp", "spfp"), classify(self)):
-            _setattr(self, name, flag)
+        for name, value in zip(("defined_names", "local", "base_output", "pfp", "spfp"),
+                               classify(self)):
+            _setattr(self, name, value)
 
     @property
     def defined(self) -> tuple[FunctionSymbol, ...]:
@@ -155,37 +144,40 @@ def complete(afs: AFS) -> AFS:
     return replace(afs, rules=tuple(new_rules))
 
 
-def classify(afs: AFS) -> tuple[bool, bool, bool, bool]:
-    """The flags an AFS works out when it is built: local (every left-hand
-    side left-linear and fully extended), base_output (every output type a
-    base type), pfp (plain function passing: every functional free variable
-    of a right-hand side is a direct argument of its left-hand side) and
-    spfp (strongly plain function passing: pfp, base_output, and no
-    right-hand side has a subterm \\x. C[f(...)] with f defined and x free
-    in the f-subterm).  Each rule side is walked once (`_side_facts`)."""
-    defined = afs.defined_names
+def classify(afs: AFS) -> tuple[frozenset[str], bool, bool, bool, bool]:
+    """Checks each rule (`validate_rule`: the first bad one raises, with its
+    index as `rule_index`) and returns, from the facts of that one walk of
+    each rule side, the names of the rules' head symbols and the flags local
+    (every left-hand side left-linear and fully extended), base_output
+    (every output type a base type), pfp (plain function passing: every
+    functional free variable of a right-hand side is a direct argument of
+    its left-hand side) and spfp (strongly plain function passing: pfp,
+    base_output, and no right-hand side has a subterm \\x. C[f(...)] with f
+    defined and x free in the f-subterm)."""
+    names, calls_below = set(), set()  # head symbols, calls below a binder
     local = pfp = True
-    defined_call_under_binder = False
-    for rule in afs.rules:
-        lhs_vars, _, lhs_free_below, _ = _side_facts(rule.lhs)
-        rhs_vars, _, _, rhs_calls = _side_facts(rule.rhs)
+    for index, rule in enumerate(afs.rules):
+        try:
+            (lhs_vars, _, lhs_free_below, _), (rhs_vars, _, _, rhs_calls) = validate_rule(rule)
+        except (IllegalLhs, IllTyped) as exc:
+            exc.rule_index = index
+            raise
+        lhs_head, applied = app_spine(rule.lhs)
+        names.add(lhs_head.fn.name)
         if lhs_free_below or len(lhs_vars) != len(set(lhs_vars)):
             local = False
         if pfp:
-            lhs_head, applied = app_spine(rule.lhs)
-            assert isinstance(lhs_head, FunApp)
             direct = {a.var for a in (*lhs_head.args, *applied) if isinstance(a, Var)}
             for v in rhs_vars:
                 if isinstance(v.type, Arrow) and v not in direct:
                     pfp = False
-        if not rhs_calls.isdisjoint(defined):
-            defined_call_under_binder = True
+        calls_below |= rhs_calls
     base_output = True
     for f in afs.signature:
         if not isinstance(f.decl.output, Base):
             base_output = False
-    spfp = pfp and base_output and not defined_call_under_binder
-    return local, base_output, pfp, spfp
+    spfp = pfp and base_output and calls_below.isdisjoint(names)
+    return frozenset(names), local, base_output, pfp, spfp
 
 
 def build_rplus(afs: AFS) -> tuple[Rule, ...]:

@@ -255,7 +255,7 @@ def pi_options(f: FunctionSymbol, afs: AFS) -> list[Term]:
     # a rule f(x1..xn) => r with distinct variable arguments suggests r
     for rule in afs.rules:
         head, applied = app_spine(rule.lhs)
-        if applied or not isinstance(head, FunApp):
+        if applied:
             continue
         sym = head.fn
         if sym.name != f.name:

@@ -279,27 +279,28 @@ def parse_term_text(text: str, table: SymbolTable, number: int = 1, offset: int 
 
 
 def parse_afs(text: str):
-    """Parse and validate an AFS source file, one line at a time, into an
-    AFS.  A rule sees the symbols and variables declared above it, and all
-    of them share one `Base` per type name."""
-    from .afs import AFS, IllegalLhs, Rule, validate_rule
+    """Read an AFS source file, one line at a time, into an AFS, which checks
+    its rules, each reported at its line and first token if rejected.  A
+    rule sees the symbols and variables declared above it, and all of them
+    share one `Base` per type name.  The first error in line order wins."""
+    from .afs import AFS, IllegalLhs, Rule
 
     symbols: dict[str, FunctionSymbol] = {}
     variables: dict[str, Variable] = {}
     table = SymbolTable(symbols, variables)
     types = table.types
     rules: list[Rule] = []
+    places = []  # each rule's line number, line and first token
     section: Optional[str] = None
 
-    def declaration(tokens: list[str], i: int) -> None:
+    def declaration(tokens: list[str], i: int) -> Optional[Rule]:
+        rule = None
         if section is None:
             raise ParseError("declarations must appear inside a SIG, VARS or RULES block", 0, i)
         if section == "RULES":
             lhs, i = parse_term(tokens, i, table)
             rhs, i = parse_term(tokens, expect(tokens, i, "=>"), table)
-            rule = Rule(lhs, rhs, origin="user")
-            validate_rule(rule)
-            rules.append(rule)
+            rule = Rule(lhs, rhs)
         else:
             name = tokens[i]
             sig = section == "SIG"
@@ -318,6 +319,15 @@ def parse_afs(text: str):
                 variables[name] = Variable(name, vtype)
         if tokens[i]:
             raise ParseError(f"unexpected {tokens[i]!r} (one declaration per line)", 0, i)
+        return rule
+
+    def build():
+        try:
+            return AFS(tuple(symbols.values()), tuple(rules))
+        except (IllegalLhs, IllTyped) as exc:
+            number, line, i = places[exc.rule_index]
+            exc.args = (f"{number}:{column(line, number, 0, i)}: {exc}",)
+            raise
 
     for number, line in enumerate(text.split("\n"), 1):
         tokens = tokenize(line)
@@ -328,10 +338,12 @@ def parse_afs(text: str):
         if not tokens[i]:
             continue
         try:
-            at_line(declaration, tokens, i, line, number, 0)
-        except (IllegalLhs, IllTyped) as exc:
-            # the rule's position, as in a ParseError
-            exc.args = (f"{number}:{column(line, number, 0, i)}: {exc}",)
+            rule = at_line(declaration, tokens, i, line, number, 0)
+        except ParseError:
+            build()  # a rule on a line above fails first
             raise
+        if rule:
+            rules.append(rule)
+            places.append((number, line, i))
 
-    return AFS(tuple(symbols.values()), tuple(rules))
+    return build()

@@ -5,7 +5,7 @@ from __future__ import annotations
 from .record import record
 from typing import Optional, Sequence
 
-from .afs import AFS, Rule, lhs_head_symbol
+from .afs import AFS, Rule
 from .terms import (
     Term, Var, BVar, Abs, App, FunApp, SimpleType, Arrow,
     type_of, app_spine, head, subterms, symbols_of, PLAIN, MARKED,
@@ -180,9 +180,7 @@ def usable_rules(pairs: Sequence[DependencyPair], base: Sequence[Rule]) -> list[
 
     by_head: dict[str, list[Rule]] = {}
     for rule in base:
-        sym = lhs_head_symbol(rule.lhs)
-        if sym is not None:
-            by_head.setdefault(sym.name, []).append(rule)
+        by_head.setdefault(head(rule.lhs).fn.name, []).append(rule)
 
     # f >=us g when an f-rule's rhs contains g, or is risky, or is an
     # abstraction / variable of functional type (then f reaches everything)
@@ -218,9 +216,4 @@ def usable_rules(pairs: Sequence[DependencyPair], base: Sequence[Rule]) -> list[
                 reached.add(nxt)
                 frontier.append(nxt)
 
-    out = []
-    for r in base:
-        sym = lhs_head_symbol(r.lhs)
-        if sym is not None and sym.name in reached:
-            out.append(r)
-    return out
+    return [r for r in base if head(r.lhs).fn.name in reached]

@@ -583,8 +583,8 @@ def beta_reduce_root(t: Term) -> Optional[Term]:
 def rewrite_step(t: Term, rules: Sequence) -> list[Term]:
     """All one-step reducts of t, deduplicated modulo alpha (structural
     equality): at each position in pre-order the beta step, then the rules
-    in order.  Every left-hand side is headed by a function symbol
-    (`validate_rule`), so a position only tries the rules of its head."""
+    in order.  Every left-hand side is headed by a function symbol (an AFS
+    checks its rules), so a position only tries the rules of its head."""
     by_head: dict[FunctionSymbol, list] = {}
     for rule in rules:
         by_head.setdefault(head(rule.lhs).fn, []).append(rule)

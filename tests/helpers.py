@@ -4,6 +4,7 @@ versions of the normal-form sum and of the polynomial search."""
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import itertools
 import random
@@ -15,7 +16,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from afsterm import parse_afs, terms
-from afsterm.afs import Rule, complete
+from afsterm.afs import AFS, IllegalLhs, Rule, complete
 from afsterm.dp import tag, untag_rule
 from afsterm.engine import GiveUp, Preparation, PruneStep, Proof, ReductionPairStep, Step, _ground
 from afsterm.graph import _follows, _root, approximate_graph, prune, sccs
@@ -57,20 +58,86 @@ def wide_system(seed: int, copies: int = 50) -> str:
     return wide.generate(seed, copies)
 
 
+def _outer_positions(t: Term, path: tuple[int, ...] = ()):
+    """(path, node) of t and of each application in it outside every
+    binder, in pre-order: the places a mutant may replace.  A path picks a
+    `FunApp` argument by its index and an `App`'s function (0) or argument
+    (1)."""
+    if not path or isinstance(t, (App, FunApp)):
+        yield path, t
+    if isinstance(t, FunApp):
+        for i, a in enumerate(t.args):
+            yield from _outer_positions(a, path + (i,))
+    elif isinstance(t, App):
+        yield from _outer_positions(t.fn, path + (0,))
+        yield from _outer_positions(t.arg, path + (1,))
+
+
+def _replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
+    if not path:
+        return new
+    i, rest = path[0], path[1:]
+    if isinstance(t, FunApp):
+        return FunApp(t.fn, t.args[:i] + (_replace_at(t.args[i], rest, new),) + t.args[i + 1:])
+    if i == 0:
+        return App(_replace_at(t.fn, rest, new), t.arg)
+    return App(t.fn, _replace_at(t.arg, rest, new))
+
+
+def mutants(name: str, count: int) -> list[AFS]:
+    """Up to `count` distinct mutants of the corpus system `name`, from a
+    generator seeded by the name.  A mutant makes one or two replacements:
+    each puts, at a rule's right-hand side or at an application in it
+    outside every binder, a different subterm of the same type that some
+    rule side has outside every binder.  A mutant is kept only if `AFS`
+    accepts its rules."""
+    afs = load(name)
+    rng = random.Random(zlib.crc32(name.encode()))
+    pool = [s for rule in afs.rules for side in (rule.lhs, rule.rhs)
+            for s, depth in subterms(side) if not depth]
+    seen = {afs.rules}
+    out = []
+    for _ in range(20 * count):
+        rules = list(afs.rules)
+        for _ in range(rng.randint(1, 2)):
+            k = rng.randrange(len(rules))
+            path, site = rng.choice(list(_outer_positions(rules[k].rhs)))
+            options = [s for s in pool if s._type == site._type and s != site]
+            if options:
+                rhs = _replace_at(rules[k].rhs, path, rng.choice(options))
+                rules[k] = Rule(rules[k].lhs, rhs)
+        if tuple(rules) in seen:
+            continue
+        seen.add(tuple(rules))
+        try:
+            out.append(AFS(afs.signature, tuple(rules)))
+        except (IllegalLhs, IllTyped):
+            continue
+        if len(out) == count:
+            break
+    return out
+
+
 def count_calls(fn):
     """The number of Python-level calls (`sys.setprofile` call events) made
-    while fn() runs, and what it returned."""
+    while fn() runs, and what it returned.  The garbage collector is paused
+    meanwhile: a collection runs the `gc.callbacks` (hypothesis registers
+    one), which would count as calls whenever one happened to start."""
     calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
         calls += event == "call"
 
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(count)
     try:
         result = fn()
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return calls, result
 
 

@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from afsterm import parse_afs
-from afsterm.afs import IllegalLhs, complete, build_rplus
+from afsterm.afs import AFS, IllegalLhs, Rule, complete, build_rplus
 from afsterm.parser import ParseError, SymbolTable, column, parse_term_text, tokenize
 from afsterm.prooftext import (
     ProofSyntaxError, check_proof_text, parse_pi_template, parse_polyfun,
 )
+from afsterm.record import replace
 from afsterm.terms import (
-    Base, FunctionSymbol, IllTyped, PLAIN, TypeDecl, term_text, free_vars, Abs,
+    App, Arrow, Base, FunApp, FunctionSymbol, IllTyped, PLAIN, TypeDecl, Var, Variable,
+    term_text, free_vars, Abs,
 )
 
 from helpers import CORPUS, GOLDEN, corpus_names, load, reference_tokenize, wide_system
@@ -125,15 +127,54 @@ class TestParsing:
          "12:5: ill-typed term at position [0]: argument 1 of g has type nat, expected nat -> nat"),
     ], ids=["illegal", "ill-typed"])
     def test_a_rejected_rule_names_its_line(self, third, error, message):
-        with pytest.raises(error) as rejected:
-            parse_afs(REJECTED_THIRD_RULE + third + "\n")
-        assert str(rejected.value) == message
+        # the first error in line order wins: a later line that does not
+        # parse leaves the rule's error, and one above the rule replaces it
+        for later in ("", "  f(o) =>\n"):
+            with pytest.raises(error) as rejected:
+                parse_afs(REJECTED_THIRD_RULE + third + "\n" + later)
+            assert str(rejected.value) == message
+        with pytest.raises(ParseError, match=r"^12:10: expected a term, found ''$"):
+            parse_afs(REJECTED_THIRD_RULE + "  f(o) =>\n" + third + "\n")
 
     def test_ill_typed_rule(self):
         src = ("SIG\n  o : nat\n  g : [nat -> nat] -> nat\nVARS\n  x : nat\nRULES\n"
                "  g(x) => o\n")
         with pytest.raises((IllTyped, ParseError)):
             parse_afs(src)
+
+
+class TestRuleContract:
+    """An AFS checks its rules when it is built, whoever builds it: a
+    library caller and `replace` get the reader's errors, without the
+    line and column the reader puts in front, and the rule's index."""
+
+    def test_a_right_hand_side_variable_not_on_the_left_is_rejected(self):
+        # ack(o, y) => x does not terminate (x := ack(o, y)), and adds no pair
+        ack = load("ack")
+        o, y = ack.rules[0].lhs.args
+        x = Var(Variable("x", o._type))
+        rules = (Rule(FunApp(ack.rules[0].lhs.fn, (o, y)), x),) + ack.rules[1:]
+        with pytest.raises(IllegalLhs) as rejected:
+            AFS(ack.signature, rules)
+        assert str(rejected.value) == "right-hand side uses variables not in the left-hand side: x"
+        assert rejected.value.rule_index == 0
+
+    def test_a_variable_headed_left_hand_side_is_rejected(self):
+        nat = Base("nat")
+        o = FunctionSymbol("o", TypeDecl((), nat), PLAIN)
+        F, y = Var(Variable("F", Arrow(nat, nat))), Var(Variable("y", nat))
+        good = Rule(FunApp(FunctionSymbol("f", TypeDecl((nat,), nat), PLAIN), (y,)), y)
+        with pytest.raises(IllegalLhs) as rejected:
+            AFS((o,), (good, Rule(App(F, y), y)))
+        assert str(rejected.value) == "left-hand side must be headed by a function symbol: F @ y"
+        assert rejected.value.rule_index == 1
+
+    def test_replacing_the_rules_checks_them(self):
+        ack = load("ack")
+        lhs = ack.rules[1].lhs
+        with pytest.raises(IllTyped) as rejected:
+            replace(ack, rules=ack.rules + (Rule(lhs, App(lhs, lhs)),))
+        assert rejected.value.rule_index == 3
 
 
 # every ParseError of the AFS reader, each at the line and column it names:

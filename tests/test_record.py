@@ -33,8 +33,9 @@ VALIDATED = {
                 [((), SlotRef(0)), ((Base("o"),), Const(-1))]),
 }
 # term nodes work out their type and bound-variable range from their
-# children when they are built, and an AFS its defined names and flags
-# from its rules, so they are built from well-formed values
+# children when they are built, and an AFS checks its rules and works out
+# its defined names and flags from them, so they are built from well-formed
+# values
 _nat, _o = Base("nat"), Base("o")
 _x, _y = Variable("x", _nat), Variable("y", _o)
 _f, _g = FunctionSymbol("f", TypeDecl((_nat,), _o)), FunctionSymbol("g", TypeDecl((_o,), _nat))
@@ -46,7 +47,7 @@ WELL_FORMED = {
             (Var(Variable("G", Arrow(_o, _nat))), Var(_y))),
     "FunApp": ((_f, (Var(_x),)), (_g, (Var(_y),))),
     "AFS": (((_f,), (Rule(FunApp(_f, (Var(_x),)), FunApp(_f, (Var(_x),))),)),
-            ((_g,), (Rule(FunApp(_g, (Var(_y),)), Var(_x)),))),
+            ((_g,), (Rule(FunApp(_g, (Var(_y),)), FunApp(_g, (Var(_y),))),))),
 }
 
 
