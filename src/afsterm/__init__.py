@@ -8,16 +8,16 @@ load it on first use."""
 from importlib import import_module
 
 from .terms import (
-    Base, Arrow, arrow, SimpleType, TypeDecl, FunctionSymbol, Variable,
+    Base, Arrow, SimpleType, TypeDecl, FunctionSymbol, Variable,
     Term, Var, Abs, App, FunApp, lam, app,
-    apply_subst, match, rewrite_step, bounded_reductions, mark, subterms,
-    head, free_vars, term_text, type_of, IllTyped, TypeMismatch,
+    match, rewrite_step, bounded_reductions, mark, subterms,
+    head, free_vars, term_text, type_of, IllTyped,
     BudgetExceeded,
 )
 from .afs import AFS, Rule, IllegalLhs, complete, build_rplus
 from .parser import parse_afs, parse_term_text, ParseError
 from .dp import (
-    DependencyPair, DPProblem, candidate_terms, dependency_pairs, tag, untag,
+    DependencyPair, DPProblem, candidate_terms, dependency_pairs, tag,
 )
 from .selection import formative_rules, usable_rules, TypedSymbol, NotLocal
 from .graph import DPGraph, approximate_graph, sccs, prune, to_dot

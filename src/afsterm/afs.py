@@ -110,12 +110,6 @@ class AFS:
         names = self.defined_names
         return tuple(f for f in self.signature if f.name in names)
 
-    def symbol(self, name: str) -> FunctionSymbol:
-        for f in self.signature:
-            if f.name == name:
-                return f
-        raise KeyError(name)
-
 
 def complete(afs: AFS) -> AFS:
     """Add, for each rule l => \\x1..xn. r with r not an abstraction, the

@@ -1,4 +1,11 @@
-"""Candidate terms, dynamic dependency pairs, and the tagging machinery."""
+"""Candidate terms, dynamic dependency pairs, and the tagging machinery.
+
+`dependency_pairs` keeps one pair per distinct unmarked (left-hand side,
+candidate): `mark` is injective on the terms of an AFS and leaves an
+application unchanged, so these keys collide exactly when the marked pairs
+do, and their hashes are already cached when the key is tested.  A rule's
+marked left-hand side and its strict subterms are built only once it has a
+new candidate, and a pair is marked only when it is kept."""
 
 from __future__ import annotations
 
@@ -10,7 +17,7 @@ from .terms import (
     Term, Var, Abs, App, FunApp, Variable, FunctionSymbol,
     type_of, free_vars, app_spine, head, mark, marked,
     strict_subterms_closed, close_dangling, fresh_arguments, term_text,
-    tagged, untagged, symbols_of, replace_nodes, PLAIN, TAGGED,
+    tagged, symbols_of, replace_nodes, PLAIN, TAGGED,
 )
 
 
@@ -96,24 +103,25 @@ def dependency_pairs(afs: AFS, spfp_drop: bool = True) -> DPProblem:
     seen: set[tuple[Term, Term]] = set()
 
     for idx, rule in enumerate(afs.rules):
-        candidates = candidate_terms(rule.rhs, afs)
-        if candidates:
-            marked_lhs = mark(rule.lhs, marks)
-            strict_subs = set(strict_subterms_closed(rule.lhs))
-            for cand in candidates:
-                if cand in strict_subs:
-                    continue  # candidate is a strict subterm of the left-hand side
-                pair = (marked_lhs, mark(cand, marks))
-                if pair not in seen:
-                    seen.add(pair)
-                    pairs.append(DependencyPair(pair[0], pair[1], "candidate", idx))
+        lhs = rule.lhs
+        strict_subs = None
+        for cand in candidate_terms(rule.rhs, afs):
+            if (lhs, cand) in seen:
+                continue
+            if strict_subs is None:
+                marked_lhs = mark(lhs, marks)
+                strict_subs = set(strict_subterms_closed(lhs))
+            if cand in strict_subs:
+                continue  # candidate is a strict subterm of the left-hand side
+            seen.add((lhs, cand))
+            pairs.append(DependencyPair(marked_lhs, mark(cand, marks), "candidate", idx))
         if type_of(rule.lhs).is_arrow():
             rhead = head(rule.rhs)
             applies = isinstance(rhead, Var) or (
                 isinstance(rhead, FunApp) and rhead.fn.kind == PLAIN
                 and rhead.fn.name in defined)
             if applies and not isinstance(rule.rhs, Abs):
-                lhs, rhs = rule.lhs, rule.rhs
+                rhs = rule.rhs
                 for y in fresh_arguments(rule.lhs, "y"):
                     lhs, rhs = App(lhs, y), App(rhs, y)
                     if (lhs, rhs) not in seen:
@@ -143,11 +151,6 @@ def tag(t: Term, bound: Optional[set[Variable]] = None) -> Term:
         return FunApp(s.fn, args)
 
     return replace_nodes(t, node)
-
-
-def untag(t: Term) -> Term:
-    return replace_nodes(t, lambda s, args: FunApp(
-        untagged(s.fn) if s.fn.kind == TAGGED else s.fn, args))
 
 
 def untag_rule(f: FunctionSymbol) -> Rule:

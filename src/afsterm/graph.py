@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .record import record
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .terms import (
     Term, Var, BVar, Abs, FunApp, FunctionSymbol, SimpleType, app_spine, type_of,
@@ -20,10 +20,6 @@ class DPGraph:
 
     def out_edges(self, i: int) -> frozenset[int]:
         return frozenset(j for j in self.edges.get(i, frozenset()) if j in self.alive)
-
-    @property
-    def empty(self) -> bool:
-        return not self.alive
 
     def edge_count(self) -> int:
         return sum(j in self.alive for i in self.alive for j in self.edges.get(i, ()))
@@ -67,9 +63,12 @@ def _compatible(rhs_part: Term, lhs_part: Term, defined: frozenset[str]) -> bool
     )
 
 
-def _root(t: Term) -> Optional[tuple[FunctionSymbol, int, SimpleType, list[Term]]]:
+def _root(t: Term) -> Optional[tuple[FunctionSymbol, int, SimpleType, Sequence[Term]]]:
     """For t = f(s1..sn) u1..um: f, m, the type of t and [s1..sn, u1..um],
-    the parts an edge test compares; None when no function symbol heads t."""
+    the parts an edge test compares; None when no function symbol heads t.
+    A side f(s1..sn), as most are, gives its own argument tuple."""
+    if isinstance(t, FunApp):
+        return t.fn, 0, type_of(t), t.args
     t_head, args = app_spine(t)
     if not isinstance(t_head, FunApp):
         return None
@@ -150,14 +149,15 @@ def sccs(g: DPGraph) -> list[tuple[int, ...]]:
                     work.append((w, successors(w)))
                     advanced = True
                     break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
+                if w in on_stack and index[w] < low[node]:
+                    low[node] = index[w]
             if advanced:
                 continue
             work.pop()
             if work:
                 parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+                if low[node] < low[parent]:
+                    low[parent] = low[node]
             if low[node] == index[node]:
                 comp = []
                 while True:

@@ -13,6 +13,12 @@ line's first bad character, which is the error of any line that has one.
 The same tokenizer and term grammar are reused by the proof checker, which
 must re-read marked (f#), tagged (f-) and fresh-constant (!c{type})
 symbols; a fresh constant may only occur in proofs.
+
+One parse builds each leaf once, as it builds one `Base` per type name:
+its `SymbolTable` keeps one node per declared variable and nullary symbol,
+so every occurrence outside a binder is the same object, which `==` and
+`hash` answer at once.  A binder's own variable is a fresh `Var` at each
+occurrence, because `lam` replaces it by an index.
 """
 
 from __future__ import annotations
@@ -175,27 +181,30 @@ def parse_type_decl(tokens: list[str], i: int,
 
 class SymbolTable:
     """Resolution context for term parsing: symbols and declared variables,
-    read from the given dicts, not from copies, and the base types built so
-    far, one per name."""
+    read from the given dicts, not from copies, and what one parse builds
+    once per name: the base types (`types`) and the leaves, the node of each
+    declared variable and nullary symbol read so far (`leaves`)."""
 
     def __init__(self, symbols: dict[str, FunctionSymbol], variables: dict[str, Variable],
                  auto_symbols: bool = False):
         self.symbols = symbols
         self.variables = variables
         self.types: dict[str, Base] = {}
+        self.leaves: dict[str, Term] = {}
         self.auto_symbols = auto_symbols  # checker mode: accept f#/f- for known f, and !c{type}
 
     def lookup_symbol(self, name: str) -> Optional[FunctionSymbol]:
+        """The symbol of `name`; in checker mode the marked or tagged symbol
+        of a known f is built once and then kept among the symbols."""
         sym = self.symbols.get(name)
         if sym is not None or not self.auto_symbols:
             return sym
-        if name.endswith("#") and name[:-1] in self.symbols:
-            base = self.symbols[name[:-1]]
-            return FunctionSymbol(base.name, base.decl, MARKED)
-        if name.endswith("-") and name[:-1] in self.symbols:
-            base = self.symbols[name[:-1]]
-            return FunctionSymbol(base.name, base.decl, TAGGED)
-        return None
+        kind = {"#": MARKED, "-": TAGGED}.get(name[-1:])
+        base = self.symbols.get(name[:-1]) if kind else None
+        if base is None:
+            return None
+        sym = self.symbols[name] = FunctionSymbol(base.name, base.decl, kind)
+        return sym
 
 
 def parse_term(tokens: list[str], i: int, table: SymbolTable,
@@ -216,6 +225,9 @@ def _parse_term_atom(tokens: list[str], i: int, table: SymbolTable,
         i += 1
         if name in bound:
             return Var(bound[name]), i
+        leaf = table.leaves.get(name)
+        if leaf is not None and tokens[i] != "(":
+            return leaf, i
         sym = table.symbols.get(name)
         if sym is None and table.auto_symbols:
             sym = table.lookup_symbol(name)
@@ -224,7 +236,8 @@ def _parse_term_atom(tokens: list[str], i: int, table: SymbolTable,
             if not arity:
                 if tokens[i] == "(":
                     raise ParseError(f"symbol {name} takes no arguments", 0, at)
-                return FunApp(sym), i
+                leaf = table.leaves[name] = FunApp(sym)
+                return leaf, i
             arg, i = parse_term(tokens, expect(tokens, i, "("), table, bound)
             args = [arg]
             while tokens[i] == ",":
@@ -237,7 +250,8 @@ def _parse_term_atom(tokens: list[str], i: int, table: SymbolTable,
             return FunApp(sym, tuple(args)), i
         var = table.variables.get(name)
         if var is not None:
-            return Var(var), i
+            leaf = table.leaves[name] = Var(var)
+            return leaf, i
         raise ParseError(f"unknown identifier {name!r} (not in SIG or VARS)", 0, at)
     if name == "(":
         t, i = parse_term(tokens, i + 1, table, bound)
@@ -282,7 +296,8 @@ def parse_afs(text: str):
     """Read an AFS source file, one line at a time, into an AFS, which checks
     its rules, each reported at its line and first token if rejected.  A
     rule sees the symbols and variables declared above it, and all of them
-    share one `Base` per type name.  The first error in line order wins."""
+    share one `Base` per type name and one node per leaf.  The first error
+    in line order wins."""
     from .afs import AFS, IllegalLhs, Rule
 
     symbols: dict[str, FunctionSymbol] = {}

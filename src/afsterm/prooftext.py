@@ -15,7 +15,7 @@ prints without a check of its own.
 from __future__ import annotations
 
 from itertools import zip_longest
-from typing import Iterator, Optional, Union
+from typing import Container, Iterator, Optional, Union
 
 from .afs import AFS
 from .afs import complete, classify  # noqa: F401  (perfbench's layer tracer looks them up here)
@@ -32,7 +32,7 @@ from .parser import (
     parse_term_text,
 )
 from .terms import (
-    FunctionSymbol, Variable, Term, term_text, TypeDecl, EXT,
+    Arrow, FunctionSymbol, Variable, Term, term_text, TypeDecl, EXT,
 )
 
 
@@ -216,10 +216,11 @@ def _entry(line: str, prefix: str) -> tuple[str, str]:
     return name, value.strip()
 
 
-def _blocks(lines: list[str]) -> Iterator[tuple[str, list[tuple[int, str]]]]:
-    """Each header line with its block: the indented lines after it, up to
-    the first blank or unindented line, each with its line number and
-    without trailing whitespace.  Blank lines are skipped."""
+def _blocks(lines: list[str], wanted: Container[str]) -> Iterator[tuple[str, list[tuple[int, str]]]]:
+    """Each header line in `wanted` with its block: the indented lines
+    after it, up to the first blank or unindented line, each with its line
+    number and without trailing whitespace.  Blank lines are skipped, and
+    so are the other blocks, whose lines are not listed."""
     i = 0
     while i < len(lines):
         header = lines[i].strip()
@@ -229,7 +230,8 @@ def _blocks(lines: list[str]) -> Iterator[tuple[str, list[tuple[int, str]]]]:
         start = i
         while i < len(lines) and lines[i].startswith(" ") and lines[i].strip():
             i += 1
-        yield header, [(n + 1, lines[n].rstrip()) for n in range(start, i)]
+        if header in wanted:
+            yield header, [(n + 1, lines[n].rstrip()) for n in range(start, i)]
 
 
 def _at(number: int, line: str, value: str) -> tuple[int, int]:
@@ -293,7 +295,17 @@ def _parse_step(block: list[tuple[int, str]],
 
 def _parse_give_up(block: list[tuple[int, str]], table: SymbolTable) -> GiveUp:
     """A GIVEUP block's `tried:`, `reason:` and `loop:` lines, as a give-up
-    on no SCC yet; each distinct loop line is parsed once."""
+    on no SCC yet; each distinct loop line is parsed once.  The table's
+    types are first seeded with the base types of its symbols, so that a
+    loop term shares their `Base` objects; a proof without a GIVEUP does
+    not collect them."""
+    types = [t for f in table.symbols.values() for t in (*f.decl.inputs, f.decl.output)]
+    while types:
+        t = types.pop()
+        if isinstance(t, Arrow):
+            types += t.left, t.right
+        else:
+            table.types[t.name] = t
     tried, reason = "", ""
     terms: dict[str, Term] = {}
     loop = []
@@ -319,12 +331,10 @@ def parse_proof(text: str, problem: DPProblem) -> list[Union[Certificate, GiveUp
     read.  Raises ProofSyntaxError (or the term parser's ParseError) for a
     value that does not parse and for a STEP without a certificate."""
     table = SymbolTable({f.name: f for f in problem.afs.signature}, {}, auto_symbols=True)
+    readers = {"STEP": _parse_step, "GIVEUP": _parse_give_up}
     given: list = []
-    for header, block in _blocks(text.splitlines()):
-        if header == "STEP":
-            given.append(_parse_step(block, table))
-        elif header == "GIVEUP":
-            given.append(_parse_give_up(block, table))
+    for header, block in _blocks(text.splitlines(), readers):
+        given.append(readers[header](block, table))
     return given
 
 

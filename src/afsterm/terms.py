@@ -13,10 +13,11 @@ Lean 4's expressions do; de Moura and Ullrich, CADE 2021):
   escapes the node, and 0 when the node is locally closed (Charguéraud,
   *The Locally Nameless Representation*, JAR 2012).
 Nodes, types, symbols and variables are slotted records that keep their
-hash after the first call (`record`).  One parse shares its types:
-`parse_afs` builds one `Base` per type name, so most type comparisons a
-node makes when it is built meet the same object, which `==` answers
-without comparing fields.  `BVar` is built only by `lam`, with
+hash after the first call (`record`).  One parse shares its types and
+leaves: `parse_afs` builds one `Base` per type name and one node per
+variable and constant, so most type comparisons a node makes when it is
+built, and most leaf comparisons and hashes, meet the same object, which
+`==` answers without comparing fields.  `BVar` is built only by `lam`, with
 its binder's type, and `instantiate` and `substitute` renumber the indices
 of what they put below binders, so that every index keeps its binder.  A
 bound variable thus agrees with its binder by construction, and the type
@@ -60,13 +61,6 @@ class SimpleType:
             t = t.right
         return tuple(args)
 
-    def base_result(self) -> "Base":
-        t = self
-        while isinstance(t, Arrow):
-            t = t.right
-        assert isinstance(t, Base)
-        return t
-
     def __str__(self) -> str:
         return type_text(self)
 
@@ -80,15 +74,6 @@ class Base(SimpleType):
 class Arrow(SimpleType):
     left: SimpleType
     right: SimpleType
-
-
-def arrow(*types: SimpleType) -> SimpleType:
-    """Right-associated arrow type from a list of types."""
-    assert types
-    result = types[-1]
-    for t in reversed(types[:-1]):
-        result = Arrow(t, result)
-    return result
 
 
 def type_text(t: SimpleType) -> str:
@@ -272,10 +257,6 @@ class IllTyped(Exception):
         self.position = position
         self.reason = reason
         super().__init__(f"ill-typed term at position {list(position)}: {reason}")
-
-
-class TypeMismatch(Exception):
-    pass
 
 
 class BudgetExceeded(Exception):
@@ -509,22 +490,11 @@ def symbols_of(t: Term) -> frozenset[FunctionSymbol]:
 Substitution = Mapping[Variable, Term]
 
 
-def apply_subst(t: Term, subst: Substitution) -> Term:
-    """Capture-avoiding substitution of free variables.
-
-    The substitution must be type-preserving; bound variables are indices so
-    capture cannot occur.
-    """
-    for v, s in subst.items():
-        if type_of(s) != v.type:
-            raise TypeMismatch(f"substitution maps {v.name} : {v.type} to a term of type {type_of(s)}")
-    return substitute(t, subst)
-
-
 def substitute(t: Term, subst: Substitution) -> Term:
-    """apply_subst without the type check.  t and the values may contain
-    dangling indices; a value's are raised past the binders of t it lands
-    under, so that none is captured."""
+    """Substitution of free variables, which the caller keeps
+    type-preserving.  t and the values may contain dangling indices; a
+    value's are raised past the binders of t it lands under, so that none
+    is captured."""
     return replace_leaves(
         t, lambda s, d: shift(subst[s.var], d) if isinstance(s, Var) and s.var in subst else s)
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from afsterm import parse_afs, terms
 from afsterm.afs import AFS, IllegalLhs, Rule, complete
-from afsterm.dp import tag, untag_rule
+from afsterm.dp import DependencyPair, DPProblem, candidate_terms, tag, untag_rule
 from afsterm.engine import GiveUp, Preparation, PruneStep, Proof, ReductionPairStep, Step, _ground
 from afsterm.graph import _follows, _root, approximate_graph, prune, sccs
 from afsterm.orderings import build_constraints, poly_search
@@ -32,8 +32,9 @@ from afsterm.record import replace
 from afsterm.selection import ABS, VAR, TypedSymbol
 from afsterm.terms import (
     Term, Var, BVar, Abs, App, FunApp, FunctionSymbol, Variable, SimpleType, Arrow, Base,
-    Exploration, PLAIN, TAGGED, IllTyped, app_spine, beta_reduce_root, head, lam, subterms,
-    free_vars, rewrite_step, substitute, symbols_of, type_of, type_text, untagged,
+    Exploration, PLAIN, TAGGED, IllTyped, app_spine, beta_reduce_root, fresh_arguments, head,
+    lam, mark, marked, strict_subterms_closed, subterms,
+    free_vars, replace_nodes, rewrite_step, substitute, symbols_of, type_of, type_text, untagged,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -192,6 +193,51 @@ def rederived_steps(proof: Proof) -> list[Step]:
         graph = replace(graph, alive=graph.alive - frozenset(step.removed))
 
 
+# Definitions that no command of the package reaches, kept for the tests.
+
+
+class TypeMismatch(Exception):
+    pass
+
+
+def apply_subst(t: Term, subst: dict[Variable, Term]) -> Term:
+    """Capture-avoiding substitution of free variables, checked to be
+    type-preserving; bound variables are indices, so none is captured."""
+    for v, s in subst.items():
+        if type_of(s) != v.type:
+            raise TypeMismatch(f"substitution maps {v.name} : {v.type} to a term of type {type_of(s)}")
+    return substitute(t, subst)
+
+
+def arrow(*types: SimpleType) -> SimpleType:
+    """Right-associated arrow type from a list of types."""
+    result = types[-1]
+    for t in reversed(types[:-1]):
+        result = Arrow(t, result)
+    return result
+
+
+def base_result(ty: SimpleType) -> Base:
+    """The base type at the end of ty's arrows."""
+    while isinstance(ty, Arrow):
+        ty = ty.right
+    return ty
+
+
+def untag(t: Term) -> Term:
+    """t with every tagged symbol f- back to f."""
+    return replace_nodes(t, lambda s, args: FunApp(
+        untagged(s.fn) if s.fn.kind == TAGGED else s.fn, args))
+
+
+def symbol(afs: AFS, name: str) -> FunctionSymbol:
+    """The signature symbol of `afs` named `name`."""
+    for f in afs.signature:
+        if f.name == name:
+            return f
+    raise KeyError(name)
+
+
 def dangling_bvars(t: Term) -> frozenset[int]:
     """Indices of bound variables escaping t (relative to t's root), from a
     walk over all its subterms."""
@@ -257,7 +303,7 @@ def random_term(rng: random.Random, afs, ty: SimpleType, size: int,
         options.append("fun")
     # application at a base argument type
     base_types = sorted({b.name for f in afs.signature
-                         for b in [f.decl.output.base_result()]})
+                         for b in [base_result(f.decl.output)]})
     if base_types and size > 2:
         options.append("app")
     if not options:
@@ -298,7 +344,7 @@ def random_starts(name: str, count: int = 50) -> list[Term]:
     system `name`, from a generator seeded by the name."""
     afs = complete(load(name))
     rng = random.Random(zlib.crc32(name.encode()))
-    base_types = sorted({f.decl.output.base_result().name for f in afs.signature})
+    base_types = sorted({base_result(f.decl.output).name for f in afs.signature})
     out = []
     for _ in range(count):
         ty = Base(rng.choice(base_types))
@@ -499,6 +545,47 @@ def chronological_search_poly(cs, store=None):
     if last_cand == -1 and not strict_pairs():
         return None
     return dfs(0)
+
+
+def reference_dependency_pairs(afs: AFS, spfp_drop: bool = True) -> DPProblem:
+    """`dp.dependency_pairs` as it was before it keyed candidate pairs by
+    their unmarked sides: each rule marks its left-hand side and collects
+    its strict subterms up front, and every candidate pair is marked before
+    it is looked up among the marked pairs seen so far."""
+    afs = complete(afs)
+    defined = afs.defined_names
+    marks = {f.name: marked(f) for f in afs.defined}
+    pairs: list[DependencyPair] = []
+    seen: set[tuple[Term, Term]] = set()
+    for idx, rule in enumerate(afs.rules):
+        candidates = candidate_terms(rule.rhs, afs)
+        if candidates:
+            marked_lhs = mark(rule.lhs, marks)
+            strict_subs = set(strict_subterms_closed(rule.lhs))
+            for cand in candidates:
+                if cand in strict_subs:
+                    continue
+                pair = (marked_lhs, mark(cand, marks))
+                if pair not in seen:
+                    seen.add(pair)
+                    pairs.append(DependencyPair(pair[0], pair[1], "candidate", idx))
+        if type_of(rule.lhs).is_arrow():
+            rhead = head(rule.rhs)
+            applies = isinstance(rhead, Var) or (
+                isinstance(rhead, FunApp) and rhead.fn.kind == PLAIN
+                and rhead.fn.name in defined)
+            if applies and not isinstance(rule.rhs, Abs):
+                lhs, rhs = rule.lhs, rule.rhs
+                for y in fresh_arguments(rule.lhs, "y"):
+                    lhs, rhs = App(lhs, y), App(rhs, y)
+                    if (lhs, rhs) not in seen:
+                        seen.add((lhs, rhs))
+                        pairs.append(DependencyPair(lhs, rhs, "applied-head", idx))
+    static_mode = False
+    if spfp_drop and afs.spfp:
+        pairs = [p for p in pairs if not p.collapsing]
+        static_mode = True
+    return DPProblem(tuple(pairs), afs, static_mode=static_mode)
 
 
 def reference_symb(t: Term, binders: tuple = ()):

@@ -6,7 +6,7 @@ import time
 
 from afsterm import parse_afs
 from afsterm.afs import complete, build_rplus
-from afsterm.dp import dependency_pairs, tag, untag
+from afsterm.dp import dependency_pairs, tag
 from afsterm.engine import Config, prove, run_corpus, YES, MAYBE
 from afsterm.graph import DPGraph, approximate_graph, prune, sccs
 from afsterm.orderings import (
@@ -21,12 +21,12 @@ from afsterm.parser import SymbolTable, parse_term_text
 from afsterm.selection import formative_rules, usable_rules
 from afsterm.terms import (
     Base, Arrow, TypeDecl, FunctionSymbol, Variable, Var, FunApp, EXT,
-    apply_subst, bounded_reductions, free_vars, term_text,
+    bounded_reductions, free_vars, term_text,
 )
 
 from helpers import (
     CORPUS, load, random_term, random_closed_term, eval_nf, nf_slots,
-    MONOTONE_SAMPLES,
+    MONOTONE_SAMPLES, apply_subst, symbol, untag,
 )
 from test_certcheck import mutate_poly, sample_validates
 from test_graph import TestSccOracle
@@ -136,7 +136,7 @@ def test_criterion_4_paper_witnesses():
     afs = complete(load("map"))
     prob = dependency_pairs(afs, spfp_drop=False)
     cs = build_constraints(sccs(prune(approximate_graph(prob)))[0], prob)
-    st = lambda n: slot_types_for(afs.symbol(n))
+    st = lambda n: slot_types_for(symbol(afs, n))
     J = {
         "map#": PolyFun(st("map"), Add((AppSlot(0, (SlotRef(1),)), SlotRef(1)))),
         "map": PolyFun(st("map"),
@@ -153,7 +153,7 @@ def test_criterion_4_paper_witnesses():
     prob = dependency_pairs(afs)
     scc = sccs(prune(approximate_graph(prob)))[0]
     cs = build_constraints(scc, prob)
-    st = lambda n: slot_types_for(afs.symbol(n))
+    st = lambda n: slot_types_for(symbol(afs, n))
     ident = PolyFun(st("I"), SlotRef(0))
     ffn = PolyFun(st("twice"), AppSlot(0, (AppSlot(0, (SlotRef(1),)),)))
     J1 = {"I": ident, "I#": ident, "I-": ident, "o": PolyFun((), Const(0)),
@@ -192,7 +192,7 @@ def test_criterion_4_paper_witnesses():
     comps = sccs(prune(approximate_graph(prob)))
     scc = next(c for c in comps if any(prob.pairs[i].collapsing for i in c))
     cs4 = build_constraints(scc, prob)
-    M = afs.symbol("dom").decl.output
+    M = symbol(afs, "dom").decl.output
     domp = FunctionSymbol("dom'", TypeDecl((M, M), M), EXT)
     x1, x2 = Variable("x1", M), Variable("x2", M)
     cert4 = ArgFunRPO({"dom": FunApp(domp, (Var(x1), Var(x2)))},

@@ -12,7 +12,7 @@ from afsterm.prooftext import (
 from afsterm.record import replace
 from afsterm.terms import (
     App, Arrow, Base, FunApp, FunctionSymbol, IllTyped, PLAIN, TypeDecl, Var, Variable,
-    term_text, free_vars, Abs,
+    term_text, free_vars, subterms, Abs,
 )
 
 from helpers import CORPUS, GOLDEN, corpus_names, load, reference_tokenize, wide_system
@@ -143,6 +143,41 @@ class TestParsing:
             parse_afs(src)
 
 
+class TestSharedLeaves:
+    """One parse builds one node per declared variable and nullary symbol,
+    as it builds one `Base` per type name; a binder's own variable is not
+    one of them."""
+
+    def test_one_node_per_variable_and_constant(self):
+        afs = parse_afs(wide_system(2001))
+        leaves: dict[str, list] = {}
+        for rule in afs.rules:
+            for side in (rule.lhs, rule.rhs):
+                for s, depth in subterms(side):
+                    if isinstance(s, Var) or (isinstance(s, FunApp) and not s.args):
+                        assert not depth  # `wide` has no binder
+                        leaves.setdefault(term_text(s), []).append(s)
+        constants = [f for f in afs.signature if not f.decl.inputs]
+        variables = {v for rule in afs.rules for v in free_vars(rule.lhs)}
+        assert len(leaves) == len(constants) + len(variables) == 50 * (4 + 12)
+        for name, nodes in leaves.items():
+            assert all(node is nodes[0] for node in nodes), name
+
+    def test_every_rule_side_reads_back(self):
+        afs = parse_afs(wide_system(2001))
+        variables = {v.name: v for rule in afs.rules for v in free_vars(rule.lhs)}
+        table = SymbolTable({f.name: f for f in afs.signature}, variables)
+        for rule in afs.rules:
+            for side in (rule.lhs, rule.rhs):
+                assert parse_term_text(term_text(side), table) == side
+
+    def test_a_binder_variable_is_not_the_shared_leaf(self):
+        afs = parse_afs(MALFORMED_BASE.replace(RULE, "f(x, o) => g(\\x:nat. s(x))"))
+        lhs_x = afs.rules[0].lhs.args[0]
+        body = afs.rules[0].rhs.args[0].body
+        assert isinstance(lhs_x, Var) and not isinstance(body.args[0], Var)
+
+
 class TestRuleContract:
     """An AFS checks its rules when it is built, whoever builds it: a
     library caller and `replace` get the reader's errors, without the
@@ -212,6 +247,8 @@ RULE = "f(x, o) => s(x)"
     (RULE, "f(x) => s(x)", "10:3: symbol f expects 2 arguments, got 1"),
     (RULE, "f(x, o, o) => s(x)", "10:3: symbol f expects 2 arguments, got 3"),
     (RULE, "f(x, o()) => s(x)", "10:8: symbol o takes no arguments"),
+    (RULE, "f(x, o) => s(o(o))", "10:16: symbol o takes no arguments"),
+    (RULE, "f(x, o) => x(o)", "10:15: unexpected '(' (one declaration per line)"),
     (RULE, "f(x, o) => s", "10:15: expected '(', found ''"),
     (RULE, "f(y, o) => s(x)", "10:5: unknown identifier 'y' (not in SIG or VARS)"),
     (RULE, "f(x, ) => s(x)", "10:8: expected a term, found ')'"),
@@ -231,7 +268,8 @@ RULE = "f(x, o) => s(x)"
     "not-a-type", "unclosed-input-list", "input-list-without-arrow",
     "unclosed-type-parenthesis", "two-declarations-on-a-line", "rule-without-arrow",
     "rule-without-right-hand-side", "too-few-arguments", "too-many-arguments",
-    "arguments-of-a-constant", "symbol-without-arguments", "unknown-identifier",
+    "arguments-of-a-constant", "arguments-of-a-constant-read-before",
+    "arguments-of-a-variable-read-before", "symbol-without-arguments", "unknown-identifier",
     "missing-argument", "unclosed-parenthesis", "trailing-input-after-a-rule",
     "stray-character-after-a-token", "stray-character-at-the-line-end",
     "binder-without-a-type", "binder-without-a-name", "binder-without-a-dot",
@@ -426,7 +464,8 @@ class TestCompletionSimulation:
     def test_added_rules_simulated(self):
         # every completion rule instance is reachable from the original rules
         import random
-        from afsterm.terms import apply_subst, bounded_reductions, free_vars
+        from afsterm.terms import bounded_reductions, free_vars
+        from helpers import apply_subst
         from helpers import random_closed_term, corpus_names
 
         rng = random.Random(11)

@@ -20,7 +20,7 @@ from afsterm.terms import (
     Base, TypeDecl, FunctionSymbol, Variable, Var, FunApp, EXT,
 )
 
-from helpers import load, eval_nf, nf_slots, MONOTONE_SAMPLES
+from helpers import load, eval_nf, nf_slots, symbol, MONOTONE_SAMPLES
 
 nat = Base("nat")
 
@@ -40,7 +40,7 @@ class TestPaperWitnesses:
     def test_map_interpretation(self):
         afs, prob, comps = build("map", spfp_drop=False)
         cs = build_constraints(comps[0], prob)
-        st = lambda n: slot_types_for(afs.symbol(n))
+        st = lambda n: slot_types_for(symbol(afs, n))
         J = {
             "map#": PolyFun(st("map"), Add((AppSlot(0, (SlotRef(1),)), SlotRef(1)))),
             "map": PolyFun(st("map"),
@@ -53,12 +53,12 @@ class TestPaperWitnesses:
     def test_twice_stage_one(self):
         afs, prob, comps = build("twice")
         cs = build_constraints(comps[0], prob)
-        st = lambda n: slot_types_for(afs.symbol(n))
+        st = lambda n: slot_types_for(symbol(afs, n))
         ffn = PolyFun(st("twice"), AppSlot(0, (AppSlot(0, (SlotRef(1),)),)))
         J = {
-            "I": identity_fun(afs.symbol("I")),
-            "I#": identity_fun(afs.symbol("I")),
-            "I-": identity_fun(afs.symbol("I")),
+            "I": identity_fun(symbol(afs, "I")),
+            "I#": identity_fun(symbol(afs, "I")),
+            "I-": identity_fun(symbol(afs, "I")),
             "o": PolyFun((), Const(0)),
             "s": PolyFun(st("s"), Add((SlotRef(0), Const(1)))),
             "twice": ffn,
@@ -76,7 +76,7 @@ class TestPaperWitnesses:
         scc2 = tuple(i for i in comps[0] if i not in (0, 1))
         cs2 = build_constraints(scc2, prob)
         assert not cs2.weak  # no formative rules remain for these pairs
-        st = lambda n: slot_types_for(afs.symbol(n))
+        st = lambda n: slot_types_for(symbol(afs, n))
         stage2 = PolyFun(st("twice"),
                          Add((MaxE((AppSlot(0, (AppSlot(0, (SlotRef(1),)),)),
                                     SlotRef(1))), Const(1))))
@@ -90,7 +90,7 @@ class TestPaperWitnesses:
         afs, prob, comps = build("eval")
         scc = next(c for c in comps if any(prob.pairs[i].collapsing for i in c))
         cs = build_constraints(scc, prob)
-        M = afs.symbol("dom").decl.output
+        M = symbol(afs, "dom").decl.output
         domp = FunctionSymbol("dom'", TypeDecl((M, M), M), EXT)
         x1, x2 = Variable("x1", M), Variable("x2", M)
         cert = ArgFunRPO(

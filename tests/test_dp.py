@@ -7,15 +7,18 @@ import pytest
 from afsterm import parse_afs
 from afsterm.afs import complete
 from afsterm.dp import (
-    DependencyPair, candidate_terms, dependency_pairs, tag, untag, untag_rule,
+    DependencyPair, candidate_terms, dependency_pairs, tag, untag_rule,
 )
 from afsterm.parser import SymbolTable, parse_term_text
 from afsterm.terms import (
     Base, Arrow, Variable, Var, App, FunApp, lam, term_text, head,
-    apply_subst, bounded_reductions, MARKED,
+    bounded_reductions, MARKED,
 )
 
-from helpers import build_rtag, corpus_names, load, random_term, wide_system
+from helpers import (
+    apply_subst, build_rtag, corpus_names, load, mutants, random_term,
+    reference_dependency_pairs, symbol, untag, wide_system,
+)
 
 nat = Base("nat")
 
@@ -67,7 +70,7 @@ class TestCandidates:
         src = ("SIG\n  g : [(nat -> nat) -> nat] -> nat\nVARS\n  y : nat\n"
                "  z : nat\nRULES\n")
         afs = parse_afs(src)
-        g = afs.symbol("g")
+        g = symbol(afs, "g")
         x = Variable("x", Arrow(nat, nat))
         y = Variable("y", nat)
         r = FunApp(g, (lam(x, App(Var(x), Var(y))),))
@@ -152,6 +155,36 @@ class TestDependencyPairs:
         assert marked_roots
         for name, symbols in marked_roots.items():
             assert all(f is symbols[0] for f in symbols), name
+
+    @pytest.mark.parametrize("spfp_drop", [True, False], ids=["spfp-drop", "all-pairs"])
+    @pytest.mark.parametrize("name", corpus_names() + ["wide-2001", "wide-2002", "wide-2003"])
+    def test_same_problem_as_keying_by_marked_pairs(self, name, spfp_drop):
+        # `mark` is injective on an AFS's terms and leaves an application
+        # unchanged, so keying the pairs by their unmarked sides keeps the
+        # pairs the marked keys kept, in the same order
+        afs = (parse_afs(wide_system(int(name[5:]))) if name.startswith("wide")
+               else load(name))
+        assert dependency_pairs(afs, spfp_drop) == reference_dependency_pairs(afs, spfp_drop)
+
+    def test_a_pair_two_rules_share_is_kept_once(self):
+        # neither the corpus nor its mutants repeat a pair or meet a
+        # candidate below its own left-hand side: here both happen
+        src = ("SIG\n  o : nat\n  g : [nat] -> nat\n  h : [nat] -> nat\n  f : [nat] -> nat\n"
+               "VARS\n  x : nat\nRULES\n  f(x) => g(h(x))\n  f(x) => h(x)\n"
+               "  f(g(x)) => g(x)\n  g(x) => x\n  h(x) => x\n")
+        afs = parse_afs(src)
+        problem = dependency_pairs(afs)
+        assert [(str(p), p.rule_index) for p in problem.pairs] == [
+            ("f#(x) ~> g#(h(x))", 0), ("f#(x) ~> h#(x)", 0)]
+        assert problem == reference_dependency_pairs(afs)
+
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_same_problem_as_keying_by_marked_pairs_on_mutants(self, name):
+        for afs in mutants(name, 9):
+            for spfp_drop in (True, False):
+                assert (dependency_pairs(afs, spfp_drop)
+                        == reference_dependency_pairs(afs, spfp_drop)), \
+                    [str(rule) for rule in afs.rules]
 
 
 class TestTagging:

@@ -113,7 +113,7 @@ class TestPrune:
 
     def test_empty(self):
         g = DPGraph((), {}, frozenset())
-        assert prune(g).empty
+        assert not prune(g).alive
         assert sccs(g) == []
 
     def test_prune_equals_scc_union(self):

@@ -32,13 +32,13 @@ from afsterm.parser import SymbolTable, parse_afs, parse_term_text
 from afsterm.prooftext import parse_proof
 from afsterm.terms import (
     Base, Arrow, Variable, Var, App, FunApp, FunctionSymbol, TypeDecl, lam, term_text,
-    type_of, apply_subst, free_vars, head, mark, marked,
+    type_of, free_vars, head, mark, marked,
 )
 
 from helpers import (
     GOLDEN, load, corpus_names, random_term, eval_nf, nf_slots, chronological_search_poly,
     point_assignments, MONOTONE_SAMPLES, reference_check_projection,
-    reference_subterm_criterion, wide_system,
+    reference_subterm_criterion, wide_system, apply_subst,
 )
 
 nat = Base("nat")

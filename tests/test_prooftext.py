@@ -8,20 +8,20 @@ from afsterm.dp import dependency_pairs
 from afsterm import parse_afs, prooftext
 from afsterm.engine import Config, GiveUp, prove, verify_proof
 from afsterm.orderings.poly import expr_text
-from afsterm.parser import SymbolTable
+from afsterm.parser import SymbolTable, parse_term_text
 from afsterm.prooftext import (
     parse_polyfun, parse_pi_template, parse_proof, render_proof, check_proof_text,
     ProofSyntaxError,
 )
-from afsterm.terms import term_text
+from afsterm.terms import Abs, FunApp, FRESH, MARKED, TAGGED, subterms, term_text
 
-from helpers import load, corpus_names, GOLDEN
+from helpers import load, corpus_names, symbol, GOLDEN
 
 
 class TestExprGrammar:
     def test_round_trip(self):
         afs = load("twice")
-        tw = afs.symbol("twice")
+        tw = symbol(afs, "twice")
         for text in ("x1(x1(x2))", "max(x1(x1(x2)), x2) + 1",
                      "x2*x1(x2) + x2", "2*x2 + 1", "0"):
             fun = parse_polyfun(text, tw)
@@ -33,11 +33,11 @@ class TestExprGrammar:
     def test_slot_bounds(self, text):
         afs = load("twice")
         with pytest.raises(ProofSyntaxError):
-            parse_polyfun(text, afs.symbol("twice"))
+            parse_polyfun(text, symbol(afs, "twice"))
 
     def test_pi_template_with_primed_symbol(self):
         afs = load("eval")
-        dom = afs.symbol("dom")
+        dom = symbol(afs, "dom")
         table = SymbolTable({f.name: f for f in afs.signature}, {},
                             auto_symbols=True)
         t = parse_pi_template("dom'12(x1, x2)", dom, table)
@@ -45,7 +45,7 @@ class TestExprGrammar:
 
     def test_pi_collapse(self):
         afs = load("quot")
-        minus = afs.symbol("minus")
+        minus = symbol(afs, "minus")
         table = SymbolTable({f.name: f for f in afs.signature}, {},
                             auto_symbols=True)
         t = parse_pi_template("x1", minus, table)
@@ -324,6 +324,33 @@ class TestHandWrittenProof:
         loop = parse_proof(golden, dependency_pairs(afs))[-1].loop
         assert len(loop) == 3 and loop[0] is loop[2]
         assert len(parsed) == 2
+
+
+class TestSharing:
+    """The proof reader shares as the AFS reader does: the terms of its
+    loop lines have the signature's `Base` objects, and a marked or tagged
+    name reads as one symbol."""
+
+    def test_loop_terms_have_the_signature_types(self):
+        afs = load("fga")
+        nat = symbol(afs, "o").decl.output
+        text = (GOLDEN / "fga.proof").read_text()
+        text = text.replace("  loop: f(o)\n", "  loop: f(!c{nat})\n", 1)
+        give_up = parse_proof(text, dependency_pairs(afs))[-1]
+        types = [s.var_type if isinstance(s, Abs) else s.fn.decl.output
+                 for t in give_up.loop for s, _ in subterms(t)
+                 if isinstance(s, Abs) or (isinstance(s, FunApp) and s.fn.kind == FRESH)]
+        assert len(types) == 4  # three binders and one fresh constant
+        assert all(ty is nat for ty in types)
+
+    def test_a_marked_or_tagged_name_is_one_symbol(self):
+        afs = load("twice")
+        table = SymbolTable({f.name: f for f in afs.signature}, {}, auto_symbols=True)
+        for name, kind in (("I#", MARKED), ("I-", TAGGED)):
+            t = parse_term_text(f"{name}({name}(o))", table)
+            assert t.fn.kind == kind and t.fn is t.args[0].fn
+            assert table.lookup_symbol(name) is t.fn
+        assert table.lookup_symbol("J#") is None
 
 
 class TestGiveUpLines:

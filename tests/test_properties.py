@@ -16,13 +16,13 @@ from afsterm.orderings.poly import (
 )
 from afsterm.orderings.rpo import Precedence, rpo_greater, rpo_geq
 from afsterm.terms import (
-    Abs, Base, Arrow, arrow, App, BVar, FunApp, FunctionSymbol, IllTyped, TypeDecl, Var,
+    Abs, Base, Arrow, App, BVar, FunApp, FunctionSymbol, IllTyped, TypeDecl, Var,
     Variable, lam, fresh_const, pairing_symbol, rewrite_step, substitute, subterms,
     type_of, _type_of,
 )
 
 from helpers import (
-    dangling_bvars, eval_expr, eval_nf, monotone_fun, nf_add_reference, point_assignments,
+    arrow, dangling_bvars, eval_expr, eval_nf, monotone_fun, nf_add_reference, point_assignments,
 )
 
 nat = Base("nat")

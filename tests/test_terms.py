@@ -10,15 +10,15 @@ from afsterm.dp import dependency_pairs
 from afsterm.orderings.rpo import apply_argfun, template_slots
 from afsterm.parser import SymbolTable, parse_term_text
 from afsterm.terms import (
-    Base, Arrow, arrow, TypeDecl, FunctionSymbol, Variable, Var, App, FunApp, lam,
-    type_of, IllTyped, apply_subst, match,
+    Base, Arrow, TypeDecl, FunctionSymbol, Variable, Var, App, FunApp, lam,
+    type_of, IllTyped, match,
     rewrite_step, bounded_reductions, mark, marked, head, free_vars, subterms,
-    term_text, TypeMismatch, _type_of,
+    term_text, _type_of,
 )
 
 from helpers import (
-    corpus_names, dangling_bvars, is_beta_normal, load, random_term, random_closed_term,
-    normal_forms, typecheck, wide_system,
+    TypeMismatch, apply_subst, arrow, base_result, corpus_names, dangling_bvars, is_beta_normal,
+    load, random_term, random_closed_term, normal_forms, symbol, typecheck, wide_system,
 )
 
 nat = Base("nat")
@@ -57,13 +57,13 @@ class TestTyping:
         assert type_of(t("\\x:nat. x", table)) == natnat
 
     def test_arity_violation(self, twice):
-        I = twice.symbol("I")
-        o = twice.symbol("o")
+        I = symbol(twice, "I")
+        o = symbol(twice, "o")
         with pytest.raises(IllTyped):
             type_of(FunApp(I, (FunApp(o), FunApp(o))))
 
     def test_argument_type_mismatch(self, twice, table):
-        I = twice.symbol("I")
+        I = symbol(twice, "I")
         with pytest.raises(IllTyped):
             type_of(FunApp(I, (t("\\x:nat. x", table),)))
 
@@ -165,7 +165,7 @@ class TestMatch:
         f = FunctionSymbol("f", TypeDecl((natnat,), nat))
         x = Variable("x", nat)
         y = Variable("y", nat)
-        s = twice.symbol("s")
+        s = symbol(twice, "s")
         pat = FunApp(f, (lam(x, Var(y)),))
         subj = FunApp(f, (lam(x, FunApp(s, (Var(x),))),))
         assert match(pat, subj) is None
@@ -351,8 +351,8 @@ class TestRandomTerms:
         # where no symbol builds a closed term of a type (apeq's `a`), the
         # term is closed by its grounding, not by recursing without end
         afs = load(name)
-        types = {b for f in afs.signature for b in (f.decl.output.base_result(),)
-                 + tuple(i.base_result() for i in f.decl.inputs)}
+        types = {b for f in afs.signature for b in (base_result(f.decl.output),)
+                 + tuple(base_result(i) for i in f.decl.inputs)}
         types |= {i for f in afs.signature for i in f.decl.inputs}
         rng = random.Random(name)
         for ty in sorted(types, key=str):
