@@ -12,7 +12,6 @@ from .terms import (
     Term, Var, Abs, App, FunApp, lam, app,
     match, rewrite_step, bounded_reductions, mark, subterms,
     head, free_vars, term_text, type_of, IllTyped,
-    BudgetExceeded,
 )
 from .afs import AFS, Rule, IllegalLhs, complete, build_rplus
 from .parser import parse_afs, parse_term_text, ParseError

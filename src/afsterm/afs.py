@@ -117,11 +117,12 @@ def complete(afs: AFS) -> AFS:
 
     Idempotent; original rules are preserved, and an AFS to which no rule
     is added is returned as it is."""
-    existing = {(r.lhs, r.rhs) for r in afs.rules}
+    existing = None  # the rules' sides, built once a rule needs completing
     new_rules = list(afs.rules)
     for rule in afs.rules:
         if not isinstance(rule.rhs, Abs):
             continue
+        existing = existing or {(r.lhs, r.rhs) for r in afs.rules}
         avoid = {v.name for v in free_vars(rule.lhs) | free_vars(rule.rhs)}
         lhs, rhs = rule.lhs, rule.rhs
         while isinstance(rhs, Abs):

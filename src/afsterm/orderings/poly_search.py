@@ -30,9 +30,14 @@ variables grow cubically, faster than any template), so it refutes most
 false comparisons (Schwartz 1980, *Fast probabilistic algorithms for
 verification of polynomial identities*).  A weak comparison whose lhs is
 below its rhs at a point, or a strict one whose lhs is at most its rhs
-there, is decided without building normal forms; anything else, and any
-comparison the points cannot evaluate or whose values grow too large, goes
-to `compare_terms`.  So the filter changes no verdict.
+there, is decided without building normal forms.  Each option is tried in
+two passes over its rows: the first evaluates every row at the points and
+fails the option at the first row they refute, or, where strictness is
+due and no pair here can be strict at the points, on the candidates'
+positions; only an option that passes goes to `compare_terms`, row by
+row, for every comparison the points left open (also those they cannot
+evaluate or whose values grow too large).  Only exact facts fail an
+option, so the points change no verdict, only which rows are compared.
 """
 
 from __future__ import annotations
@@ -254,7 +259,7 @@ def search_poly(cs: ConstraintSet, store: Optional[dict] = None,
         f.display: candidate_templates(f, f.display in s_names, store)
         for f in symbols
     }
-    if any(not opts for opts in options.values()):
+    if not all(options.values()):
         return None
 
     constraints: list[tuple[Term, Term]] = [(c.lhs, c.rhs) for c in cs.weak]
@@ -279,42 +284,47 @@ def search_poly(cs: ConstraintSet, store: Optional[dict] = None,
     last_cand_pos = -1
     for ci, syms in enumerate(con_syms):
         ps = sorted(pos_of[s] for s in syms)
+        if not ps:
+            upfront.append(ci)
+            continue
         mask = sum(1 << p for p in ps)
-        if ci >= first_cand and ps:
+        if ci >= first_cand:
             cand_mask |= mask
             last_cand_pos = max(last_cand_pos, ps[-1])
-        if ps:
-            ready[ps[-1]].append((ci, tuple(ps[:-1]), mask & ~(1 << ps[-1])))
-        else:
-            upfront.append(ci)
+        ready[ps[-1]].append((ci, tuple(ps[:-1]), mask & ~(1 << ps[-1])))
 
     assign: dict[str, PolyFun] = {}
     chosen = [0] * n  # the option index at each assigned position
-    strict = [False] * len(cs.strict_candidates)
+    strict = [False] * len(constraints)  # per constraint: holds strictly
     # (constraint, option indices at its other positions) -> one entry per
-    # option at its last position: 0 weak fails, 1 weak holds, 2 strict holds
+    # option at its last position: 0 weak fails, 1 weak holds, 2 strict
+    # holds, or, until the normal forms are compared, left open by the
+    # points: -1 may hold but never strictly (a weak constraint, or slack
+    # 0), -2 may hold strictly
     tables: dict[tuple, list] = {}
     learned = [_Nogoods() for _ in range(n)]
     memo = SubtermMemo(t for pair in constraints for t in pair)
     # the interpreters read `assign` as the search changes it
     interps = [Interpreter(assign, memo, valuation_for(pair)) for pair in constraints]
-    at_points = PointInterpreter(
+    points = PointInterpreter(
         assign, memo, point_valuation(t for pair in constraints for t in pair))
 
-    def verdict(ci: int) -> int:
-        if time.monotonic() > deadline:
-            raise _Stop
+    def verdict(ci: int, v: Optional[int]) -> int:
+        """The constraint's table entry: while v is None, from the points
+        alone, 0 if they refute it and open otherwise; for an open v, the
+        exact entry from the normal forms."""
         lhs, rhs = constraints[ci]
-        # refute at the two points before building normal forms
-        slack = point_slack(lhs, rhs, at_points)
-        if slack is not None and slack < 0:
-            return 0
+        if v is None:
+            if time.monotonic() > deadline:
+                raise _Stop
+            slack = point_slack(lhs, rhs, points)
+            if slack is not None and slack < 0:
+                return 0
+            return -1 if ci < first_cand or slack == 0 else -2
         interp = interps[ci]
         if not compare_terms(lhs, rhs, interp, strict=False):
             return 0
-        if ci < first_cand or slack == 0:
-            return 1
-        return 2 if compare_terms(lhs, rhs, interp, strict=True) else 1
+        return 2 if v == -2 and compare_terms(lhs, rhs, interp, strict=True) else 1
 
     result: Optional[PolyInterp] = None
     nodes = 0
@@ -327,7 +337,8 @@ def search_poly(cs: ConstraintSet, store: Optional[dict] = None,
         if nodes > MAX_NODES or time.monotonic() > deadline:
             raise _Stop
         if pos == n:  # some candidate holds strictly: checked at last_cand_pos
-            pairs = tuple(c.pair_index for c, s in zip(cs.strict_candidates, strict) if s)
+            pairs = tuple(c.pair_index for c, s in
+                          zip(cs.strict_candidates, strict[first_cand:]) if s)
             result = PolyInterp(dict(assign), pairs)
             return None
         name = order[pos]
@@ -337,7 +348,8 @@ def search_poly(cs: ConstraintSet, store: Optional[dict] = None,
             row = tables.get(key)
             if row is None:
                 row = tables[key] = [None] * len(opts[pos])
-            rows.append((ci, mask, row, ci - first_cand))
+            rows.append((ci, mask, row))
+            strict[ci] = False  # set again by each option
         nogoods = []
         ruled_out = 0  # the options here that some nogood rules out
         for mask, (others, table) in learned[pos].items():
@@ -345,54 +357,66 @@ def search_poly(cs: ConstraintSet, store: Optional[dict] = None,
             if ruled:
                 nogoods.append((mask, ruled))
                 ruled_out |= ruled
-        needs_strict = pos >= last_cand_pos
+        # strictness is due here unless an upfront or earlier pair is strict
+        due = pos >= last_cand_pos and not any(strict)
         conflict = 0
+        v = 1  # what the checks leave where there is no row
         for i, fun in enumerate(opts[pos]):
             assign[name] = fun
             chosen[pos] = i
-            for ci, mask, row, k in rows:
+            strictable = not due
+            for ci, mask, row in rows:  # the points first, for every row
                 v = row[i]
                 if v is None:
-                    v = row[i] = verdict(ci)
+                    v = row[i] = verdict(ci, None)
                 if not v:
-                    conflict |= mask
                     break
-                if k >= 0:
-                    strict[k] = v == 2
-            else:
-                if needs_strict and not any(strict):
-                    conflict |= cand_mask  # no pair can still become strict
-                    continue
-                if ruled_out >> i & 1:
-                    for mask, ruled in nogoods:
-                        if ruled >> i & 1:
-                            conflict |= mask
-                            break
-                    continue
-                below = dfs(pos + 1)
-                if below is None:
-                    return None
-                if not below >> pos & 1:
-                    return below  # no option here changes that failure
-                conflict |= below
-                # learn it: this option with those at its other positions fails
-                mask = below & ~(1 << pos)
-                entry = learned[pos].get(mask)
-                if entry is None:
-                    entry = learned[pos][mask] = (
-                        tuple(q for q in range(pos) if mask >> q & 1), {})
-                others, table = entry
-                key = tuple([chosen[q] for q in others])
-                table[key] = table.get(key, 0) | 1 << i
+                strictable |= abs(v) == 2
+            # a refuted row fails the option on its positions; no pair that
+            # can still become strict, on the candidates'
+            if not v or not strictable:
+                conflict |= cand_mask if v else mask
+                continue
+            for ci, mask, row in rows:  # then the normal forms
+                v = row[i]
+                if v < 0:
+                    v = row[i] = verdict(ci, v)
+                if not v:
+                    break
+                strict[ci] = v == 2
+            if not v or due and not any(strict):
+                conflict |= cand_mask if v else mask
+                continue
+            if ruled_out >> i & 1:
+                for mask, ruled in nogoods:
+                    if ruled >> i & 1:
+                        conflict |= mask
+                        break
+                continue
+            below = dfs(pos + 1)
+            if below is None:
+                return None
+            if not below >> pos & 1:
+                return below  # no option here changes that failure
+            conflict |= below
+            # learn it: this option with those at its other positions fails
+            mask = below & ~(1 << pos)
+            entry = learned[pos].get(mask)
+            if entry is None:
+                entry = learned[pos][mask] = (
+                    tuple(q for q in range(pos) if mask >> q & 1), {})
+            others, table = entry
+            key = tuple([chosen[q] for q in others])
+            table[key] = table.get(key, 0) | 1 << i
         return conflict & ~(1 << pos)
 
     try:
         for ci in upfront:
-            v = verdict(ci)
+            v = verdict(ci, None)
+            v = v and verdict(ci, v)
             if not v:
                 return None
-            if ci >= first_cand:
-                strict[ci - first_cand] = v == 2
+            strict[ci] = v == 2
         if last_cand_pos == -1 and not any(strict):
             return None
         return result if dfs(0) is None else None

@@ -29,7 +29,7 @@ A class gets each method as a copy of its template's code with the
 class's own field names (and `__repr__`'s labels) in place of the
 placeholders, run with the class's slot setters as globals and with its
 defaults.  So each class runs the bytecode a method compiled for it alone
-would, while the package's 39 classes compile 35 short templates, a fifth
+would, while the package's 39 classes compile 34 short templates, a fifth
 of the source that one `exec` per class compiled.  `_TEMPLATES` is a
 module-level table but no result cache: it holds code objects, never a
 value of the prover, and `import afsterm` fills it completely, so proving

@@ -259,14 +259,6 @@ class IllTyped(Exception):
         super().__init__(f"ill-typed term at position {list(position)}: {reason}")
 
 
-class BudgetExceeded(Exception):
-    """Raised by bounded_reductions when completeness was requested."""
-
-    def __init__(self, partial: "Exploration"):
-        self.partial = partial
-        super().__init__("reduction budget exceeded")
-
-
 # construction helpers ------------------------------------------------------
 
 
@@ -590,32 +582,23 @@ def rewrite_step(t: Term, rules: Sequence) -> list[Term]:
 class Exploration:
     """Result of a bounded breadth-first reduction exploration."""
 
-    start: Term
     traces: dict[Term, tuple[Term, ...]]  # term -> one witness trace (start..term)
     loop: Optional[tuple[Term, ...]]      # a trace revisiting an alpha-equal term
-    complete: bool                        # no unexpanded frontier remained
-
-    @property
-    def reached(self) -> set[Term]:
-        return set(self.traces.keys())
 
 
 def bounded_reductions(t: Term, rules: Sequence, max_steps: int,
-                       require_complete: bool = False,
                        max_nodes: Optional[int] = None) -> Exploration:
     """Breadth-first set of terms reachable in at most max_steps steps.
 
     Keeps one witness trace per term and reports whether some trace revisits
-    an alpha-equal term (a loop).  With require_complete=True, raises
-    BudgetExceeded (carrying the partial result) if the frontier was not
-    exhausted.  max_nodes caps the explored set for wide systems.
+    an alpha-equal term (a loop).  max_nodes caps the explored set for wide
+    systems.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     traces: dict[Term, tuple[Term, ...]] = {t: (t,)}
     loop: Optional[tuple[Term, ...]] = None
     frontier = [t]
-    truncated = False
     for _ in range(max_steps):
         if not frontier:
             break
@@ -627,17 +610,11 @@ def bounded_reductions(t: Term, rules: Sequence, max_steps: int,
                     loop = trace + (r,)
                 if r not in traces:
                     if max_nodes is not None and len(traces) >= max_nodes:
-                        truncated = True
                         continue
                     traces[r] = trace + (r,)
                     next_frontier.append(r)
         frontier = next_frontier
-    complete = not truncated and (
-        not frontier or all(not rewrite_step(s, rules) for s in frontier))
-    result = Exploration(t, traces, loop, complete)
-    if require_complete and not complete:
-        raise BudgetExceeded(result)
-    return result
+    return Exploration(traces, loop)
 
 
 # marking -------------------------------------------------------------------

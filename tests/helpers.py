@@ -275,6 +275,40 @@ def normal_forms(ex: Exploration, rules: Sequence) -> set[Term]:
     return {t for t in ex.traces if not rewrite_step(t, rules)}
 
 
+def reached(ex: Exploration) -> set[Term]:
+    """The terms `ex` reached, its start included."""
+    return set(ex.traces)
+
+
+def exploration_complete(ex: Exploration, rules: Sequence, max_steps: int) -> bool:
+    """No unexpanded frontier remained: every reduct of a term reached in
+    fewer than `max_steps` steps was kept (the node cap dropped none), and
+    the terms reached in exactly `max_steps` steps are normal forms."""
+    return all(not reducts or len(trace) <= max_steps and all(r in ex.traces for r in reducts)
+               for trace in ex.traces.values()
+               for reducts in [rewrite_step(trace[-1], rules)])
+
+
+class BudgetExceeded(Exception):
+    """Raised by `bounded_reductions` when completeness was required."""
+
+    def __init__(self, partial: Exploration):
+        self.partial = partial
+        super().__init__("reduction budget exceeded")
+
+
+def bounded_reductions(t: Term, rules: Sequence, max_steps: int,
+                       require_complete: bool = False,
+                       max_nodes: Optional[int] = None) -> Exploration:
+    """`terms.bounded_reductions`; with require_complete=True, raises
+    BudgetExceeded (carrying the partial result) if the frontier was not
+    exhausted."""
+    ex = terms.bounded_reductions(t, rules, max_steps, max_nodes=max_nodes)
+    if require_complete and not exploration_complete(ex, rules, max_steps):
+        raise BudgetExceeded(ex)
+    return ex
+
+
 def random_term(rng: random.Random, afs, ty: SimpleType, size: int,
                 env: tuple[Variable, ...] = (), allow_free: bool = True) -> Term:
     """A random well-typed term of the given type over the signature."""

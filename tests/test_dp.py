@@ -17,7 +17,7 @@ from afsterm.terms import (
 
 from helpers import (
     apply_subst, build_rtag, corpus_names, load, mutants, random_term,
-    reference_dependency_pairs, symbol, untag, wide_system,
+    reached, reference_dependency_pairs, symbol, untag, wide_system,
 )
 
 nat = Base("nat")
@@ -235,7 +235,7 @@ class TestTagging:
             over = tag(s, {extra})
             target = tag(s)
             ex = bounded_reductions(over, untag_rules, 6)
-            assert any(u == target for u in ex.reached)
+            assert any(u == target for u in reached(ex))
 
     def test_pairs_well_typed_and_flags(self, twice):
         from afsterm.terms import type_of, head, Var as VarNode

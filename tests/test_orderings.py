@@ -495,7 +495,7 @@ class TestSubtermMemo:
                     assert len(tags) == 1 and tags[0]() is None
         finally:
             gc.enable()
-        assert counts == [5796, 399] * 2
+        assert counts == [316, 120] * 2
         searches = []
         monkeypatch.setattr(engine, "search_poly",
                             lambda *args, **kwargs: searches.append(1))
@@ -730,7 +730,9 @@ class TestBackjumping:
         # for a = x + 1 whatever b is, so that subtree's conflict set is
         # {a, c}; c = x + 1 fails `b(x) >= c(x)` for b = x, so the search
         # moves on to b = x + 1, where the nogood skips the c = 0 subtree
-        # (and its checks of `b(d(x)) >= d(x)`) without entering it
+        # (and its point checks of `b(d(x)) >= d(x)`) without entering it.
+        # The points refute every failing option here, so the comparisons
+        # the nogood saves are point checks, not normal forms.
         cs = unary_constraints(
             monkeypatch, {"a": (3,), "b": (2, 3), "c": (0, 3), "d": (2, 0, 3)},
             ["b(d(x)) >= d(x)", "c(d(x)) >= a(x)", "b(x) >= c(x)"], ["a(x) > x"])
@@ -738,13 +740,13 @@ class TestBackjumping:
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return compare_terms(*args, **kwargs)
+            return point_slack(*args, **kwargs)
 
         class Forgetful(poly_search._Nogoods):
             def __setitem__(self, key, value):
                 pass  # learns nothing
 
-        monkeypatch.setattr(poly_search, "compare_terms", counted)
+        monkeypatch.setattr(poly_search, "point_slack", counted)
         got = search_poly(cs)
         assert got is not None and got == chronological_search_poly(cs)
         assert got.strict == (0,)
@@ -754,7 +756,7 @@ class TestBackjumping:
         calls.clear()
         monkeypatch.setattr(poly_search, "_Nogoods", Forgetful)
         assert search_poly(cs) == got
-        assert (learning, len(calls)) == (10, 12)
+        assert (learning, len(calls)) == (13, 15)
 
     def test_a_learned_strictness_conflict_keeps_the_candidate_positions(self, monkeypatch):
         # symbol order a, b, c.  Under a = x the pair `a(c(x)) > c(x)` is
@@ -795,7 +797,7 @@ class TestBackjumping:
         assert "compare" in events and events.index("late") == len(events) - 1
 
     def test_node_cap_ends_the_search(self, monkeypatch):
-        # fromchain's one poly search finds its certificate at its 104th DFS
+        # fromchain's one poly search finds its certificate at its 113th DFS
         # node: with exactly that many allowed it returns the golden
         # certificate, with one fewer nothing.  The real cap leaves ten times
         # the largest corpus search, fga's exhausted 12,155 nodes.
@@ -805,10 +807,53 @@ class TestBackjumping:
         given = parse_proof((GOLDEN / "fromchain.proof").read_text(), problem)
         golden = verify_proof(problem, given)
         step = next(s for s in golden.steps if isinstance(s, ReductionPairStep))
-        monkeypatch.setattr(poly_search, "MAX_NODES", 104)
+        monkeypatch.setattr(poly_search, "MAX_NODES", 113)
         assert search_poly(step.cs) == step.cert
-        monkeypatch.setattr(poly_search, "MAX_NODES", 103)
+        monkeypatch.setattr(poly_search, "MAX_NODES", 112)
         assert search_poly(step.cs) is None
+
+
+class TestPointsFirst:
+    """Each option is checked at the points across all its rows, and for
+    strictness, before any of its normal forms are built."""
+
+    @staticmethod
+    def compared(monkeypatch):
+        calls = []
+
+        def counted(lhs, rhs, interp, strict):
+            calls.append((term_text(lhs), strict))
+            return compare_terms(lhs, rhs, interp, strict=strict)
+
+        monkeypatch.setattr(poly_search, "compare_terms", counted)
+        return calls
+
+    def test_a_row_the_points_refute_spares_the_rows_before_it(self, monkeypatch):
+        # one symbol, a = x + 1: both weak rows may hold at the points, and
+        # the last row, the candidate `x > a(x)`, is below its rhs there
+        cs = unary_constraints(monkeypatch, {"a": (3,)},
+                               ["a(x) >= x", "a(a(x)) >= a(x)"], ["x > a(x)"])
+        calls = self.compared(monkeypatch)
+        assert search_poly(cs) is None
+        assert calls == []
+
+    @pytest.mark.parametrize("a, compared", [
+        # a = x + 1 orients pair 0 strictly, so strictness is not due at b,
+        # and b's own pair is compared (weakly: its slack is 0)
+        (3, [("a(x)", False), ("a(x)", True), ("b(x)", False)]),
+        # a = x leaves no pair strict before b, where it is due: b = x has
+        # slack 0, so it fails without a normal form
+        (2, [("a(x)", False)]),
+    ])
+    def test_a_pair_of_slack_0_fails_at_once_where_strictness_is_due(
+            self, monkeypatch, a, compared):
+        cs = unary_constraints(monkeypatch, {"a": (a,), "b": (2,)}, [],
+                               ["a(x) > x", "b(x) > x"])
+        calls = self.compared(monkeypatch)
+        got = search_poly(cs)
+        assert got == chronological_search_poly(cs)
+        assert (got is None) == (a == 2)
+        assert calls == compared
 
 
 class TestRpo:

@@ -12,13 +12,14 @@ from afsterm.parser import SymbolTable, parse_term_text
 from afsterm.terms import (
     Base, Arrow, TypeDecl, FunctionSymbol, Variable, Var, App, FunApp, lam,
     type_of, IllTyped, match,
-    rewrite_step, bounded_reductions, mark, marked, head, free_vars, subterms,
+    rewrite_step, mark, marked, head, free_vars, subterms,
     term_text, _type_of,
 )
 
 from helpers import (
-    TypeMismatch, apply_subst, arrow, base_result, corpus_names, dangling_bvars, is_beta_normal,
-    load, random_term, random_closed_term, normal_forms, symbol, typecheck, wide_system,
+    BudgetExceeded, TypeMismatch, apply_subst, arrow, base_result, bounded_reductions,
+    corpus_names, dangling_bvars, exploration_complete, is_beta_normal, load, random_term,
+    random_closed_term, normal_forms, reached, symbol, typecheck, wide_system,
 )
 
 nat = Base("nat")
@@ -246,9 +247,10 @@ class TestRewriting:
 
 class TestBoundedReductions:
     def test_normal_form(self, twice, table):
-        ex = bounded_reductions(t("o", table), complete(twice).rules, 5)
-        assert ex.reached == {t("o", table)}
-        assert ex.complete and ex.loop is None
+        rules = complete(twice).rules
+        ex = bounded_reductions(t("o", table), rules, 5)
+        assert reached(ex) == {t("o", table)}
+        assert exploration_complete(ex, rules, 5) and ex.loop is None
 
     def test_fga_loop(self):
         fga = load("fga")
@@ -264,6 +266,16 @@ class TestBoundedReductions:
                                 require_complete=True)
         assert ex.loop is None
         assert normal_forms(ex, completed.rules) == {t("s(o)", table)}
+
+    def test_an_exploration_cut_short_is_incomplete(self, twice, table):
+        # one step, or two terms, leave I(s(o))'s reducts unexplored
+        rules = complete(twice).rules
+        start = t("I(s(o))", table)
+        for steps, cap in ((1, None), (20, 2)):
+            with pytest.raises(BudgetExceeded) as cut:
+                bounded_reductions(start, rules, steps, require_complete=True, max_nodes=cap)
+            assert start in reached(cut.value.partial)
+            assert normal_forms(cut.value.partial, rules) != {t("s(o)", table)}
 
 
 class NoIteration:
