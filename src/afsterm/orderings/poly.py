@@ -11,12 +11,15 @@ naturals, the values at two fixed valuations by naturals and weakly monotone
 functions: a small one and a generic one whose functional variables grow
 cubically.  The comparator is sound for every such valuation, so a
 comparison that fails at either point is one it rejects.  `Interpreter` and
-`PointInterpreter` interpret terms in the two domains.
+`PointInterpreter` interpret terms in the two domains; along a table row of
+the search, `PointInterpreter.row` runs template bodies that `point_code`
+compiled for the points.
 """
 
 from __future__ import annotations
 
 from ..record import record
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..terms import (
@@ -124,16 +127,12 @@ class PolyInterp:
 
 
 def expr_weight(e: Expr) -> int:
+    """A constant's value; a sum's or maximum's the sum of its parts'; a
+    slot's, a product's or a slot application's 1 more than its parts'."""
     if isinstance(e, Const):
         return e.value
-    if isinstance(e, SlotRef):
-        return 1
-    if isinstance(e, AppSlot):
-        return 1 + sum(expr_weight(a) for a in e.args)
-    if isinstance(e, (Add, MaxE)):
-        return sum(expr_weight(p) for p in e.parts)
-    assert isinstance(e, Mul)
-    return 1 + sum(expr_weight(p) for p in e.parts)
+    parts = e.args if isinstance(e, AppSlot) else getattr(e, "parts", ())
+    return sum(map(expr_weight, parts), 0 if isinstance(e, (Add, MaxE)) else 1)
 
 
 def expr_text(e: Expr) -> str:
@@ -142,20 +141,14 @@ def expr_text(e: Expr) -> str:
     if isinstance(e, SlotRef):
         return f"x{e.index + 1}"
     if isinstance(e, AppSlot):
-        args = ", ".join(expr_text(a) for a in e.args)
-        return f"x{e.index + 1}({args})"
+        return f"x{e.index + 1}({', '.join(map(expr_text, e.args))})"
     if isinstance(e, Add):
-        return " + ".join(expr_text(p) for p in e.parts)
+        return " + ".join(map(expr_text, e.parts))
     if isinstance(e, Mul):
-        parts = []
-        for p in e.parts:
-            s = expr_text(p)
-            if isinstance(p, (Add, MaxE)):
-                s = f"({s})"
-            parts.append(s)
-        return "*".join(parts)
+        return "*".join(f"({expr_text(p)})" if isinstance(p, (Add, MaxE)) else expr_text(p)
+                        for p in e.parts)
     assert isinstance(e, MaxE)
-    return "max(" + ", ".join(expr_text(p) for p in e.parts) + ")"
+    return f"max({', '.join(map(expr_text, e.parts))})"
 
 
 # --------------------------------------------------------------------------
@@ -359,12 +352,15 @@ class Domain:
         return out
 
 
-def opaque(ty: SimpleType, finish: Callable):
-    """An opaque value of type `ty`: applied to base values down to base, it
-    is `finish` of the tuple of those values (of `()` when `ty` is base)."""
+NORMAL_FORMS = Domain(NF_ZERO, nf_const, nf_add, nf_mul, nf_max)
+
+
+def _slot(sid, ty: SimpleType):
+    """A slot or, if functional, an opaque value: applied to base values
+    down to base, an atom of their normal forms."""
     def chain(args: tuple, t: SimpleType):
         if t.is_base():
-            return finish(args)
+            return nf_atom(sid, args) if args else nf_slot(sid)
 
         def fn(arg):
             if isinstance(arg, SFun):
@@ -373,14 +369,6 @@ def opaque(ty: SimpleType, finish: Callable):
         return SFun(t, fn)
 
     return chain((), ty)
-
-
-NORMAL_FORMS = Domain(NF_ZERO, nf_const, nf_add, nf_mul, nf_max)
-
-
-def _slot(sid, ty: SimpleType):
-    """A slot or, if functional, an atom of its arguments' normal forms."""
-    return opaque(ty, lambda args: nf_atom(sid, args) if args else nf_slot(sid))
 
 
 # --------------------------------------------------------------------------
@@ -417,14 +405,56 @@ POINTS = Domain(
 def point_slot(c: int, ty: SimpleType):
     """An opaque slot at the two points: a base one is (0, c); a functional
     one maps arguments summing to s to s at point A and to c + s^3 + s at
-    point B."""
-    def finish(args: tuple) -> Pair:
-        if not args:
-            return (0, c)
-        s = sum([b for _a, b in args])
-        return (sum([a for a, _b in args]), _bounded(c + s * s * s + s))
+    point B.  An application is one call, the last one to the value."""
+    def after(a, b, t):
+        last = t.right.is_base()
 
-    return opaque(ty, finish)
+        def fn(arg):
+            if isinstance(arg, SFun):
+                raise Unsupported("functional argument to an opaque slot")
+            sa, sb = a + arg[0], b + arg[1]
+            return (sa, _bounded(c + sb * sb * sb + sb)) if last else after(sa, sb, t.right)
+        return SFun(t, fn)
+
+    return (0, c) if ty.is_base() else after(0, 0, ty)
+
+
+def point_code(e: Expr, codes: dict) -> Callable:
+    """`POINTS.body` of `e`, compiled: a function of the tuple of its slots'
+    values at the two points.  A sum or maximum adds up or compares each
+    point's values; a product is bounded after each factor in turn, as
+    `POINTS.mul` is.  `codes` keeps compiled parts by value: the templates
+    of a list share most of theirs."""
+    code = codes.get(e)
+    if code is not None:
+        return code
+    if isinstance(e, Const):
+        code = lambda env, c=(e.value, e.value): c  # noqa: E731
+    elif isinstance(e, SlotRef):
+        code = itemgetter(e.index)
+    else:
+        parts = [point_code(p, codes) for p in (e.args if isinstance(e, AppSlot) else e.parts)]
+        if isinstance(e, AppSlot):
+            def code(env, i=e.index):
+                v = env[i]
+                for p in parts:
+                    v = v.fn(p(env))
+                return v
+        elif isinstance(e, Mul):
+            def code(env):
+                a = b = 1
+                for p in parts:
+                    x, y = p(env)
+                    a, b = _bounded(a * x), _bounded(b * y)
+                return a, b
+        else:  # values are naturals: a maximum from 0 is the largest part
+            fold = sum if isinstance(e, Add) else max
+
+            def code(env):
+                xs, ys = zip(*[p(env) for p in parts])
+                return fold(xs), fold(ys)
+    codes[e] = code
+    return code
 
 
 # --------------------------------------------------------------------------
@@ -548,7 +578,8 @@ class PointInterpreter(Interpreter):
     """`Interpreter` in `POINTS`: the values of terms at the two points,
     memoized in the `SubtermMemo`'s point table.  `val` is then
     `point_valuation` of every constraint of the search, so that a
-    variable's value depends only on its name and type there too."""
+    variable's value depends only on its name and type there too.  `row`
+    runs templates compiled by `point_code`, kept in the memo's `codes`."""
 
     domain = POINTS
 
@@ -563,6 +594,54 @@ class PointInterpreter(Interpreter):
     def eta(self, i: int, ty: SimpleType):
         return point_slot(0, ty)
 
+    def code(self, fun):
+        if fun is None:
+            raise Unsupported("no interpretation")
+        return point_code(fun.body, self.memo.codes)
+
+    def row(self, lhs, rhs, name):
+        """`point_slack(lhs, rhs, self)` as a function of the template that
+        `assign` holds for `name` when it is called, every other symbol
+        keeping the one it has now: one table row of a search.  The parts of
+        the sides without `name` are evaluated now, through the memo, and a
+        call runs only the compiled templates above `name`.  Where a side
+        has `name` under an application, a functional part other than a
+        variable (an abstraction, which a template could apply anew on every
+        call), or a part that fails, a call is `point_slack`."""
+        try:
+            staged = self._stage(lhs, name), self._stage(rhs, name)
+        except Unsupported:
+            return lambda: point_slack(lhs, rhs, self)
+        runs = [run or (lambda code, v=v: v) for v, run in staged]
+
+        def slack():
+            try:
+                code = self.code(self.assign[name])
+                (la, lb), (ra, rb) = [run(code) for run in runs]
+            except Unsupported:
+                return None
+            return min(la - ra, lb - rb)
+        return slack
+
+    def _stage(self, t, name):
+        """`t`'s value and None if it has no `name`, else None and its value
+        as a function of the code of `name`'s template."""
+        entry = self.memo.index.get(id(t))
+        if isinstance(t, Var) or entry and name not in entry[2]:
+            return self.interp(t, self.val), None
+        if entry is None or not isinstance(t, FunApp):
+            raise Unsupported("not staged")
+        kids = [self._stage(a, name) for a in t.args]
+        vals = [v for v, _ in kids]  # the fixed arguments; the others are set per call
+        runs = [(j, run) for j, (_, run) in enumerate(kids) if run]
+        head = t.fn.display != name and self.code(self.assign.get(t.fn.display))
+
+        def run(code):
+            for j, r in runs:
+                vals[j] = r(code)
+            return (head or code)(tuple(vals))
+        return None, run
+
 
 class SubtermMemo:
     """The values of base-typed subterms of one search's constraints, keyed
@@ -574,7 +653,8 @@ class SubtermMemo:
     The index holds the constraint terms themselves, which keeps their ids
     valid while the memo lives; terms that interpretation builds are never
     looked up.  A failed interpretation raises before anything is stored.
-    `table` holds normal forms, `points` the pairs of `PointInterpreter`.
+    `table` holds normal forms, `points` the pairs of `PointInterpreter`,
+    and `codes` the templates its rows compiled.
     """
 
     def __init__(self, terms: Iterable[Term]):
@@ -582,6 +662,7 @@ class SubtermMemo:
         self.index: dict[int, tuple[Term, int, tuple[str, ...]]] = {}
         self.table: dict[tuple, NF] = {}
         self.points: dict[tuple, Pair] = {}
+        self.codes = {}
         keys: dict[Term, int] = {}
         todo = list(terms)
         while todo:

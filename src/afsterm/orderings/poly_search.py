@@ -38,12 +38,25 @@ positions; only an option that passes goes to `compare_terms`, row by
 row, for every comparison the points left open (also those they cannot
 evaluate or whose values grow too large).  Only exact facts fail an
 option, so the points change no verdict, only which rows are compared.
+
+A row's comparisons differ only in the template at its position, so a row
+of a long candidate list is staged when it is made (`PointInterpreter.row`):
+the parts of its sides without that symbol are evaluated once, through the
+memo, and each option runs only the compiled templates above the symbol
+(`point_code`: a body as one function of its slots' values, compiled once
+per search).  A functional variable's value at the points takes each
+argument in one call.  Other rows, and staged rows whose sides hold an
+abstraction or a functional part other than a variable, go through the
+memo as a whole.  Both give the slack a plain interpretation gives, the
+table entry `point_entry` makes of it.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
+from functools import partial
+from itertools import combinations
 from typing import Optional
 
 from ..terms import Term, FunctionSymbol, SimpleType, symbols_of
@@ -58,6 +71,13 @@ from .poly import nf_geq  # noqa: F401  (perfbench's layer tracer wraps it here)
 # the largest constant of a candidate template; its weight exceeds its slot
 # count by at most COEF_BOUND + 4
 COEF_BOUND = 3
+# a table row is staged (`PointInterpreter.row`) where its position has
+# more options than this: staging costs about one evaluation of the sides,
+# and the memo shares across rows the values a staged row recomputes.  A
+# single base slot has 13 candidates; staging those rows too made dupapp's
+# proof 17 % slower (paired runs, 2-core VM), and staging no row makes
+# fromchain's run 41 % more bytecode.
+STAGED_OPTIONS = 16
 # a search gives up after this many DFS nodes, as it does at the deadline: a
 # bound on work, not time.  The largest corpus search, fga's exhausted one,
 # visits 12,155.
@@ -113,93 +133,61 @@ def candidate_templates(f: FunctionSymbol, in_s: bool,
 def _general_templates(slots: tuple[SimpleType, ...]) -> list[PolyFun]:
     n = len(slots)
     base_ids = [i for i, t in enumerate(slots) if t.is_base()]
-    fun_ids = [i for i, t in enumerate(slots) if t.is_arrow()]
+    fun_ids = [i for i in range(n) if i not in base_ids]
     flats = [_flat(i, slots[i]) for i in range(n)]
     all_flats = _sum(list(flats))
 
-    bodies: dict[Expr, None] = {}  # insertion-ordered set
+    bodies: dict[Expr, None] = {}  # a set; the sort below fixes the order
 
-    def add(e: Expr) -> None:
-        bodies.setdefault(e, None)
+    def add(parts, *constants):
+        """The sum of `parts` plus each of `constants` (0 and 1 by default)."""
+        for k in constants or (0, 1):
+            bodies.setdefault(_sum(parts + [Const(k)] if k else parts), None)
 
-    # constants and linear forms
-    for k in range(COEF_BOUND + 1):
-        add(Const(k))
-    for i in range(n):
-        add(flats[i])
-        add(_sum([flats[i], Const(1)]))
-    add(all_flats)
-    add(_sum([all_flats, Const(1)]))
-    add(_sum([all_flats, Const(2)]))
-    for i in range(n):
-        add(_sum([flats[i], all_flats]))  # doubles slot i
-        add(_sum([flats[i], all_flats, Const(1)]))
-    add(_sum([all_flats, all_flats]))
-    add(_sum([all_flats, all_flats, Const(1)]))
-    add(_sum([all_flats, all_flats, Const(2)]))
+    # constants and linear forms; the sums double slot i or all of them
+    add([], *range(COEF_BOUND + 1))
+    add([all_flats], 0, 1, 2)
+    add([all_flats, all_flats], 0, 1, 2)
+    for f in flats:
+        add([f])
+        add([f, all_flats])
 
     # max forms (the carrier's join), useful for selection rules
     if n >= 2:
-        add(MaxE(tuple(flats)))
-        add(_sum([MaxE(tuple(flats)), Const(1)]))
-        for i in range(n):
-            for j in range(i + 1, n):
-                pair = MaxE((flats[i], flats[j]))
-                add(pair)
-                add(_sum([pair, Const(1)]))
-                rest = [flats[k] for k in range(n) if k not in (i, j)]
-                if rest:
-                    add(_sum([pair] + rest))
-                    add(_sum([pair] + rest + [Const(1)]))
+        add([MaxE(tuple(flats))])
+        for i, j in combinations(range(n), 2):
+            pair = MaxE((flats[i], flats[j]))
+            add([pair])
+            add([pair] + [flats[k] for k in range(n) if k not in (i, j)])
 
     # payloads applied to functional slots
-    base_flats = [_flat(i, slots[i]) for i in base_ids]
-    payloads: list[Expr] = []
-    for i in base_ids:
-        payloads.append(flats[i])
+    payloads = [flats[i] for i in base_ids] or [Const(0), Const(1)]
     if len(base_ids) > 1:
-        payloads.append(_sum(list(base_flats)))
-        payloads.append(_sum(list(base_flats) + [Const(1)]))
-    if not base_ids:
-        payloads.append(Const(0))
-        payloads.append(Const(1))
-
-    rest_by_excluded: dict[int, Expr] = {}
-    for g in fun_ids:
-        rest_by_excluded[g] = _sum([flats[i] for i in range(n) if i != g])
+        payloads += [_sum(payloads + [Const(k)]) for k in (0, 1)]
 
     for g in fun_ids:
+        others = _sum([flats[i] for i in range(n) if i != g])
         g_arity = len(slots[g].argument_types())
         for p in payloads:
-            args = tuple([p] + [Const(0)] * (g_arity - 1))
-            atom = AppSlot(g, args)
-            others = rest_by_excluded[g]
-            add(_sum([atom, others]))
-            add(_sum([atom, others, Const(1)]))
-            add(atom)
-            add(_sum([atom, Const(1)]))
-            add(_sum([atom, atom, others, Const(1)]))
-            # nested applications: g(g(p)), g(g(p) + p)
+            atom = AppSlot(g, tuple([p] + [Const(0)] * (g_arity - 1)))
+            add([atom, others])
+            add([atom])
+            add([atom, atom, others], 1)
+            # nested applications: g(g(p)), g(g(p) + p), and products p * g(p)
             if g_arity == 1:
                 nested = AppSlot(g, (atom,))
-                add(_sum([nested, others]))
-                add(nested)
-                add(_sum([nested, others, Const(1)]))
-                nested_plus = AppSlot(g, (_sum([atom, p]),))
-                add(_sum([nested_plus, others]))
-                add(_sum([nested_plus, others, Const(1)]))
-                # products p * g(p)
                 prod = Mul((p, atom))
-                add(_sum([prod, others]))
-                add(_sum([prod, others, Const(1)]))
-                add(_sum([prod, atom, others, Const(1)]))
+                add([nested, others])
+                add([nested], 0)
+                add([AppSlot(g, (_sum([atom, p]),)), others])
+                add([prod, others])
+                add([prod, atom, others], 1)
 
     # squares of base slots
     for i in base_ids:
         sq = Mul((flats[i], flats[i]))
-        add(_sum([sq, all_flats]))
-        add(_sum([sq, all_flats, Const(1)]))
-        add(_sum([sq, flats[i], flats[i], all_flats, Const(1)]))
+        add([sq, all_flats])
+        add([sq, flats[i], flats[i], all_flats], 1)
 
     kept = [(w, body) for body in bodies if (w := expr_weight(body)) <= COEF_BOUND + n + 4]
     kept.sort(key=lambda entry: (entry[0], repr(entry[1])))
@@ -232,8 +220,23 @@ def symbol_order(names: set[str], con_syms: list[frozenset[str]]) -> list[str]:
     return order
 
 
+def point_entry(slack, weak):
+    """The table entry of a comparison with this slack at the points (None
+    where they cannot evaluate it): 0 if they refute it, else open, -1 where
+    it may hold but never strictly (a weak constraint, or slack 0) and -2
+    where it may hold strictly."""
+    return 0 if slack is not None and slack < 0 else -1 if weak or slack == 0 else -2
+
+
 class _Stop(Exception):
     """The deadline passed or `MAX_NODES` was reached: ends the search at once."""
+
+
+class _Row(list):
+    """A table row: an entry per option at its position, and `at_points`,
+    the function that gives the slack of the option assigned there."""
+
+    __slots__ = ("at_points",)
 
 
 class _Nogoods(dict):
@@ -301,7 +304,7 @@ def search_poly(cs: ConstraintSet, store: Optional[dict] = None,
     # holds, or, until the normal forms are compared, left open by the
     # points: -1 may hold but never strictly (a weak constraint, or slack
     # 0), -2 may hold strictly
-    tables: dict[tuple, list] = {}
+    tables: dict[tuple, _Row] = {}
     learned = [_Nogoods() for _ in range(n)]
     memo = SubtermMemo(t for pair in constraints for t in pair)
     # the interpreters read `assign` as the search changes it
@@ -309,18 +312,10 @@ def search_poly(cs: ConstraintSet, store: Optional[dict] = None,
     points = PointInterpreter(
         assign, memo, point_valuation(t for pair in constraints for t in pair))
 
-    def verdict(ci: int, v: Optional[int]) -> int:
-        """The constraint's table entry: while v is None, from the points
-        alone, 0 if they refute it and open otherwise; for an open v, the
-        exact entry from the normal forms."""
+    def verdict(ci: int, v: int) -> int:
+        """The exact table entry of a constraint the points left open at v,
+        from the normal forms."""
         lhs, rhs = constraints[ci]
-        if v is None:
-            if time.monotonic() > deadline:
-                raise _Stop
-            slack = point_slack(lhs, rhs, points)
-            if slack is not None and slack < 0:
-                return 0
-            return -1 if ci < first_cand or slack == 0 else -2
         interp = interps[ci]
         if not compare_terms(lhs, rhs, interp, strict=False):
             return 0
@@ -347,7 +342,9 @@ def search_poly(cs: ConstraintSet, store: Optional[dict] = None,
             key = (ci, tuple([chosen[q] for q in others]))
             row = tables.get(key)
             if row is None:
-                row = tables[key] = [None] * len(opts[pos])
+                row = tables[key] = _Row([None] * len(opts[pos]))
+                row.at_points = points.row(*constraints[ci], name) \
+                    if len(row) > STAGED_OPTIONS else partial(point_slack, *constraints[ci], points)
             rows.append((ci, mask, row))
             strict[ci] = False  # set again by each option
         nogoods = []
@@ -368,7 +365,9 @@ def search_poly(cs: ConstraintSet, store: Optional[dict] = None,
             for ci, mask, row in rows:  # the points first, for every row
                 v = row[i]
                 if v is None:
-                    v = row[i] = verdict(ci, None)
+                    if time.monotonic() > deadline:
+                        raise _Stop
+                    v = row[i] = point_entry(row.at_points(), ci < first_cand)
                 if not v:
                     break
                 strictable |= abs(v) == 2
@@ -412,7 +411,7 @@ def search_poly(cs: ConstraintSet, store: Optional[dict] = None,
 
     try:
         for ci in upfront:
-            v = verdict(ci, None)
+            v = point_entry(point_slack(*constraints[ci], points), ci < first_cand)
             v = v and verdict(ci, v)
             if not v:
                 return None

@@ -25,7 +25,7 @@ from afsterm.orderings.constraints import (
 from afsterm.orderings.poly import (
     Interpreter, SubtermMemo, compare_terms, PolyFun, Const, SlotRef, AppSlot,
     Add, Mul, slot_types_for, valuation_for, Unsupported,
-    PointInterpreter, point_valuation, point_slack, Domain, POINTS,
+    PointInterpreter, point_valuation, point_slack, point_code, Domain, POINTS,
 )
 from afsterm.orderings.poly_search import candidate_templates
 from afsterm.parser import SymbolTable, parse_afs, parse_term_text
@@ -38,7 +38,7 @@ from afsterm.terms import (
 from helpers import (
     GOLDEN, load, corpus_names, random_term, eval_nf, nf_slots, chronological_search_poly,
     point_assignments, MONOTONE_SAMPLES, reference_check_projection,
-    reference_subterm_criterion, wide_system, apply_subst,
+    reference_subterm_criterion, wide_system, apply_subst, mutants,
 )
 
 nat = Base("nat")
@@ -433,18 +433,28 @@ class TestSubtermMemo:
             return compare_terms(*args, **kwargs)
 
         memos, point_tables, point_writes, nogood_stores = [], [], [], []
+        code_tables, entries = [], []
 
         class PointTable(dict):
             def __setitem__(self, key, value):
                 point_writes.append(1)
                 super().__setitem__(key, value)
 
+        class CodeTable(dict):
+            pass
+
         class Recorded(SubtermMemo):
             def __init__(self, terms):
                 super().__init__(terms)
                 self.points = PointTable()
+                self.codes = CodeTable()
                 memos.append(weakref.ref(self))
                 point_tables.append(weakref.ref(self.points))
+                code_tables.append(weakref.ref(self.codes))
+
+        def entry(*args):
+            entries.append(1)  # a table entry filled from the points
+            return point_entry(*args)
 
         class RecordedNogoods(poly_search._Nogoods):
             def __init__(self):
@@ -469,6 +479,8 @@ class TestSubtermMemo:
         monkeypatch.setattr(poly_search, "SubtermMemo", Recorded)
         monkeypatch.setattr(poly_search, "_Nogoods", RecordedNogoods)
         monkeypatch.setattr(poly_search, "candidate_templates", tagged)
+        point_entry = poly_search.point_entry
+        monkeypatch.setattr(poly_search, "point_entry", entry)
         # a timeout no run reaches, so the counts do not depend on the machine
         cfg = Config(timeout=600.0)
         # `prove` ends fga at its reduction loop, so fga's exhausted search
@@ -481,21 +493,25 @@ class TestSubtermMemo:
                 for name in ("fga", "fromchain"):
                     calls.clear()
                     point_writes.clear()
+                    entries.clear()
                     tags.clear()
                     if name == "fga":
                         assert search_poly(build_constraints(fga_sccs[0], fga)) is None
                     else:
                         prove(load(name), cfg)
-                    counts.append(len(calls))
+                    counts.append((len(calls), len(entries)))
                     assert point_writes
                     assert memos and all(m() is None for m in memos)
                     assert point_tables and all(t() is None for t in point_tables)
+                    assert code_tables and all(t() is None for t in code_tables)
                     assert nogood_stores and all(t() is None for t in nogood_stores)
                     # one store per search or proof, freed when it returns
                     assert len(tags) == 1 and tags[0]() is None
         finally:
             gc.enable()
-        assert counts == [316, 120] * 2
+        # compare_terms calls and point entries: fga's exhausted search, then
+        # fromchain's proof
+        assert counts == [(316, 31_462), (120, 2_060)] * 2
         searches = []
         monkeypatch.setattr(engine, "search_poly",
                             lambda *args, **kwargs: searches.append(1))
@@ -740,13 +756,15 @@ class TestBackjumping:
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return point_slack(*args, **kwargs)
+            return entry(*args, **kwargs)
 
         class Forgetful(poly_search._Nogoods):
             def __setitem__(self, key, value):
                 pass  # learns nothing
 
-        monkeypatch.setattr(poly_search, "point_slack", counted)
+        # counted where the search fills a table entry from the points
+        entry = poly_search.point_entry
+        monkeypatch.setattr(poly_search, "point_entry", counted)
         got = search_poly(cs)
         assert got is not None and got == chronological_search_poly(cs)
         assert got.strict == (0,)
@@ -854,6 +872,83 @@ class TestPointsFirst:
         assert got == chronological_search_poly(cs)
         assert (got is None) == (a == 2)
         assert calls == compared
+
+
+def filled_from_the_points(monkeypatch):
+    """Every comparison a search evaluates at the points as (lhs, rhs,
+    assignment, point valuation, slack, whether through `row`)."""
+    cases = []
+
+    def record(lhs, rhs, interp, slack, staged=False):
+        cases.append((lhs, rhs, dict(interp.assign), interp.val, slack, staged))
+        return slack
+
+    class Recording(PointInterpreter):
+        def row(self, lhs, rhs, name):
+            slack = super().row(lhs, rhs, name)
+            return lambda: record(lhs, rhs, self, slack(), True)
+
+    monkeypatch.setattr(poly_search, "PointInterpreter", Recording)
+    monkeypatch.setattr(poly_search, "point_slack", lambda lhs, rhs, interp:
+                        record(lhs, rhs, interp, point_slack(lhs, rhs, interp)))
+    return cases
+
+
+class TestCompiledTemplates:
+    """The search stages the rows of long candidate lists and runs compiled
+    templates there; each slack is the one the generic twin, without memo or
+    staging, gets by walking the template bodies (`Domain.body`)."""
+
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_every_point_entry_is_the_generic_twins(self, monkeypatch, name):
+        # every SCC's search in both `spfp_drop` modes, then the proofs of
+        # 9 mutants
+        cases = filled_from_the_points(monkeypatch)
+        for spfp_drop in (True, False):
+            prob, comps = problem_and_sccs(name, spfp_drop)
+            for scc in comps:
+                search_poly(build_constraints(scc, prob))
+        for afs in mutants(name, 9):
+            prove(afs)
+        for lhs, rhs, assign, pval, slack, _ in cases:
+            assert slack == point_slack(lhs, rhs, PointInterpreter(assign, None, pval))
+        assert cases or name in ("ack", "map", "mapappend", "rec")
+        if name == "fromchain":  # its two long rows: chain and chain#
+            assert sum(c[-1] for c in cases) > 2000
+
+    def test_a_product_past_the_bound_is_unsupported_not_0(self):
+        # h(x) = x * x * 0 on a value of 2,049 to 4,096 bits, g(F^6(x)) with
+        # g(x) = x * x: the second product is past the bound, so the points
+        # give up although the product is 0, as their walk of the body does
+        F, x = Variable("F", Arrow(nat, nat)), Variable("x", nat)
+        g, h = (FunctionSymbol(name, TypeDecl((nat,), nat)) for name in "gh")
+        huge = Var(x)
+        for _ in range(6):
+            huge = App(Var(F), huge)
+        huge = FunApp(g, (huge,))
+        lhs, rhs = FunApp(h, (huge,)), Var(x)
+        assign = {"g": PolyFun((nat,), Mul((SlotRef(0), SlotRef(0)))),
+                  "h": PolyFun((nat,), Mul((SlotRef(0), SlotRef(0), Const(0))))}
+        (_, value), _ = PointInterpreter(assign).sides(huge, huge)
+        assert 2048 < value.bit_length() <= 4096
+        memo = SubtermMemo([lhs, rhs])
+        staged = PointInterpreter(assign, memo, point_valuation([lhs, rhs])).row(lhs, rhs, "h")
+        assert staged() is None
+        assert point_slack(lhs, rhs, PointInterpreter(assign)) is None
+        with pytest.raises(Unsupported):
+            point_code(assign["h"].body, {})(((0, 2 ** 2100),))
+        assert point_code(assign["h"].body, {})(((0, 2 ** 2000),)) == (0, 0)
+
+    def test_a_functional_argument_to_an_opaque_slot_is_unsupported(self):
+        # h(F(\z. z)): F's value cannot take a function, in a staged row too
+        F = Variable("F", Arrow(Arrow(nat, nat), nat))
+        z, x = Variable("z", nat), Variable("x", nat)
+        h = FunctionSymbol("h", TypeDecl((nat,), nat))
+        lhs, rhs = FunApp(h, (App(Var(F), lam(z, Var(z))),)), Var(x)
+        assign = {"h": PolyFun((nat,), Add((SlotRef(0), Const(1))))}
+        points = PointInterpreter(assign, SubtermMemo([lhs, rhs]), point_valuation([lhs, rhs]))
+        assert points.row(lhs, rhs, "h")() is None
+        assert point_slack(lhs, rhs, PointInterpreter(assign)) is None
 
 
 class TestRpo:
